@@ -1,4 +1,4 @@
-"""Nonconvex descent over free nodes: two-point adaptive steps, monotone acceptance, restarts."""
+"""Nonconvex descent over free nodes: preconditioned two-point steps, monotone acceptance, restarts."""
 
 from __future__ import annotations
 
@@ -20,7 +20,7 @@ class DivergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Stopping rule, step rule, and restart policy for minimize_energy.
+    """Stopping rule and restart policy for minimize_energy.
 
     grad_tol = None resolves to 1e-6 * h^n at solve time (gradient entries scale
     with the cell volume).  `restarts` counts perturbed re-solves on top of the
@@ -29,8 +29,6 @@ class SolverConfig:
 
     max_iters: int = 50_000
     grad_tol: float | None = None
-    step_rule: str = "adaptive"  # "adaptive" (two-point) | "fixed"
-    fixed_step: float | None = None
     restarts: int = 3
     noise_scale: float = 0.05
     noise_seed: int = 0
@@ -40,10 +38,6 @@ class SolverConfig:
             raise ValueError("max_iters must be >= 1")
         if self.grad_tol is not None and self.grad_tol <= 0:
             raise ValueError("grad_tol must be positive")
-        if self.step_rule not in ("adaptive", "fixed"):
-            raise ValueError(f"unknown step rule {self.step_rule!r}")
-        if self.step_rule == "fixed" and not self.fixed_step:
-            raise ValueError("fixed step rule needs fixed_step")
 
 
 @dataclass
@@ -81,21 +75,139 @@ def _initial_step(model: EnergyModel) -> float:
     return 1.0 / lip
 
 
-def _descend(model: EnergyModel, u0: np.ndarray, cfg: SolverConfig, grad_tol: float, cap: float):
-    """Two-point adaptive gradient iteration with best-so-far tracking.
+# ---------------------------------------------------------------------------
+# Descent metric: a fixed SPD model of the energy Hessian
+# ---------------------------------------------------------------------------
 
-    The raw trajectory may oscillate (that is what makes the two-point step fast
-    on the stiff fourth-order term); accepted states are the best-so-far ones,
-    so the reported energy sequence is nonincreasing.  A blow-up beyond the best
-    energy by a wide margin resets the trajectory to the best state with a
-    smaller step; a non-finite energy raises DivergenceError.
+
+def _axis_basis(m: int, h: float, ends: str) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal eigenbasis (columns) and eigenvalues of the 1-D [-1, 2, -1]/h^2 Laplacian.
+
+    `ends` names the boundary rows: "fixed" ends sit next to frozen nodes (the
+    row keeps its 2), "free" ends are edge-replicated grid edges (the row reads
+    [1, -1]), and "wrap" closes the axis periodically.  Each basis is closed
+    form: sine, cosine, mixed sine or real Fourier.
+    """
+    j = np.arange(m)[:, None]  # node
+    k = np.arange(m)  # mode
+    if ends == "wrap":
+        freq = (k + 1) // 2  # 0, 1, 1, 2, 2, ...: cosine, then sine, per frequency
+        theta = 2.0 * np.pi * freq * j / m
+        q = np.where(k % 2 == 1, np.cos(theta), np.sin(theta)) * np.sqrt(2.0 / m)
+        q[:, 0] = np.sqrt(1.0 / m)
+        if m % 2 == 0:
+            q[:, -1] = np.cos(np.pi * j[:, 0]) / np.sqrt(m)
+        lam = np.sin(np.pi * freq / m) ** 2
+    elif ends == "free-free":
+        q = np.cos(np.pi * k * (j + 0.5) / m) * np.sqrt(2.0 / m)
+        q[:, 0] = np.sqrt(1.0 / m)
+        lam = np.sin(np.pi * k / (2 * m)) ** 2
+    elif ends == "fixed-fixed":
+        q = np.sin(np.pi * (k + 1) * (j + 1) / (m + 1)) * np.sqrt(2.0 / (m + 1))
+        lam = np.sin(np.pi * (k + 1) / (2 * (m + 1))) ** 2
+    elif ends in ("fixed-free", "free-fixed"):
+        q = np.sin(np.pi * (2 * k + 1) * (j + 1) / (2 * m + 1)) * np.sqrt(4.0 / (2 * m + 1))
+        lam = np.sin(np.pi * (2 * k + 1) / (2 * (2 * m + 1))) ** 2
+        if ends == "free-fixed":
+            q = q[::-1]
+    else:
+        raise ValueError(f"unknown boundary pair {ends!r}")
+    return q, 4.0 * lam / (h * h)
+
+
+def _transform(mats, x: np.ndarray) -> np.ndarray:
+    """Multiply x by mats[a] along each axis a (one small matmul per axis)."""
+    for axis, q in enumerate(mats):
+        x = np.moveaxis(np.tensordot(q, x, axes=(1, axis)), 0, axis)
+    return x
+
+
+class _Metric:
+    """The descent metric P: directions are d = P^-1 g and steps are measured in s'Ps.
+
+    On the bounding box of the free nodes, P is diagonal in a tensor product of
+    closed-form axis bases, with the symbol vol*(2(c eps^3 L^2 + b eps L) + 8a/eps)
+    (L the sum of the per-axis Laplacian eigenvalues, a, b, c the coefficient
+    means): the energy Hessian at u = +-1 for constant coefficients.  If
+    that symbol is not positive on the spectrum (e.g. the minus comparison
+    energy at large q), P falls back to I/_initial_step(model), which makes the
+    descent the plain two-point gradient method.
+    """
+
+    def __init__(self, model: EnergyModel, free: np.ndarray):
+        self.frozen = ~free
+        self.box = None
+        if free.any():
+            self._build_model_metric(model, free)
+        if self.box is None:
+            self.name = "gradient"
+            self.t_init = _initial_step(model)
+        else:
+            self.name = "preconditioned"
+
+    def _build_model_metric(self, model: EnergyModel, free: np.ndarray) -> None:
+        box, bases, lams = [], [], []
+        for axis, size in enumerate(free.shape):
+            other = tuple(a for a in range(free.ndim) if a != axis)
+            rows = np.flatnonzero(free.any(axis=other))
+            lo, hi = int(rows[0]), int(rows[-1]) + 1
+            if model.periodic[axis] and (lo, hi) == (0, size):
+                ends = "wrap"
+            elif model.periodic[axis]:
+                ends = "fixed-fixed"
+            else:
+                ends = f"{'free' if lo == 0 else 'fixed'}-{'free' if hi == size else 'fixed'}"
+            q, lam = _axis_basis(hi - lo, model.h, ends)
+            box.append(slice(lo, hi))
+            bases.append(q)
+            shape = [1] * free.ndim
+            shape[axis] = hi - lo
+            lams.append(lam.reshape(shape))
+        lam = sum(lams)
+        eps = model.eps
+        a, b, c = (float(np.mean(v)) for v in (model.a, model.b, model.c))
+        symbol = model.cell_volume * (2.0 * (c * eps**3 * lam * lam + b * eps * lam) + 8.0 * a / eps)
+        if float(np.min(symbol)) <= 0.0:
+            return
+        self.box = tuple(box)
+        self.bases = bases
+        self.bases_t = [q.T for q in bases]
+        self.symbol = symbol
+
+    def direction(self, g: np.ndarray) -> np.ndarray:
+        """d = P^-1 g, zero at frozen nodes."""
+        if self.box is None:
+            return self.t_init * g
+        d = np.zeros_like(g)
+        coef = _transform(self.bases_t, g[self.box]) / self.symbol
+        d[self.box] = _transform(self.bases, coef)
+        d[self.frozen] = 0.0
+        return d
+
+    def norm2(self, s: np.ndarray) -> float:
+        """s'Ps."""
+        if self.box is None:
+            return float(np.sum(s * s)) / self.t_init
+        coef = _transform(self.bases_t, s[self.box])
+        return float(np.sum(self.symbol * coef * coef))
+
+
+def _descend(model: EnergyModel, metric: _Metric, u0: np.ndarray, cfg: SolverConfig, grad_tol: float, cap: float):
+    """Two-point (Barzilai-Borwein) iteration in the metric P with best-so-far tracking.
+
+    Directions are d = P^-1 g and the step is t = s'Ps / s'y (t = 1 at the
+    start), so with P = I/t0 this is the plain two-point gradient method.  The
+    raw trajectory may oscillate (that is what makes the two-point step fast);
+    accepted states are the best-so-far ones, so the reported energy sequence
+    is nonincreasing.  A blow-up beyond the best energy by a wide margin resets
+    the trajectory to the best state with a smaller step; a non-finite energy
+    raises DivergenceError.  The stopping rule is max|g| <= grad_tol.
     """
     u = np.clip(u0, -cap, cap)
     energy, grad = model.value_and_gradient(u)
     if not np.isfinite(energy):
         raise DivergenceError(f"initial energy is not finite ({energy})")
-    t0 = cfg.fixed_step if cfg.fixed_step else _initial_step(model)
-    t = t0
+    t = 1.0
     best_u, best_e = u.copy(), energy
     gnorm = float(np.max(np.abs(grad))) if grad.size else 0.0
     converged = gnorm <= grad_tol
@@ -103,7 +215,7 @@ def _descend(model: EnergyModel, u0: np.ndarray, cfg: SolverConfig, grad_tol: fl
     resets = 0
     while iters < cfg.max_iters and not converged:
         iters += 1
-        trial = np.clip(u - t * grad, -cap, cap)
+        trial = np.clip(u - t * metric.direction(grad), -cap, cap)
         e_trial, grad_new = model.value_and_gradient(trial)
         if not np.isfinite(e_trial):
             resets += 1
@@ -118,27 +230,25 @@ def _descend(model: EnergyModel, u0: np.ndarray, cfg: SolverConfig, grad_tol: fl
             u, (energy, grad) = best_u.copy(), model.value_and_gradient(best_u)
             t *= 0.1
             continue
-        if cfg.step_rule == "adaptive":
-            s = trial - u
-            y = grad_new - grad
-            sy = float(np.sum(s * y))
-            ss = float(np.sum(s * s))
-            if np.isfinite(sy) and sy > 0.0:
-                t = min(max(ss / sy, 1e-12 * t0), 1e14 * t0)
-            else:
-                t *= 2.0
+        s = trial - u
+        sy = float(np.sum(s * (grad_new - grad)))
+        if np.isfinite(sy) and sy > 0.0:
+            t = min(max(metric.norm2(s) / sy, 1e-12), 1e14)
+        else:
+            t *= 2.0
         u, energy, grad = trial, e_trial, grad_new
         if energy < best_e:
             best_e = energy
             best_u = u.copy()
         gnorm = float(np.max(np.abs(grad)))
-        converged = gnorm <= grad_tol
-    if converged and energy <= best_e:
-        best_u, best_e = u, energy
+        # stop only at the record, so that the returned state passes the test
+        converged = gnorm <= grad_tol and energy <= best_e
+    if converged:
+        best_u = u
         final_gnorm = gnorm
     else:
         final_gnorm = float(np.max(np.abs(model.gradient(best_u)))) if best_u.size else 0.0
-    return best_u, best_e, iters, final_gnorm, converged
+    return best_u, best_e, iters, final_gnorm, converged, resets
 
 
 def minimize_energy(
@@ -160,15 +270,20 @@ def minimize_energy(
         raise ValueError("frozen boundary data exceeds the value cap")
 
     free = initial.free_mask()
+    metric = _Metric(model, free)
     best = None
     total_iters = 0
+    total_resets = 0
+    restarts_used = 0
     for attempt in range(1 + max(0, cfg.restarts)):
         u0 = initial.values.copy()
         if attempt > 0:
+            restarts_used += 1
             rng = np.random.Generator(np.random.Philox(key=cfg.noise_seed, counter=attempt))
             u0[free] += cfg.noise_scale * rng.standard_normal(int(free.sum()))
-        u, energy, iters, gnorm, converged = _descend(model, u0, cfg, grad_tol, cap)
+        u, energy, iters, gnorm, converged, resets = _descend(model, metric, u0, cfg, grad_tol, cap)
         total_iters += iters
+        total_resets += resets
         if best is None or energy < best[1]:
             best = (u, energy, gnorm, converged, attempt)
     u, energy, gnorm, converged, which = best
@@ -179,8 +294,14 @@ def minimize_energy(
         iters=total_iters,
         final_grad_norm=gnorm,
         converged=converged,
-        restarts_used=max(0, cfg.restarts),
-        diagnostics={"best_attempt": which, "grad_tol": grad_tol},
+        restarts_used=restarts_used,
+        diagnostics={
+            "best_attempt": which,
+            "grad_tol": grad_tol,
+            "resets": total_resets,
+            "stop_reason": "converged" if converged else "max_iters",
+            "metric": metric.name,
+        },
     )
 
 

@@ -177,3 +177,30 @@ def test_property_suite_reports_positivity_outside_regime(tmp_path):
     result = next(r for r in run_property_suite(cfg) if r.name == "positivity")
     assert result.informational
     assert "outside regime" in result.detail
+
+
+def test_cli_import_and_cell_solve_load_no_scipy():
+    # scipy is a test-only extra: importing it would add to start-up time and memory
+    import os
+    import subprocess
+    import sys
+
+    import homlab
+
+    code = (
+        "import sys\n"
+        "import homlab.cli\n"
+        "from homlab.cell import cell_problem_r\n"
+        "from homlab.environment import EnvironmentSpec, make_environment\n"
+        "from homlab.geometry import Direction\n"
+        "from homlab.solve import SolverConfig\n"
+        "env = make_environment(EnvironmentSpec(kind='checkerboard', b_range=(-0.04, 0.05)))\n"
+        "cell_problem_r(env, Direction.from_integers(0, 1), 8, (0, 0), SolverConfig(restarts=0), 0.25)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = str(Path(homlab.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
