@@ -41,6 +41,7 @@ from .solve import DivergenceError, SolveResult, SolverConfig, glue_fields, mini
 from .cell import (
     BoundsReport,
     CellRecord,
+    EstimateError,
     FHomEstimate,
     MuSample,
     PositivityReport,

@@ -30,6 +30,7 @@ from .grids import (
 from .solve import SolverConfig, SolveResult, minimize_energy
 
 __all__ = [
+    "EstimateError",
     "CellRecord",
     "SigmaEstimate",
     "MuSample",
@@ -51,6 +52,10 @@ __all__ = [
 
 SOLVER_SLACK = 1e-6
 MINUS_VARIANT_Q_MAX = 0.25
+
+
+class EstimateError(RuntimeError):
+    """Raised when no converged solve is left to estimate from."""
 
 
 # ---------------------------------------------------------------------------
@@ -122,10 +127,13 @@ class ErgodicAverage:
 
 @dataclass
 class PositivityReport:
+    """Free minima of the minus comparison energy; passed needs every start converged."""
+
     q: float
     sides: tuple[float, ...]
     minimum: float
     per_start: tuple[float, ...]
+    converged: tuple[bool, ...]
     passed: bool
 
 
@@ -465,7 +473,9 @@ def f_hom_estimate(
     For every (seed, r, x0) a unit-scale cell problem is solved; per-seed
     limits extrapolate the x0-averaged normalized values in 1/r over the top
     three scales (boundary-frame heuristic, reported alongside raw records).
-    Non-converged solves are excluded with a warning.
+    Non-converged solves are excluded with a warning; if none converged,
+    EstimateError is raised instead of returning a NaN estimate.  Each record's
+    diagnostics carry its `x0_index` into x0_list.
     """
     r_schedule = tuple(sorted(float(r) for r in r_schedule))
     if r_schedule[0] < 4:
@@ -484,8 +494,9 @@ def f_hom_estimate(
         top_r_values = []
         for r in r_schedule:
             vals = []
-            for x0 in x0_list:
+            for i, x0 in enumerate(x0_list):
                 rec = cell_problem_r(env, nu, r, x0, cfg, h)
+                rec.diagnostics["x0_index"] = i
                 records.append(rec)
                 if not rec.converged:
                     warnings.warn(f"excluding non-converged solve (seed={seed}, r={r}, x0={x0})")
@@ -504,6 +515,8 @@ def f_hom_estimate(
         if len(top_r_values) > 1:
             mean = float(np.mean(top_r_values))
             x0_spread[seed] = float((np.max(top_r_values) - np.min(top_r_values)) / abs(mean))
+    if not per_seed_limit:
+        raise EstimateError(f"no converged cell solve for nu = {nu.nu} over seeds {tuple(seeds)}")
     limits = np.array([per_seed_limit[s] for s in per_seed_limit])
     estimate = float(np.mean(limits))
     stderr = float(np.std(limits, ddof=1) / np.sqrt(len(limits))) if len(limits) > 1 else 0.0
@@ -566,7 +579,9 @@ def verify_positivity(
     with all sides >= 1; smaller epsilon probes the scaled smallness inequality
     (gradient term controlled by potential plus second-gradient terms).  Small q
     keeps the infimum nonnegative; large q leaves the validity regime and
-    genuinely negative minima are expected (and reported, not hidden).
+    genuinely negative minima are expected (and reported, not hidden).  A start
+    that stops at max_iters is no minimum, so the check passes only when every
+    start converged.
     """
     sides = tuple(float(s) for s in sides)
     if min(sides) < 1.0:
@@ -575,19 +590,21 @@ def verify_positivity(
     direction = Direction.from_integers(*([0] * (n - 1) + [1]))
     env = make_environment(EnvironmentSpec(q=q), well)
     rng = np.random.default_rng(seed)
-    values = []
+    values, converged = [], []
     for _ in range(max(1, n_starts)):
         grid = box_grid(direction, (0.0,) * n, sides, h)
         grid.values[...] = rng.uniform(-1.5, 1.5, grid.shape)
         res = minimize_energy(grid, env, EnergyParams(epsilon, "m_minus"), cfg)
         values.append(res.value)
+        converged.append(res.converged)
     minimum = float(min(values))
     return PositivityReport(
         q=q,
         sides=sides,
         minimum=minimum,
         per_start=tuple(values),
-        passed=minimum >= threshold,
+        converged=tuple(converged),
+        passed=minimum >= threshold and all(converged),
     )
 
 

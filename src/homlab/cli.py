@@ -1,6 +1,7 @@
 """Command-line entry point: sigma | cell | homogenize | verify | sweep.
 
-Exit codes: 0 success, 1 property failure, 2 configuration error, 3 numerical divergence.
+Exit codes: 0 success, 1 property failure, 2 configuration error, 3 numerical
+divergence or no converged solve to estimate from.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from .harness import (
     run_sweep,
     write_json,
 )
+from .cell import EstimateError
 from .solve import DivergenceError
 
 EXIT_OK = 0
@@ -96,6 +98,9 @@ def main(argv=None) -> int:
                 return EXIT_PROPERTY_FAILURE
     except DivergenceError as exc:
         print(f"numerical divergence: {exc}", file=sys.stderr)
+        return EXIT_DIVERGENCE
+    except EstimateError as exc:
+        print(f"no estimate: {exc}", file=sys.stderr)
         return EXIT_DIVERGENCE
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -263,94 +263,138 @@ def profile_field(
 
 
 # ---------------------------------------------------------------------------
-# Stencils (forward and adjoint); second-order central differences
+# Stencils: one padded copy of the field and a table of central differences
 # ---------------------------------------------------------------------------
 
-
-def _pad1(u: np.ndarray, axis: int, periodic: bool) -> np.ndarray:
-    width = [(0, 0)] * u.ndim
-    width[axis] = (1, 1)
-    return np.pad(u, width, mode="wrap" if periodic else "edge")
+_STEP = {"d1": lambda h: 2.0 * h, "d2": lambda h: h * h, "x": lambda h: 4.0 * h * h}  # denominators
 
 
-def _sl(ndim: int, axis: int, s: slice):
-    idx = [slice(None)] * ndim
-    idx[axis] = s
-    return tuple(idx)
+def _stencil_table(n: int) -> tuple:
+    """Second-order central differences as (kind, axes, plus taps, minus taps).
+
+    Taps are node offsets; a stencil is the sum of its plus taps minus the sum
+    of its minus taps, over _STEP[kind](h): d1 = u[+a] - u[-a] over 2h,
+    d2 = u[+a] + u[-a] - u[0] - u[0] over h^2, and the four-corner cross
+    x = u[+a+b] + u[-a-b] - u[+a-b] - u[-a+b] over (2h)^2.  `axes` is the
+    derivative's index pair.  Every tap is one add or subtract, in D and in D^T.
+    """
+    e = np.eye(n, dtype=int)
+    table = []
+    for a in range(n):
+        table.append(("d1", (a,), (e[a],), (-e[a],)))
+        table.append(("d2", (a, a), (e[a], -e[a]), (0 * e[a], 0 * e[a])))
+    for a in range(n):
+        for b in range(a + 1, n):
+            table.append(("x", (a, b), (e[a] + e[b], -e[a] - e[b]), (e[a] - e[b], e[b] - e[a])))
+    return tuple(table)
 
 
-def _unpad_accumulate(w: np.ndarray, axis: int, periodic: bool) -> np.ndarray:
-    nd = w.ndim
-    core = w[_sl(nd, axis, slice(1, -1))].copy()
-    first = w[_sl(nd, axis, slice(0, 1))]
-    last = w[_sl(nd, axis, slice(-1, None))]
-    if periodic:
-        core[_sl(nd, axis, slice(-1, None))] += first
-        core[_sl(nd, axis, slice(0, 1))] += last
-    else:
-        core[_sl(nd, axis, slice(0, 1))] += first
-        core[_sl(nd, axis, slice(-1, None))] += last
-    return core
+def _combine(plus, minus) -> np.ndarray:
+    d = np.subtract(plus[0], minus[0])
+    for v in plus[1:]:
+        d += v
+    for v in minus[1:]:
+        d -= v
+    return d
 
 
-def _d1(u: np.ndarray, h: float, axis: int, periodic: bool) -> np.ndarray:
-    p = _pad1(u, axis, periodic)
-    nd = p.ndim
-    return (p[_sl(nd, axis, slice(2, None))] - p[_sl(nd, axis, slice(0, -2))]) / (2.0 * h)
+class _Stencils:
+    """The stencil table of one grid, read from one padded copy of the field.
 
+    P (`_pad`) writes u into a preallocated array with one ghost layer per axis,
+    filled axis by axis (corners too) by edge replication, or wrap on periodic
+    axes.  P^T (`_fold`) adds the ghost layers of a second such array back onto
+    their sources, axes in reverse order.  Stencils run on the flattened arrays
+    over the span from the first node to the last, so every tap is a contiguous
+    slice; span positions in a ghost layer get weight 0.  A tap's slice of the
+    padded array feeds D_k and its slice of the fold array receives D_k^T, so
+    the adjoints hold by construction.  Buffers are reused: one thread each.
+    """
 
-def _d1_adjoint(w: np.ndarray, h: float, axis: int, periodic: bool) -> np.ndarray:
-    nd = w.ndim
-    pad_shape = list(w.shape)
-    pad_shape[axis] += 2
-    q = np.zeros(pad_shape)
-    q[_sl(nd, axis, slice(2, None))] += w / (2.0 * h)
-    q[_sl(nd, axis, slice(0, -2))] -= w / (2.0 * h)
-    return _unpad_accumulate(q, axis, periodic)
+    def __init__(self, shape: tuple[int, ...], periodic: tuple[bool, ...]):
+        n = len(shape)
+        self.shape = shape
+        self._p = np.zeros(tuple(m + 2 for m in shape))
+        self._q = np.zeros_like(self._p)
+        self._inner = (slice(1, -1),) * n
+        self._p_inner, self._q_inner = self._p[self._inner], self._q[self._inner]
+        self._layers = []  # (ghost, source) views of p and of q, in padding order
+        for axis, wrap in enumerate(periodic):
+            for ghost, source in ((0, -2 if wrap else 1), (-1, 1 if wrap else -2)):
+                g, s = [(slice(None),) * axis + (slice(i, i + 1 or None),) for i in (ghost, source)]
+                self._layers.append((self._p[g], self._p[s], self._q[g], self._q[s]))
+        strides = np.array(self._p.strides) // self._p.itemsize
+        start = int(strides.sum())
+        self._span = slice(start, start + int(np.dot(np.array(shape) - 1, strides)) + 1)
+        p, q = self._p.reshape(-1), self._q.reshape(-1)
 
+        def taps(flat, offsets):
+            shifts = (int(np.dot(t, strides)) for t in offsets)
+            return [flat[self._span.start + o : self._span.stop + o] for o in shifts]
 
-def _d2(u: np.ndarray, h: float, axis: int, periodic: bool) -> np.ndarray:
-    p = _pad1(u, axis, periodic)
-    nd = p.ndim
-    return (
-        p[_sl(nd, axis, slice(2, None))] - 2.0 * p[_sl(nd, axis, slice(1, -1))] + p[_sl(nd, axis, slice(0, -2))]
-    ) / (h * h)
+        self.table = [
+            (kind, axes, taps(p, plus), taps(p, minus), taps(q, plus), taps(q, minus))
+            for kind, axes, plus, minus in _stencil_table(n)
+        ]
 
+    def on_span(self, w) -> np.ndarray:
+        """Node values (or a scalar) laid out on the span, 0 in the ghost layers."""
+        padded = np.zeros_like(self._p)
+        padded[self._inner] = w
+        return padded.reshape(-1)[self._span].copy()
 
-def _d2_adjoint(w: np.ndarray, h: float, axis: int, periodic: bool) -> np.ndarray:
-    nd = w.ndim
-    pad_shape = list(w.shape)
-    pad_shape[axis] += 2
-    q = np.zeros(pad_shape)
-    q[_sl(nd, axis, slice(2, None))] += w / (h * h)
-    q[_sl(nd, axis, slice(1, -1))] -= 2.0 * w / (h * h)
-    q[_sl(nd, axis, slice(0, -2))] += w / (h * h)
-    return _unpad_accumulate(q, axis, periodic)
+    def on_nodes(self, d: np.ndarray) -> np.ndarray:
+        """The node-shaped view of span values."""
+        return np.lib.stride_tricks.as_strided(d, self.shape, self._p.strides, writeable=False)
 
+    def _pad(self, u: np.ndarray) -> None:
+        np.copyto(self._p_inner, u)
+        for p_ghost, p_source, _, _ in self._layers:
+            np.copyto(p_ghost, p_source)
 
-def _cross(u: np.ndarray, h: float, ax0: int, ax1: int, per: tuple[bool, ...]) -> np.ndarray:
-    return _d1(_d1(u, h, ax0, per[ax0]), h, ax1, per[ax1])
+    def _fold(self) -> np.ndarray:
+        for _, _, q_ghost, q_source in reversed(self._layers):
+            q_source += q_ghost
+        return self._q_inner
 
+    def differences(self, u: np.ndarray) -> list:
+        """D_k P u on the nodes for every table entry, in table order."""
+        self._pad(u)
+        return [self.on_nodes(_combine(plus, minus)) for _, _, plus, minus, _, _ in self.table]
 
-def _cross_adjoint(w: np.ndarray, h: float, ax0: int, ax1: int, per: tuple[bool, ...]) -> np.ndarray:
-    return _d1_adjoint(_d1_adjoint(w, h, ax1, per[ax1]), h, ax0, per[ax0])
+    def quadratic(self, u: np.ndarray, weights) -> tuple[float, np.ndarray]:
+        """(u.Ku, Ku) for K = P^T sum_k D_k^T w_k D_k P, span weights w_k.
+
+        u.Ku is read as (P u).(sum_k D_k^T w_k D_k P u) before the fold; Ku is a
+        view into the fold array, valid until the next call.
+        """
+        self._pad(u)
+        self._q.fill(0.0)
+        for w, (_, _, plus, minus, q_plus, q_minus) in zip(weights, self.table):
+            r = _combine(plus, minus)
+            r *= w
+            for v in q_plus:
+                v += r
+            for v in q_minus:
+                v -= r
+        quad = float(np.vdot(self._p, self._q))
+        return quad, self._fold()
 
 
 def discrete_gradient(field: GridField, node: tuple[int, ...]) -> np.ndarray:
     """Central-difference gradient at one node, in local coordinates."""
-    u, h, per = field.values, field.h, field.periodic
-    return np.array([_d1(u, h, a, per[a])[tuple(node)] for a in range(field.n)])
+    stencils = _Stencils(field.shape, field.periodic)
+    diffs = stencils.differences(field.values)
+    return np.array([d[tuple(node)] / _STEP[k](field.h) for (k, *_), d in zip(stencils.table, diffs) if k == "d1"])
 
 
 def discrete_hessian(field: GridField, node: tuple[int, ...], frame: str = "local") -> np.ndarray:
     """Central-difference Hessian at one node (four-point cross stencil off-diagonal)."""
-    u, h, per, n = field.values, field.h, field.periodic, field.n
-    hess = np.empty((n, n))
-    for a in range(n):
-        hess[a, a] = _d2(u, h, a, per[a])[tuple(node)]
-    for a in range(n):
-        for b in range(a + 1, n):
-            hess[a, b] = hess[b, a] = _cross(u, h, a, b, per)[tuple(node)]
+    stencils = _Stencils(field.shape, field.periodic)
+    hess = np.empty((field.n, field.n))
+    for (kind, axes, *_), d in zip(stencils.table, stencils.differences(field.values)):
+        if kind != "d1":
+            hess[axes] = hess[axes[::-1]] = d[tuple(node)] / _STEP[kind](field.h)
     if frame == "physical":
         rot = rotation_for(field.direction)
         hess = rot @ hess @ rot.T
@@ -381,109 +425,64 @@ class EnergyParams:
 class EnergyModel:
     """Discrete energy and its exact gradient for one (field geometry, env, params) triple.
 
-    Built once per solve: coefficient lookups and masks are hoisted out of the
-    iteration loop.  The energy is the midpoint-rule node sum
+    Built once per solve: coefficients, weights and stencil views are hoisted
+    out of the iteration loop.  The energy is the midpoint-rule node sum
         h^n * sum  a W(u)/eps + b eps |grad u|^2 + c eps^3 |hess u|^2,
     with coefficients sampled at physical points x/eps (the oscillating density),
     and |.| evaluated from local-frame stencils (both norms are frame-invariant).
+    In terms of the stencil table D_k, with weights w_k that fold in the
+    denominators, h^n eps^k and the factor 2 of the mixed terms,
+        E = sum wa W(u) + u.Ku,   grad E = wa W'(u) + 2 Ku,
+    where wa = h^n a / eps and K = P^T sum_k D_k^T w_k D_k P.
     """
 
     def __init__(self, field: GridField, env: Environment, params: EnergyParams):
         if field.h > params.epsilon / 4.0 + 1e-12:
-            raise ResolutionError(
-                f"h = {field.h} cannot resolve epsilon = {params.epsilon}; need h <= eps/4"
-            )
+            raise ResolutionError(f"h = {field.h} cannot resolve epsilon = {params.epsilon}; need h <= eps/4")
         self.h = field.h
         self.n = field.n
         self.eps = params.epsilon
-        self.variant = params.variant
         self.periodic = field.periodic
-        self.free = field.free_mask()
+        self.frozen = field.frozen.copy()
         self.well: DoubleWell = env.well
         self.cell_volume = field.h**field.n
         if params.variant == "general":
             pts = field.physical_points() / params.epsilon
             a, b, c = env.coefficients_at_points(pts.reshape(-1, field.n))
-            self.a = a.reshape(field.shape)
-            self.b = b.reshape(field.shape)
-            self.c = c.reshape(field.shape)
+            self.a, self.b, self.c = (v.reshape(field.shape) for v in (a, b, c))
         else:
             q = env.spec.q
-            self.a = 1.0
-            self.b = q if params.variant == "m_plus" else -q
-            self.c = 1.0
+            self.a, self.b, self.c = 1.0, (q if params.variant == "m_plus" else -q), 1.0
+        vol, eps = self.cell_volume, self.eps
+        self.wa = np.broadcast_to(vol * np.asarray(self.a) / eps, field.shape).copy()
+        self._stencils = st = _Stencils(field.shape, field.periodic)
+        w = {"d1": vol * eps * self.b, "d2": vol * eps**3 * self.c, "x": 2.0 * vol * eps**3 * self.c}
+        w = {kind: st.on_span(wk / _STEP[kind](self.h) ** 2) for kind, wk in w.items()}
+        self._weights = [w[kind] for kind, *_ in st.table]
 
-    # -- forward -----------------------------------------------------------
-
-    def _derivative_squares(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        h, per, n = self.h, self.periodic, self.n
-        gsq = np.zeros_like(u)
-        hsq = np.zeros_like(u)
-        for a in range(n):
-            d = _d1(u, h, a, per[a])
-            gsq += d * d
-            d = _d2(u, h, a, per[a])
-            hsq += d * d
-        for a in range(n):
-            for b in range(a + 1, n):
-                d = _cross(u, h, a, b, per)
-                hsq += 2.0 * d * d
-        return gsq, hsq
-
-    def energy(self, u: np.ndarray) -> float:
-        gsq, hsq = self._derivative_squares(u)
-        eps = self.eps
-        dens = self.a * self.well(u) / eps + self.b * (eps * gsq) + self.c * (eps**3 * hsq)
-        return float(self.cell_volume * dens.sum())
-
-    def energy_density(self, u: np.ndarray) -> np.ndarray:
-        gsq, hsq = self._derivative_squares(u)
-        eps = self.eps
-        return self.a * self.well(u) / eps + self.b * (eps * gsq) + self.c * (eps**3 * hsq)
-
-    # -- gradient (adjoint of the stencils) --------------------------------
-
-    def gradient(self, u: np.ndarray) -> np.ndarray:
-        h, per, n, eps = self.h, self.periodic, self.n, self.eps
-        vol = self.cell_volume
-        g = self.a * self.well.derivative(u) * (vol / eps)
-        wgt1 = 2.0 * vol * eps * self.b
-        wgt2 = 2.0 * vol * eps**3 * self.c
-        for a in range(n):
-            g += _d1_adjoint(wgt1 * _d1(u, h, a, per[a]), h, a, per[a])
-            g += _d2_adjoint(wgt2 * _d2(u, h, a, per[a]), h, a, per[a])
-        for a in range(n):
-            for b in range(a + 1, n):
-                g += _cross_adjoint(2.0 * wgt2 * _cross(u, h, a, b, per), h, a, b, per)
-        g[~self.free] = 0.0
+    def _gradient(self, u: np.ndarray, ku: np.ndarray) -> np.ndarray:
+        g = self.well.derivative(u) * self.wa
+        g += 2.0 * ku
+        g[self.frozen] = 0.0
         return g
 
+    def energy(self, u: np.ndarray) -> float:
+        quad, _ = self._stencils.quadratic(u, self._weights)
+        return float(np.vdot(self.wa, self.well(u))) + quad
+
+    def gradient(self, u: np.ndarray) -> np.ndarray:
+        return self._gradient(u, self._stencils.quadratic(u, self._weights)[1])
+
     def value_and_gradient(self, u: np.ndarray) -> tuple[float, np.ndarray]:
-        """Energy and gradient in one pass (stencils evaluated once)."""
-        h, per, n, eps = self.h, self.periodic, self.n, self.eps
-        vol = self.cell_volume
-        dens_w = self.a * self.well(u)
-        g = self.a * self.well.derivative(u) * (vol / eps)
-        wgt1 = 2.0 * vol * eps * self.b
-        wgt2 = 2.0 * vol * eps**3 * self.c
-        gsq = np.zeros_like(u)
-        hsq = np.zeros_like(u)
-        for a in range(n):
-            d = _d1(u, h, a, per[a])
-            gsq += d * d
-            g += _d1_adjoint(wgt1 * d, h, a, per[a])
-            d = _d2(u, h, a, per[a])
-            hsq += d * d
-            g += _d2_adjoint(wgt2 * d, h, a, per[a])
-        for a in range(n):
-            for b in range(a + 1, n):
-                d = _cross(u, h, a, b, per)
-                hsq += 2.0 * d * d
-                g += _cross_adjoint(2.0 * wgt2 * d, h, a, b, per)
-        g[~self.free] = 0.0
-        dens = dens_w / eps + self.b * (eps * gsq) + self.c * (eps**3 * hsq)
-        energy = float(vol * dens.sum())
-        return energy, g
+        """Energy and gradient from one application of K."""
+        quad, ku = self._stencils.quadratic(u, self._weights)
+        return float(np.vdot(self.wa, self.well(u))) + quad, self._gradient(u, ku)
+
+    def energy_density(self, u: np.ndarray) -> np.ndarray:
+        dens = self.wa * self.well(u)
+        for w, d in zip(self._weights, self._stencils.differences(u)):
+            dens += self._stencils.on_nodes(w) * (d * d)
+        return dens / self.cell_volume
 
 
 def export_field(field: GridField, path: str, fmt: str = "text") -> None:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import configparser
 import csv
+import dataclasses
 import hashlib
 import json
 import os
@@ -95,7 +96,6 @@ class ExperimentConfig:
     out_dir: str = "out"
     out_format: str = "both"  # csv | json | both
     threads: int = 0  # 0 -> os.cpu_count()
-    raw_text: str = ""
 
     def validate(self):
         if self.dimension not in (1, 2):
@@ -120,7 +120,15 @@ class ExperimentConfig:
 
     @property
     def config_hash(self) -> str:
-        return hashlib.sha256(self.raw_text.encode()).hexdigest()[:16]
+        """Hash of the resolved settings that decide the results (CLI overrides included).
+
+        Output location, format and thread count are left out: they do not
+        change any number.
+        """
+        resolved = dataclasses.asdict(self)
+        for key in ("out_dir", "out_format", "threads"):
+            del resolved[key]
+        return hashlib.sha256(json.dumps(resolved, sort_keys=True).encode()).hexdigest()[:16]
 
 
 def load_config(path: str, overrides: dict | None = None) -> ExperimentConfig:
@@ -128,10 +136,8 @@ def load_config(path: str, overrides: dict | None = None) -> ExperimentConfig:
     read = parser.read(path)
     if not read:
         raise ConfigError(f"cannot read config file {path}")
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = fh.read()
 
-    cfg = ExperimentConfig(raw_text=raw)
+    cfg = ExperimentConfig()
     exp = parser["experiment"] if parser.has_section("experiment") else {}
     try:
         cfg.dimension = int(exp.get("dimension", cfg.dimension))
@@ -342,7 +348,7 @@ def run_homogenize(cfg: ExperimentConfig) -> dict:
             "per_seed_limit": {str(k): v for k, v in est.per_seed_limit.items()},
             "x0_spread": {str(k): v for k, v in est.x0_spread.items()},
         }
-        all_records.extend((rec, 0) for rec in est.records)
+        all_records.extend((rec, rec.diagnostics["x0_index"]) for rec in est.records)
     payload = {"f_hom": table, "r_schedule": list(cfg.r_list)}
     if cfg.out_format in ("json", "both"):
         write_json(os.path.join(cfg.out_dir, "fhom.json"), payload)
@@ -423,14 +429,15 @@ def _prop_growth(cfg: ExperimentConfig) -> PropertyResult:
 def _prop_positivity(cfg: ExperimentConfig) -> PropertyResult:
     q = cfg.env.q
     report = verify_positivity(q, (1.0, 1.0) if cfg.dimension == 2 else (1.0,), 1.0 / 16.0, 3, cfg.solver)
+    starts = f"{sum(report.converged)}/{len(report.converged)} starts converged"
     if q > cfg.positivity_regime_q_max:
         return PropertyResult(
             "positivity",
             True,
-            f"outside regime (q = {q} > {cfg.positivity_regime_q_max}); observed min {report.minimum:.3e}",
+            f"outside regime (q = {q} > {cfg.positivity_regime_q_max}); observed min {report.minimum:.3e}, {starts}",
             informational=True,
         )
-    return PropertyResult("positivity", report.passed, f"min {report.minimum:.3e}")
+    return PropertyResult("positivity", report.passed, f"min {report.minimum:.3e}, {starts}")
 
 
 def _lattice_direction(cfg: ExperimentConfig) -> Direction:

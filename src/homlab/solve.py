@@ -109,7 +109,7 @@ def _axis_basis(m: int, h: float, ends: str) -> tuple[np.ndarray, np.ndarray]:
         q = np.sin(np.pi * (2 * k + 1) * (j + 1) / (2 * m + 1)) * np.sqrt(4.0 / (2 * m + 1))
         lam = np.sin(np.pi * (2 * k + 1) / (2 * (2 * m + 1))) ** 2
         if ends == "free-fixed":
-            q = q[::-1]
+            q = np.ascontiguousarray(q[::-1])  # a reversed view would keep `q @ x` off BLAS
     else:
         raise ValueError(f"unknown boundary pair {ends!r}")
     return q, 4.0 * lam / (h * h)
@@ -117,8 +117,10 @@ def _axis_basis(m: int, h: float, ends: str) -> tuple[np.ndarray, np.ndarray]:
 
 def _transform(mats, x: np.ndarray) -> np.ndarray:
     """Multiply x by mats[a] along each axis a (one small matmul per axis)."""
+    if x.ndim == 1:
+        return mats[0] @ x
     for axis, q in enumerate(mats):
-        x = np.moveaxis(np.tensordot(q, x, axes=(1, axis)), 0, axis)
+        x = np.swapaxes(q @ np.swapaxes(x, axis, -2), axis, -2)
     return x
 
 

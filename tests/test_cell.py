@@ -6,6 +6,7 @@ from homlab.environment import EnvironmentSpec, make_environment, shift_environm
 from homlab.geometry import Direction, LatticeCuboid
 from homlab.solve import SolverConfig
 from homlab.cell import (
+    EstimateError,
     bounds_check,
     cell_problem_r,
     eps_scaled_cell,
@@ -189,6 +190,11 @@ def test_f_hom_estimate_homogeneous_matches_single_cell(e2):
     assert est.stderr == pytest.approx(0.0, abs=1e-10)
 
 
+def test_f_hom_estimate_raises_when_no_solve_converged(e2):
+    with pytest.raises(EstimateError), pytest.warns(UserWarning, match="non-converged"):
+        f_hom_estimate(homogeneous(), e2, (8, 16), (0,), None, SolverConfig(restarts=0, max_iters=1), 0.25)
+
+
 def test_f_hom_estimate_extrapolates_below_raw(e2):
     est = f_hom_estimate(homogeneous(), e2, (8, 16), (0,), None, QUICK, 0.25)
     raw_top = [rec.normalized for rec in est.records if rec.r == 16]
@@ -240,8 +246,16 @@ def test_positivity_zero_q_is_exactly_controlled():
 
 def test_positivity_small_q_unit_square():
     report = verify_positivity(0.05, (1.0, 1.0), 1.0 / 16.0, 3, SolverConfig(restarts=0, max_iters=6000), seed=0)
+    assert report.converged == (True, True, True)
     assert report.passed
     assert report.minimum >= -1e-6
+
+
+def test_positivity_needs_every_start_converged():
+    # one iteration leaves every start far from a minimum: that is no evidence of positivity
+    report = verify_positivity(0.05, (1.0, 1.0), 1.0 / 16.0, 2, SolverConfig(restarts=0, max_iters=1), seed=0)
+    assert report.converged == (False, False)
+    assert not report.passed
 
 
 def test_positivity_large_q_goes_negative():

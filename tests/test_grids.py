@@ -166,15 +166,72 @@ def test_plus_minus_gradient_difference_is_gradient_term(e2):
     grad_plus = discrete_energy_gradient(g, env, EnergyParams(eps, "m_plus"))
     grad_minus = discrete_energy_gradient(g, env, EnergyParams(eps, "m_minus"))
     # difference must be the derivative of 2 q eps int |grad u|^2
-    from homlab.grids import _d1, _d1_adjoint
+    # reference: dense central-difference matrices (edge-replicated ends, or wrap), D^T from numpy
+    def d1_matrix(m, periodic):
+        d = np.zeros((m, m))
+        for i in range(m):
+            hi = (i + 1) % m if periodic else min(i + 1, m - 1)
+            lo = (i - 1) % m if periodic else max(i - 1, 0)
+            d[i, hi] += 1.0 / (2.0 * g.h)
+            d[i, lo] -= 1.0 / (2.0 * g.h)
+        return d
 
     vol = g.h**2
-    grad_b = np.zeros_like(g.values)
+    u = g.values.ravel()
+    grad_b = np.zeros(u.size)
     for axis in range(2):
-        d = _d1(g.values, g.h, axis, g.periodic[axis])
-        grad_b += _d1_adjoint(2.0 * vol * eps * q * d, g.h, axis, g.periodic[axis])
+        mats = [np.eye(m) for m in g.shape]
+        mats[axis] = d1_matrix(g.shape[axis], g.periodic[axis])
+        d = np.kron(mats[0], mats[1])
+        grad_b += d.T @ (2.0 * vol * eps * q * (d @ u))
+    grad_b = grad_b.reshape(g.shape)
     grad_b[g.frozen] = 0.0
     assert grad_plus - grad_minus == pytest.approx(2.0 * grad_b, rel=1e-9, abs=1e-12)
+
+
+KERNEL_GRIDS = [
+    ((False,), 0.5),
+    ((True,), 0.0),
+    ((False, False), 0.5),
+    ((True, False), 0.5),
+    ((True, True), 0.0),
+]
+
+
+def kernel_grid(periodic, frame):
+    n = len(periodic)
+    direction = Direction.from_angle_degrees(30.0) if n == 2 else Direction.from_integers(1)
+    g = box_grid(direction, (-1.0,) * n, (3.0,) * n, 0.25, frame_width=frame, periodic_axes=periodic)
+    if frame == 0.0:
+        g.frozen[(slice(2, 4),) * n] = True  # a frozen patch where no axis has a frame
+    return g
+
+
+@pytest.mark.parametrize("variant", ["general", "m_minus"])
+@pytest.mark.parametrize("periodic, frame", KERNEL_GRIDS)
+def test_kernel_is_symmetric_and_matches_density(periodic, frame, variant):
+    rng = np.random.default_rng(17)
+    spec = EnvironmentSpec(
+        kind="checkerboard", a_range=(0.8, 1.2), b_range=(-0.04, 0.05), c_range=(0.8, 1.2),
+        q=0.05, c1=0.8, c2=1.2, seed=2,
+    )
+    g = kernel_grid(periodic, frame)
+    assert g.frozen.any() and not g.frozen.all()
+    model = EnergyModel(g, make_environment(spec), EnergyParams(1.0, variant))
+    u, v = rng.uniform(-1.5, 1.5, (2,) + g.shape)
+
+    def k(x):
+        return model._stencils.quadratic(x, model._weights)[1].copy()
+
+    uku, vku = float(np.sum(u * k(u))), float(np.sum(v * k(u)))
+    assert vku == pytest.approx(float(np.sum(u * k(v))), rel=1e-12)
+    assert model.energy(u) == pytest.approx(float(np.sum(model.wa * model.well(u))) + uku, rel=1e-14)
+    assert model.energy(u) == pytest.approx(g.h**g.n * float(np.sum(model.energy_density(u))), rel=1e-14)
+    energy, grad = model.value_and_gradient(u)
+    assert energy == model.energy(u)
+    assert np.array_equal(grad, model.gradient(u))
+    assert np.all(grad[g.frozen] == 0.0)
+    assert np.all(grad[~g.frozen] != 0.0)
 
 
 def test_growth_sandwich_exact_on_random_fields(e2):

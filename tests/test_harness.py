@@ -135,6 +135,32 @@ def test_cli_homogenize_and_sweep(tmp_path):
     assert len(lines) == 3
 
 
+def test_cli_homogenize_without_converged_solve_exits_3(tmp_path):
+    text = GOOD_CONFIG.replace("max_iters = 4000", "max_iters = 1").replace("nu_list = 0 p:3,4", "nu_list = 90")
+    path, out = write_config(tmp_path, text)
+    with pytest.warns(UserWarning, match="non-converged"):
+        assert main(["homogenize", "--config", path]) == 3
+    assert not Path(out, "fhom.json").exists()
+
+
+def test_homogenize_records_carry_their_x0_index(tmp_path):
+    text = GOOD_CONFIG.replace("seeds = 0 1", "seeds = 0").replace("nu_list = 0 p:3,4", "nu_list = 90")
+    text = text.replace("x0_list = 0,0", "x0_list = 0,0 0.25,0")
+    path, out = write_config(tmp_path, text)
+    assert main(["homogenize", "--config", path]) == 0
+    rows = Path(out, "fhom_records.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[3] for row in rows] == ["0", "1", "0", "1"]  # r = 4, 8 each at both centers
+
+
+def test_config_hash_follows_the_resolved_config(tmp_path):
+    path, _ = write_config(tmp_path)
+    seed3, seed4 = (load_config(path, {"seed": s}).config_hash for s in (3, 4))
+    threads1, threads2 = (load_config(path, {"threads": t}).config_hash for t in (1, 2))
+    assert seed3 != seed4
+    assert threads1 == threads2
+    assert seed3 == threads1  # the config file itself says seed = 3
+
+
 def test_cli_config_error_exit_code(tmp_path):
     path = tmp_path / "broken.ini"
     path.write_text("[experiment]\nh = 0.25\nepsilon_list = 0.5\n")

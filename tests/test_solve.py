@@ -5,7 +5,7 @@ from homlab.cell import cell_problem_r
 from homlab.environment import EnvironmentSpec, make_environment
 from homlab.geometry import Direction, OrientedCube
 from homlab.grids import EnergyModel, EnergyParams, box_grid, cube_grid, frame_width_for, profile_field
-from homlab.solve import DivergenceError, SolverConfig, _axis_basis, glue_fields, minimize_energy
+from homlab.solve import DivergenceError, SolverConfig, _axis_basis, _transform, glue_fields, minimize_energy
 
 from _oracles import line_constant
 
@@ -160,6 +160,19 @@ def test_axis_basis_diagonalizes_dense_laplacian(ends, m):
     q, lam = _axis_basis(m, h, ends)
     assert np.abs(q.T @ q - np.eye(m)).max() < 1e-12
     assert np.abs(q.T @ (_dense_laplacian(m, ends) / h**2) @ q - np.diag(lam)).max() < 1e-12 / h**2
+
+
+@pytest.mark.parametrize("shape", [(7,), (24,), (1, 9), (24, 24), (23, 25), (60, 124), (124, 124)])
+@pytest.mark.parametrize("ends", ["fixed-fixed", "free-fixed", "wrap"])
+def test_transform_matches_tensordot_bit_for_bit(shape, ends):
+    rng = np.random.default_rng(len(shape) * 1000 + shape[-1])
+    mats = [_axis_basis(m, 0.25, ends)[0] for m in shape]
+    for mats in (mats, [q.T for q in mats]):
+        x = rng.standard_normal(shape)
+        ref = x
+        for axis, q in enumerate(mats):
+            ref = np.moveaxis(np.tensordot(q, ref, axes=(1, axis)), 0, axis)
+        assert np.array_equal(_transform(mats, x), ref)
 
 
 STRONG_CHECKERBOARD = EnvironmentSpec(
