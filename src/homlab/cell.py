@@ -27,7 +27,7 @@ from .grids import (
     profile_values,
     slab_grid,
 )
-from .solve import SolverConfig, SolveResult, minimize_energy
+from .solve import SolverConfig, SolveResult, minimize_energy, solve_many
 
 __all__ = [
     "EstimateError",
@@ -41,10 +41,12 @@ __all__ = [
     "sigma_pm",
     "sigma_pair",
     "cell_problem_r",
+    "cell_problems_r",
     "eps_scaled_cell",
     "mu_nu",
     "glued_partition_energy",
     "f_hom_estimate",
+    "f_hom_estimates",
     "ergodic_average",
     "verify_positivity",
     "bounds_check",
@@ -83,13 +85,17 @@ class CellRecord:
 
 @dataclass
 class SigmaEstimate:
-    """Upper bound for one optimal transition constant, minimized over a scale grid."""
+    """Upper bound for one optimal transition constant, minimized over a scale grid.
+
+    `fields` holds the solved slab field of every scale in `per_epsilon`.
+    """
 
     variant: str
     value: float
     epsilon_grid: tuple[float, ...]
     best_epsilon: float
     per_epsilon: dict
+    fields: dict = field(default_factory=dict, repr=False)
 
 
 @dataclass
@@ -188,6 +194,7 @@ def sigma_pm(
     if h_for is None:
         h_for = lambda eps: eps / 8.0
     per_eps = {}
+    fields = {}
     for eps in epsilon_grid:
         if not 0.0 < eps <= 1.0:
             raise ValueError("scales must lie in (0, 1]")
@@ -202,6 +209,7 @@ def sigma_pm(
             warnings.warn(f"skipping degenerate scale {eps}: frozen frame fills the unit slab")
             continue
         per_eps[eps] = res.value
+        fields[eps] = res.field
     if not per_eps:
         raise ValueError("no resolvable scale in the grid")
     best_eps = min(per_eps, key=per_eps.get)
@@ -211,6 +219,7 @@ def sigma_pm(
         epsilon_grid=tuple(epsilon_grid),
         best_epsilon=best_eps,
         per_epsilon=per_eps,
+        fields=fields,
     )
 
 
@@ -223,20 +232,20 @@ def sigma_pair(
 ) -> tuple[SigmaEstimate, SigmaEstimate]:
     """(sigma-_hat, sigma+_hat) with the minus bound also fed the plus minimizers.
 
-    Evaluating the minus energy on the plus minimizer keeps the estimated pair
-    ordered (the minus integrand is dominated pointwise) while remaining a valid
-    upper bound for sigma-.
+    Evaluating the minus energy on the plus minimizer of each scale keeps the
+    estimated pair ordered (the minus integrand is dominated pointwise) while
+    remaining a valid upper bound for sigma-.  The minus estimate keeps the
+    fields it solved for.
     """
     plus = sigma_pm("plus", well, q, epsilon_grid, cfg, n=n)
     minus = sigma_pm("minus", well, q, epsilon_grid, cfg, n=n)
     env = make_environment(EnvironmentSpec(q=q), well)
     per_eps = dict(minus.per_epsilon)
-    for eps in plus.per_epsilon:
-        res = _slab_solve("m_plus", q, eps, eps / 8.0, n, cfg, well)
-        minus_at_plus = EnergyModel(res.field, env, EnergyParams(eps, "m_minus")).energy(res.field.values)
+    for eps, plus_field in plus.fields.items():
+        minus_at_plus = EnergyModel(plus_field, env, EnergyParams(eps, "m_minus")).energy(plus_field.values)
         per_eps[eps] = min(per_eps.get(eps, np.inf), minus_at_plus)
     best_eps = min(per_eps, key=per_eps.get)
-    minus = SigmaEstimate("minus", per_eps[best_eps], minus.epsilon_grid, best_eps, per_eps)
+    minus = SigmaEstimate("minus", per_eps[best_eps], minus.epsilon_grid, best_eps, per_eps, minus.fields)
     return minus, plus
 
 
@@ -245,16 +254,58 @@ def sigma_pair(
 # ---------------------------------------------------------------------------
 
 
-def _solve_profile_cell(
-    env: Environment,
-    cube: OrientedCube,
-    epsilon: float,
-    h: float,
-    cfg: SolverConfig,
-) -> SolveResult:
-    grid = cube_grid(cube, h, frame_width_for(h, epsilon, "cell"))
-    grid.values[...] = profile_values(grid, epsilon)
-    return minimize_energy(grid, env, EnergyParams(epsilon, "general"), cfg)
+def _cell_records(cells, cfg: SolverConfig) -> list[CellRecord]:
+    """Solve profile cells (env, nu, x0, cube, epsilon, h) together; one CellRecord each, in order.
+
+    The boundary datum is the width-epsilon transition ramp through the cube
+    center.  A record's r is the cube side over epsilon and its normalized value
+    m_hat / side^(n-1).  Cells of one geometry are solved in lockstep batches
+    (solve_many), so a record's `wall_ms` is the wall time of its batch and
+    `batch` the batch size.
+    """
+    problems = []
+    for env, nu, x0, cube, epsilon, h in cells:
+        grid = cube_grid(cube, h, frame_width_for(h, epsilon, "cell"))
+        grid.values[...] = profile_values(grid, epsilon)
+        problems.append((grid, env, EnergyParams(epsilon, "general")))
+    records = []
+    for (env, nu, x0, cube, epsilon, h), res in zip(cells, solve_many(problems, cfg)):
+        records.append(
+            CellRecord(
+                nu=nu,
+                r=cube.side / epsilon,
+                epsilon=epsilon,
+                seed=env.spec.seed,
+                x0=x0,
+                m_hat=res.value,
+                normalized=res.value / cube.side ** (nu.n - 1),
+                diagnostics={
+                    "iters": res.iters,
+                    "grad_norm": res.final_grad_norm,
+                    "converged": res.converged,
+                    "wall_ms": res.diagnostics["wall_ms"],
+                    "batch": res.diagnostics["batch"],
+                    "h": h,
+                },
+            )
+        )
+    return records
+
+
+def cell_problems_r(cells, cfg: SolverConfig = SolverConfig(), h: float = 0.25) -> list[CellRecord]:
+    """cell_problem_r for every (env, nu, r, x0) of `cells`, solved together, records in order.
+
+    Cells that share r (hence grid and frozen frame) form one group, whatever
+    their direction, environment or center.
+    """
+    expanded = []
+    for env, nu, r, x0 in cells:
+        if r < 4:
+            raise ValueError("cell problems need r >= 4")
+        x0 = tuple(float(v) for v in np.atleast_1d(x0))
+        cube = OrientedCube(tuple(r * v for v in x0), float(r), nu)
+        expanded.append((env, nu, x0, cube, 1.0, h))
+    return _cell_records(expanded, cfg)
 
 
 def cell_problem_r(
@@ -270,31 +321,7 @@ def cell_problem_r(
     Boundary datum is the width-1 transition ramp through the center; the
     normalized value m_hat / r^(n-1) is one sample of the homogenized density.
     """
-    if r < 4:
-        raise ValueError("cell problems need r >= 4")
-    x0 = tuple(float(v) for v in np.atleast_1d(x0))
-    center = tuple(r * v for v in x0)
-    cube = OrientedCube(center, float(r), nu)
-    t0 = time.perf_counter()
-    res = _solve_profile_cell(env, cube, 1.0, h, cfg)
-    wall_ms = 1000.0 * (time.perf_counter() - t0)
-    normalized = res.value / r ** (nu.n - 1)
-    return CellRecord(
-        nu=nu,
-        r=float(r),
-        epsilon=1.0,
-        seed=env.spec.seed,
-        x0=x0,
-        m_hat=res.value,
-        normalized=normalized,
-        diagnostics={
-            "iters": res.iters,
-            "grad_norm": res.final_grad_norm,
-            "converged": res.converged,
-            "wall_ms": wall_ms,
-            "h": h,
-        },
-    )
+    return cell_problems_r([(env, nu, r, x0)], cfg, h)[0]
 
 
 def eps_scaled_cell(
@@ -317,28 +344,9 @@ def eps_scaled_cell(
     if h is None:
         h = epsilon / 4.0
     x0 = tuple(float(v) for v in np.atleast_1d(x0))
-    cube = OrientedCube(x0, float(rho), nu)
-    t0 = time.perf_counter()
-    res = _solve_profile_cell(env, cube, epsilon, h, cfg)
-    wall_ms = 1000.0 * (time.perf_counter() - t0)
-    normalized = res.value / rho ** (nu.n - 1)
-    return CellRecord(
-        nu=nu,
-        r=rho / epsilon,
-        epsilon=epsilon,
-        seed=env.spec.seed,
-        x0=x0,
-        m_hat=res.value,
-        normalized=normalized,
-        diagnostics={
-            "iters": res.iters,
-            "grad_norm": res.final_grad_norm,
-            "converged": res.converged,
-            "wall_ms": wall_ms,
-            "h": h,
-            "rho": rho,
-        },
-    )
+    (rec,) = _cell_records([(env, nu, x0, OrientedCube(x0, float(rho), nu), epsilon, h)], cfg)
+    rec.diagnostics["rho"] = rho
+    return rec
 
 
 # ---------------------------------------------------------------------------
@@ -458,46 +466,46 @@ def _fit_limit(rs: np.ndarray, values: np.ndarray) -> float:
     return float(coef[0])
 
 
-def f_hom_estimate(
+def f_hom_estimates(
     spec: EnvironmentSpec,
-    nu: Direction,
+    nus,
     r_schedule,
     seeds,
     x0_list=None,
     cfg: SolverConfig = SolverConfig(),
     h: float = 0.25,
     well: DoubleWell | None = None,
-) -> FHomEstimate:
-    """Estimate the homogenized density for one normal direction.
-
-    For every (seed, r, x0) a unit-scale cell problem is solved; per-seed
-    limits extrapolate the x0-averaged normalized values in 1/r over the top
-    three scales (boundary-frame heuristic, reported alongside raw records).
-    Non-converged solves are excluded with a warning; if none converged,
-    EstimateError is raised instead of returning a NaN estimate.  Each record's
-    diagnostics carry its `x0_index` into x0_list.
-    """
+) -> list[FHomEstimate]:
+    """f_hom_estimate for every direction of `nus`, with all their cells solved together."""
     r_schedule = tuple(sorted(float(r) for r in r_schedule))
     if r_schedule[0] < 4:
         raise ValueError("r schedule must start at 4 or above")
     if not seeds:
         raise ValueError("need at least one seed")
-    if x0_list is None:
-        x0_list = ((0.0,) * nu.n,)
-    records = []
+    envs = [make_environment(spec.with_seed(seed), well) for seed in seeds]
+    starts = [x0_list if x0_list is not None else ((0.0,) * nu.n,) for nu in nus]
+    cells = [
+        (env, nu, r, x0) for nu, x0s in zip(nus, starts) for env in envs for r in r_schedule for x0 in x0s
+    ]
+    records = iter(cell_problems_r(cells, cfg, h))
+    return [_f_hom_reduce(nu, r_schedule, seeds, x0s, records) for nu, x0s in zip(nus, starts)]
+
+
+def _f_hom_reduce(nu: Direction, r_schedule, seeds, x0_list, records) -> FHomEstimate:
+    """Per-seed 1/r limits from the next seed x r x x0 records of `records`."""
+    kept = []
     per_seed_limit = {}
     x0_spread = {}
     r_max = r_schedule[-1]
     for seed in seeds:
-        env = make_environment(spec.with_seed(seed), well)
         by_r = {}
         top_r_values = []
         for r in r_schedule:
             vals = []
             for i, x0 in enumerate(x0_list):
-                rec = cell_problem_r(env, nu, r, x0, cfg, h)
+                rec = next(records)
                 rec.diagnostics["x0_index"] = i
-                records.append(rec)
+                kept.append(rec)
                 if not rec.converged:
                     warnings.warn(f"excluding non-converged solve (seed={seed}, r={r}, x0={x0})")
                     continue
@@ -525,10 +533,32 @@ def f_hom_estimate(
         estimate=estimate,
         stderr=stderr,
         per_seed_limit=per_seed_limit,
-        records=records,
+        records=kept,
         x0_spread=x0_spread,
         r_schedule=r_schedule,
     )
+
+
+def f_hom_estimate(
+    spec: EnvironmentSpec,
+    nu: Direction,
+    r_schedule,
+    seeds,
+    x0_list=None,
+    cfg: SolverConfig = SolverConfig(),
+    h: float = 0.25,
+    well: DoubleWell | None = None,
+) -> FHomEstimate:
+    """Estimate the homogenized density for one normal direction.
+
+    For every (seed, r, x0) a unit-scale cell problem is solved; per-seed
+    limits extrapolate the x0-averaged normalized values in 1/r over the top
+    three scales (boundary-frame heuristic, reported alongside raw records).
+    Non-converged solves are excluded with a warning; if none converged,
+    EstimateError is raised instead of returning a NaN estimate.  Each record's
+    diagnostics carry its `x0_index` into x0_list.
+    """
+    return f_hom_estimates(spec, [nu], r_schedule, seeds, x0_list, cfg, h, well)[0]
 
 
 def ergodic_average(
@@ -540,15 +570,24 @@ def ergodic_average(
     h: float = 0.25,
     well: DoubleWell | None = None,
 ) -> ErgodicAverage:
-    """Monte-Carlo mean over seeds of the normalized cell value at one scale."""
+    """Monte-Carlo mean over seeds of the normalized cell value at one scale.
+
+    Non-converged solves are excluded with a warning; EstimateError is raised
+    when fewer than two converged values remain.
+    """
     seeds = tuple(seeds)
     if len(seeds) < 2:
         raise ValueError("averaging needs at least two seeds")
     origin = (0.0,) * nu.n
+    records = cell_problems_r([(make_environment(spec.with_seed(seed), well), nu, r, origin) for seed in seeds], cfg, h)
     values = []
-    for seed in seeds:
-        env = make_environment(spec.with_seed(seed), well)
-        values.append(cell_problem_r(env, nu, r, origin, cfg, h).normalized)
+    for seed, rec in zip(seeds, records):
+        if not rec.converged:
+            warnings.warn(f"excluding non-converged solve (seed={seed}, r={r})")
+            continue
+        values.append(rec.normalized)
+    if len(values) < 2:
+        raise EstimateError(f"fewer than two converged cell solves for nu = {nu.nu} at r = {r}")
     values = np.array(values)
     return ErgodicAverage(
         mean=float(values.mean()),
@@ -590,13 +629,14 @@ def verify_positivity(
     direction = Direction.from_integers(*([0] * (n - 1) + [1]))
     env = make_environment(EnvironmentSpec(q=q), well)
     rng = np.random.default_rng(seed)
-    values, converged = [], []
+    starts = []
     for _ in range(max(1, n_starts)):
         grid = box_grid(direction, (0.0,) * n, sides, h)
         grid.values[...] = rng.uniform(-1.5, 1.5, grid.shape)
-        res = minimize_energy(grid, env, EnergyParams(epsilon, "m_minus"), cfg)
-        values.append(res.value)
-        converged.append(res.converged)
+        starts.append((grid, env, EnergyParams(epsilon, "m_minus")))
+    results = solve_many(starts, cfg)
+    values = [res.value for res in results]
+    converged = [res.converged for res in results]
     minimum = float(min(values))
     return PositivityReport(
         q=q,

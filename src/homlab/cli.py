@@ -47,14 +47,14 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="path to the experiment config")
         p.add_argument("--out", default=None, help="output directory (overrides config)")
         p.add_argument("--seed", type=int, default=None, help="environment seed override")
-        p.add_argument("--threads", type=int, default=None, help="worker threads (default: logical cores)")
+        p.add_argument("--threads", type=int, default=None, help="accepted and ignored: cells of one geometry run as one batch")
         p.add_argument("--format", choices=("csv", "json", "both"), default=None)
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    overrides = {"out": args.out, "seed": args.seed, "threads": args.threads, "format": args.format}
+    overrides = {"out": args.out, "seed": args.seed, "format": args.format}
     try:
         cfg = load_config(args.config, overrides)
     except ConfigError as exc:
@@ -73,7 +73,7 @@ def main(argv=None) -> int:
             print(f"solved {len(records)} cell problems -> {cfg.out_dir}/cell.csv")
         elif args.command in ("homogenize", "sweep"):
             runner = run_homogenize if args.command == "homogenize" else run_sweep
-            payload = runner(cfg)
+            payload = runner(cfg, manifest)
             for angle, entry in sorted(payload["f_hom"].items(), key=lambda kv: float(kv[0])):
                 print(f"nu = {float(angle):7.2f} deg   f_hom = {entry['estimate']:.6g} +- {entry['stderr']:.2g}")
         elif args.command == "verify":

@@ -299,53 +299,68 @@ def _combine(plus, minus) -> np.ndarray:
 
 
 class _Stencils:
-    """The stencil table of one grid, read from one padded copy of the field.
+    """The stencil table of a batch of same-geometry members, read from one padded copy.
 
-    P (`_pad`) writes u into a preallocated array with one ghost layer per axis,
-    filled axis by axis (corners too) by edge replication, or wrap on periodic
-    axes.  P^T (`_fold`) adds the ghost layers of a second such array back onto
-    their sources, axes in reverse order.  Stencils run on the flattened arrays
-    over the span from the first node to the last, so every tap is a contiguous
-    slice; span positions in a ghost layer get weight 0.  A tap's slice of the
-    padded array feeds D_k and its slice of the fold array receives D_k^T, so
-    the adjoints hold by construction.  Buffers are reused: one thread each.
+    P (`_pad`) writes u, shaped (members, *shape), into a preallocated array
+    with a leading member axis and one ghost layer per grid axis, filled axis by
+    axis (corners too) by edge replication, or wrap on periodic axes.  P^T
+    (`_fold`) adds the ghost layers of a second such array back onto their
+    sources, axes in reverse order.  Stencils run on the arrays flattened per
+    member, over the span from a member's first node to its last, so every tap
+    is one slice of a (members, padded size) array; span positions in a ghost
+    layer get weight 0.  A tap's slice of the padded array feeds D_k and its
+    slice of the fold array receives D_k^T, so the adjoints hold by
+    construction.  Members never share a span position, so a non-finite member
+    cannot leak into another one.  `use` runs the table on the first rows only.
+    Buffers are reused: one thread each.
     """
 
-    def __init__(self, shape: tuple[int, ...], periodic: tuple[bool, ...]):
+    def __init__(self, members: int, shape: tuple[int, ...], periodic: tuple[bool, ...]):
         n = len(shape)
         self.shape = shape
-        self._p = np.zeros(tuple(m + 2 for m in shape))
+        self._p = np.zeros((members,) + tuple(m + 2 for m in shape))
         self._q = np.zeros_like(self._p)
-        self._inner = (slice(1, -1),) * n
-        self._p_inner, self._q_inner = self._p[self._inner], self._q[self._inner]
-        self._layers = []  # (ghost, source) views of p and of q, in padding order
+        self._inner = (slice(None),) + (slice(1, -1),) * n
+        layers = []  # (ghost, source) views of p and of q, in padding order
         for axis, wrap in enumerate(periodic):
             for ghost, source in ((0, -2 if wrap else 1), (-1, 1 if wrap else -2)):
-                g, s = [(slice(None),) * axis + (slice(i, i + 1 or None),) for i in (ghost, source)]
-                self._layers.append((self._p[g], self._p[s], self._q[g], self._q[s]))
-        strides = np.array(self._p.strides) // self._p.itemsize
+                g, s = [(slice(None),) * (axis + 1) + (slice(i, i + 1 or None),) for i in (ghost, source)]
+                layers.append((self._p[g], self._p[s], self._q[g], self._q[s]))
+        strides = np.array(self._p.strides[1:]) // self._p.itemsize
         start = int(strides.sum())
         self._span = slice(start, start + int(np.dot(np.array(shape) - 1, strides)) + 1)
-        p, q = self._p.reshape(-1), self._q.reshape(-1)
+        p, q = self._p.reshape(members, -1), self._q.reshape(members, -1)
 
-        def taps(flat, offsets):
+        def taps(rows, offsets):
             shifts = (int(np.dot(t, strides)) for t in offsets)
-            return [flat[self._span.start + o : self._span.stop + o] for o in shifts]
+            return [rows[:, self._span.start + o : self._span.stop + o] for o in shifts]
 
-        self.table = [
+        table = [
             (kind, axes, taps(p, plus), taps(p, minus), taps(q, plus), taps(q, minus))
             for kind, axes, plus, minus in _stencil_table(n)
         ]
+        self._all = (self._p[self._inner], self._q[self._inner], p, q, layers, table)
+        self.use(members)
+
+    def use(self, members: int) -> None:
+        """Run on the first `members` rows of the buffers (all of them at construction)."""
+        p_inner, q_inner, p, q, layers, table = self._all
+        self._p_inner, self._q_inner, self._p_rows, self._q_rows = (v[:members] for v in (p_inner, q_inner, p, q))
+        self._layers = [tuple(v[:members] for v in layer) for layer in layers]
+        self.table = [
+            (kind, axes, *([t[:members] for t in taps] for taps in tap_sets)) for kind, axes, *tap_sets in table
+        ]
 
     def on_span(self, w) -> np.ndarray:
-        """Node values (or a scalar) laid out on the span, 0 in the ghost layers."""
+        """Node values per member (or a scalar) laid out on the span, 0 in the ghost layers."""
         padded = np.zeros_like(self._p)
         padded[self._inner] = w
-        return padded.reshape(-1)[self._span].copy()
+        return padded.reshape(len(padded), -1)[:, self._span].copy()
 
     def on_nodes(self, d: np.ndarray) -> np.ndarray:
-        """The node-shaped view of span values."""
-        return np.lib.stride_tricks.as_strided(d, self.shape, self._p.strides, writeable=False)
+        """The node-shaped view, (members, *shape), of span values."""
+        strides = (d.strides[0],) + self._p.strides[1:]
+        return np.lib.stride_tricks.as_strided(d, (len(d),) + self.shape, strides, writeable=False)
 
     def _pad(self, u: np.ndarray) -> None:
         np.copyto(self._p_inner, u)
@@ -362,14 +377,14 @@ class _Stencils:
         self._pad(u)
         return [self.on_nodes(_combine(plus, minus)) for _, _, plus, minus, _, _ in self.table]
 
-    def quadratic(self, u: np.ndarray, weights) -> tuple[float, np.ndarray]:
-        """(u.Ku, Ku) for K = P^T sum_k D_k^T w_k D_k P, span weights w_k.
+    def quadratic(self, u: np.ndarray, weights) -> tuple[np.ndarray, np.ndarray]:
+        """(u.Ku, Ku) per member for K = P^T sum_k D_k^T w_k D_k P, span weights w_k.
 
-        u.Ku is read as (P u).(sum_k D_k^T w_k D_k P u) before the fold; Ku is a
-        view into the fold array, valid until the next call.
+        u.Ku is read as (P u).(sum_k D_k^T w_k D_k P u) before the fold, one row
+        dot per member; Ku is a view into the fold array, valid until the next call.
         """
         self._pad(u)
-        self._q.fill(0.0)
+        self._q_rows.fill(0.0)
         for w, (_, _, plus, minus, q_plus, q_minus) in zip(weights, self.table):
             r = _combine(plus, minus)
             r *= w
@@ -377,24 +392,28 @@ class _Stencils:
                 v += r
             for v in q_minus:
                 v -= r
-        quad = float(np.vdot(self._p, self._q))
-        return quad, self._fold()
+        return _row_dots(self._p_rows, self._q_rows), self._fold()
+
+
+def _row_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x[k].y[k] per leading index k, each summed as np.vdot sums it."""
+    return (x[:, None, :] @ y[:, :, None])[:, 0, 0]
 
 
 def discrete_gradient(field: GridField, node: tuple[int, ...]) -> np.ndarray:
     """Central-difference gradient at one node, in local coordinates."""
-    stencils = _Stencils(field.shape, field.periodic)
+    stencils = _Stencils(1, field.shape, field.periodic)
     diffs = stencils.differences(field.values)
-    return np.array([d[tuple(node)] / _STEP[k](field.h) for (k, *_), d in zip(stencils.table, diffs) if k == "d1"])
+    return np.array([d[0][tuple(node)] / _STEP[k](field.h) for (k, *_), d in zip(stencils.table, diffs) if k == "d1"])
 
 
 def discrete_hessian(field: GridField, node: tuple[int, ...], frame: str = "local") -> np.ndarray:
     """Central-difference Hessian at one node (four-point cross stencil off-diagonal)."""
-    stencils = _Stencils(field.shape, field.periodic)
+    stencils = _Stencils(1, field.shape, field.periodic)
     hess = np.empty((field.n, field.n))
     for (kind, axes, *_), d in zip(stencils.table, stencils.differences(field.values)):
         if kind != "d1":
-            hess[axes] = hess[axes[::-1]] = d[tuple(node)] / _STEP[kind](field.h)
+            hess[axes] = hess[axes[::-1]] = d[0][tuple(node)] / _STEP[kind](field.h)
     if frame == "physical":
         rot = rotation_for(field.direction)
         hess = rot @ hess @ rot.T
@@ -423,8 +442,11 @@ class EnergyParams:
 
 
 class EnergyModel:
-    """Discrete energy and its exact gradient for one (field geometry, env, params) triple.
+    """Discrete energy and its exact gradient for a batch of same-geometry members.
 
+    A member is one (field, environment) pair.  `field` is one GridField or a
+    sequence of them that share shape, spacing, periodic axes and frozen nodes;
+    `env` is one Environment for every member or a sequence of one per field.
     Built once per solve: coefficients, weights and stencil views are hoisted
     out of the iteration loop.  The energy is the midpoint-rule node sum
         h^n * sum  a W(u)/eps + b eps |grad u|^2 + c eps^3 |hess u|^2,
@@ -434,55 +456,132 @@ class EnergyModel:
     denominators, h^n eps^k and the factor 2 of the mixed terms,
         E = sum wa W(u) + u.Ku,   grad E = wa W'(u) + 2 Ku,
     where wa = h^n a / eps and K = P^T sum_k D_k^T w_k D_k P.
+
+    Node arrays carry a leading member axis, (members, *shape), and energies
+    come back one per member.  A model of one member also takes a bare `shape`
+    array and then returns a float energy and a `shape` gradient.
     """
 
-    def __init__(self, field: GridField, env: Environment, params: EnergyParams):
-        if field.h > params.epsilon / 4.0 + 1e-12:
-            raise ResolutionError(f"h = {field.h} cannot resolve epsilon = {params.epsilon}; need h <= eps/4")
-        self.h = field.h
-        self.n = field.n
+    def __init__(self, field, env, params: EnergyParams):
+        fields = [field] if isinstance(field, GridField) else list(field)
+        envs = [env] * len(fields) if isinstance(env, Environment) else list(env)
+        first = fields[0]
+        if len(envs) != len(fields):
+            raise ValueError("need one environment per field")
+        for f, e in zip(fields[1:], envs[1:]):
+            if (f.shape, f.h, f.periodic) != (first.shape, first.h, first.periodic) or not np.array_equal(
+                f.frozen, first.frozen
+            ):
+                raise ValueError("members must share shape, spacing, periodic axes and frozen nodes")
+            if e.well != envs[0].well:
+                raise ValueError("members must share the double well")
+        if first.h > params.epsilon / 4.0 + 1e-12:
+            raise ResolutionError(f"h = {first.h} cannot resolve epsilon = {params.epsilon}; need h <= eps/4")
+        self.shape = first.shape
+        self.h = first.h
+        self.n = first.n
         self.eps = params.epsilon
-        self.periodic = field.periodic
-        self.frozen = field.frozen.copy()
-        self.well: DoubleWell = env.well
-        self.cell_volume = field.h**field.n
+        self.periodic = first.periodic
+        self.frozen = first.frozen.copy()
+        self.well: DoubleWell = envs[0].well
+        self.cell_volume = first.h**first.n
+        batch = (len(fields),) + self.shape
         if params.variant == "general":
-            pts = field.physical_points() / params.epsilon
-            a, b, c = env.coefficients_at_points(pts.reshape(-1, field.n))
-            self.a, self.b, self.c = (v.reshape(field.shape) for v in (a, b, c))
+            coefficients = [
+                e.coefficients_at_points((f.physical_points() / params.epsilon).reshape(-1, self.n))
+                for f, e in zip(fields, envs)
+            ]
+            a, b, c = (np.stack(v).reshape(batch) for v in zip(*coefficients))
         else:
-            q = env.spec.q
-            self.a, self.b, self.c = 1.0, (q if params.variant == "m_plus" else -q), 1.0
+            q = np.array([e.spec.q for e in envs]).reshape((len(fields),) + (1,) * self.n)
+            a, c = np.ones_like(q), np.ones_like(q)
+            b = q if params.variant == "m_plus" else -q
         vol, eps = self.cell_volume, self.eps
-        self.wa = np.broadcast_to(vol * np.asarray(self.a) / eps, field.shape).copy()
-        self._stencils = st = _Stencils(field.shape, field.periodic)
-        w = {"d1": vol * eps * self.b, "d2": vol * eps**3 * self.c, "x": 2.0 * vol * eps**3 * self.c}
-        w = {kind: st.on_span(wk / _STEP[kind](self.h) ** 2) for kind, wk in w.items()}
-        self._weights = [w[kind] for kind, *_ in st.table]
+        wa = np.broadcast_to(vol * a / eps, batch).copy()
+        w = {"d1": vol * eps * b, "d2": vol * eps**3 * c, "x": 2.0 * vol * eps**3 * c}
+        self._stencils = _Stencils(len(fields), self.shape, self.periodic)
+        w = {kind: self._stencils.on_span(wk / _STEP[kind](self.h) ** 2) for kind, wk in w.items()}
+        self._kinds = tuple(w)
+        self._rows = [a, b, c, wa, *w.values()]  # every per-member array, one row per member
+        self._order = np.arange(len(fields))  # the member each row belongs to
+        self._use(len(fields))
+
+    def _use(self, members: int) -> None:
+        """Make the first `members` rows the batch: views of them, and of the stencil buffers."""
+        self.members = members
+        self.a, self.b, self.c, self.wa, *w = (v[:members] for v in self._rows)
+        self._stencils.use(members)
+        w = dict(zip(self._kinds, w))
+        self._weights = [w[kind] for kind, *_ in self._stencils.table]
+
+    @property
+    def member_ids(self) -> np.ndarray:
+        """The members of the batch, as indices into the fields the model was built from."""
+        return self._order[: self.members]
+
+    def select(self, ids) -> None:
+        """Make the members `ids` (indices into the fields the model was built from) the batch, in that order.
+
+        Rows are permuted in place, so members left out keep their data and can
+        be selected again, and no member's arrays are copied for good.
+        """
+        ids = np.asarray(ids, dtype=int)
+        if np.array_equal(self._order[: len(ids)], ids):
+            if len(ids) != self.members:
+                self._use(len(ids))
+            return
+        row = np.empty_like(self._order)
+        row[self._order] = np.arange(len(row))
+        chosen = row[ids]
+        rest = np.ones(len(row), dtype=bool)
+        rest[chosen] = False
+        perm = np.concatenate([chosen, np.flatnonzero(rest)])
+        for v in self._rows:
+            v[...] = v[perm]
+        self._order = self._order[perm]
+        self._use(len(chosen))
+
+    def _batch(self, u: np.ndarray) -> tuple[np.ndarray, bool]:
+        """u with its member axis, and whether it came without one."""
+        bare = u.ndim == self.n and self.members == 1
+        x = u[None] if bare else u
+        if x.shape != (self.members,) + self.shape:
+            raise ValueError(f"expected node values of shape {(self.members,) + self.shape}, got {u.shape}")
+        return x, bare
+
+    def _value(self, u: np.ndarray, quad: np.ndarray) -> np.ndarray:
+        return _row_dots(self.wa.reshape(self.members, -1), self.well(u).reshape(self.members, -1)) + quad
 
     def _gradient(self, u: np.ndarray, ku: np.ndarray) -> np.ndarray:
         g = self.well.derivative(u) * self.wa
         g += 2.0 * ku
-        g[self.frozen] = 0.0
+        np.copyto(g, 0.0, where=self.frozen)
         return g
 
-    def energy(self, u: np.ndarray) -> float:
-        quad, _ = self._stencils.quadratic(u, self._weights)
-        return float(np.vdot(self.wa, self.well(u))) + quad
+    def energy(self, u: np.ndarray):
+        x, bare = self._batch(u)
+        e = self._value(x, self._stencils.quadratic(x, self._weights)[0])
+        return float(e[0]) if bare else e
 
     def gradient(self, u: np.ndarray) -> np.ndarray:
-        return self._gradient(u, self._stencils.quadratic(u, self._weights)[1])
+        x, bare = self._batch(u)
+        g = self._gradient(x, self._stencils.quadratic(x, self._weights)[1])
+        return g[0] if bare else g
 
-    def value_and_gradient(self, u: np.ndarray) -> tuple[float, np.ndarray]:
+    def value_and_gradient(self, u: np.ndarray):
         """Energy and gradient from one application of K."""
-        quad, ku = self._stencils.quadratic(u, self._weights)
-        return float(np.vdot(self.wa, self.well(u))) + quad, self._gradient(u, ku)
+        x, bare = self._batch(u)
+        quad, ku = self._stencils.quadratic(x, self._weights)
+        e, g = self._value(x, quad), self._gradient(x, ku)
+        return (float(e[0]), g[0]) if bare else (e, g)
 
     def energy_density(self, u: np.ndarray) -> np.ndarray:
-        dens = self.wa * self.well(u)
-        for w, d in zip(self._weights, self._stencils.differences(u)):
+        x, bare = self._batch(u)
+        dens = self.wa * self.well(x)
+        for w, d in zip(self._weights, self._stencils.differences(x)):
             dens += self._stencils.on_nodes(w) * (d * d)
-        return dens / self.cell_volume
+        dens /= self.cell_volume
+        return dens[0] if bare else dens
 
 
 def export_field(field: GridField, path: str, fmt: str = "text") -> None:

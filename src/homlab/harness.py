@@ -9,7 +9,6 @@ import hashlib
 import json
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,9 +21,10 @@ from .grids import EnergyModel, EnergyParams, cube_grid
 from .solve import SolverConfig
 from .cell import (
     bounds_check,
-    cell_problem_r,
+    cell_problems_r,
     eps_scaled_cell,
     f_hom_estimate,
+    f_hom_estimates,
     glued_partition_energy,
     mu_nu,
     sigma_pair,
@@ -95,7 +95,6 @@ class ExperimentConfig:
     positivity_regime_q_max: float = 0.25
     out_dir: str = "out"
     out_format: str = "both"  # csv | json | both
-    threads: int = 0  # 0 -> os.cpu_count()
 
     def validate(self):
         if self.dimension not in (1, 2):
@@ -122,11 +121,10 @@ class ExperimentConfig:
     def config_hash(self) -> str:
         """Hash of the resolved settings that decide the results (CLI overrides included).
 
-        Output location, format and thread count are left out: they do not
-        change any number.
+        Output location and format are left out: they do not change any number.
         """
         resolved = dataclasses.asdict(self)
-        for key in ("out_dir", "out_format", "threads"):
+        for key in ("out_dir", "out_format"):
             del resolved[key]
         return hashlib.sha256(json.dumps(resolved, sort_keys=True).encode()).hexdigest()[:16]
 
@@ -207,8 +205,7 @@ def load_config(path: str, overrides: dict | None = None) -> ExperimentConfig:
             cfg.out_dir = overrides["out"]
         if overrides.get("format") is not None:
             cfg.out_format = overrides["format"]
-        if overrides.get("threads") is not None:
-            cfg.threads = int(overrides["threads"])
+        # a "threads" override is accepted and ignored: same-geometry cells run as one batch
     return cfg.validate()
 
 
@@ -242,15 +239,6 @@ def build_manifest(cfg: ExperimentConfig, command: str) -> RunManifest:
         command=command,
         started=time.strftime("%Y-%m-%dT%H:%M:%S"),
     )
-
-
-def _pool_map(fn, items, threads: int):
-    """Ordered parallel map; results are reduced in submission order regardless of thread count."""
-    workers = threads if threads > 0 else (os.cpu_count() or 1)
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def _fmt(x) -> str:
@@ -315,6 +303,8 @@ def run_sigma(cfg: ExperimentConfig) -> dict:
 
 
 def run_cell(cfg: ExperimentConfig) -> list:
+    """(CellRecord, x0 index) for every direction x r x seed x x0, in that order."""
+    envs = {seed: make_environment(cfg.env.with_seed(seed)) for seed in cfg.seeds}
     work = [
         (nu, r, seed, i, x0)
         for nu in cfg.nu_list
@@ -322,23 +312,19 @@ def run_cell(cfg: ExperimentConfig) -> list:
         for seed in cfg.seeds
         for i, x0 in enumerate(cfg.x0_list)
     ]
-
-    def solve(item):
-        nu, r, seed, i, x0 = item
-        env = make_environment(cfg.env.with_seed(seed))
-        return (cell_problem_r(env, nu, r, x0, cfg.solver, cfg.h), i)
-
-    results = _pool_map(solve, work, cfg.threads)
+    records = cell_problems_r([(envs[seed], nu, r, x0) for nu, r, seed, _, x0 in work], cfg.solver, cfg.h)
+    results = [(rec, i) for rec, (*_, i, _) in zip(records, work)]
     if cfg.out_format in ("csv", "both"):
         write_cell_csv(os.path.join(cfg.out_dir, "cell.csv"), results)
     return results
 
 
-def run_homogenize(cfg: ExperimentConfig) -> dict:
-    def estimate(nu):
-        return f_hom_estimate(cfg.env, nu, cfg.r_list, cfg.seeds, cfg.x0_list, cfg.solver, cfg.h)
+def run_homogenize(cfg: ExperimentConfig, manifest: RunManifest | None = None) -> dict:
+    """f_hom per direction, every cell of every direction solved together.
 
-    estimates = _pool_map(estimate, list(cfg.nu_list), cfg.threads)
+    With a manifest, each cell solve adds a record `homogenize/nu=../r=../x0=..`.
+    """
+    estimates = f_hom_estimates(cfg.env, cfg.nu_list, cfg.r_list, cfg.seeds, cfg.x0_list, cfg.solver, cfg.h)
     table = {}
     all_records = []
     for nu, est in zip(cfg.nu_list, estimates):
@@ -349,6 +335,9 @@ def run_homogenize(cfg: ExperimentConfig) -> dict:
             "x0_spread": {str(k): v for k, v in est.x0_spread.items()},
         }
         all_records.extend((rec, rec.diagnostics["x0_index"]) for rec in est.records)
+    if manifest is not None:
+        for rec, x0_index in all_records:
+            manifest.add(f"homogenize/nu={rec.nu.angle_degrees():g}/r={rec.r:g}/x0={x0_index}", rec.seed)
     payload = {"f_hom": table, "r_schedule": list(cfg.r_list)}
     if cfg.out_format in ("json", "both"):
         write_json(os.path.join(cfg.out_dir, "fhom.json"), payload)
@@ -357,9 +346,9 @@ def run_homogenize(cfg: ExperimentConfig) -> dict:
     return payload
 
 
-def run_sweep(cfg: ExperimentConfig) -> dict:
+def run_sweep(cfg: ExperimentConfig, manifest: RunManifest | None = None) -> dict:
     """Polar-plot data: direction angle versus estimated density."""
-    payload = run_homogenize(cfg)
+    payload = run_homogenize(cfg, manifest)
     rows = [(float(k), v["estimate"], v["stderr"]) for k, v in payload["f_hom"].items()]
     rows.sort()
     path = os.path.join(cfg.out_dir, "sweep.csv")

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -11,7 +13,11 @@ from .geometry import rotation_for
 from .grids import EnergyModel, EnergyParams, GridField
 from .core import DEFAULT_PROFILE
 
-__all__ = ["SolverConfig", "SolveResult", "DivergenceError", "minimize_energy", "glue_fields"]
+__all__ = ["SolverConfig", "SolveResult", "DivergenceError", "minimize_energy", "minimize_batch", "solve_many", "glue_fields"]
+
+
+# nodes per lockstep batch: eight 32^2 cells, two 64^2 cells, one larger cell
+MAX_BATCH_NODES = 8192
 
 
 class DivergenceError(RuntimeError):
@@ -65,12 +71,24 @@ class SolveResult:
         }
 
 
-def _initial_step(model: EnergyModel) -> float:
-    # crude curvature bound of the quadratic-form terms; refined by the two-point rule
+def _per_member(x: np.ndarray) -> tuple[int, ...]:
+    """The axes after the member axis: a reduction over them gives each member the bits it gets alone."""
+    return tuple(range(1, x.ndim))
+
+
+def _row_sums(x: np.ndarray) -> np.ndarray:
+    """Per-member sums, shaped (members, 1, ...) to broadcast against node arrays."""
+    return np.add.reduce(x, axis=_per_member(x), keepdims=True)
+
+
+def _row_max_abs(x: np.ndarray) -> np.ndarray:
+    return np.maximum.reduce(np.abs(x), axis=_per_member(x))
+
+
+def _initial_step(model: EnergyModel) -> np.ndarray:
+    # crude curvature bound of the quadratic-form terms, per member; refined by the two-point rule
     h, eps, n = model.h, model.eps, model.n
-    a_hi = float(np.max(model.a))
-    b_hi = float(np.max(np.abs(model.b)))
-    c_hi = float(np.max(model.c))
+    a_hi, b_hi, c_hi = (np.max(v, axis=_per_member(v)) for v in (model.a, np.abs(model.b), model.c))
     lip = h**n * (104.0 * a_hi / eps + 8.0 * n * b_hi * eps / h**2 + 32.0 * n**2 * c_hi * eps**3 / h**4)
     return 1.0 / lip
 
@@ -116,39 +134,71 @@ def _axis_basis(m: int, h: float, ends: str) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _transform(mats, x: np.ndarray) -> np.ndarray:
-    """Multiply x by mats[a] along each axis a (one small matmul per axis)."""
-    if x.ndim == 1:
-        return mats[0] @ x
-    for axis, q in enumerate(mats):
-        x = np.swapaxes(q @ np.swapaxes(x, axis, -2), axis, -2)
+    """Multiply x by mats[a] along each of its last len(mats) axes (one small matmul per axis).
+
+    Leading axes (the member axis of a batch) are carried along; every member
+    gets the bits it would get alone.
+    """
+    if len(mats) == 1:
+        return mats[0] @ x if x.ndim == 1 else (mats[0] @ x[..., None])[..., 0]
+    for axis, q in enumerate(mats, start=x.ndim - len(mats)):
+        x = q @ x if axis == x.ndim - 2 else (q @ x.swapaxes(axis, -2)).swapaxes(axis, -2)
     return x
 
 
 class _Metric:
-    """The descent metric P: directions are d = P^-1 g and steps are measured in s'Ps.
+    """The descent metric P of a batch: directions are d = P^-1 g and steps are measured in s'Ps.
 
     On the bounding box of the free nodes, P is diagonal in a tensor product of
     closed-form axis bases, with the symbol vol*(2(c eps^3 L^2 + b eps L) + 8a/eps)
     (L the sum of the per-axis Laplacian eigenvalues, a, b, c the coefficient
-    means): the energy Hessian at u = +-1 for constant coefficients.  If
-    that symbol is not positive on the spectrum (e.g. the minus comparison
-    energy at large q), P falls back to I/_initial_step(model), which makes the
-    descent the plain two-point gradient method.
+    means of each member): the energy Hessian at u = +-1 for constant
+    coefficients.  The bases are shared by the batch, the symbol is per member.
+    A member whose symbol is not positive on the spectrum (e.g. the minus
+    comparison energy at large q) falls back to P = I/_initial_step, which
+    makes its descent the plain two-point gradient method.  One _Metric holds
+    members of one kind; `_metrics` splits a batch by kind.
     """
 
-    def __init__(self, model: EnergyModel, free: np.ndarray):
-        self.frozen = ~free
-        self.box = None
-        if free.any():
-            self._build_model_metric(model, free)
-        if self.box is None:
+    def __init__(self, frozen: np.ndarray, box=None, bases=None, symbol=None, t_init=None):
+        self.frozen = frozen
+        self.box, self.bases, self.symbol, self.t_init = box, bases, symbol, t_init
+        if box is None:
             self.name = "gradient"
-            self.t_init = _initial_step(model)
         else:
             self.name = "preconditioned"
+            self.bases_t = [q.T for q in bases]
 
-    def _build_model_metric(self, model: EnergyModel, free: np.ndarray) -> None:
-        box, bases, lams = [], [], []
+    def take(self, members) -> "_Metric":
+        """The metric of the members at the given indices."""
+        if self.box is None:
+            return _Metric(self.frozen, t_init=self.t_init[members])
+        return _Metric(self.frozen, self.box, self.bases, self.symbol[members])
+
+    def direction(self, g: np.ndarray) -> np.ndarray:
+        """d = P^-1 g, zero at frozen nodes."""
+        if self.box is None:
+            return self.t_init * g
+        d = np.zeros_like(g)
+        coef = _transform(self.bases_t, g[self.box]) / self.symbol
+        d[self.box] = _transform(self.bases, coef)
+        np.copyto(d, 0.0, where=self.frozen)
+        return d
+
+    def norm2(self, s: np.ndarray) -> np.ndarray:
+        """s'Ps per member, shaped (members, 1, ...)."""
+        if self.box is None:
+            return _row_sums(s * s) / self.t_init
+        coef = _transform(self.bases_t, s[self.box])
+        return _row_sums(self.symbol * coef * coef)
+
+
+def _metrics(model: EnergyModel, free: np.ndarray) -> list:
+    """(member indices, _Metric) for each metric kind present in the batch."""
+    members = np.arange(model.members)
+    positive = np.zeros(model.members, dtype=bool)
+    if free.any():
+        box, bases, lams = [slice(None)], [], []
         for axis, size in enumerate(free.shape):
             other = tuple(a for a in range(free.ndim) if a != axis)
             rows = np.flatnonzero(free.any(axis=other))
@@ -167,35 +217,20 @@ class _Metric:
             lams.append(lam.reshape(shape))
         lam = sum(lams)
         eps = model.eps
-        a, b, c = (float(np.mean(v)) for v in (model.a, model.b, model.c))
+        a, b, c = (np.mean(v, axis=_per_member(v), keepdims=True) for v in (model.a, model.b, model.c))
         symbol = model.cell_volume * (2.0 * (c * eps**3 * lam * lam + b * eps * lam) + 8.0 * a / eps)
-        if float(np.min(symbol)) <= 0.0:
-            return
-        self.box = tuple(box)
-        self.bases = bases
-        self.bases_t = [q.T for q in bases]
-        self.symbol = symbol
-
-    def direction(self, g: np.ndarray) -> np.ndarray:
-        """d = P^-1 g, zero at frozen nodes."""
-        if self.box is None:
-            return self.t_init * g
-        d = np.zeros_like(g)
-        coef = _transform(self.bases_t, g[self.box]) / self.symbol
-        d[self.box] = _transform(self.bases, coef)
-        d[self.frozen] = 0.0
-        return d
-
-    def norm2(self, s: np.ndarray) -> float:
-        """s'Ps."""
-        if self.box is None:
-            return float(np.sum(s * s)) / self.t_init
-        coef = _transform(self.bases_t, s[self.box])
-        return float(np.sum(self.symbol * coef * coef))
+        positive = np.min(symbol, axis=_per_member(symbol)) > 0.0
+    kinds = []
+    if positive.any():
+        kinds.append((members[positive], _Metric(~free, tuple(box), bases, symbol[positive])))
+    if not positive.all():
+        t_init = _initial_step(model)[~positive].reshape((-1,) + (1,) * model.n)
+        kinds.append((members[~positive], _Metric(~free, t_init=t_init)))
+    return kinds
 
 
 def _descend(model: EnergyModel, metric: _Metric, u0: np.ndarray, cfg: SolverConfig, grad_tol: float, cap: float):
-    """Two-point (Barzilai-Borwein) iteration in the metric P with best-so-far tracking.
+    """Two-point (Barzilai-Borwein) iteration in the metric P with best-so-far tracking, in lockstep.
 
     Directions are d = P^-1 g and the step is t = s'Ps / s'y (t = 1 at the
     start), so with P = I/t0 this is the plain two-point gradient method.  The
@@ -203,54 +238,191 @@ def _descend(model: EnergyModel, metric: _Metric, u0: np.ndarray, cfg: SolverCon
     accepted states are the best-so-far ones, so the reported energy sequence
     is nonincreasing.  A blow-up beyond the best energy by a wide margin resets
     the trajectory to the best state with a smaller step; a non-finite energy
-    raises DivergenceError.  The stopping rule is max|g| <= grad_tol.
+    raises DivergenceError.  The stopping rule is max|g| <= grad_tol at the record.
+
+    u0 is a batch, (members, *shape), and the arrays are stepped together; each
+    member keeps its own step, record, resets and stop test (the per-member
+    numbers below are Python lists), so it follows the iterates it would follow
+    alone.  A member that stops or raises leaves the working arrays.  Returns one
+    entry per member: (u, energy, iters, final grad norm, converged, resets) or
+    its DivergenceError.
     """
-    u = np.clip(u0, -cap, cap)
+    out = [None] * len(u0)
+    ids = list(range(len(u0)))
+    each = (-1,) + (1,) * model.n  # shape of one number per member
+    u = np.clip(u0, -cap, cap, out=u0)
     energy, grad = model.value_and_gradient(u)
-    if not np.isfinite(energy):
-        raise DivergenceError(f"initial energy is not finite ({energy})")
-    t = 1.0
-    best_u, best_e = u.copy(), energy
-    gnorm = float(np.max(np.abs(grad))) if grad.size else 0.0
-    converged = gnorm <= grad_tol
+    energy = energy.tolist()
+    failed = [not math.isfinite(e) for e in energy]
+    for k in ids:
+        if failed[k]:
+            out[k] = DivergenceError(f"initial energy is not finite ({energy[k]})")
+    t = [1.0] * len(ids)
+    best_u, best_e = u.copy(), list(energy)
+    gnorm = _row_max_abs(grad).tolist()
+    converged = [g <= grad_tol for g in gnorm]
+    resets = [0] * len(ids)
     iters = 0
-    resets = 0
-    while iters < cfg.max_iters and not converged:
+    while True:
+        stop = [c or f or iters >= cfg.max_iters for c, f in zip(converged, failed)]
+        if any(stop):
+            if any(s and not (c or f) for s, c, f in zip(stop, converged, failed)):
+                final_gnorm = _row_max_abs(model.gradient(best_u)).tolist()
+            for k in range(len(ids)):
+                if converged[k]:
+                    out[ids[k]] = (u[k].copy(), best_e[k], iters, gnorm[k], True, resets[k])
+                elif stop[k] and not failed[k]:
+                    out[ids[k]] = (best_u[k].copy(), best_e[k], iters, final_gnorm[k], False, resets[k])
+            keep = [k for k in range(len(ids)) if not stop[k]]
+            if not keep:
+                return out
+            model.select(model.member_ids[keep])
+            metric = metric.take(keep)
+            u, grad, best_u = u[keep], grad[keep], best_u[keep]
+            t, best_e, gnorm, resets, ids = ([x[k] for k in keep] for x in (t, best_e, gnorm, resets, ids))
+            converged, failed = [False] * len(keep), [False] * len(keep)
         iters += 1
-        trial = np.clip(u - t * metric.direction(grad), -cap, cap)
+        trial = metric.direction(grad)
+        trial *= np.reshape(t, each)
+        np.subtract(u, trial, out=trial)
+        np.clip(trial, -cap, cap, out=trial)
         e_trial, grad_new = model.value_and_gradient(trial)
-        if not np.isfinite(e_trial):
-            resets += 1
-            if resets > 60:
-                raise DivergenceError(f"energy diverged at iteration {iters} (step {t})")
-            u, (energy, grad) = best_u.copy(), model.value_and_gradient(best_u)
-            t = max(t * 0.01, 1e-300)
-            continue
-        if e_trial > best_e + 1e3 * (abs(best_e) + 1.0):
-            # runaway trajectory: restart from the record with a cautious step
-            resets += 1
-            u, (energy, grad) = best_u.copy(), model.value_and_gradient(best_u)
-            t *= 0.1
-            continue
+        energy = e_trial.tolist()
+        back = []  # members that restart from their record
+        for k, e in enumerate(energy):
+            if not math.isfinite(e):
+                resets[k] += 1
+                if resets[k] > 60:
+                    failed[k] = True
+                    out[ids[k]] = DivergenceError(f"energy diverged at iteration {iters} (step {t[k]})")
+                t[k] = max(t[k] * 0.01, 1e-300)
+                back.append(k)
+            elif e > best_e[k] + 1e3 * (abs(best_e[k]) + 1.0):
+                # runaway trajectory: restart from the record with a cautious step
+                resets[k] += 1
+                t[k] *= 0.1
+                back.append(k)
+        if back:
+            trial[back] = best_u[back]
+            e_trial, grad_new = model.value_and_gradient(trial)
+            energy = e_trial.tolist()
         s = trial - u
-        sy = float(np.sum(s * (grad_new - grad)))
-        if np.isfinite(sy) and sy > 0.0:
-            t = min(max(metric.norm2(s) / sy, 1e-12), 1e14)
-        else:
-            t *= 2.0
-        u, energy, grad = trial, e_trial, grad_new
-        if energy < best_e:
-            best_e = energy
+        y = grad_new - grad
+        y *= s
+        sy = _row_sums(y).ravel().tolist()
+        ps = metric.norm2(s).ravel().tolist()
+        u, grad = trial, grad_new
+        gnorm = _row_max_abs(grad).tolist()
+        improved = []
+        for k, e in enumerate(energy):
+            if k in back:
+                continue
+            if math.isfinite(sy[k]) and sy[k] > 0.0:
+                t[k] = min(max(ps[k] / sy[k], 1e-12), 1e14)
+            else:
+                t[k] *= 2.0
+            if e < best_e[k]:
+                best_e[k] = e
+                improved.append(k)
+            # stop only at the record, so that the returned state passes the test
+            converged[k] = gnorm[k] <= grad_tol and e <= best_e[k]
+        if len(improved) == len(ids):
             best_u = u.copy()
-        gnorm = float(np.max(np.abs(grad)))
-        # stop only at the record, so that the returned state passes the test
-        converged = gnorm <= grad_tol and energy <= best_e
-    if converged:
-        best_u = u
-        final_gnorm = gnorm
-    else:
-        final_gnorm = float(np.max(np.abs(model.gradient(best_u)))) if best_u.size else 0.0
-    return best_u, best_e, iters, final_gnorm, converged, resets
+        elif improved:
+            best_u[improved] = u[improved]
+
+
+def _attempts(model: EnergyModel, metric: _Metric, values: np.ndarray, free: np.ndarray, cfg: SolverConfig,
+              grad_tol: float, cap: float) -> list:
+    """The unperturbed pass plus cfg.restarts perturbed ones for the batch of `model`; per member the best.
+
+    `values` holds the initial values of every member the model was built
+    from.  Entries, in batch order, are (u, energy, grad norm, converged,
+    attempt, total iters, total resets) or the DivergenceError that ended the
+    member's solve.
+    """
+    ids = model.member_ids.copy()
+    best = [None] * len(ids)
+    iters, resets = [0] * len(ids), [0] * len(ids)  # totals over the passes
+    live = np.arange(len(ids))
+    for attempt in range(1 + max(0, cfg.restarts)):
+        model.select(ids[live])
+        u0 = values[ids[live]]
+        if attempt > 0:
+            rng = np.random.Generator(np.random.Philox(key=cfg.noise_seed, counter=attempt))
+            u0[:, free] += cfg.noise_scale * rng.standard_normal(int(free.sum()))
+        passes = _descend(model, metric if len(live) == len(ids) else metric.take(live), u0, cfg, grad_tol, cap)
+        for k, result in zip(live, passes):
+            if isinstance(result, DivergenceError):
+                best[k] = result
+                continue
+            u, energy, n_iters, gnorm, converged, n_resets = result
+            iters[k] += n_iters
+            resets[k] += n_resets
+            if best[k] is None or energy < best[k][1]:
+                best[k] = (u, energy, gnorm, converged, attempt)
+        live = np.array([k for k in live if not isinstance(best[k], DivergenceError)], dtype=int)
+        if not live.size:
+            break
+    return [b if isinstance(b, DivergenceError) else (*b, iters[k], resets[k]) for k, b in enumerate(best)]
+
+
+def minimize_batch(initials, envs, params: EnergyParams, cfg: SolverConfig = SolverConfig()) -> list:
+    """Solve same-geometry problems as one lockstep batch, one descent for all members.
+
+    `initials` share shape, spacing, periodic axes, frozen nodes and value cap;
+    `envs` has one Environment per initial.  Returns per member a SolveResult,
+    bit-identical to what minimize_energy returns for that member alone, or
+    the DivergenceError its solve raised.  Each result's diagnostics carry the
+    batch size (`batch`) and the batch's wall time (`wall_ms`).  A reported
+    value is the energy the descent computed for the returned field, so it is
+    the discrete energy of that field bit for bit.
+    """
+    t0 = time.perf_counter()
+    initials = list(initials)
+    first = initials[0]
+    if any(f.u_cap != first.u_cap for f in initials):
+        raise ValueError("members must share the value cap")
+    model = EnergyModel(initials, envs, params)
+    grad_tol = cfg.grad_tol if cfg.grad_tol is not None else 1e-6 * first.h**first.n
+    cap = first.u_cap
+    values = np.stack([f.values for f in initials])
+    if first.frozen.any() and float(np.max(np.abs(values[:, first.frozen]))) > cap:
+        raise ValueError("frozen boundary data exceeds the value cap")
+
+    free = first.free_mask()
+    found = [None] * len(initials)
+    for members, metric in _metrics(model, free):
+        model.select(members)
+        for k, result in zip(members, _attempts(model, metric, values, free, cfg, grad_tol, cap)):
+            found[k] = (result, metric.name)
+    wall_ms = 1000.0 * (time.perf_counter() - t0)
+    results = []
+    for k, (result, metric_name) in enumerate(found):
+        if isinstance(result, DivergenceError):
+            results.append(result)
+            continue
+        u, energy, gnorm, converged, which, iters, resets = result
+        results.append(
+            SolveResult(
+                field=initials[k].copy_with(u),
+                value=float(energy),
+                iters=iters,
+                final_grad_norm=float(gnorm),
+                converged=bool(converged),
+                restarts_used=max(0, cfg.restarts),
+                diagnostics={
+                    "best_attempt": which,
+                    "grad_tol": grad_tol,
+                    "resets": resets,
+                    "stop_reason": "converged" if converged else "max_iters",
+                    "metric": metric_name,
+                    "batch": len(initials),
+                    "wall_ms": wall_ms,
+                },
+            )
+        )
+    return results
 
 
 def minimize_energy(
@@ -264,47 +436,42 @@ def minimize_energy(
     Accepted iterates never increase the energy, frozen nodes are preserved
     bit-exactly, and the reported value is the discrete energy of the returned
     field.  The value has upper-bound semantics for the underlying infimum.
+    A batch of one of minimize_batch.
     """
-    model = EnergyModel(initial, env, params)
-    grad_tol = cfg.grad_tol if cfg.grad_tol is not None else 1e-6 * initial.h**initial.n
-    cap = initial.u_cap
-    if initial.frozen.any() and float(np.max(np.abs(initial.values[initial.frozen]))) > cap:
-        raise ValueError("frozen boundary data exceeds the value cap")
+    (result,) = minimize_batch([initial], [env], params, cfg)
+    if isinstance(result, DivergenceError):
+        raise result
+    return result
 
-    free = initial.free_mask()
-    metric = _Metric(model, free)
-    best = None
-    total_iters = 0
-    total_resets = 0
-    restarts_used = 0
-    for attempt in range(1 + max(0, cfg.restarts)):
-        u0 = initial.values.copy()
-        if attempt > 0:
-            restarts_used += 1
-            rng = np.random.Generator(np.random.Philox(key=cfg.noise_seed, counter=attempt))
-            u0[free] += cfg.noise_scale * rng.standard_normal(int(free.sum()))
-        u, energy, iters, gnorm, converged, resets = _descend(model, metric, u0, cfg, grad_tol, cap)
-        total_iters += iters
-        total_resets += resets
-        if best is None or energy < best[1]:
-            best = (u, energy, gnorm, converged, attempt)
-    u, energy, gnorm, converged, which = best
-    out = initial.copy_with(u)
-    return SolveResult(
-        field=out,
-        value=model.energy(u),
-        iters=total_iters,
-        final_grad_norm=gnorm,
-        converged=converged,
-        restarts_used=restarts_used,
-        diagnostics={
-            "best_attempt": which,
-            "grad_tol": grad_tol,
-            "resets": total_resets,
-            "stop_reason": "converged" if converged else "max_iters",
-            "metric": metric.name,
-        },
-    )
+
+def _geometry_key(initial: GridField, env: Environment, params: EnergyParams) -> tuple:
+    return (initial.shape, initial.frozen.tobytes(), initial.periodic, initial.h, params, initial.u_cap, env.well)
+
+
+def solve_many(problems, cfg: SolverConfig = SolverConfig()) -> list:
+    """Solve (initial, env, params) problems, each group of one geometry in lockstep batches.
+
+    Problems that share shape, frozen nodes, periodic axes, spacing, energy
+    parameters, value cap and double well form a group.  A group is solved by
+    minimize_batch in batches of at most MAX_BATCH_NODES nodes (at least one
+    member each), which bounds the working memory of a batch.  Results come back
+    in submission order; the first DivergenceError in that order is raised.
+    """
+    groups = {}
+    for i, (initial, env, params) in enumerate(problems):
+        groups.setdefault(_geometry_key(initial, env, params), []).append(i)
+    results = [None] * len(problems)
+    for members in groups.values():
+        size = max(1, MAX_BATCH_NODES // problems[members[0]][0].values.size)
+        for start in range(0, len(members), size):
+            batch = members[start : start + size]
+            initials, envs, params = zip(*(problems[i] for i in batch))
+            for i, result in zip(batch, minimize_batch(initials, envs, params[0], cfg)):
+                results[i] = result
+    for result in results:
+        if isinstance(result, DivergenceError):
+            raise result
+    return results
 
 
 # ---------------------------------------------------------------------------
