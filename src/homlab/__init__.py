@@ -4,10 +4,8 @@ __version__ = "0.1.0"
 
 from .core import (
     DoubleWell,
-    NoAnalyticDerivativeError,
     TransitionProfile,
     compute_c_eta,
-    modica_mortola_sigma,
 )
 from .geometry import (
     Direction,
@@ -15,14 +13,12 @@ from .geometry import (
     LatticeIncompatibleError,
     OrientedCube,
     integer_rotation,
-    local_to_physical,
     m_nu_for,
     rotation_for,
 )
 from .environment import (
     Environment,
     EnvironmentSpec,
-    density_eval,
     make_environment,
     shift_environment,
     verify_growth_bounds,
@@ -31,13 +27,11 @@ from .grids import (
     EnergyParams,
     GridField,
     ResolutionError,
-    discrete_energy,
-    discrete_energy_gradient,
     discrete_gradient,
     discrete_hessian,
     profile_field,
 )
-from .solve import DivergenceError, SolveResult, SolverConfig, glue_fields, minimize_energy
+from .solve import DivergenceError, SolveResult, SolverConfig, minimize_energy
 from .cell import (
     BoundsReport,
     CellRecord,

@@ -178,7 +178,6 @@ def sigma_pm(
     cfg: SolverConfig = SolverConfig(),
     n: int = 1,
     h_for=None,
-    minus_q_max: float = MINUS_VARIANT_Q_MAX,
 ) -> SigmaEstimate:
     """Upper bound for sigma+ or sigma-: min over the scale grid of unit-slab solves.
 
@@ -189,8 +188,8 @@ def sigma_pm(
     """
     if variant not in ("plus", "minus"):
         raise ValueError("variant must be 'plus' or 'minus'")
-    if variant == "minus" and q > minus_q_max:
-        raise ValueError(f"minus variant requires q <= {minus_q_max} (got {q})")
+    if variant == "minus" and q > MINUS_VARIANT_Q_MAX:
+        raise ValueError(f"minus variant requires q <= {MINUS_VARIANT_Q_MAX} (got {q})")
     if h_for is None:
         h_for = lambda eps: eps / 8.0
     per_eps = {}
@@ -474,7 +473,6 @@ def f_hom_estimates(
     x0_list=None,
     cfg: SolverConfig = SolverConfig(),
     h: float = 0.25,
-    well: DoubleWell | None = None,
 ) -> list[FHomEstimate]:
     """f_hom_estimate for every direction of `nus`, with all their cells solved together."""
     r_schedule = tuple(sorted(float(r) for r in r_schedule))
@@ -482,7 +480,7 @@ def f_hom_estimates(
         raise ValueError("r schedule must start at 4 or above")
     if not seeds:
         raise ValueError("need at least one seed")
-    envs = [make_environment(spec.with_seed(seed), well) for seed in seeds]
+    envs = [make_environment(spec.with_seed(seed)) for seed in seeds]
     starts = [x0_list if x0_list is not None else ((0.0,) * nu.n,) for nu in nus]
     cells = [
         (env, nu, r, x0) for nu, x0s in zip(nus, starts) for env in envs for r in r_schedule for x0 in x0s
@@ -547,7 +545,6 @@ def f_hom_estimate(
     x0_list=None,
     cfg: SolverConfig = SolverConfig(),
     h: float = 0.25,
-    well: DoubleWell | None = None,
 ) -> FHomEstimate:
     """Estimate the homogenized density for one normal direction.
 
@@ -558,7 +555,7 @@ def f_hom_estimate(
     EstimateError is raised instead of returning a NaN estimate.  Each record's
     diagnostics carry its `x0_index` into x0_list.
     """
-    return f_hom_estimates(spec, [nu], r_schedule, seeds, x0_list, cfg, h, well)[0]
+    return f_hom_estimates(spec, [nu], r_schedule, seeds, x0_list, cfg, h)[0]
 
 
 def ergodic_average(
@@ -568,7 +565,6 @@ def ergodic_average(
     seeds,
     cfg: SolverConfig = SolverConfig(),
     h: float = 0.25,
-    well: DoubleWell | None = None,
 ) -> ErgodicAverage:
     """Monte-Carlo mean over seeds of the normalized cell value at one scale.
 
@@ -579,7 +575,7 @@ def ergodic_average(
     if len(seeds) < 2:
         raise ValueError("averaging needs at least two seeds")
     origin = (0.0,) * nu.n
-    records = cell_problems_r([(make_environment(spec.with_seed(seed), well), nu, r, origin) for seed in seeds], cfg, h)
+    records = cell_problems_r([(make_environment(spec.with_seed(seed)), nu, r, origin) for seed in seeds], cfg, h)
     values = []
     for seed, rec in zip(seeds, records):
         if not rec.converged:
@@ -608,8 +604,6 @@ def verify_positivity(
     n_starts: int = 5,
     cfg: SolverConfig = SolverConfig(restarts=0),
     seed: int = 0,
-    well: DoubleWell | None = None,
-    threshold: float = -SOLVER_SLACK,
     epsilon: float = 1.0,
 ) -> PositivityReport:
     """Free minimization of the minus comparison energy from random starts.
@@ -627,7 +621,7 @@ def verify_positivity(
         raise ValueError("positivity regime needs all sides >= 1")
     n = len(sides)
     direction = Direction.from_integers(*([0] * (n - 1) + [1]))
-    env = make_environment(EnvironmentSpec(q=q), well)
+    env = make_environment(EnvironmentSpec(q=q))
     rng = np.random.default_rng(seed)
     starts = []
     for _ in range(max(1, n_starts)):
@@ -644,7 +638,7 @@ def verify_positivity(
         minimum=minimum,
         per_start=tuple(values),
         converged=tuple(converged),
-        passed=minimum >= threshold and all(converged),
+        passed=minimum >= -SOLVER_SLACK and all(converged),
     )
 
 

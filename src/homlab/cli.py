@@ -62,6 +62,7 @@ def main(argv=None) -> int:
         return EXIT_CONFIG_ERROR
 
     manifest = build_manifest(cfg, args.command)
+    code = EXIT_OK
     try:
         if args.command == "sigma":
             payload = run_sigma(cfg)
@@ -80,6 +81,7 @@ def main(argv=None) -> int:
             results = run_property_suite(cfg)
             hard_fail = False
             for res in results:
+                manifest.add(f"verify/{res.name}", cfg.env.seed)
                 status = "PASS" if res.passed else "FAIL"
                 if res.informational:
                     status = "INFO"
@@ -95,7 +97,7 @@ def main(argv=None) -> int:
                 },
             )
             if hard_fail:
-                return EXIT_PROPERTY_FAILURE
+                code = EXIT_PROPERTY_FAILURE
     except DivergenceError as exc:
         print(f"numerical divergence: {exc}", file=sys.stderr)
         return EXIT_DIVERGENCE
@@ -107,7 +109,7 @@ def main(argv=None) -> int:
         return EXIT_CONFIG_ERROR
 
     write_json(os.path.join(cfg.out_dir, "manifest.json"), manifest.to_dict())
-    return EXIT_OK
+    return code
 
 
 if __name__ == "__main__":  # pragma: no cover

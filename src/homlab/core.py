@@ -1,4 +1,4 @@
-"""Scalar building blocks: double-well potential, C2 transition ramp, profile energy constants."""
+"""Scalar building blocks: double-well potential, C2 transition ramp, its line energy constant."""
 
 from __future__ import annotations
 
@@ -9,15 +9,9 @@ import numpy as np
 __all__ = [
     "DoubleWell",
     "TransitionProfile",
-    "NoAnalyticDerivativeError",
     "compute_c_eta",
-    "modica_mortola_sigma",
     "simpson",
 ]
-
-
-class NoAnalyticDerivativeError(ValueError):
-    """Raised when the potential kind has no closed-form derivative."""
 
 
 def simpson(f, a: float, b: float, step: float) -> float:
@@ -36,43 +30,24 @@ def simpson(f, a: float, b: float, step: float) -> float:
 
 @dataclass(frozen=True)
 class DoubleWell:
-    """Nonnegative potential vanishing exactly at -1 and +1.
+    """Nonnegative quartic potential (s^2-1)^2, vanishing exactly at -1 and +1.
 
-    Kind "quartic" is (s^2-1)^2; kind "tabulated" interpolates a user table
-    linearly and supports evaluation only.  `c0` is the domination constant
-    (W(s) <= c0*W(t) + c0 whenever |s| <= |t|), stored with the default value
-    valid on the clamped solver range [-3, 3].
+    `c0` is the domination constant (W(s) <= c0*W(t) + c0 whenever |s| <= |t|),
+    stored with the default value valid on the clamped solver range [-3, 3].
     """
 
-    kind: str = "quartic"
     c0: float = 9.0
-    table: tuple[tuple[float, ...], tuple[float, ...]] | None = None
 
     def __post_init__(self):
-        if self.kind not in ("quartic", "tabulated"):
-            raise ValueError(f"unknown potential kind {self.kind!r}")
         if self.c0 < 1.0:
             raise ValueError("domination constant c0 must be >= 1")
-        if self.kind == "tabulated":
-            if self.table is None:
-                raise ValueError("tabulated potential needs a (samples, values) table")
-            xs, ws = self.table
-            if len(xs) != len(ws) or len(xs) < 2:
-                raise ValueError("potential table must pair at least two samples")
-            if any(w < 0 for w in ws):
-                raise ValueError("potential values must be nonnegative")
 
     def __call__(self, s):
         s = np.asarray(s, dtype=float)
-        if self.kind == "quartic":
-            return (s * s - 1.0) ** 2
-        xs, ws = self.table
-        return np.interp(s, xs, ws)
+        return (s * s - 1.0) ** 2
 
     def derivative(self, s):
-        """d/ds of the potential; only the quartic kind has a closed form."""
-        if self.kind != "quartic":
-            raise NoAnalyticDerivativeError("no analytic derivative for tabulated potentials")
+        """d/ds of the potential, 4 s (s^2 - 1)."""
         s = np.asarray(s, dtype=float)
         return 4.0 * s * (s * s - 1.0)
 
@@ -100,19 +75,11 @@ class TransitionProfile:
         s = np.clip(2.0 * np.asarray(t, dtype=float), -1.0, 1.0)
         return 30.0 * s * (s * s - 1.0)
 
-    def energy_constant(self, well: DoubleWell, q: float, step: float = 1e-4) -> float:
-        return compute_c_eta(well, q, step, profile=self)
-
 
 DEFAULT_PROFILE = TransitionProfile()
 
 
-def compute_c_eta(
-    well: DoubleWell,
-    q: float,
-    step: float = 1e-4,
-    profile: TransitionProfile = DEFAULT_PROFILE,
-) -> float:
+def compute_c_eta(well: DoubleWell, q: float, step: float = 1e-4) -> float:
     """Line energy of the fixed transition ramp: int W(eta) + q eta'^2 + eta''^2 dt.
 
     The integrand vanishes outside [-1/2, 1/2], so the quadrature runs only there.
@@ -121,15 +88,9 @@ def compute_c_eta(
         raise ValueError("gradient coefficient q must be >= 0")
 
     def integrand(t):
-        dp = profile.derivative(t)
-        ddp = profile.second_derivative(t)
-        return well(profile(t)) + q * dp * dp + ddp * ddp
+        dp = DEFAULT_PROFILE.derivative(t)
+        ddp = DEFAULT_PROFILE.second_derivative(t)
+        return well(DEFAULT_PROFILE(t)) + q * dp * dp + ddp * ddp
 
     return simpson(integrand, -0.5, 0.5, step)
 
-
-def modica_mortola_sigma(well: DoubleWell, q: float, step: float = 1e-5) -> float:
-    """First-order sharp-interface constant 2*sqrt(q) * int_{-1}^{1} sqrt(W)."""
-    if q <= 0:
-        raise ValueError("gradient coefficient q must be positive")
-    return 2.0 * np.sqrt(q) * simpson(lambda s: np.sqrt(well(s)), -1.0, 1.0, step)

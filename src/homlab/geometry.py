@@ -16,7 +16,6 @@ __all__ = [
     "rotation_for",
     "integer_rotation",
     "m_nu_for",
-    "local_to_physical",
 ]
 
 _UNIT_TOL = 1e-12
@@ -165,16 +164,6 @@ class OrientedCube:
     def n(self) -> int:
         return self.direction.n
 
-    @property
-    def rotation(self) -> np.ndarray:
-        return rotation_for(self.direction)
-
-
-def local_to_physical(cube: OrientedCube, s) -> np.ndarray:
-    """Map local coordinates s in [-side/2, side/2]^n to physical points R s + center."""
-    s = np.asarray(s, dtype=float)
-    return s @ cube.rotation.T + np.asarray(cube.center)
-
 
 @dataclass(frozen=True)
 class LatticeCuboid:
@@ -207,10 +196,6 @@ class LatticeCuboid:
     @property
     def half_height(self) -> float:
         return max(0.5, max((b - a) / 2.0 for a, b in self.base))
-
-    @property
-    def rotation(self) -> np.ndarray:
-        return rotation_for(self.direction)
 
     @property
     def base_lengths(self) -> tuple[float, ...]:

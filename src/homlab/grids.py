@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DoubleWell, TransitionProfile, DEFAULT_PROFILE
+from .core import DoubleWell, DEFAULT_PROFILE
 from .environment import Environment
 from .geometry import Direction, LatticeCuboid, OrientedCube, rotation_for
 
@@ -30,14 +30,10 @@ __all__ = [
     "profile_values",
     "discrete_gradient",
     "discrete_hessian",
-    "discrete_energy",
-    "discrete_energy_gradient",
     "EnergyModel",
 ]
 
-U_CAP = 3.0
-
-FREE, FROZEN_DIRICHLET, PERIODIC_PAIR = np.uint8(0), np.uint8(1), np.uint8(2)
+U_CAP = 3.0  # solvers clamp node values to [-U_CAP, U_CAP]
 
 
 class ResolutionError(ValueError):
@@ -65,8 +61,6 @@ class GridField:
     frozen: np.ndarray
     periodic: tuple[bool, ...]
     physical_shift: tuple[float, ...]
-    geometry: object = None
-    u_cap: float = U_CAP
 
     @property
     def n(self) -> int:
@@ -75,10 +69,6 @@ class GridField:
     @property
     def shape(self) -> tuple[int, ...]:
         return self.values.shape
-
-    @property
-    def sides(self) -> tuple[float, ...]:
-        return tuple(m * self.h for m in self.shape)
 
     def axis_coords(self, axis: int) -> np.ndarray:
         m = self.shape[axis]
@@ -99,19 +89,6 @@ class GridField:
 
     def free_mask(self) -> np.ndarray:
         return ~self.frozen
-
-    def boundary_mask(self) -> np.ndarray:
-        """Per-node flags: 0 free, 1 frozen-Dirichlet, 2 periodic-pair (wrapped axes)."""
-        mask = np.zeros(self.shape, dtype=np.uint8)
-        for axis, wrap in enumerate(self.periodic):
-            if not wrap:
-                continue
-            edge = [slice(None)] * self.n
-            for side in (0, -1):
-                edge[axis] = side
-                mask[tuple(edge)] = PERIODIC_PAIR
-        mask[self.frozen] = FROZEN_DIRICHLET
-        return mask
 
 
 def frame_width_for(h: float, epsilon: float, kind: str = "cell") -> float:
@@ -141,7 +118,6 @@ def box_grid(
     physical_shift=None,
     frame_width: float = 0.0,
     periodic_axes: tuple[bool, ...] | None = None,
-    geometry=None,
 ) -> GridField:
     """Empty grid over the local box prod [lo_k, lo_k + sides_k); general constructor."""
     lo = tuple(float(v) for v in lo)
@@ -171,7 +147,6 @@ def box_grid(
         frozen=frozen,
         periodic=periodic,
         physical_shift=tuple(float(v) for v in physical_shift),
-        geometry=geometry,
     )
 
 
@@ -187,15 +162,12 @@ def cube_grid(cube: OrientedCube, h: float, frame_width: float, periodic_lateral
         physical_shift=cube.center,
         frame_width=frame_width,
         periodic_axes=periodic,
-        geometry=cube,
     )
 
 
-def slab_grid(side: float, h: float, frame_width: float, n: int = 1, direction: Direction | None = None) -> GridField:
-    """Laterally periodic grid on an axis cube, frozen only near the top/bottom faces."""
-    if direction is None:
-        direction = Direction.from_integers(*([0] * (n - 1) + [1]))
-    cube = OrientedCube((0.0,) * n, side, direction)
+def slab_grid(side: float, h: float, frame_width: float, n: int = 1) -> GridField:
+    """Laterally periodic grid on the axis cube with normal e_n, frozen only near the top/bottom faces."""
+    cube = OrientedCube((0.0,) * n, side, Direction.from_integers(*([0] * (n - 1) + [1])))
     return cube_grid(cube, h, frame_width, periodic_lateral=True)
 
 
@@ -207,7 +179,6 @@ def cuboid_grid(cuboid: LatticeCuboid, h: float, frame_width: float) -> GridFiel
         sides=tuple(b[1] - b[0] for b in bounds),
         h=h,
         frame_width=frame_width,
-        geometry=cuboid,
     )
 
 
@@ -216,15 +187,10 @@ def cuboid_grid(cuboid: LatticeCuboid, h: float, frame_width: float) -> GridFiel
 # ---------------------------------------------------------------------------
 
 
-def profile_values(
-    grid: GridField,
-    epsilon: float,
-    normal_offset: float = 0.0,
-    profile: TransitionProfile = DEFAULT_PROFILE,
-) -> np.ndarray:
+def profile_values(grid: GridField, epsilon: float, normal_offset: float = 0.0) -> np.ndarray:
     """eta((t_n + offset)/eps) as node values; constant along lateral axes by construction."""
     t = grid.axis_coords(grid.n - 1) + normal_offset
-    column = profile(t / epsilon)
+    column = DEFAULT_PROFILE(t / epsilon)
     shape = [1] * grid.n
     shape[-1] = len(column)
     return np.broadcast_to(column.reshape(shape), grid.shape).copy()
@@ -237,8 +203,6 @@ def profile_field(
     epsilon: float,
     h: float,
     frame_width: float | None = None,
-    periodic_lateral: bool = False,
-    profile: TransitionProfile = DEFAULT_PROFILE,
 ) -> GridField:
     """Regularized-jump field eta(((y - x0) . nu)/eps) sampled on a cube grid.
 
@@ -251,14 +215,14 @@ def profile_field(
     d = nu if isinstance(nu, Direction) else Direction.from_vector(nu)
     if frame_width is None:
         frame_width = frame_width_for(h, epsilon, "cell")
-    grid = cube_grid(cube, h, frame_width, periodic_lateral=periodic_lateral)
+    grid = cube_grid(cube, h, frame_width)
     x0 = np.asarray(x0, dtype=float)
     if d.nu == cube.direction.nu:
         offset = float(np.dot(np.asarray(cube.center) - x0, np.asarray(d.nu)))
-        grid.values[...] = profile_values(grid, epsilon, normal_offset=offset, profile=profile)
+        grid.values[...] = profile_values(grid, epsilon, normal_offset=offset)
     else:
         signed = (grid.physical_points() - x0) @ np.asarray(d.nu)
-        grid.values[...] = profile(signed / epsilon)
+        grid.values[...] = DEFAULT_PROFILE(signed / epsilon)
     return grid
 
 
@@ -407,16 +371,13 @@ def discrete_gradient(field: GridField, node: tuple[int, ...]) -> np.ndarray:
     return np.array([d[0][tuple(node)] / _STEP[k](field.h) for (k, *_), d in zip(stencils.table, diffs) if k == "d1"])
 
 
-def discrete_hessian(field: GridField, node: tuple[int, ...], frame: str = "local") -> np.ndarray:
-    """Central-difference Hessian at one node (four-point cross stencil off-diagonal)."""
+def discrete_hessian(field: GridField, node: tuple[int, ...]) -> np.ndarray:
+    """Central-difference Hessian at one node, in local coordinates (four-point cross stencil off-diagonal)."""
     stencils = _Stencils(1, field.shape, field.periodic)
     hess = np.empty((field.n, field.n))
     for (kind, axes, *_), d in zip(stencils.table, stencils.differences(field.values)):
         if kind != "d1":
             hess[axes] = hess[axes[::-1]] = d[0][tuple(node)] / _STEP[kind](field.h)
-    if frame == "physical":
-        rot = rotation_for(field.direction)
-        hess = rot @ hess @ rot.T
     return hess
 
 
@@ -583,29 +544,3 @@ class EnergyModel:
         dens /= self.cell_volume
         return dens[0] if bare else dens
 
-
-def export_field(field: GridField, path: str, fmt: str = "text") -> None:
-    """Write node values row-major for plotting, with a small geometry header.
-
-    Text format: a commented 'n ... sides ... h ... nu ...' header line, then
-    one row per leading index.  Binary format: numpy .npy values plus a .hdr
-    sidecar carrying the same header line.
-    """
-    header = f"n {field.n} sides {' '.join(str(s) for s in field.sides)} h {field.h} nu {' '.join(str(v) for v in field.direction.nu)}"
-    if fmt == "text":
-        np.savetxt(path, field.values.reshape(field.shape[0], -1), header=header)
-    elif fmt == "binary":
-        np.save(path, field.values)
-        with open(str(path) + ".hdr", "w", encoding="utf-8") as fh:
-            fh.write(header + "\n")
-    else:
-        raise ValueError(f"unknown export format {fmt!r}")
-
-
-def discrete_energy(field: GridField, env: Environment, params: EnergyParams) -> float:
-    return EnergyModel(field, env, params).energy(field.values)
-
-
-def discrete_energy_gradient(field: GridField, env: Environment, params: EnergyParams) -> np.ndarray:
-    """Exact derivative of discrete_energy w.r.t. free node values (zero at frozen nodes)."""
-    return EnergyModel(field, env, params).gradient(field.values)

@@ -20,6 +20,7 @@ from .geometry import Direction, LatticeCuboid, OrientedCube
 from .grids import EnergyModel, EnergyParams, cube_grid
 from .solve import SolverConfig
 from .cell import (
+    MINUS_VARIANT_Q_MAX,
     bounds_check,
     cell_problems_r,
     eps_scaled_cell,
@@ -52,11 +53,18 @@ class ConfigError(ValueError):
     """Configuration is syntactically or semantically invalid."""
 
 
-def _parse_floats(text: str) -> tuple[float, ...]:
+def _parse_numbers(text: str, kind=float) -> tuple:
     try:
-        return tuple(float(tok) for tok in text.replace(",", " ").split())
+        return tuple(kind(tok) for tok in text.replace(",", " ").split())
     except ValueError as exc:
-        raise ConfigError(f"cannot parse number list {text!r}") from exc
+        raise ConfigError(f"cannot parse {kind.__name__} list {text!r}") from exc
+
+
+def _parse_range(text: str, name: str) -> tuple[float, float]:
+    values = _parse_numbers(text)
+    if len(values) != 2:
+        raise ConfigError(f"{name} needs exactly two numbers, got {text!r}")
+    return values
 
 
 def _parse_direction(token: str, n: int) -> Direction:
@@ -92,7 +100,6 @@ class ExperimentConfig:
     epsilon_list: tuple[float, ...] = (1.0,)
     env: EnvironmentSpec = field(default_factory=EnvironmentSpec)
     solver: SolverConfig = field(default_factory=lambda: SolverConfig(restarts=1, max_iters=20000))
-    positivity_regime_q_max: float = 0.25
     out_dir: str = "out"
     out_format: str = "both"  # csv | json | both
 
@@ -101,6 +108,9 @@ class ExperimentConfig:
             raise ConfigError("dimension must be 1 or 2")
         if self.h <= 0:
             raise ConfigError("h must be positive")
+        for name in ("r_list", "seeds", "nu_list", "x0_list"):
+            if not getattr(self, name):
+                raise ConfigError(f"{name} must not be empty")
         if any(r < 4 for r in self.r_list):
             raise ConfigError("all r values must be >= 4")
         if self.epsilon_list and self.h > min(self.epsilon_list) / 4.0 + 1e-12:
@@ -141,11 +151,11 @@ def load_config(path: str, overrides: dict | None = None) -> ExperimentConfig:
         cfg.dimension = int(exp.get("dimension", cfg.dimension))
         cfg.h = float(exp.get("h", cfg.h))
         if "r_list" in exp:
-            cfg.r_list = _parse_floats(exp["r_list"])
+            cfg.r_list = _parse_numbers(exp["r_list"])
         if "epsilon_list" in exp:
-            cfg.epsilon_list = _parse_floats(exp["epsilon_list"])
+            cfg.epsilon_list = _parse_numbers(exp["epsilon_list"])
         if "seeds" in exp:
-            cfg.seeds = tuple(int(v) for v in _parse_floats(exp["seeds"]))
+            cfg.seeds = _parse_numbers(exp["seeds"], int)
         if "nu_list" in exp:
             cfg.nu_list = tuple(_parse_direction(tok, cfg.dimension) for tok in exp["nu_list"].split())
         else:
@@ -158,8 +168,6 @@ def load_config(path: str, overrides: dict | None = None) -> ExperimentConfig:
             cfg.x0_list = tuple(x0s)
         else:
             cfg.x0_list = ((0.0,) * cfg.dimension,)
-        if "positivity_regime_q_max" in exp:
-            cfg.positivity_regime_q_max = float(exp["positivity_regime_q_max"])
     except (ValueError, KeyError) as exc:
         raise ConfigError(f"bad [experiment] section: {exc}") from exc
 
@@ -168,9 +176,9 @@ def load_config(path: str, overrides: dict | None = None) -> ExperimentConfig:
         try:
             cfg.env = EnvironmentSpec(
                 kind=envsec.get("kind", "homogeneous"),
-                a_range=tuple(_parse_floats(envsec.get("a_range", "1 1")))[:2],
-                b_range=tuple(_parse_floats(envsec.get("b_range", "0.05 0.05")))[:2],
-                c_range=tuple(_parse_floats(envsec.get("c_range", "1 1")))[:2],
+                a_range=_parse_range(envsec.get("a_range", "1 1"), "a_range"),
+                b_range=_parse_range(envsec.get("b_range", "0.05 0.05"), "b_range"),
+                c_range=_parse_range(envsec.get("c_range", "1 1"), "c_range"),
                 q=float(envsec.get("q", 0.05)),
                 c1=float(envsec.get("c1", 1.0)),
                 c2=float(envsec.get("c2", 1.0)),
@@ -412,18 +420,18 @@ def _prop_growth(cfg: ExperimentConfig) -> PropertyResult:
         if e < lo - scale or e > hi + scale:
             violations += 1
             worst = max(worst, lo - e, e - hi)
-    return PropertyResult("growth-sandwich", violations == 0, f"{violations} violations")
+    return PropertyResult("growth-sandwich", violations == 0, f"{violations} violations, worst excess {worst:.3e}")
 
 
 def _prop_positivity(cfg: ExperimentConfig) -> PropertyResult:
     q = cfg.env.q
     report = verify_positivity(q, (1.0, 1.0) if cfg.dimension == 2 else (1.0,), 1.0 / 16.0, 3, cfg.solver)
     starts = f"{sum(report.converged)}/{len(report.converged)} starts converged"
-    if q > cfg.positivity_regime_q_max:
+    if q > MINUS_VARIANT_Q_MAX:
         return PropertyResult(
             "positivity",
             True,
-            f"outside regime (q = {q} > {cfg.positivity_regime_q_max}); observed min {report.minimum:.3e}, {starts}",
+            f"outside regime (q = {q} > {MINUS_VARIANT_Q_MAX}); observed min {report.minimum:.3e}, {starts}",
             informational=True,
         )
     return PropertyResult("positivity", report.passed, f"min {report.minimum:.3e}, {starts}")
@@ -437,7 +445,7 @@ def _lattice_direction(cfg: ExperimentConfig) -> Direction:
 
 
 def _outside_regime(cfg: ExperimentConfig, name: str) -> PropertyResult | None:
-    if cfg.env.q > cfg.positivity_regime_q_max:
+    if cfg.env.q > MINUS_VARIANT_Q_MAX:
         return PropertyResult(
             name,
             True,

@@ -9,11 +9,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .environment import Environment
-from .geometry import rotation_for
-from .grids import EnergyModel, EnergyParams, GridField
-from .core import DEFAULT_PROFILE
+from .grids import U_CAP, EnergyModel, EnergyParams, GridField
 
-__all__ = ["SolverConfig", "SolveResult", "DivergenceError", "minimize_energy", "minimize_batch", "solve_many", "glue_fields"]
+__all__ = ["SolverConfig", "SolveResult", "DivergenceError", "minimize_energy", "minimize_batch", "solve_many"]
 
 
 # nodes per lockstep batch: eight 32^2 cells, two 64^2 cells, one larger cell
@@ -229,7 +227,7 @@ def _metrics(model: EnergyModel, free: np.ndarray) -> list:
     return kinds
 
 
-def _descend(model: EnergyModel, metric: _Metric, u0: np.ndarray, cfg: SolverConfig, grad_tol: float, cap: float):
+def _descend(model: EnergyModel, metric: _Metric, u0: np.ndarray, cfg: SolverConfig, grad_tol: float):
     """Two-point (Barzilai-Borwein) iteration in the metric P with best-so-far tracking, in lockstep.
 
     Directions are d = P^-1 g and the step is t = s'Ps / s'y (t = 1 at the
@@ -250,7 +248,7 @@ def _descend(model: EnergyModel, metric: _Metric, u0: np.ndarray, cfg: SolverCon
     out = [None] * len(u0)
     ids = list(range(len(u0)))
     each = (-1,) + (1,) * model.n  # shape of one number per member
-    u = np.clip(u0, -cap, cap, out=u0)
+    u = np.clip(u0, -U_CAP, U_CAP, out=u0)
     energy, grad = model.value_and_gradient(u)
     energy = energy.tolist()
     failed = [not math.isfinite(e) for e in energy]
@@ -285,7 +283,7 @@ def _descend(model: EnergyModel, metric: _Metric, u0: np.ndarray, cfg: SolverCon
         trial = metric.direction(grad)
         trial *= np.reshape(t, each)
         np.subtract(u, trial, out=trial)
-        np.clip(trial, -cap, cap, out=trial)
+        np.clip(trial, -U_CAP, U_CAP, out=trial)
         e_trial, grad_new = model.value_and_gradient(trial)
         energy = e_trial.tolist()
         back = []  # members that restart from their record
@@ -333,7 +331,7 @@ def _descend(model: EnergyModel, metric: _Metric, u0: np.ndarray, cfg: SolverCon
 
 
 def _attempts(model: EnergyModel, metric: _Metric, values: np.ndarray, free: np.ndarray, cfg: SolverConfig,
-              grad_tol: float, cap: float) -> list:
+              grad_tol: float) -> list:
     """The unperturbed pass plus cfg.restarts perturbed ones for the batch of `model`; per member the best.
 
     `values` holds the initial values of every member the model was built
@@ -351,7 +349,7 @@ def _attempts(model: EnergyModel, metric: _Metric, values: np.ndarray, free: np.
         if attempt > 0:
             rng = np.random.Generator(np.random.Philox(key=cfg.noise_seed, counter=attempt))
             u0[:, free] += cfg.noise_scale * rng.standard_normal(int(free.sum()))
-        passes = _descend(model, metric if len(live) == len(ids) else metric.take(live), u0, cfg, grad_tol, cap)
+        passes = _descend(model, metric if len(live) == len(ids) else metric.take(live), u0, cfg, grad_tol)
         for k, result in zip(live, passes):
             if isinstance(result, DivergenceError):
                 best[k] = result
@@ -370,8 +368,8 @@ def _attempts(model: EnergyModel, metric: _Metric, values: np.ndarray, free: np.
 def minimize_batch(initials, envs, params: EnergyParams, cfg: SolverConfig = SolverConfig()) -> list:
     """Solve same-geometry problems as one lockstep batch, one descent for all members.
 
-    `initials` share shape, spacing, periodic axes, frozen nodes and value cap;
-    `envs` has one Environment per initial.  Returns per member a SolveResult,
+    `initials` share shape, spacing, periodic axes and frozen nodes; `envs`
+    has one Environment per initial.  Returns per member a SolveResult,
     bit-identical to what minimize_energy returns for that member alone, or
     the DivergenceError its solve raised.  Each result's diagnostics carry the
     batch size (`batch`) and the batch's wall time (`wall_ms`).  A reported
@@ -381,20 +379,17 @@ def minimize_batch(initials, envs, params: EnergyParams, cfg: SolverConfig = Sol
     t0 = time.perf_counter()
     initials = list(initials)
     first = initials[0]
-    if any(f.u_cap != first.u_cap for f in initials):
-        raise ValueError("members must share the value cap")
     model = EnergyModel(initials, envs, params)
     grad_tol = cfg.grad_tol if cfg.grad_tol is not None else 1e-6 * first.h**first.n
-    cap = first.u_cap
     values = np.stack([f.values for f in initials])
-    if first.frozen.any() and float(np.max(np.abs(values[:, first.frozen]))) > cap:
+    if first.frozen.any() and float(np.max(np.abs(values[:, first.frozen]))) > U_CAP:
         raise ValueError("frozen boundary data exceeds the value cap")
 
     free = first.free_mask()
     found = [None] * len(initials)
     for members, metric in _metrics(model, free):
         model.select(members)
-        for k, result in zip(members, _attempts(model, metric, values, free, cfg, grad_tol, cap)):
+        for k, result in zip(members, _attempts(model, metric, values, free, cfg, grad_tol)):
             found[k] = (result, metric.name)
     wall_ms = 1000.0 * (time.perf_counter() - t0)
     results = []
@@ -445,14 +440,14 @@ def minimize_energy(
 
 
 def _geometry_key(initial: GridField, env: Environment, params: EnergyParams) -> tuple:
-    return (initial.shape, initial.frozen.tobytes(), initial.periodic, initial.h, params, initial.u_cap, env.well)
+    return (initial.shape, initial.frozen.tobytes(), initial.periodic, initial.h, params, env.well)
 
 
 def solve_many(problems, cfg: SolverConfig = SolverConfig()) -> list:
     """Solve (initial, env, params) problems, each group of one geometry in lockstep batches.
 
     Problems that share shape, frozen nodes, periodic axes, spacing, energy
-    parameters, value cap and double well form a group.  A group is solved by
+    parameters and double well form a group.  A group is solved by
     minimize_batch in batches of at most MAX_BATCH_NODES nodes (at least one
     member each), which bounds the working memory of a batch.  Results come back
     in submission order; the first DivergenceError in that order is raised.
@@ -473,106 +468,3 @@ def solve_many(problems, cfg: SolverConfig = SolverConfig()) -> list:
             raise result
     return results
 
-
-# ---------------------------------------------------------------------------
-# Cutoff gluing of fields on overlapping boxes
-# ---------------------------------------------------------------------------
-
-
-def glue_fields(u_field: GridField, v_field: GridField, axis: int, blend_lo: float, blend_hi: float) -> GridField:
-    """C2-cutoff blend of two fields across an overlap slab along one local axis.
-
-    The output equals u below blend_lo, v above blend_hi, and the smoothstep
-    combination phi*u + (1-phi)*v in between.  Both fields must share h,
-    direction, and lattice alignment; their boxes may differ only along `axis`.
-    """
-    if abs(u_field.h - v_field.h) > 1e-12 or u_field.n != v_field.n:
-        raise ValueError("glued fields must share spacing and dimension")
-    if u_field.direction.nu != v_field.direction.nu:
-        raise ValueError("glued fields must share orientation")
-    h, n = u_field.h, u_field.n
-    if blend_hi - blend_lo < 4.0 * h - 1e-9:
-        raise ValueError("overlap must span at least 4 cells")
-
-    # compare boxes in the shared rotated frame (fold each physical shift into lo)
-    rot = rotation_for(u_field.direction)
-
-    def absolute_lo(f: GridField) -> np.ndarray:
-        return np.asarray(f.lo) + rot.T @ np.asarray(f.physical_shift)
-
-    u_lo = absolute_lo(u_field)
-    v_lo = absolute_lo(v_field)
-    for a in range(n):
-        off = (v_lo[a] - u_lo[a]) / h
-        if abs(off - round(off)) > 1e-9:
-            raise ValueError("grids are not lattice-aligned")
-        if a != axis and (abs(u_lo[a] - v_lo[a]) > 1e-9 or u_field.shape[a] != v_field.shape[a]):
-            raise ValueError("boxes may differ only along the blend axis")
-
-    lo = min(u_lo[axis], v_lo[axis])
-    hi = max(
-        u_lo[axis] + u_field.shape[axis] * h,
-        v_lo[axis] + v_field.shape[axis] * h,
-    )
-    count = int(round((hi - lo) / h))
-    coords = lo + (np.arange(count) + 0.5) * h
-
-    def span(f: GridField) -> tuple[int, int]:
-        start = int(round((absolute_lo(f)[axis] - lo) / h))
-        return start, start + f.shape[axis]
-
-    u_start, u_end = span(u_field)
-    v_start, v_end = span(v_field)
-    u_cover_hi = lo + u_end * h
-    v_cover_lo = lo + v_start * h
-    if blend_hi > u_cover_hi + 1e-9 or blend_lo < v_cover_lo - 1e-9:
-        raise ValueError("blend window must be covered by both fields")
-
-    shape = list(u_field.shape)
-    shape[axis] = count
-    frozen = np.zeros(shape, dtype=bool)
-
-    # smoothstep weight for u: 1 below the window, 0 above
-    s = np.clip((coords - blend_lo) / (blend_hi - blend_lo), 0.0, 1.0)
-    phi = 1.0 - (1.0 + DEFAULT_PROFILE(s - 0.5)) / 2.0
-    w_shape = [1] * n
-    w_shape[axis] = count
-    phi = phi.reshape(w_shape)
-
-    u_big = np.zeros(shape)
-    v_big = np.zeros(shape)
-    u_cover = np.zeros(count, dtype=bool)
-    v_cover = np.zeros(count, dtype=bool)
-    idx = [slice(None)] * n
-    idx[axis] = slice(u_start, u_end)
-    u_big[tuple(idx)] = u_field.values
-    u_cover[u_start:u_end] = True
-    idx[axis] = slice(v_start, v_end)
-    v_big[tuple(idx)] = v_field.values
-    v_cover[v_start:v_end] = True
-    # outside its own box each field contributes with weight zero
-    only_u = (~v_cover).reshape(w_shape)
-    only_v = (~u_cover).reshape(w_shape)
-    weight_u = np.where(only_u, 1.0, np.where(only_v, 0.0, phi))
-    # exact copies at weight 0/1 and exact pass-through where the fields agree
-    blend = v_big + weight_u * (u_big - v_big)
-    values = np.where(weight_u >= 1.0, u_big, np.where(weight_u <= 0.0, v_big, blend))
-
-    idx[axis] = slice(u_start, u_end)
-    frozen[tuple(idx)] |= u_field.frozen
-    idx[axis] = slice(v_start, v_end)
-    frozen[tuple(idx)] |= v_field.frozen
-
-    new_lo = list(u_lo)
-    new_lo[axis] = lo
-    return GridField(
-        direction=u_field.direction,
-        lo=tuple(float(v) for v in new_lo),
-        h=h,
-        values=values,
-        frozen=frozen,
-        periodic=u_field.periodic,
-        physical_shift=(0.0,) * n,
-        geometry=None,
-        u_cap=u_field.u_cap,
-    )

@@ -1,13 +1,7 @@
 import numpy as np
 import pytest
 
-from homlab.core import (
-    DoubleWell,
-    NoAnalyticDerivativeError,
-    TransitionProfile,
-    compute_c_eta,
-    modica_mortola_sigma,
-)
+from homlab.core import TransitionProfile, compute_c_eta
 
 from _oracles import profile_energy_reference
 
@@ -49,16 +43,6 @@ def test_potential_derivative_matches_finite_difference(quartic):
     for s in (-2.3, -0.4, 0.9, 1.7):
         fd = (quartic(s + d) - quartic(s - d)) / (2 * d)
         assert quartic.derivative(s) == pytest.approx(fd, rel=1e-8)
-
-
-def test_tabulated_potential_evaluates_but_has_no_derivative():
-    xs = tuple(np.linspace(-2, 2, 41))
-    ws = tuple((np.array(xs) ** 2 - 1) ** 2)
-    tab = DoubleWell(kind="tabulated", table=(xs, ws))
-    assert tab(1.0) == pytest.approx(0.0, abs=1e-12)
-    assert tab(0.0) == pytest.approx(1.0, rel=1e-2)
-    with pytest.raises(NoAnalyticDerivativeError):
-        tab.derivative(0.5)
 
 
 def test_profile_plateaus_and_oddness():
@@ -117,14 +101,3 @@ def test_c_eta_quadrature_step_convergence(quartic):
 def test_c_eta_monotone_in_q(quartic):
     vals = [compute_c_eta(quartic, q, step=1e-3) for q in (0.0, 0.1, 0.5, 1.0, 2.0)]
     assert all(b > a for a, b in zip(vals, vals[1:]))
-
-
-def test_modica_mortola_sigma(quartic):
-    assert modica_mortola_sigma(quartic, 1.0) == pytest.approx(8.0 / 3.0, abs=1e-9)
-    assert modica_mortola_sigma(quartic, 4.0) == pytest.approx(16.0 / 3.0, abs=1e-9)
-    assert modica_mortola_sigma(quartic, 0.04) == pytest.approx(0.2 * 8.0 / 3.0, abs=1e-6)
-
-
-def test_modica_mortola_rejects_nonpositive_q(quartic):
-    with pytest.raises(ValueError):
-        modica_mortola_sigma(quartic, 0.0)

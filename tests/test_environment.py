@@ -3,7 +3,6 @@ import pytest
 
 from homlab.environment import (
     EnvironmentSpec,
-    density_eval,
     make_environment,
     shift_environment,
     verify_growth_bounds,
@@ -34,21 +33,6 @@ def test_spec_validation():
         EnvironmentSpec(c1=2.0, c2=1.0)
     with pytest.raises(ValueError):
         EnvironmentSpec(kind="mystery")
-
-
-def test_density_trivials():
-    env = make_environment(EnvironmentSpec(q=0.05, b_range=(0.05, 0.05)))
-    zeta = np.zeros((2, 2))
-    assert density_eval(env, (0.3, 0.3), 1.0, np.zeros(2), zeta) == 0.0
-    assert density_eval(env, (0.3, 0.3), 0.0, np.zeros(2), zeta) == 1.0
-
-
-def test_density_combines_terms():
-    env = make_environment(EnvironmentSpec(q=0.5, a_range=(2, 2), b_range=(0.25, 0.25), c_range=(3, 3)))
-    xi = np.array([1.0, 2.0])
-    zeta = np.array([[1.0, 0.0], [0.0, 2.0]])
-    expected = 2.0 * 1.0 + 0.25 * 5.0 + 3.0 * 5.0
-    assert density_eval(env, (0.5, 0.5), 0.0, xi, zeta) == pytest.approx(expected)
 
 
 def test_checkerboard_deterministic_and_cellwise():

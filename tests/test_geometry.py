@@ -5,9 +5,7 @@ from homlab.geometry import (
     Direction,
     LatticeCuboid,
     LatticeIncompatibleError,
-    OrientedCube,
     integer_rotation,
-    local_to_physical,
     m_nu_for,
     rotation_for,
 )
@@ -82,16 +80,6 @@ def test_integer_rotation_exact():
     assert np.array_equal(mat, np.array([[4, 3], [-3, 4]]))
 
 
-def test_local_to_physical(e2):
-    cube = OrientedCube((0.0, 0.0), 1.0, e2)
-    assert local_to_physical(cube, np.zeros(2)) == pytest.approx(np.zeros(2))
-    cube2 = OrientedCube((1.0, -2.0), 2.0, e2)
-    assert local_to_physical(cube2, np.array([0.0, 1.0])) == pytest.approx(np.array([1.0, -1.0]))
-    tilted = OrientedCube((0.0, 0.0), 2.0, Direction.from_integers(3, 4))
-    got = local_to_physical(tilted, np.array([0.0, 1.0]))
-    assert got == pytest.approx(rotation_for(tilted.direction)[:, 1])
-
-
 def test_angle_roundtrip():
     for theta in (0.0, 22.5, 45.0, 90.0, 157.5):
         assert Direction.from_angle_degrees(theta).angle_degrees() == pytest.approx(theta, abs=1e-9)
@@ -160,5 +148,5 @@ def test_frame_invariance_of_derivative_norms():
         assert np.linalg.norm(g_loc) == pytest.approx(np.linalg.norm(grad_f(y)), rel=5e-3)
         hess_loc = discrete_hessian(grid, node)
         assert float(np.sum(hess_loc**2)) == pytest.approx(float(hess_norm_sq(y)), rel=2e-2)
-        hess_phys = discrete_hessian(grid, node, frame="physical")
+        hess_phys = rot @ hess_loc @ rot.T
         assert float(np.sum(hess_phys**2)) == pytest.approx(float(np.sum(hess_loc**2)), rel=1e-12)

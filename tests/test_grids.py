@@ -10,8 +10,6 @@ from homlab.grids import (
     ResolutionError,
     box_grid,
     cube_grid,
-    discrete_energy,
-    discrete_energy_gradient,
     discrete_gradient,
     discrete_hessian,
     profile_field,
@@ -88,8 +86,8 @@ def test_energy_zero_at_well(e2):
     g = cube_grid(cube, 0.125, frame_width=0.5)
     g.values[...] = 1.0
     env = homogeneous_env()
-    assert discrete_energy(g, env, EnergyParams(1.0, "general")) == 0.0
-    assert discrete_energy(g, env, EnergyParams(0.5, "m_plus")) == 0.0
+    assert EnergyModel(g, env, EnergyParams(1.0, "general")).energy(g.values) == 0.0
+    assert EnergyModel(g, env, EnergyParams(0.5, "m_plus")).energy(g.values) == 0.0
 
 
 def test_energy_constant_zero_field_is_volume_over_eps(e2):
@@ -97,7 +95,7 @@ def test_energy_constant_zero_field_is_volume_over_eps(e2):
     g = cube_grid(cube, 0.125, frame_width=0.0)
     env = homogeneous_env()
     for eps in (1.0, 0.5):
-        val = discrete_energy(g, env, EnergyParams(eps, "general"))
+        val = EnergyModel(g, env, EnergyParams(eps, "general")).energy(g.values)
         assert val == pytest.approx(2.0**2 / eps, rel=1e-12)
 
 
@@ -111,7 +109,7 @@ def test_profile_energy_bounded_by_ramp_constant(e1, e2, quartic):
         eps = 0.5
         field = profile_field(cube, d, (0.0,) * d.n, eps, h=h)
         for variant in ("m_plus", "m_minus"):
-            val = discrete_energy(field, env, EnergyParams(eps, variant))
+            val = EnergyModel(field, env, EnergyParams(eps, variant)).energy(field.values)
             cross_section = side ** (d.n - 1)
             assert val <= c_eta * cross_section * (1.0 + 2.0 * h)
 
@@ -127,7 +125,7 @@ def test_gradient_matches_finite_differences(e2):
     g = cube_grid(cube, 0.125, frame_width=0.25)
     g.values[...] = rng.uniform(-1.5, 1.5, g.shape)
     model = EnergyModel(g, env, EnergyParams(1.0, "general"))
-    grad = discrete_energy_gradient(g, env, EnergyParams(1.0, "general"))
+    grad = model.gradient(g.values)
     assert np.all(grad[g.frozen] == 0.0)
     free_nodes = np.argwhere(~g.frozen)
     worst = 0.0
@@ -163,8 +161,8 @@ def test_plus_minus_gradient_difference_is_gradient_term(e2):
     g = cube_grid(cube, 0.25, frame_width=0.25)
     g.values[...] = rng.uniform(-1, 1, g.shape)
     eps = 1.0
-    grad_plus = discrete_energy_gradient(g, env, EnergyParams(eps, "m_plus"))
-    grad_minus = discrete_energy_gradient(g, env, EnergyParams(eps, "m_minus"))
+    grad_plus = EnergyModel(g, env, EnergyParams(eps, "m_plus")).gradient(g.values)
+    grad_minus = EnergyModel(g, env, EnergyParams(eps, "m_minus")).gradient(g.values)
     # difference must be the derivative of 2 q eps int |grad u|^2
     # reference: dense central-difference matrices (edge-replicated ends, or wrap), D^T from numpy
     def d1_matrix(m, periodic):
@@ -245,9 +243,9 @@ def test_growth_sandwich_exact_on_random_fields(e2):
     for _ in range(100):
         g = cube_grid(cube, 0.25, frame_width=0.0)
         g.values[...] = rng.uniform(-2.5, 2.5, g.shape)
-        e = discrete_energy(g, env, EnergyParams(1.0, "general"))
-        lo = spec.c1 * discrete_energy(g, env, EnergyParams(1.0, "m_minus"))
-        hi = spec.c2 * discrete_energy(g, env, EnergyParams(1.0, "m_plus"))
+        e = EnergyModel(g, env, EnergyParams(1.0, "general")).energy(g.values)
+        lo = spec.c1 * EnergyModel(g, env, EnergyParams(1.0, "m_minus")).energy(g.values)
+        hi = spec.c2 * EnergyModel(g, env, EnergyParams(1.0, "m_plus")).energy(g.values)
         slack = 1e-10 * (1.0 + abs(e))
         assert lo - slack <= e <= hi + slack
 
@@ -266,8 +264,8 @@ def test_translation_exactness(e2):
     g1.values[...] = vals
     g2 = box_grid(e2, (-2.0 + z[0], -2.0 + z[1]), (4.0, 4.0), 0.25)
     g2.values[...] = vals
-    e1_val = discrete_energy(g1, shift_environment(env, z), EnergyParams(1.0, "general"))
-    e2_val = discrete_energy(g2, env, EnergyParams(1.0, "general"))
+    e1_val = EnergyModel(g1, shift_environment(env, z), EnergyParams(1.0, "general")).energy(g1.values)
+    e2_val = EnergyModel(g2, env, EnergyParams(1.0, "general")).energy(g2.values)
     assert e1_val == e2_val
 
 
@@ -277,7 +275,7 @@ def test_energy_frame_invariant_for_isotropic_density(e2):
     for d in (e2, Direction.from_integers(3, 4), Direction.from_angle_degrees(30.0)):
         cube = OrientedCube((0.0, 0.0), 8.0, d)
         field = profile_field(cube, d, (0.0, 0.0), 1.0, h=0.25)
-        vals[d.nu] = discrete_energy(field, env, EnergyParams(1.0, "general"))
+        vals[d.nu] = EnergyModel(field, env, EnergyParams(1.0, "general")).energy(field.values)
     ref = vals[e2.nu]
     for v in vals.values():
         assert v == pytest.approx(ref, rel=1e-12)
@@ -287,7 +285,7 @@ def test_resolution_gate(e2):
     cube = OrientedCube((0.0, 0.0), 2.0, e2)
     g = cube_grid(cube, 0.25, frame_width=0.5)
     with pytest.raises(ResolutionError):
-        discrete_energy(g, homogeneous_env(), EnergyParams(0.5, "general"))
+        EnergyModel(g, homogeneous_env(), EnergyParams(0.5, "general"))
 
 
 def test_grid_spacing_must_divide_sides(e2):
@@ -296,32 +294,13 @@ def test_grid_spacing_must_divide_sides(e2):
 
 
 def test_boundary_mask_codes(e2):
-    from homlab.grids import FREE, FROZEN_DIRICHLET, PERIODIC_PAIR, slab_grid
+    from homlab.grids import slab_grid
 
     g = slab_grid(1.0, 0.125, frame_width=0.25, n=2)
-    mask = g.boundary_mask()
-    assert mask[3, 0] == FROZEN_DIRICHLET  # bottom frame
-    assert mask[0, 4] == PERIODIC_PAIR  # lateral wrap edge
-    assert mask[3, 4] == FREE
-
-
-def test_export_field_roundtrip(tmp_path, e2):
-    cube = OrientedCube((0.0, 0.0), 2.0, e2)
-    g = cube_grid(cube, 0.25, frame_width=0.0)
-    g.values[...] = np.arange(g.values.size, dtype=float).reshape(g.shape)
-    from homlab.grids import export_field
-
-    text = tmp_path / "field.txt"
-    export_field(g, str(text), fmt="text")
-    loaded = np.loadtxt(text)
-    assert loaded == pytest.approx(g.values)
-    head = text.read_text().splitlines()[0]
-    assert head.startswith("# n 2 sides 2.0 2.0 h 0.25 nu")
-
-    binary = tmp_path / "field.npy"
-    export_field(g, str(binary), fmt="binary")
-    assert np.array_equal(np.load(binary), g.values)
-    assert (tmp_path / "field.npy.hdr").read_text().startswith("n 2 sides")
+    assert g.periodic == (True, False)  # lateral axis wraps
+    assert g.frozen[3, 0] and g.frozen[3, -1]  # bottom and top frame
+    assert not g.frozen[0, 4] and not g.frozen[-1, 4]  # lateral wrap edge stays free
+    assert not g.frozen[3, 4]
 
 
 def test_periodic_axis_wraps_stencil(e2):

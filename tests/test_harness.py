@@ -161,6 +161,45 @@ def test_config_hash_follows_the_resolved_config(tmp_path):
     assert seed3 == threads1  # the config file itself says seed = 3
 
 
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ("seeds = 0 1", "seeds = 1.7 2.2"),
+        ("seeds = 0 1", "seeds = 0 1.0"),
+        ("seeds = 0 1", "seeds ="),
+        ("r_list = 4 8", "r_list ="),
+        ("a_range = 0.9 1.1", "a_range = 0.9"),
+        ("b_range = 0.0 0.05", "b_range = 0.0 0.05 0.1"),
+        ("c_range = 0.9 1.1", "c_range = 0.9 1.1 1.3"),
+    ],
+)
+def test_config_number_lists_are_read_exactly(tmp_path, old, new):
+    path, _ = write_config(tmp_path, GOOD_CONFIG.replace(old, new))
+    with pytest.raises(ConfigError):
+        load_config(path)
+    assert main(["cell", "--config", path]) == 2
+
+
+def test_cli_verify_records_every_property_in_the_manifest(tmp_path):
+    path, out = write_config(tmp_path)
+    assert main(["verify", "--config", path]) == 0
+    manifest = json.loads(Path(out, "manifest.json").read_text())
+    work_ids = [rec["work_id"] for rec in manifest["records"]]
+    assert len(work_ids) == 9
+    assert len(set(work_ids)) == 9
+    assert all(w.startswith("verify/") for w in work_ids)
+    assert {rec["seed"] for rec in manifest["records"]} == {3}  # [environment] seed
+
+
+def test_every_exported_name_resolves():
+    import importlib
+
+    for name in ("core", "geometry", "environment", "grids", "solve", "cell", "harness"):
+        module = importlib.import_module(f"homlab.{name}")
+        missing = [n for n in module.__all__ if not hasattr(module, n)]
+        assert missing == [], f"homlab.{name}.__all__ names {missing}"
+
+
 def test_cli_config_error_exit_code(tmp_path):
     path = tmp_path / "broken.ini"
     path.write_text("[experiment]\nh = 0.25\nepsilon_list = 0.5\n")

@@ -5,7 +5,7 @@ from homlab.cell import cell_problem_r
 from homlab.environment import EnvironmentSpec, make_environment
 from homlab.geometry import Direction, OrientedCube
 from homlab.grids import EnergyModel, EnergyParams, box_grid, cube_grid, frame_width_for, profile_field
-from homlab.solve import DivergenceError, SolverConfig, _axis_basis, _transform, glue_fields, minimize_energy
+from homlab.solve import DivergenceError, SolverConfig, _axis_basis, _transform, minimize_energy
 
 from _oracles import line_constant
 
@@ -219,74 +219,3 @@ def test_indefinite_model_falls_back_to_gradient_metric(e2, q, metric):
     res = minimize_energy(grid, env_mplus(q), EnergyParams(1.0, "m_minus"), SolverConfig(restarts=0, max_iters=5))
     assert res.diagnostics["metric"] == metric
 
-
-# ---------------------------------------------------------------------------
-# glue_fields
-# ---------------------------------------------------------------------------
-
-
-def _box_fields(e2, delta):
-    from homlab.grids import box_grid
-
-    def make(lo_v):
-        g = box_grid(e2, (-4.0, lo_v), (8.0, 8.0), 0.25)
-        pts = g.local_points()
-        g.values[...] = np.tanh(pts[..., 1])
-        return g, pts
-
-    u, _ = make(-6.0)
-    v, pts_v = make(-2.0)
-    v.values[...] += delta * np.exp(-(pts_v[..., 0] ** 2 + pts_v[..., 1] ** 2) / 4.0)
-    return u, v
-
-
-def test_glue_equal_fields_pass_through(e2):
-    u, v = _box_fields(e2, 0.0)
-    v.values[...] = np.tanh(v.local_points()[..., 1])
-    u.values[:, 16:] = v.values[:, :16]  # make the overlap bit-identical
-    w = glue_fields(u, v, axis=1, blend_lo=-1.0, blend_hi=1.0)
-    i0 = int(round((-2.0 - w.lo[1]) / w.h))
-    assert np.array_equal(w.values[:, i0 : i0 + 16], u.values[:, 16:])
-
-
-def test_glue_constants(e2):
-    from homlab.grids import box_grid
-
-    u = box_grid(e2, (-2.0, -4.0), (4.0, 4.0), 0.25)
-    v = box_grid(e2, (-2.0, -2.0), (4.0, 4.0), 0.25)
-    u.values[...] = 1.0
-    v.values[...] = 1.0
-    w = glue_fields(u, v, axis=1, blend_lo=-1.5, blend_hi=-0.5)
-    assert np.array_equal(w.values, np.ones_like(w.values))
-
-
-def test_glue_requires_wide_enough_overlap(e2):
-    u, v = _box_fields(e2, 0.0)
-    with pytest.raises(ValueError):
-        glue_fields(u, v, axis=1, blend_lo=-0.25, blend_hi=0.25)
-
-
-def test_glue_rejects_mismatched_grids(e2):
-    from homlab.grids import box_grid
-
-    u = box_grid(e2, (-2.0, -4.0), (4.0, 4.0), 0.25)
-    v = box_grid(e2, (-2.0, -2.0), (4.0, 4.0), 0.125)
-    with pytest.raises(ValueError):
-        glue_fields(u, v, axis=1, blend_lo=-1.5, blend_hi=-0.5)
-
-
-def test_glue_excess_vanishes_as_fields_agree(e2):
-    # energy of the blend is controlled by the pair energies plus a defect that
-    # shrinks as the two fields approach each other on the overlap
-    env = env_mplus(0.05)
-    params = EnergyParams(1.0, "general")
-    excesses = []
-    for delta in (0.3, 0.1, 0.03, 0.0):
-        u, v = _box_fields(e2, delta)
-        w = glue_fields(u, v, axis=1, blend_lo=-1.0, blend_hi=1.0)
-        e_w = EnergyModel(w, env, params).energy(w.values)
-        e_u = EnergyModel(u, env, params).energy(u.values)
-        e_v = EnergyModel(v, env, params).energy(v.values)
-        excesses.append(e_w - e_u - e_v)
-    assert all(b <= a + 1e-12 for a, b in zip(excesses, excesses[1:]))
-    assert excesses[-1] <= 0.0  # nonnegative overlap integrand is double counted
