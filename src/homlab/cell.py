@@ -282,6 +282,7 @@ def _cell_records(cells, cfg: SolverConfig) -> list[CellRecord]:
                     "iters": res.iters,
                     "grad_norm": res.final_grad_norm,
                     "converged": res.converged,
+                    "stop_reason": res.diagnostics["stop_reason"],
                     "wall_ms": res.diagnostics["wall_ms"],
                     "batch": res.diagnostics["batch"],
                     "h": h,

@@ -1,7 +1,8 @@
 """Command-line entry point: sigma | cell | homogenize | verify | sweep.
 
 Exit codes: 0 success, 1 property failure, 2 configuration error, 3 numerical
-divergence or no converged solve to estimate from.
+divergence or no converged solve to estimate from.  Every exit after the
+config loads writes manifest.json.
 """
 
 from __future__ import annotations
@@ -100,13 +101,13 @@ def main(argv=None) -> int:
                 code = EXIT_PROPERTY_FAILURE
     except DivergenceError as exc:
         print(f"numerical divergence: {exc}", file=sys.stderr)
-        return EXIT_DIVERGENCE
+        code = EXIT_DIVERGENCE
     except EstimateError as exc:
         print(f"no estimate: {exc}", file=sys.stderr)
-        return EXIT_DIVERGENCE
+        code = EXIT_DIVERGENCE
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
+        code = EXIT_CONFIG_ERROR
 
     write_json(os.path.join(cfg.out_dir, "manifest.json"), manifest.to_dict())
     return code

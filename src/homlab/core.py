@@ -51,6 +51,11 @@ class DoubleWell:
         s = np.asarray(s, dtype=float)
         return 4.0 * s * (s * s - 1.0)
 
+    def curvature(self, s):
+        """Second derivative of the potential, 12 s^2 - 4 (8 at the wells)."""
+        s = np.asarray(s, dtype=float)
+        return 12.0 * s * s - 4.0
+
 
 @dataclass(frozen=True)
 class TransitionProfile:

@@ -259,7 +259,9 @@ def write_cell_csv(path: str, records) -> None:
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["nu_deg", "r", "seed", "x0_index", "m_hat", "normalized", "iters", "grad_norm", "wall_ms"])
+        writer.writerow(
+            ["nu_deg", "r", "seed", "x0_index", "m_hat", "normalized", "iters", "grad_norm", "stop_reason", "wall_ms"]
+        )
         for rec, x0_index in records:
             writer.writerow(
                 [
@@ -271,6 +273,7 @@ def write_cell_csv(path: str, records) -> None:
                     _fmt(rec.normalized),
                     rec.diagnostics.get("iters", ""),
                     _fmt(rec.diagnostics.get("grad_norm", float("nan"))),
+                    rec.diagnostics.get("stop_reason", ""),
                     _fmt(round(rec.diagnostics.get("wall_ms", 0.0), 3)),
                 ]
             )

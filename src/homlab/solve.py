@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import math
 import time
 from dataclasses import dataclass, field
@@ -144,51 +145,161 @@ def _transform(mats, x: np.ndarray) -> np.ndarray:
     return x
 
 
-class _Metric:
-    """The descent metric P of a batch: directions are d = P^-1 g and steps are measured in s'Ps.
+# floor of the interface modes' curvature, as a fraction of the model's own (README "Solver note")
+SOFT_FLOOR = 0.2
 
-    On the bounding box of the free nodes, P is diagonal in a tensor product of
-    closed-form axis bases, with the symbol vol*(2(c eps^3 L^2 + b eps L) + 8a/eps)
-    (L the sum of the per-axis Laplacian eigenvalues, a, b, c the coefficient
-    means of each member): the energy Hessian at u = +-1 for constant
-    coefficients.  The bases are shared by the batch, the symbol is per member.
+
+class _Metric:
+    """The descent metric M of a batch: directions are d = M^-1 g and steps are measured in s'Ms.
+
+    On the bounding box of the free nodes, the base model P is diagonal in a
+    tensor product of closed-form axis bases, with the symbol
+    vol*(2(c eps^3 L^2 + b eps L) + W''(1) a/eps) (L the sum of the per-axis
+    Laplacian eigenvalues, a, b, c the coefficient means of each member): the
+    energy Hessian at u = +-1 for constant coefficients.  The bases are shared
+    by the batch, the symbol is per member.
+
+    With lateral axes (n >= 2), M corrects P on the interface's soft modes
+    (`_Interface`), rebuilt from the current u by every `direction`; `norm2`
+    measures in the metric of the last direction.
+
     A member whose symbol is not positive on the spectrum (e.g. the minus
-    comparison energy at large q) falls back to P = I/_initial_step, which
+    comparison energy at large q) falls back to M = I/_initial_step, which
     makes its descent the plain two-point gradient method.  One _Metric holds
     members of one kind; `_metrics` splits a batch by kind.
     """
 
-    def __init__(self, frozen: np.ndarray, box=None, bases=None, symbol=None, t_init=None):
+    def __init__(self, frozen: np.ndarray, box=None, bases=None, symbol=None, t_init=None, interface=None):
         self.frozen = frozen
-        self.box, self.bases, self.symbol, self.t_init = box, bases, symbol, t_init
+        self.box, self.bases, self.symbol, self.t_init, self.interface = box, bases, symbol, t_init, interface
         if box is None:
             self.name = "gradient"
         else:
             self.name = "preconditioned"
             self.bases_t = [q.T for q in bases]
+            self.free_box = not frozen[box[1:]].any()  # then d needs no re-zeroing and s = -t d
+        self._modes = None
 
     def take(self, members) -> "_Metric":
         """The metric of the members at the given indices."""
         if self.box is None:
             return _Metric(self.frozen, t_init=self.t_init[members])
-        return _Metric(self.frozen, self.box, self.bases, self.symbol[members])
+        interface = None if self.interface is None else self.interface.take(members)
+        return _Metric(self.frozen, self.box, self.bases, self.symbol[members], interface=interface)
 
-    def direction(self, g: np.ndarray) -> np.ndarray:
-        """d = P^-1 g, zero at frozen nodes."""
+    def direction(self, g: np.ndarray, u: np.ndarray):
+        """(d, g'd): d = M^-1 g at u, zero at frozen nodes.
+
+        g'd is per member, shaped (members, 1, ...), and given only where it
+        equals s'Ms / t^2 for the step s = -t d; else it is None.
+        """
         if self.box is None:
-            return self.t_init * g
+            return self.t_init * g, None
         d = np.zeros_like(g)
-        coef = _transform(self.bases_t, g[self.box]) / self.symbol
+        g_hat = _transform(self.bases_t, g[self.box])
+        coef = g_hat / self.symbol
+        if self.interface is not None:
+            self._modes = self.interface.modes(u)
+            phi, weight, _ = self._modes
+            coef += (weight * (g_hat @ phi[..., None])) * phi[..., None, :]
         d[self.box] = _transform(self.bases, coef)
-        np.copyto(d, 0.0, where=self.frozen)
-        return d
+        if self.interface is None or not self.free_box:
+            np.copyto(d, 0.0, where=self.frozen)
+            return d, None
+        # the box holds no frozen node and d is 0 outside it
+        return d, g.reshape(len(g), 1, -1) @ d.reshape(len(d), -1, 1)
 
     def norm2(self, s: np.ndarray) -> np.ndarray:
-        """s'Ps per member, shaped (members, 1, ...)."""
+        """s'Ms per member, shaped (members, 1, ...), in the metric of the last direction."""
         if self.box is None:
             return _row_sums(s * s) / self.t_init
         coef = _transform(self.bases_t, s[self.box])
-        return _row_sums(self.symbol * coef * coef)
+        scaled = self.symbol * coef
+        out = _row_sums(scaled * coef)
+        if self._modes is not None:
+            phi, weight, p = self._modes
+            proj = scaled @ phi[..., None]
+            out -= _row_sums(weight / (1.0 + weight * p) * proj * proj)  # gamma_k in the scale of phi
+        return out
+
+
+class _Interface:
+    """The interface's soft modes in a box, and the metric's correction on them.
+
+    An interface across the box slides along the normal (the last axis) at
+    almost no cost, once per lateral wavenumber k: the field changes by phi,
+    the unit central difference of the lateral mean u_bar of u over the box.
+    P cannot see this, as it models the Hessian at u = +-1.  With phi_hat the
+    coordinates of phi in the normal basis, P's curvature along phi_hat in
+    lateral mode k is p_k = sum_j symbol[k, j] phi_hat_j^2, closed form in the
+    lateral eigenvalue from the moments of the normal eigenvalues mu_j under
+    phi_hat^2.  The well term's curvature along phi differs from P's by
+    delta = vol a/eps sum_y (W''(u_bar_y) - W''(1)) phi_y^2.  M replaces p_k
+    by alpha_k = max(p_k + delta, SOFT_FLOOR p_k):
+        M_k = P_k - gamma_k P_k phi_hat phi_hat' P_k,  gamma_k = (p_k - alpha_k) / p_k^2,
+        M_k^-1 = P_k^-1 + (1/alpha_k - 1/p_k) phi_hat phi_hat',
+    which stays SPD.  A member whose phi is zero or not finite gets no
+    correction.  Every reduction is per member (stacked matmuls and
+    reductions over the member's own rows), so members keep their bits.
+    """
+
+    def __init__(self, model: EnergyModel, box: tuple, q_normal: np.ndarray, mu: np.ndarray, lam_lateral, abc):
+        size = model.shape[-1]
+        rows = np.arange(size)[box[-1]]  # box[0] is the member axis
+        if model.periodic[-1]:
+            self.up, self.down = (rows + 1) % size, (rows - 1) % size
+        else:
+            self.up, self.down = np.minimum(rows + 1, size - 1), np.maximum(rows - 1, 0)
+        self.rows = box[-1]
+        self.lateral_box = box[:-1] + (slice(None),)
+        # `w @ x` averages the last lateral axis of x; the last one first
+        self.lateral_means = [np.full(b.stop - b.start, 1.0 / (b.stop - b.start)) for b in box[-2:0:-1]]
+        self.q_normal_t = q_normal.T
+        self.mu_powers = np.stack([np.ones_like(mu), mu, mu * mu], axis=1)
+        self.lateral_shape = (-1,) + lam_lateral.shape  # (members, *lateral box, 1)
+        self.phi_shape = (-1,) + (1,) * (lam_lateral.ndim - 2) + (len(rows),)
+        self.well = model.well
+        self.curvature_at_wells = model.well.curvature(1.0)
+        a, b, c = abc  # coefficient means, (members, 1, ..., 1)
+        eps, vol = model.eps, model.cell_volume
+        lam = lam_lateral.reshape(1, 1, -1)
+        big_a, big_b = (2.0 * vol * v.reshape(-1, 1, 1) for v in (c * eps**3, b * eps))
+        self.well_weight = (vol * a / eps).reshape(-1, 1, 1)
+        # the symbol A (lam + mu)^2 + B (lam + mu) + C by powers of mu, so that
+        # p_k |phi|^2 = [m0, m1, m2] @ poly[..., k] for the moments m_i = sum_j mu_j^i phi_hat_j^2
+        big_c = self.well_weight * self.curvature_at_wells
+        terms = ((big_a * lam + big_b) * lam + big_c, 2.0 * big_a * lam + big_b, big_a)
+        self.poly = np.concatenate(np.broadcast_arrays(*terms), axis=1)
+
+    def take(self, members) -> "_Interface":
+        other = copy.copy(self)
+        other.poly, other.well_weight = self.poly[members], self.well_weight[members]
+        return other
+
+    def modes(self, u: np.ndarray) -> tuple:
+        """(phi_hat, 1/alpha - 1/p, p) at u, shaped to broadcast against coefficient arrays.
+
+        phi_hat is (members, 1, ..., m) over the box's normal rows; the other
+        two are (members, *lateral box, 1).  Here phi is left unnormalized and
+        p, alpha are scaled by |phi|^2 to match, which gives the same M.
+        """
+        u_bar = u[self.lateral_box]
+        for w in self.lateral_means:
+            u_bar = w @ u_bar
+        phi = u_bar.take(self.up, axis=-1)  # `u_bar[:, up]` would come back column-major
+        phi -= u_bar.take(self.down, axis=-1)
+        phi_hat = (self.q_normal_t @ phi[..., None])[..., 0]
+        p = ((phi_hat * phi_hat)[:, None, :] @ self.mu_powers) @ self.poly
+        drop = self.well.curvature(u_bar[:, self.rows]) - self.curvature_at_wells
+        phi *= phi
+        delta = self.well_weight * (drop[:, None, :] @ phi[..., None])
+        # phi = 0 gives p = 0 and a NaN phi (u is clipped, so never infinite) a NaN p: no correction there
+        keep = p > 0.0
+        p = np.where(keep, p, 1.0)
+        alpha = np.maximum(p + delta, SOFT_FLOOR * p)
+        weight = np.where(keep, 1.0 / alpha - 1.0 / p, 0.0)
+        phi_hat = np.where(keep[:, 0, :1], phi_hat, 0.0)
+        return phi_hat.reshape(self.phi_shape), weight.reshape(self.lateral_shape), p.reshape(self.lateral_shape)
 
 
 def _metrics(model: EnergyModel, free: np.ndarray) -> list:
@@ -215,12 +326,18 @@ def _metrics(model: EnergyModel, free: np.ndarray) -> list:
             lams.append(lam.reshape(shape))
         lam = sum(lams)
         eps = model.eps
-        a, b, c = (np.mean(v, axis=_per_member(v), keepdims=True) for v in (model.a, model.b, model.c))
-        symbol = model.cell_volume * (2.0 * (c * eps**3 * lam * lam + b * eps * lam) + 8.0 * a / eps)
+        abc = [np.mean(v, axis=_per_member(v), keepdims=True) for v in (model.a, model.b, model.c)]
+        a, b, c = abc
+        at_wells = model.well.curvature(1.0)
+        symbol = model.cell_volume * (2.0 * (c * eps**3 * lam * lam + b * eps * lam) + at_wells * a / eps)
         positive = np.min(symbol, axis=_per_member(symbol)) > 0.0
     kinds = []
     if positive.any():
-        kinds.append((members[positive], _Metric(~free, tuple(box), bases, symbol[positive])))
+        box, interface = tuple(box), None
+        if model.n >= 2:
+            abc = [v[positive] for v in abc]
+            interface = _Interface(model, box, bases[-1], lams[-1].ravel(), sum(lams[:-1]), abc)
+        kinds.append((members[positive], _Metric(~free, box, bases, symbol[positive], interface=interface)))
     if not positive.all():
         t_init = _initial_step(model)[~positive].reshape((-1,) + (1,) * model.n)
         kinds.append((members[~positive], _Metric(~free, t_init=t_init)))
@@ -228,10 +345,12 @@ def _metrics(model: EnergyModel, free: np.ndarray) -> list:
 
 
 def _descend(model: EnergyModel, metric: _Metric, u0: np.ndarray, cfg: SolverConfig, grad_tol: float):
-    """Two-point (Barzilai-Borwein) iteration in the metric P with best-so-far tracking, in lockstep.
+    """Two-point (Barzilai-Borwein) iteration in the metric M with best-so-far tracking, in lockstep.
 
-    Directions are d = P^-1 g and the step is t = s'Ps / s'y (t = 1 at the
-    start), so with P = I/t0 this is the plain two-point gradient method.  The
+    Directions are d = M^-1 g and the step is t = s'Ms / s'y (t = 1 at the
+    start), so with M = I/t0 this is the plain two-point gradient method.
+    Where the metric gives g'd and the clip left s = -t d alone, s'Ms is
+    t^2 g'd and costs no transform; else it is measured exactly.  The
     raw trajectory may oscillate (that is what makes the two-point step fast);
     accepted states are the best-so-far ones, so the reported energy sequence
     is nonincreasing.  A blow-up beyond the best energy by a wide margin resets
@@ -280,9 +399,13 @@ def _descend(model: EnergyModel, metric: _Metric, u0: np.ndarray, cfg: SolverCon
             t, best_e, gnorm, resets, ids = ([x[k] for k in keep] for x in (t, best_e, gnorm, resets, ids))
             converged, failed = [False] * len(keep), [False] * len(keep)
         iters += 1
-        trial = metric.direction(grad)
+        trial, gd = metric.direction(grad, u)
         trial *= np.reshape(t, each)
         np.subtract(u, trial, out=trial)
+        if gd is not None:
+            # s'Ms = t^2 g'd while s = -t d; a member the clip shortens needs the exact s'Ms
+            ps = [tk * tk * x for tk, x in zip(t, gd.ravel().tolist())]
+            clipped = (_row_max_abs(trial) > U_CAP).tolist()
         np.clip(trial, -U_CAP, U_CAP, out=trial)
         e_trial, grad_new = model.value_and_gradient(trial)
         energy = e_trial.tolist()
@@ -308,7 +431,10 @@ def _descend(model: EnergyModel, metric: _Metric, u0: np.ndarray, cfg: SolverCon
         y = grad_new - grad
         y *= s
         sy = _row_sums(y).ravel().tolist()
-        ps = metric.norm2(s).ravel().tolist()
+        if gd is None:
+            ps = metric.norm2(s).ravel().tolist()
+        elif any(clipped):
+            ps = [x if c else p for x, c, p in zip(metric.norm2(s).ravel().tolist(), clipped, ps)]
         u, grad = trial, grad_new
         gnorm = _row_max_abs(grad).tolist()
         improved = []

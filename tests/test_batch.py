@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from homlab import cell
+from homlab import cell, solve
 from homlab.cell import EstimateError, cell_problem_r, ergodic_average, sigma_pair
 from homlab.cli import main
 from homlab.core import DoubleWell
@@ -33,12 +33,12 @@ def profile_cell(seed, degrees, x0, r=8.0, h=0.25):
     return grid, make_environment(CHECKERBOARD.with_seed(seed)), EnergyParams(1.0, "general")
 
 
-def random_starts(qs, seed=0):
+def random_starts(qs, seed=0, amplitudes=None):
     rng = np.random.default_rng(seed)
     problems = []
-    for q in qs:
+    for q, amplitude in zip(qs, amplitudes or [1.5] * len(qs)):
         grid = box_grid(Direction.from_integers(0, 1), (0.0, 0.0), (1.0, 1.0), 1.0 / 16.0)
-        grid.values[...] = rng.uniform(-1.5, 1.5, grid.shape)
+        grid.values[...] = rng.uniform(-amplitude, amplitude, grid.shape)
         problems.append((grid, make_environment(EnvironmentSpec(q=q)), EnergyParams(1.0, "m_minus")))
     return problems
 
@@ -54,6 +54,10 @@ CASES = {
     "restarts": (MIXED_CELLS[:3], SolverConfig(restarts=2, max_iters=400, grad_tol=6.25e-5, noise_seed=5)),
     # q = 50 starts fall back to the gradient metric; q = 0.05 ones are preconditioned
     "positivity-starts": (random_starts((50.0, 0.05, 50.0, 0.05)), SolverConfig(restarts=0, max_iters=3000)),
+    # starts near the value cap: some first trials are clipped, so their s'Ms is measured exactly
+    "clipped-starts": (
+        random_starts((0.05,) * 3, amplitudes=(2.9, 1.5, 2.9)), SolverConfig(restarts=0, max_iters=3000)
+    ),
 }
 
 
@@ -78,6 +82,17 @@ def test_batch_matches_each_member_solved_alone(case):
         assert {res.diagnostics["stop_reason"] for res in together} == {"converged", "max_iters"}
     if case == "positivity-starts":
         assert [res.diagnostics["metric"] for res in together] == ["gradient", "preconditioned"] * 2
+
+
+def test_clipped_trials_are_measured_exactly(monkeypatch):
+    problems, cfg = CASES["clipped-starts"]
+    exact = []
+    norm2 = solve._Metric.norm2
+    monkeypatch.setattr(solve._Metric, "norm2", lambda self, s: exact.append(len(s)) or norm2(self, s))
+    for k, clipped in ((2, True), (1, False)):
+        exact.clear()
+        minimize_energy(*problems[k], cfg)
+        assert bool(exact) == clipped  # only a clipped trial needs the exact s'Ms
 
 
 def test_solve_many_groups_by_geometry_and_keeps_submission_order():

@@ -1,3 +1,4 @@
+import csv
 import json
 from pathlib import Path
 
@@ -94,7 +95,7 @@ def test_run_cell_emits_deterministic_csv(tmp_path):
     # byte-identical up to the wall-clock column (the only timing field)
     strip = lambda lines: ["," .join(line.split(",")[:-1]) for line in lines]
     assert strip(first) == strip(second)
-    assert first[0] == "nu_deg,r,seed,x0_index,m_hat,normalized,iters,grad_norm,wall_ms"
+    assert first[0] == "nu_deg,r,seed,x0_index,m_hat,normalized,iters,grad_norm,stop_reason,wall_ms"
     assert len(first) == 1 + 2 * 2 * 2  # nu x r x seeds
 
 
@@ -141,6 +142,30 @@ def test_cli_homogenize_without_converged_solve_exits_3(tmp_path):
     with pytest.warns(UserWarning, match="non-converged"):
         assert main(["homogenize", "--config", path]) == 3
     assert not Path(out, "fhom.json").exists()
+
+
+def test_cli_exit_3_still_writes_the_manifest(tmp_path):
+    text = GOOD_CONFIG.replace("max_iters = 4000", "max_iters = 1").replace("nu_list = 0 p:3,4", "nu_list = 90")
+    path, out = write_config(tmp_path, text)
+    with pytest.warns(UserWarning, match="non-converged"):
+        assert main(["homogenize", "--config", path, "--seed", "5"]) == 3
+    manifest = json.loads(Path(out, "manifest.json").read_text())
+    assert manifest["command"] == "homogenize"
+    assert manifest["config_hash"] == load_config(path, {"seed": 5}).config_hash  # the resolved config
+    assert manifest["config_hash"] != load_config(path).config_hash
+
+
+def test_cell_csv_says_why_each_solve_stopped(tmp_path):
+    path, out = write_config(tmp_path)
+    assert main(["cell", "--config", path]) == 0
+    rows = list(csv.DictReader(Path(out, "cell.csv").open()))
+    assert {row["stop_reason"] for row in rows} == {"converged"}
+    path, out = write_config(tmp_path, GOOD_CONFIG.replace("max_iters = 4000", "max_iters = 1"))
+    assert main(["cell", "--config", path]) == 0
+    rows = list(csv.DictReader(Path(out, "cell.csv").open()))
+    assert len(rows) == 8
+    assert {row["stop_reason"] for row in rows} == {"max_iters"}
+    assert all(row["iters"] == "1" for row in rows)
 
 
 def test_homogenize_records_carry_their_x0_index(tmp_path):

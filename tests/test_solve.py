@@ -1,13 +1,19 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from homlab.cell import cell_problem_r
 from homlab.environment import EnvironmentSpec, make_environment
 from homlab.geometry import Direction, OrientedCube
-from homlab.grids import EnergyModel, EnergyParams, box_grid, cube_grid, frame_width_for, profile_field
+from homlab import solve
+from homlab.grids import (
+    EnergyModel, EnergyParams, box_grid, cube_grid, frame_width_for, profile_field, profile_values,
+)
 from homlab.solve import DivergenceError, SolverConfig, _axis_basis, _transform, minimize_energy
 
 from _oracles import line_constant
+from test_batch import MIXED_CELLS
 
 
 def env_mplus(q=1.0):
@@ -219,3 +225,124 @@ def test_indefinite_model_falls_back_to_gradient_metric(e2, q, metric):
     res = minimize_energy(grid, env_mplus(q), EnergyParams(1.0, "m_minus"), SolverConfig(restarts=0, max_iters=5))
     assert res.diagnostics["metric"] == metric
 
+
+# ---------------------------------------------------------------------------
+# The interface correction of the descent metric
+# ---------------------------------------------------------------------------
+
+
+def _batch_metric(problems):
+    initials, envs, params = zip(*problems)
+    model = EnergyModel(list(initials), list(envs), params[0])
+    ((_, metric),) = solve._metrics(model, initials[0].free_mask())
+    return model, metric, np.stack([f.values for f in initials])
+
+
+@pytest.mark.parametrize("case", ["mixed r = 8, datum + noise", "mixed r = 8, solved", "wrapped r = 16, solved"])
+def test_interface_metric_is_one_spd_form(case):
+    problems = [_wrapped_cell(0, 0, 16)] if case.startswith("wrapped") else MIXED_CELLS
+    model, metric, u = _batch_metric(problems)
+    if case.endswith("solved"):  # a relaxed interface: wide, so its sliding modes are soft
+        initials, envs, params = zip(*problems)
+        u = np.stack([res.field.values for res in solve.minimize_batch(initials, envs, params[0], ACC)])
+    else:
+        free = problems[0][0].free_mask()
+        u[:, free] += 0.05 * np.random.default_rng(3).standard_normal(int(free.sum()))
+    g = model.gradient(u)
+    d, gd = metric.direction(g, u)
+    g_dot_d = np.sum(g * d, axis=(1, 2))
+    # d = M^-1 g with M the form norm2 measures in, so d'Md = g'd; gd is that number
+    np.testing.assert_allclose(metric.norm2(d).ravel(), g_dot_d, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(gd.ravel(), g_dot_d, rtol=1e-12, atol=0)
+    assert np.all(g_dot_d > 0)
+
+    # P's curvature along the unit phi_hat per lateral mode, and the corrected one, computed directly
+    rows = metric.box[-1]
+    u_bar = u[metric.box[:-1]].mean(axis=1)
+    phi = (u_bar[:, rows.start + 1 : rows.stop + 1] - u_bar[:, rows.start - 1 : rows.stop - 1]) / 2.0
+    phi /= np.linalg.norm(phi, axis=1, keepdims=True)
+    phi_hat = phi @ metric.bases[-1]
+    p = np.sum(metric.symbol * phi_hat[:, None, :] ** 2, axis=-1, keepdims=True)
+    w2 = 12.0 * u_bar[:, rows] ** 2 - 4.0 - 8.0  # W''(u_bar) - W''(1)
+    delta = model.cell_volume * model.a.mean(axis=(1, 2)) / model.eps * np.sum(w2 * phi * phi, axis=1)
+    expected = np.maximum(p + delta[:, None, None], solve.SOFT_FLOOR * p)
+
+    phi_raw, weight, p_raw = metric._modes
+    scale = np.sum(phi_raw * phi_raw, axis=-1)[:, None, None]  # modes leave phi unnormalized
+    alpha = 1.0 / (weight * scale + 1.0 / p)
+    np.testing.assert_allclose(p_raw / scale, p, rtol=1e-10)  # the closed form in the lateral eigenvalue
+    np.testing.assert_allclose(alpha, expected, rtol=1e-9)
+    assert np.all(alpha >= solve.SOFT_FLOOR * p * (1 - 1e-12))
+    floored = np.isclose(alpha, solve.SOFT_FLOOR * p, rtol=1e-9, atol=0)
+    if case == "mixed r = 8, solved":
+        assert np.any(alpha < 0.5 * p) and not floored.any()  # softer, above the floor
+    if case.startswith("wrapped"):
+        assert floored[0, :3].all()  # the lowest sliding modes sit on the floor
+
+
+def _flat_mean_cell():
+    # 8 x 3 nodes, wrapped laterally; the two frozen rows carry the same data, so
+    # the lateral means above and below the one free row agree: phi = 0 throughout
+    grid = box_grid(Direction.from_integers(0, 1), (0.0, 0.0), (2.0, 0.75), 0.25, frame_width=0.25,
+                    periodic_axes=(True, False))
+    rng = np.random.default_rng(4)
+    edge = rng.uniform(-1.0, 1.0, grid.shape[0])
+    grid.values[:, 0] = grid.values[:, 2] = edge
+    grid.values[:, 1] = rng.uniform(-1.0, 1.0, grid.shape[0])
+    env = make_environment(EXAMPLE_CHECKERBOARD)
+    return grid, env, EnergyParams(1.0, "general")
+
+
+def test_member_with_a_flat_lateral_mean_solves_unchanged(monkeypatch):
+    problem = _flat_mean_cell()
+    model, metric, u = _batch_metric([problem])
+    phi, weight, _ = metric.interface.modes(u)
+    assert not phi.any() and not weight.any()
+    cfg = SolverConfig(restarts=0, max_iters=200, grad_tol=1e-8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no 0/0 on the way
+        res = minimize_energy(*problem, cfg)
+    assert res.converged and np.isfinite(res.value)
+
+    modes = solve._Interface.modes
+
+    def without_correction(self, u):
+        phi, weight, p = modes(self, u)
+        return np.zeros_like(phi), np.zeros_like(weight), p
+
+    monkeypatch.setattr(solve._Interface, "modes", without_correction)
+    plain = minimize_energy(*problem, cfg)
+    assert (res.value, res.iters, res.final_grad_norm) == (plain.value, plain.iters, plain.final_grad_norm)
+    assert np.array_equal(res.field.values, plain.field.values)
+
+
+def _wrapped_cell(degrees, seed, r):
+    cube = OrientedCube((0.0, 0.0), float(r), Direction.from_angle_degrees(degrees))
+    grid = cube_grid(cube, 0.25, frame_width_for(0.25, 1.0, "cell"), periodic_lateral=True)
+    grid.values[...] = profile_values(grid, 1.0)
+    return grid, make_environment(EXAMPLE_CHECKERBOARD.with_seed(seed)), EnergyParams(1.0, "general")
+
+
+def test_e1_seed_24_leaves_its_plateau():
+    # the mean-coefficient metric took 469 iterations here, most of them on a
+    # plateau 2.5e-3 above the minimum while the interface slid along e1
+    env = make_environment(EXAMPLE_CHECKERBOARD.with_seed(24))
+    rec = cell_problem_r(env, Direction.from_angle_degrees(90), 32, (0.0, 0.0), ACC, 0.25)
+    assert rec.converged
+    assert rec.diagnostics["iters"] <= 250
+    assert rec.m_hat <= 188.380500 * (1 + 1e-5)  # the value before the correction, as an upper bound
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_wrapped_e2_cells_converge(seed):
+    # a wrapped interface may slide freely: 226 and 220 iterations without the correction
+    res = minimize_energy(*_wrapped_cell(0, seed, 16), ACC)
+    assert res.converged
+    assert res.iters <= 150
+
+
+def test_45_degree_seed_4_converges():
+    # with a floor of 0.01 on the corrected curvature it ran to max_iters
+    env = make_environment(EXAMPLE_CHECKERBOARD.with_seed(4))
+    rec = cell_problem_r(env, Direction.from_angle_degrees(45), 32, (0.0, 0.0), ACC, 0.25)
+    assert rec.converged
