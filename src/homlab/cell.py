@@ -46,7 +46,7 @@ __all__ = [
     "mu_nu",
     "glued_partition_energy",
     "f_hom_estimate",
-    "f_hom_estimates",
+    "f_hom_reduce",
     "ergodic_average",
     "verify_positivity",
     "bounds_check",
@@ -67,13 +67,18 @@ class EstimateError(RuntimeError):
 
 @dataclass
 class CellRecord:
-    """One solved cell problem and its normalized value (an f_hom sample)."""
+    """One solved cell problem and its normalized value (an f_hom sample).
+
+    `x0_index` is the index of `x0` in the center list the cell was expanded
+    from; with nu and r it names the cell in `work_id`.
+    """
 
     nu: Direction
     r: float
     epsilon: float
     seed: int
     x0: tuple[float, ...]
+    x0_index: int
     m_hat: float
     normalized: float
     diagnostics: dict = field(default_factory=dict)
@@ -81,6 +86,10 @@ class CellRecord:
     @property
     def converged(self) -> bool:
         return bool(self.diagnostics.get("converged", False))
+
+    @property
+    def work_id(self) -> str:
+        return f"nu={self.nu.angle_degrees():g}/r={self.r:g}/x0={self.x0_index}"
 
 
 @dataclass
@@ -254,7 +263,7 @@ def sigma_pair(
 
 
 def _cell_records(cells, cfg: SolverConfig) -> list[CellRecord]:
-    """Solve profile cells (env, nu, x0, cube, epsilon, h) together; one CellRecord each, in order.
+    """Solve profile cells (env, nu, x0_index, x0, cube, epsilon, h) together; one CellRecord each, in order.
 
     The boundary datum is the width-epsilon transition ramp through the cube
     center.  A record's r is the cube side over epsilon and its normalized value
@@ -263,12 +272,12 @@ def _cell_records(cells, cfg: SolverConfig) -> list[CellRecord]:
     `batch` the batch size.
     """
     problems = []
-    for env, nu, x0, cube, epsilon, h in cells:
+    for env, nu, x0_index, x0, cube, epsilon, h in cells:
         grid = cube_grid(cube, h, frame_width_for(h, epsilon, "cell"))
         grid.values[...] = profile_values(grid, epsilon)
         problems.append((grid, env, EnergyParams(epsilon, "general")))
     records = []
-    for (env, nu, x0, cube, epsilon, h), res in zip(cells, solve_many(problems, cfg)):
+    for (env, nu, x0_index, x0, cube, epsilon, h), res in zip(cells, solve_many(problems, cfg)):
         records.append(
             CellRecord(
                 nu=nu,
@@ -276,6 +285,7 @@ def _cell_records(cells, cfg: SolverConfig) -> list[CellRecord]:
                 epsilon=epsilon,
                 seed=env.spec.seed,
                 x0=x0,
+                x0_index=x0_index,
                 m_hat=res.value,
                 normalized=res.value / cube.side ** (nu.n - 1),
                 diagnostics={
@@ -292,20 +302,38 @@ def _cell_records(cells, cfg: SolverConfig) -> list[CellRecord]:
     return records
 
 
-def cell_problems_r(cells, cfg: SolverConfig = SolverConfig(), h: float = 0.25) -> list[CellRecord]:
-    """cell_problem_r for every (env, nu, r, x0) of `cells`, solved together, records in order.
+def _unit_cell(env: Environment, nu: Direction, r: float, x0_index: int, x0, h: float) -> tuple:
+    """The _cell_records item of the unit-scale cell of side r centered at r*x0."""
+    if r < 4:
+        raise ValueError("cell problems need r >= 4")
+    x0 = tuple(float(v) for v in np.atleast_1d(x0))
+    return env, nu, x0_index, x0, OrientedCube(tuple(r * v for v in x0), float(r), nu), 1.0, h
 
-    Cells that share r (hence grid and frozen frame) form one group, whatever
-    their direction, environment or center.
+
+def cell_problems_r(
+    spec: EnvironmentSpec,
+    nus,
+    r_list,
+    seeds,
+    x0_list=None,
+    cfg: SolverConfig = SolverConfig(),
+    h: float = 0.25,
+) -> list[CellRecord]:
+    """cell_problem_r for every direction x r x seed x x0, solved together, records in that order.
+
+    Seed s samples the environment spec.with_seed(s); x0_list = None is the
+    origin alone.  Cells that share r (hence grid and frozen frame) form one
+    group, whatever their direction, environment or center.
     """
-    expanded = []
-    for env, nu, r, x0 in cells:
-        if r < 4:
-            raise ValueError("cell problems need r >= 4")
-        x0 = tuple(float(v) for v in np.atleast_1d(x0))
-        cube = OrientedCube(tuple(r * v for v in x0), float(r), nu)
-        expanded.append((env, nu, x0, cube, 1.0, h))
-    return _cell_records(expanded, cfg)
+    envs = {seed: make_environment(spec.with_seed(seed)) for seed in seeds}
+    cells = [
+        _unit_cell(envs[seed], nu, r, i, x0, h)
+        for nu in nus
+        for r in r_list
+        for seed in seeds
+        for i, x0 in enumerate(x0_list if x0_list is not None else ((0.0,) * nu.n,))
+    ]
+    return _cell_records(cells, cfg)
 
 
 def cell_problem_r(
@@ -321,7 +349,7 @@ def cell_problem_r(
     Boundary datum is the width-1 transition ramp through the center; the
     normalized value m_hat / r^(n-1) is one sample of the homogenized density.
     """
-    return cell_problems_r([(env, nu, r, x0)], cfg, h)[0]
+    return _cell_records([_unit_cell(env, nu, r, 0, x0, h)], cfg)[0]
 
 
 def eps_scaled_cell(
@@ -344,7 +372,7 @@ def eps_scaled_cell(
     if h is None:
         h = epsilon / 4.0
     x0 = tuple(float(v) for v in np.atleast_1d(x0))
-    (rec,) = _cell_records([(env, nu, x0, OrientedCube(x0, float(rho), nu), epsilon, h)], cfg)
+    (rec,) = _cell_records([(env, nu, 0, x0, OrientedCube(x0, float(rho), nu), epsilon, h)], cfg)
     rec.diagnostics["rho"] = rho
     return rec
 
@@ -466,59 +494,37 @@ def _fit_limit(rs: np.ndarray, values: np.ndarray) -> float:
     return float(coef[0])
 
 
-def f_hom_estimates(
-    spec: EnvironmentSpec,
-    nus,
-    r_schedule,
-    seeds,
-    x0_list=None,
-    cfg: SolverConfig = SolverConfig(),
-    h: float = 0.25,
-) -> list[FHomEstimate]:
-    """f_hom_estimate for every direction of `nus`, with all their cells solved together."""
-    r_schedule = tuple(sorted(float(r) for r in r_schedule))
-    if r_schedule[0] < 4:
-        raise ValueError("r schedule must start at 4 or above")
+def _converged(records) -> list[CellRecord]:
+    """The converged records of `records`, in order; each other one is excluded with a warning."""
+    for rec in records:
+        if not rec.converged:
+            warnings.warn(f"excluding non-converged solve (seed={rec.seed}, {rec.work_id})")
+    return [rec for rec in records if rec.converged]
+
+
+def f_hom_reduce(nu: Direction, r_schedule, seeds, records) -> FHomEstimate:
+    """f_hom for direction nu from the records of its cells, grouped by their own nu, seed and r.
+
+    Per seed, the x0-averaged normalized values are extrapolated in 1/r over the
+    top three scales of r_schedule; the estimate is the mean of the per-seed
+    limits.  Records of other directions are ignored.
+    """
     if not seeds:
         raise ValueError("need at least one seed")
-    envs = [make_environment(spec.with_seed(seed)) for seed in seeds]
-    starts = [x0_list if x0_list is not None else ((0.0,) * nu.n,) for nu in nus]
-    cells = [
-        (env, nu, r, x0) for nu, x0s in zip(nus, starts) for env in envs for r in r_schedule for x0 in x0s
-    ]
-    records = iter(cell_problems_r(cells, cfg, h))
-    return [_f_hom_reduce(nu, r_schedule, seeds, x0s, records) for nu, x0s in zip(nus, starts)]
-
-
-def _f_hom_reduce(nu: Direction, r_schedule, seeds, x0_list, records) -> FHomEstimate:
-    """Per-seed 1/r limits from the next seed x r x x0 records of `records`."""
-    kept = []
+    r_schedule = tuple(sorted(float(r) for r in r_schedule))
+    mine = [rec for rec in records if rec.nu.nu == nu.nu]
+    values = {}
+    for rec in _converged(mine):
+        values.setdefault((rec.seed, rec.r), []).append(rec.normalized)
     per_seed_limit = {}
     x0_spread = {}
-    r_max = r_schedule[-1]
     for seed in seeds:
-        by_r = {}
-        top_r_values = []
-        for r in r_schedule:
-            vals = []
-            for i, x0 in enumerate(x0_list):
-                rec = next(records)
-                rec.diagnostics["x0_index"] = i
-                kept.append(rec)
-                if not rec.converged:
-                    warnings.warn(f"excluding non-converged solve (seed={seed}, r={r}, x0={x0})")
-                    continue
-                vals.append(rec.normalized)
-                if r == r_max:
-                    top_r_values.append(rec.normalized)
-            if vals:
-                by_r[r] = float(np.mean(vals))
+        by_r = {r: float(np.mean(values[seed, r])) for r in r_schedule if (seed, r) in values}
         if len(by_r) >= 2:
-            rs = np.array(sorted(by_r))
-            vs = np.array([by_r[r] for r in rs])
-            per_seed_limit[seed] = _fit_limit(rs, vs)
+            per_seed_limit[seed] = _fit_limit(np.array(list(by_r)), np.array(list(by_r.values())))
         elif by_r:
             per_seed_limit[seed] = next(iter(by_r.values()))
+        top_r_values = values.get((seed, r_schedule[-1]), [])
         if len(top_r_values) > 1:
             mean = float(np.mean(top_r_values))
             x0_spread[seed] = float((np.max(top_r_values) - np.min(top_r_values)) / abs(mean))
@@ -532,7 +538,7 @@ def _f_hom_reduce(nu: Direction, r_schedule, seeds, x0_list, records) -> FHomEst
         estimate=estimate,
         stderr=stderr,
         per_seed_limit=per_seed_limit,
-        records=kept,
+        records=mine,
         x0_spread=x0_spread,
         r_schedule=r_schedule,
     )
@@ -549,14 +555,14 @@ def f_hom_estimate(
 ) -> FHomEstimate:
     """Estimate the homogenized density for one normal direction.
 
-    For every (seed, r, x0) a unit-scale cell problem is solved; per-seed
+    For every (r, seed, x0) a unit-scale cell problem is solved; per-seed
     limits extrapolate the x0-averaged normalized values in 1/r over the top
     three scales (boundary-frame heuristic, reported alongside raw records).
     Non-converged solves are excluded with a warning; if none converged,
-    EstimateError is raised instead of returning a NaN estimate.  Each record's
-    diagnostics carry its `x0_index` into x0_list.
+    EstimateError is raised instead of returning a NaN estimate.
     """
-    return f_hom_estimates(spec, [nu], r_schedule, seeds, x0_list, cfg, h)[0]
+    records = cell_problems_r(spec, [nu], r_schedule, seeds, x0_list, cfg, h)
+    return f_hom_reduce(nu, r_schedule, seeds, records)
 
 
 def ergodic_average(
@@ -575,14 +581,7 @@ def ergodic_average(
     seeds = tuple(seeds)
     if len(seeds) < 2:
         raise ValueError("averaging needs at least two seeds")
-    origin = (0.0,) * nu.n
-    records = cell_problems_r([(make_environment(spec.with_seed(seed)), nu, r, origin) for seed in seeds], cfg, h)
-    values = []
-    for seed, rec in zip(seeds, records):
-        if not rec.converged:
-            warnings.warn(f"excluding non-converged solve (seed={seed}, r={r})")
-            continue
-        values.append(rec.normalized)
+    values = [rec.normalized for rec in _converged(cell_problems_r(spec, [nu], [r], seeds, None, cfg, h))]
     if len(values) < 2:
         raise EstimateError(f"fewer than two converged cell solves for nu = {nu.nu} at r = {r}")
     values = np.array(values)

@@ -66,12 +66,10 @@ def main(argv=None) -> int:
     code = EXIT_OK
     try:
         if args.command == "sigma":
-            payload = run_sigma(cfg)
+            payload = run_sigma(cfg, manifest)
             print(f"sigma-: {payload['sigma_minus']:.6g}   sigma+: {payload['sigma_plus']:.6g}")
         elif args.command == "cell":
-            records = run_cell(cfg)
-            for rec, x0_index in records:
-                manifest.add(f"cell/nu={rec.nu.angle_degrees():g}/r={rec.r:g}/x0={x0_index}", rec.seed)
+            records = run_cell(cfg, manifest)
             print(f"solved {len(records)} cell problems -> {cfg.out_dir}/cell.csv")
         elif args.command in ("homogenize", "sweep"):
             runner = run_homogenize if args.command == "homogenize" else run_sweep

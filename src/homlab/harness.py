@@ -21,11 +21,12 @@ from .grids import EnergyModel, EnergyParams, cube_grid
 from .solve import SolverConfig
 from .cell import (
     MINUS_VARIANT_Q_MAX,
+    CellRecord,
     bounds_check,
     cell_problems_r,
     eps_scaled_cell,
     f_hom_estimate,
-    f_hom_estimates,
+    f_hom_reduce,
     glued_partition_energy,
     mu_nu,
     sigma_pair,
@@ -54,16 +55,13 @@ class ConfigError(ValueError):
 
 
 def _parse_numbers(text: str, kind=float) -> tuple:
-    try:
-        return tuple(kind(tok) for tok in text.replace(",", " ").split())
-    except ValueError as exc:
-        raise ConfigError(f"cannot parse {kind.__name__} list {text!r}") from exc
+    return tuple(kind(tok) for tok in text.replace(",", " ").split())
 
 
-def _parse_range(text: str, name: str) -> tuple[float, float]:
+def _parse_range(text: str) -> tuple[float, float]:
     values = _parse_numbers(text)
     if len(values) != 2:
-        raise ConfigError(f"{name} needs exactly two numbers, got {text!r}")
+        raise ConfigError(f"needs exactly two numbers, got {text!r}")
     return values
 
 
@@ -89,40 +87,53 @@ def _parse_direction(token: str, n: int) -> Direction:
 
 @dataclass
 class ExperimentConfig:
-    """Parsed, validated experiment description (flat key = value sections)."""
+    """Parsed, validated experiment description (flat key = value sections).
+
+    nu_list and x0_list default to e_n and the origin of the configured dimension.
+    """
 
     dimension: int = 2
     h: float = 0.25
     r_list: tuple[float, ...] = (8.0, 16.0, 32.0)
-    nu_list: tuple[Direction, ...] = (Direction.from_integers(0, 1),)
+    nu_list: tuple[Direction, ...] | None = None
     seeds: tuple[int, ...] = (0,)
-    x0_list: tuple[tuple[float, ...], ...] = ((0.0, 0.0),)
+    x0_list: tuple[tuple[float, ...], ...] | None = None
     epsilon_list: tuple[float, ...] = (1.0,)
     env: EnvironmentSpec = field(default_factory=EnvironmentSpec)
     solver: SolverConfig = field(default_factory=lambda: SolverConfig(restarts=1, max_iters=20000))
     out_dir: str = "out"
     out_format: str = "both"  # csv | json | both
 
-    def validate(self):
-        if self.dimension not in (1, 2):
+    def __post_init__(self):
+        if self.dimension not in (1, 2):  # before any default is built from it
             raise ConfigError("dimension must be 1 or 2")
+        if self.nu_list is None:
+            self.nu_list = (Direction.from_integers(*([0] * (self.dimension - 1) + [1])),)
+        if self.x0_list is None:
+            self.x0_list = ((0.0,) * self.dimension,)
+
+    def validate(self):
         if self.h <= 0:
             raise ConfigError("h must be positive")
         for name in ("r_list", "seeds", "nu_list", "x0_list"):
-            if not getattr(self, name):
+            entries = [v.nu if name == "nu_list" else v for v in getattr(self, name)]  # directions by unit vector
+            if not entries:
                 raise ConfigError(f"{name} must not be empty")
+            if len(set(entries)) < len(entries):
+                raise ConfigError(f"{name} has a repeated entry")
         if any(r < 4 for r in self.r_list):
             raise ConfigError("all r values must be >= 4")
+        for r in self.r_list:
+            if abs(round(r / self.h) * self.h - r) > 1e-9:
+                raise ConfigError(f"h = {self.h} does not divide r = {r}")
         if self.epsilon_list and self.h > min(self.epsilon_list) / 4.0 + 1e-12:
             raise ConfigError(
                 f"h = {self.h} cannot resolve the smallest scale {min(self.epsilon_list)}; need h <= eps/4"
             )
-        for nu in self.nu_list:
-            if nu.n != self.dimension:
-                raise ConfigError("direction dimension does not match experiment dimension")
-        for x0 in self.x0_list:
-            if len(x0) != self.dimension:
-                raise ConfigError("x0 dimension does not match experiment dimension")
+        if any(nu.n != self.dimension for nu in self.nu_list):
+            raise ConfigError("direction dimension does not match experiment dimension")
+        if any(len(x0) != self.dimension for x0 in self.x0_list):
+            raise ConfigError("x0 dimension does not match experiment dimension")
         if self.out_format not in ("csv", "json", "both"):
             raise ConfigError("format must be csv, json, or both")
         return self
@@ -139,81 +150,69 @@ class ExperimentConfig:
         return hashlib.sha256(json.dumps(resolved, sort_keys=True).encode()).hexdigest()[:16]
 
 
+# section -> key -> parser.  A key names the field it sets: of ExperimentConfig
+# for [experiment], of its `env` for [environment], of its `solver` for [solver];
+# [output] keys set out_<key>.  A key the file leaves out keeps the dataclass default.
+_CONFIG_KEYS = {
+    "experiment": {
+        "dimension": int, "h": float, "r_list": _parse_numbers, "epsilon_list": _parse_numbers,
+        "seeds": lambda text: _parse_numbers(text, int),
+        "nu_list": str.split,  # tokens; read as directions once the dimension is known
+        "x0_list": lambda text: tuple(tuple(float(v) for v in tok.split(",")) for tok in text.split()),
+    },
+    "environment": {
+        "kind": str, "a_range": _parse_range, "b_range": _parse_range, "c_range": _parse_range,
+        "q": float, "c1": float, "c2": float, "seed": int,
+    },
+    "solver": {
+        "max_iters": int, "grad_tol": lambda text: None if text in ("auto", "") else float(text),
+        "restarts": int, "noise_scale": float, "noise_seed": int,
+    },
+    "output": {"dir": str, "format": str},
+}
+
+
+def _read_sections(parser: configparser.ConfigParser) -> dict:
+    """Parsed value of every key the file sets, per section; unknown sections and keys are errors."""
+    unknown = [name for name in parser.sections() if name not in _CONFIG_KEYS]
+    if unknown:
+        raise ConfigError(f"unknown section [{unknown[0]}]")
+    read = {}
+    for section, keys in _CONFIG_KEYS.items():
+        read[section] = {}
+        for key, text in parser.items(section) if parser.has_section(section) else ():
+            if key not in keys:
+                raise ConfigError(f"unknown key {key!r} in [{section}]")
+            try:
+                read[section][key] = keys[key](text)
+            except ValueError as exc:
+                raise ConfigError(f"bad {key} in [{section}]: {exc}") from exc
+    return read
+
+
 def load_config(path: str, overrides: dict | None = None) -> ExperimentConfig:
+    """Config file plus CLI overrides (seed, out, format; threads is accepted and ignored)."""
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    read = parser.read(path)
-    if not read:
-        raise ConfigError(f"cannot read config file {path}")
-
-    cfg = ExperimentConfig()
-    exp = parser["experiment"] if parser.has_section("experiment") else {}
     try:
-        cfg.dimension = int(exp.get("dimension", cfg.dimension))
-        cfg.h = float(exp.get("h", cfg.h))
-        if "r_list" in exp:
-            cfg.r_list = _parse_numbers(exp["r_list"])
-        if "epsilon_list" in exp:
-            cfg.epsilon_list = _parse_numbers(exp["epsilon_list"])
-        if "seeds" in exp:
-            cfg.seeds = _parse_numbers(exp["seeds"], int)
+        if not parser.read(path):
+            raise ConfigError(f"cannot read config file {path}")
+        read = _read_sections(parser)
+    except configparser.Error as exc:
+        raise ConfigError(f"cannot parse config file {path}: {exc}") from exc
+    overrides = overrides or {}
+    for key, section, name in (("seed", "environment", "seed"), ("out", "output", "dir"), ("format", "output", "format")):
+        if overrides.get(key) is not None:
+            read[section][name] = overrides[key]
+    exp = read["experiment"]
+    try:
         if "nu_list" in exp:
-            cfg.nu_list = tuple(_parse_direction(tok, cfg.dimension) for tok in exp["nu_list"].split())
-        else:
-            cfg.nu_list = (Direction.from_integers(*([0] * (cfg.dimension - 1) + [1])),)
-        if "x0_list" in exp:
-            x0s = []
-            for tok in exp["x0_list"].split():
-                vals = tuple(float(v) for v in tok.split(","))
-                x0s.append(vals)
-            cfg.x0_list = tuple(x0s)
-        else:
-            cfg.x0_list = ((0.0,) * cfg.dimension,)
-    except (ValueError, KeyError) as exc:
-        raise ConfigError(f"bad [experiment] section: {exc}") from exc
-
-    if parser.has_section("environment"):
-        envsec = parser["environment"]
-        try:
-            cfg.env = EnvironmentSpec(
-                kind=envsec.get("kind", "homogeneous"),
-                a_range=_parse_range(envsec.get("a_range", "1 1"), "a_range"),
-                b_range=_parse_range(envsec.get("b_range", "0.05 0.05"), "b_range"),
-                c_range=_parse_range(envsec.get("c_range", "1 1"), "c_range"),
-                q=float(envsec.get("q", 0.05)),
-                c1=float(envsec.get("c1", 1.0)),
-                c2=float(envsec.get("c2", 1.0)),
-                seed=int(envsec.get("seed", 0)),
-            )
-        except ValueError as exc:
-            raise ConfigError(f"bad [environment] section: {exc}") from exc
-
-    if parser.has_section("solver"):
-        sol = parser["solver"]
-        try:
-            grad_tol = sol.get("grad_tol", "auto")
-            cfg.solver = SolverConfig(
-                max_iters=int(sol.get("max_iters", 20000)),
-                grad_tol=None if grad_tol in ("auto", "") else float(grad_tol),
-                restarts=int(sol.get("restarts", 1)),
-                noise_scale=float(sol.get("noise_scale", 0.05)),
-                noise_seed=int(sol.get("noise_seed", 0)),
-            )
-        except ValueError as exc:
-            raise ConfigError(f"bad [solver] section: {exc}") from exc
-
-    if parser.has_section("output"):
-        out = parser["output"]
-        cfg.out_dir = out.get("dir", cfg.out_dir)
-        cfg.out_format = out.get("format", cfg.out_format)
-
-    if overrides:
-        if overrides.get("seed") is not None:
-            cfg.env = cfg.env.with_seed(int(overrides["seed"]))
-        if overrides.get("out") is not None:
-            cfg.out_dir = overrides["out"]
-        if overrides.get("format") is not None:
-            cfg.out_format = overrides["format"]
-        # a "threads" override is accepted and ignored: same-geometry cells run as one batch
+            n = exp.get("dimension", ExperimentConfig.dimension)
+            exp["nu_list"] = tuple(_parse_direction(tok, n) for tok in exp["nu_list"])
+        cfg = ExperimentConfig(**exp, **{f"out_{key}": value for key, value in read["output"].items()})
+        cfg.env = dataclasses.replace(cfg.env, **read["environment"])
+        cfg.solver = dataclasses.replace(cfg.solver, **read["solver"])
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     return cfg.validate()
 
 
@@ -262,13 +261,13 @@ def write_cell_csv(path: str, records) -> None:
         writer.writerow(
             ["nu_deg", "r", "seed", "x0_index", "m_hat", "normalized", "iters", "grad_norm", "stop_reason", "wall_ms"]
         )
-        for rec, x0_index in records:
+        for rec in records:
             writer.writerow(
                 [
                     _fmt(rec.nu.angle_degrees()),
                     _fmt(rec.r),
                     rec.seed,
-                    x0_index,
+                    rec.x0_index,
                     _fmt(rec.m_hat),
                     _fmt(rec.normalized),
                     rec.diagnostics.get("iters", ""),
@@ -291,12 +290,17 @@ def write_json(path: str, payload: dict) -> None:
 # ---------------------------------------------------------------------------
 
 
-def run_sigma(cfg: ExperimentConfig) -> dict:
+def run_sigma(cfg: ExperimentConfig, manifest: RunManifest | None = None) -> dict:
+    """sigma- and sigma+ over epsilon_list; with a manifest, one record `sigma/<variant>/eps=..` per solved scale."""
     well = DoubleWell()
     try:
         minus, plus = sigma_pair(well, cfg.env.q, cfg.epsilon_list, cfg.solver, n=1)
     except ValueError as exc:
         raise ConfigError(f"sigma needs scales resolvable on the unit slab: {exc}") from exc
+    if manifest is not None:
+        for est in (minus, plus):
+            for eps in est.fields:
+                manifest.add(f"sigma/{est.variant}/eps={eps:g}", cfg.env.seed)
     payload = {
         "q": cfg.env.q,
         "sigma_minus": minus.value,
@@ -313,47 +317,44 @@ def run_sigma(cfg: ExperimentConfig) -> dict:
     return payload
 
 
-def run_cell(cfg: ExperimentConfig) -> list:
-    """(CellRecord, x0 index) for every direction x r x seed x x0, in that order."""
-    envs = {seed: make_environment(cfg.env.with_seed(seed)) for seed in cfg.seeds}
-    work = [
-        (nu, r, seed, i, x0)
-        for nu in cfg.nu_list
-        for r in cfg.r_list
-        for seed in cfg.seeds
-        for i, x0 in enumerate(cfg.x0_list)
-    ]
-    records = cell_problems_r([(envs[seed], nu, r, x0) for nu, r, seed, _, x0 in work], cfg.solver, cfg.h)
-    results = [(rec, i) for rec, (*_, i, _) in zip(records, work)]
+def _solve_cells(cfg: ExperimentConfig, manifest: RunManifest | None, command: str) -> list[CellRecord]:
+    """Every configured cell, direction x r x seed x x0; with a manifest, one record `<command>/<work id>` each."""
+    records = cell_problems_r(cfg.env, cfg.nu_list, cfg.r_list, cfg.seeds, cfg.x0_list, cfg.solver, cfg.h)
+    if manifest is not None:
+        for rec in records:
+            manifest.add(f"{command}/{rec.work_id}", rec.seed)
+    return records
+
+
+def run_cell(cfg: ExperimentConfig, manifest: RunManifest | None = None) -> list[CellRecord]:
+    """CellRecord for every direction x r x seed x x0, in that order."""
+    records = _solve_cells(cfg, manifest, "cell")
     if cfg.out_format in ("csv", "both"):
-        write_cell_csv(os.path.join(cfg.out_dir, "cell.csv"), results)
-    return results
+        write_cell_csv(os.path.join(cfg.out_dir, "cell.csv"), records)
+    return records
 
 
 def run_homogenize(cfg: ExperimentConfig, manifest: RunManifest | None = None) -> dict:
     """f_hom per direction, every cell of every direction solved together.
 
-    With a manifest, each cell solve adds a record `homogenize/nu=../r=../x0=..`.
+    With a manifest, each cell solve adds a record `homogenize/nu=../r=../x0=..`
+    before any estimate can fail.
     """
-    estimates = f_hom_estimates(cfg.env, cfg.nu_list, cfg.r_list, cfg.seeds, cfg.x0_list, cfg.solver, cfg.h)
+    records = _solve_cells(cfg, manifest, "homogenize")
     table = {}
-    all_records = []
-    for nu, est in zip(cfg.nu_list, estimates):
+    for nu in cfg.nu_list:
+        est = f_hom_reduce(nu, cfg.r_list, cfg.seeds, records)
         table[f"{nu.angle_degrees():.6g}"] = {
             "estimate": est.estimate,
             "stderr": est.stderr,
             "per_seed_limit": {str(k): v for k, v in est.per_seed_limit.items()},
             "x0_spread": {str(k): v for k, v in est.x0_spread.items()},
         }
-        all_records.extend((rec, rec.diagnostics["x0_index"]) for rec in est.records)
-    if manifest is not None:
-        for rec, x0_index in all_records:
-            manifest.add(f"homogenize/nu={rec.nu.angle_degrees():g}/r={rec.r:g}/x0={x0_index}", rec.seed)
     payload = {"f_hom": table, "r_schedule": list(cfg.r_list)}
     if cfg.out_format in ("json", "both"):
         write_json(os.path.join(cfg.out_dir, "fhom.json"), payload)
     if cfg.out_format in ("csv", "both"):
-        write_cell_csv(os.path.join(cfg.out_dir, "fhom_records.csv"), all_records)
+        write_cell_csv(os.path.join(cfg.out_dir, "fhom_records.csv"), records)
     return payload
 
 
@@ -363,7 +364,6 @@ def run_sweep(cfg: ExperimentConfig, manifest: RunManifest | None = None) -> dic
     rows = [(float(k), v["estimate"], v["stderr"]) for k, v in payload["f_hom"].items()]
     rows.sort()
     path = os.path.join(cfg.out_dir, "sweep.csv")
-    os.makedirs(cfg.out_dir, exist_ok=True)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["nu_deg", "f_hom", "stderr"])

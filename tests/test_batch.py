@@ -131,9 +131,11 @@ def test_run_cell_with_mixed_r_returns_records_in_submission_order(tmp_path):
         for seed in cfg.seeds
         for i in range(len(cfg.x0_list))
     ]
-    assert [(rec.nu, rec.r, rec.seed, i) for rec, i in records] == expected
-    for rec, i in records[:: len(cfg.x0_list) + 1]:
-        alone = cell_problem_r(make_environment(cfg.env.with_seed(rec.seed)), rec.nu, rec.r, cfg.x0_list[i], cfg.solver, cfg.h)
+    assert [(rec.nu, rec.r, rec.seed, rec.x0_index) for rec in records] == expected
+    for rec in records[:: len(cfg.x0_list) + 1]:
+        alone = cell_problem_r(
+            make_environment(cfg.env.with_seed(rec.seed)), rec.nu, rec.r, cfg.x0_list[rec.x0_index], cfg.solver, cfg.h
+        )
         assert rec.m_hat == alone.m_hat
         assert rec.diagnostics["iters"] == alone.diagnostics["iters"]
 
@@ -152,7 +154,7 @@ def test_homogenize_and_sweep_record_every_cell_solve_in_the_manifest(tmp_path):
         manifest = json.loads(Path(out, "manifest.json").read_text())
         assert manifest["command"] == command
         assert manifest["records"] == [
-            {"work_id": f"homogenize/nu=90/r={r}/x0=0", "seed": seed} for seed in (0, 1) for r in (4, 8)
+            {"work_id": f"homogenize/nu=90/r={r}/x0=0", "seed": seed} for r in (4, 8) for seed in (0, 1)
         ]
 
 

@@ -153,6 +153,10 @@ def test_cli_exit_3_still_writes_the_manifest(tmp_path):
     assert manifest["command"] == "homogenize"
     assert manifest["config_hash"] == load_config(path, {"seed": 5}).config_hash  # the resolved config
     assert manifest["config_hash"] != load_config(path).config_hash
+    # the cell solves are recorded before the estimate fails
+    assert manifest["records"] == [
+        {"work_id": f"homogenize/nu=90/r={r}/x0=0", "seed": seed} for r in (4, 8) for seed in (0, 1)
+    ]
 
 
 def test_cell_csv_says_why_each_solve_stopped(tmp_path):
@@ -196,6 +200,13 @@ def test_config_hash_follows_the_resolved_config(tmp_path):
         ("a_range = 0.9 1.1", "a_range = 0.9"),
         ("b_range = 0.0 0.05", "b_range = 0.0 0.05 0.1"),
         ("c_range = 0.9 1.1", "c_range = 0.9 1.1 1.3"),
+        ("restarts = 0", "restarts = 0\nmax_iter = 3"),
+        ("[solver]", "[solvers]"),
+        ("r_list = 4 8", "r_list = 4 4"),
+        ("seeds = 0 1", "seeds = 0 0"),
+        ("nu_list = 0 p:3,4", "nu_list = 0 p:0,1"),
+        ("x0_list = 0,0", "x0_list = 0,0 0,0"),
+        ("h = 0.25\nr_list = 4 8", "h = 0.15\nr_list = 8"),
     ],
 )
 def test_config_number_lists_are_read_exactly(tmp_path, old, new):
@@ -238,6 +249,11 @@ def test_cli_sigma_writes_summary(tmp_path):
     assert main(["sigma", "--config", path]) == 0
     payload = json.loads(Path(out, "sigma.json").read_text())
     assert 0 < payload["sigma_minus"] <= payload["sigma_plus"]
+    manifest = json.loads(Path(out, "manifest.json").read_text())
+    assert manifest["records"] == [
+        {"work_id": "sigma/minus/eps=0.25", "seed": 3},
+        {"work_id": "sigma/plus/eps=0.25", "seed": 3},
+    ]
 
 
 def test_property_suite_small_config_passes(tmp_path):
