@@ -58,11 +58,20 @@ def _parse_numbers(text: str, kind=float) -> tuple:
     return tuple(kind(tok) for tok in text.replace(",", " ").split())
 
 
+def _divides(h: float, length: float) -> bool:
+    return abs(round(length / h) * h - length) <= 1e-9
+
+
 def _parse_range(text: str) -> tuple[float, float]:
     values = _parse_numbers(text)
     if len(values) != 2:
         raise ConfigError(f"needs exactly two numbers, got {text!r}")
     return values
+
+
+def _no_restarts(text: str) -> None:
+    if int(text) != 0:
+        raise ConfigError("restarts were removed: the solver runs one descent pass, so only restarts = 0 is read")
 
 
 def _parse_direction(token: str, n: int) -> Direction:
@@ -100,7 +109,7 @@ class ExperimentConfig:
     x0_list: tuple[tuple[float, ...], ...] | None = None
     epsilon_list: tuple[float, ...] = (1.0,)
     env: EnvironmentSpec = field(default_factory=EnvironmentSpec)
-    solver: SolverConfig = field(default_factory=lambda: SolverConfig(restarts=1, max_iters=20000))
+    solver: SolverConfig = field(default_factory=SolverConfig)
     out_dir: str = "out"
     out_format: str = "both"  # csv | json | both
 
@@ -124,7 +133,7 @@ class ExperimentConfig:
         if any(r < 4 for r in self.r_list):
             raise ConfigError("all r values must be >= 4")
         for r in self.r_list:
-            if abs(round(r / self.h) * self.h - r) > 1e-9:
+            if not _divides(self.h, r):
                 raise ConfigError(f"h = {self.h} does not divide r = {r}")
         if self.epsilon_list and self.h > min(self.epsilon_list) / 4.0 + 1e-12:
             raise ConfigError(
@@ -153,6 +162,7 @@ class ExperimentConfig:
 # section -> key -> parser.  A key names the field it sets: of ExperimentConfig
 # for [experiment], of its `env` for [environment], of its `solver` for [solver];
 # [output] keys set out_<key>.  A key the file leaves out keeps the dataclass default.
+# `restarts` sets nothing: it is read only to accept 0, which perfbench's generated configs still set.
 _CONFIG_KEYS = {
     "experiment": {
         "dimension": int, "h": float, "r_list": _parse_numbers, "epsilon_list": _parse_numbers,
@@ -166,7 +176,7 @@ _CONFIG_KEYS = {
     },
     "solver": {
         "max_iters": int, "grad_tol": lambda text: None if text in ("auto", "") else float(text),
-        "restarts": int, "noise_scale": float, "noise_seed": int,
+        "restarts": _no_restarts,
     },
     "output": {"dir": str, "format": str},
 }
@@ -210,6 +220,7 @@ def load_config(path: str, overrides: dict | None = None) -> ExperimentConfig:
             exp["nu_list"] = tuple(_parse_direction(tok, n) for tok in exp["nu_list"])
         cfg = ExperimentConfig(**exp, **{f"out_{key}": value for key, value in read["output"].items()})
         cfg.env = dataclasses.replace(cfg.env, **read["environment"])
+        read["solver"].pop("restarts", None)
         cfg.solver = dataclasses.replace(cfg.solver, **read["solver"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -447,6 +458,22 @@ def _lattice_direction(cfg: ExperimentConfig) -> Direction:
     return Direction.from_integers(*([0] * (cfg.dimension - 1) + [1]))
 
 
+def _suite_cuboid(cfg: ExperimentConfig, base, within: LatticeCuboid | None = None) -> LatticeCuboid:
+    """The suite's lattice cuboid over `base`; ConfigError unless the mesh fits it.
+
+    Its grid needs h to divide its sides; a part glued into the cuboid `within`
+    also needs h to divide its offsets from within's lower faces.
+    """
+    cub = LatticeCuboid((base,), _lattice_direction(cfg))
+    lengths = [hi - lo for lo, hi in cub.local_bounds()]
+    if within is not None:
+        lengths += [lo - outer for (lo, _), (outer, _) in zip(cub.local_bounds(), within.local_bounds())]
+    for length in lengths:
+        if not _divides(cfg.h, length):
+            raise ConfigError(f"h = {cfg.h} does not divide {length:g}, a side or offset of the cuboid over {base}")
+    return cub
+
+
 def _outside_regime(cfg: ExperimentConfig, name: str) -> PropertyResult | None:
     if cfg.env.q > MINUS_VARIANT_Q_MAX:
         return PropertyResult(
@@ -464,13 +491,12 @@ def _prop_mu_bounds(cfg: ExperimentConfig) -> PropertyResult:
     gated = _outside_regime(cfg, "mu-bounds")
     if gated:
         return gated
-    nu = _lattice_direction(cfg)
     env = make_environment(cfg.env)
     c_eta = compute_c_eta(DoubleWell(), cfg.env.q)
     ok = True
     details = []
     for base in ((0.0, 2.0), (0.5, 1.5)):
-        cub = LatticeCuboid((base,), nu)
+        cub = _suite_cuboid(cfg, base)
         sample = mu_nu(env, cub, cfg.solver, cfg.h)
         upper = cfg.env.c2 * c_eta * cub.base_area
         good = -1e-6 <= sample.value <= upper + 1e-9 and not sample.anomaly
@@ -482,9 +508,10 @@ def _prop_mu_bounds(cfg: ExperimentConfig) -> PropertyResult:
 def _prop_subadditivity(cfg: ExperimentConfig) -> PropertyResult:
     if cfg.dimension != 2:
         return PropertyResult("subadditivity", True, "skipped for n=1", informational=True)
-    nu = _lattice_direction(cfg)
+    cub = _suite_cuboid(cfg, (0.0, 3.0))
+    for part in ((0.0, 1.5), (1.5, 3.0)):
+        _suite_cuboid(cfg, part, within=cub)
     env = make_environment(cfg.env)
-    cub = LatticeCuboid(((0.0, 3.0),), nu)
     out = glued_partition_energy(env, cub, [1.5], cfg.solver, cfg.h)
     return PropertyResult(
         "subadditivity",
@@ -496,9 +523,8 @@ def _prop_subadditivity(cfg: ExperimentConfig) -> PropertyResult:
 def _prop_stationarity(cfg: ExperimentConfig) -> PropertyResult:
     if cfg.dimension != 2:
         return PropertyResult("stationarity", True, "skipped for n=1", informational=True)
-    nu = _lattice_direction(cfg)
     env = make_environment(cfg.env)
-    cub = LatticeCuboid(((0.0, 2.0),), nu)
+    cub = _suite_cuboid(cfg, (0.0, 2.0))
     worst = 0.0
     for z in ((1,), (-2,)):
         shifted_env = shift_environment(env, tuple(int(v) for v in cub.lattice_shift_vector(z)))

@@ -1,4 +1,4 @@
-"""Nonconvex descent over free nodes: preconditioned two-point steps, monotone acceptance, restarts."""
+"""Nonconvex descent over free nodes: preconditioned two-point steps, monotone acceptance."""
 
 from __future__ import annotations
 
@@ -25,18 +25,14 @@ class DivergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Stopping rule and restart policy for minimize_energy.
+    """Stopping rule of minimize_energy.
 
     grad_tol = None resolves to 1e-6 * h^n at solve time (gradient entries scale
-    with the cell volume).  `restarts` counts perturbed re-solves on top of the
-    unperturbed first pass.
+    with the cell volume).
     """
 
-    max_iters: int = 50_000
+    max_iters: int = 20_000
     grad_tol: float | None = None
-    restarts: int = 3
-    noise_scale: float = 0.05
-    noise_seed: int = 0
 
     def __post_init__(self):
         if self.max_iters < 1:
@@ -52,7 +48,6 @@ class SolveResult:
     iters: int
     final_grad_norm: float
     converged: bool
-    restarts_used: int = 0
     diagnostics: dict = field(default_factory=dict)
 
     def as_record(self) -> dict:
@@ -62,7 +57,6 @@ class SolveResult:
             "iters": self.iters,
             "final_grad_norm": self.final_grad_norm,
             "converged": self.converged,
-            "restarts_used": self.restarts_used,
             "shape": list(self.field.shape),
             "h": self.field.h,
             "nu": list(self.field.direction.nu),
@@ -456,41 +450,6 @@ def _descend(model: EnergyModel, metric: _Metric, u0: np.ndarray, cfg: SolverCon
             best_u[improved] = u[improved]
 
 
-def _attempts(model: EnergyModel, metric: _Metric, values: np.ndarray, free: np.ndarray, cfg: SolverConfig,
-              grad_tol: float) -> list:
-    """The unperturbed pass plus cfg.restarts perturbed ones for the batch of `model`; per member the best.
-
-    `values` holds the initial values of every member the model was built
-    from.  Entries, in batch order, are (u, energy, grad norm, converged,
-    attempt, total iters, total resets) or the DivergenceError that ended the
-    member's solve.
-    """
-    ids = model.member_ids.copy()
-    best = [None] * len(ids)
-    iters, resets = [0] * len(ids), [0] * len(ids)  # totals over the passes
-    live = np.arange(len(ids))
-    for attempt in range(1 + max(0, cfg.restarts)):
-        model.select(ids[live])
-        u0 = values[ids[live]]
-        if attempt > 0:
-            rng = np.random.Generator(np.random.Philox(key=cfg.noise_seed, counter=attempt))
-            u0[:, free] += cfg.noise_scale * rng.standard_normal(int(free.sum()))
-        passes = _descend(model, metric if len(live) == len(ids) else metric.take(live), u0, cfg, grad_tol)
-        for k, result in zip(live, passes):
-            if isinstance(result, DivergenceError):
-                best[k] = result
-                continue
-            u, energy, n_iters, gnorm, converged, n_resets = result
-            iters[k] += n_iters
-            resets[k] += n_resets
-            if best[k] is None or energy < best[k][1]:
-                best[k] = (u, energy, gnorm, converged, attempt)
-        live = np.array([k for k in live if not isinstance(best[k], DivergenceError)], dtype=int)
-        if not live.size:
-            break
-    return [b if isinstance(b, DivergenceError) else (*b, iters[k], resets[k]) for k, b in enumerate(best)]
-
-
 def minimize_batch(initials, envs, params: EnergyParams, cfg: SolverConfig = SolverConfig()) -> list:
     """Solve same-geometry problems as one lockstep batch, one descent for all members.
 
@@ -511,11 +470,10 @@ def minimize_batch(initials, envs, params: EnergyParams, cfg: SolverConfig = Sol
     if first.frozen.any() and float(np.max(np.abs(values[:, first.frozen]))) > U_CAP:
         raise ValueError("frozen boundary data exceeds the value cap")
 
-    free = first.free_mask()
     found = [None] * len(initials)
-    for members, metric in _metrics(model, free):
+    for members, metric in _metrics(model, first.free_mask()):
         model.select(members)
-        for k, result in zip(members, _attempts(model, metric, values, free, cfg, grad_tol)):
+        for k, result in zip(members, _descend(model, metric, values[members], cfg, grad_tol)):
             found[k] = (result, metric.name)
     wall_ms = 1000.0 * (time.perf_counter() - t0)
     results = []
@@ -523,7 +481,7 @@ def minimize_batch(initials, envs, params: EnergyParams, cfg: SolverConfig = Sol
         if isinstance(result, DivergenceError):
             results.append(result)
             continue
-        u, energy, gnorm, converged, which, iters, resets = result
+        u, energy, iters, gnorm, converged, resets = result
         results.append(
             SolveResult(
                 field=initials[k].copy_with(u),
@@ -531,9 +489,7 @@ def minimize_batch(initials, envs, params: EnergyParams, cfg: SolverConfig = Sol
                 iters=iters,
                 final_grad_norm=float(gnorm),
                 converged=bool(converged),
-                restarts_used=max(0, cfg.restarts),
                 diagnostics={
-                    "best_attempt": which,
                     "grad_tol": grad_tol,
                     "resets": resets,
                     "stop_reason": "converged" if converged else "max_iters",
@@ -552,7 +508,7 @@ def minimize_energy(
     params: EnergyParams,
     cfg: SolverConfig = SolverConfig(),
 ) -> SolveResult:
-    """Monotone descent from `initial` (plus perturbed restarts); returns the best pass.
+    """Monotone descent from `initial`.
 
     Accepted iterates never increase the energy, frozen nodes are preserved
     bit-exactly, and the reported value is the discrete energy of the returned

@@ -27,4 +27,4 @@ def e2():
 
 @pytest.fixture(scope="session")
 def quick_solver():
-    return SolverConfig(restarts=0, max_iters=8000, grad_tol=1e-3 * 0.25**2)
+    return SolverConfig(max_iters=8000, grad_tol=1e-3 * 0.25**2)

@@ -32,7 +32,7 @@ from _oracles import line_constant
 WELL = DoubleWell()
 E1 = Direction.from_integers(1)
 E2 = Direction.from_integers(0, 1)
-ACC = SolverConfig(restarts=0, max_iters=25000, grad_tol=1e-3 * 0.25**2)
+ACC = SolverConfig(max_iters=25000, grad_tol=1e-3 * 0.25**2)
 
 STRONG_CHECKERBOARD = EnvironmentSpec(
     kind="checkerboard", a_range=(0.8, 1.2), b_range=(-0.05, 0.05), c_range=(0.8, 1.2),
@@ -129,7 +129,7 @@ def test_criterion_02_growth_sandwich():
 
 def test_criterion_03_positivity_regime():
     t0 = time.perf_counter()
-    rep = verify_positivity(0.05, (1.0, 1.0), 1.0 / 16.0, 5, SolverConfig(restarts=0, max_iters=8000), seed=0)
+    rep = verify_positivity(0.05, (1.0, 1.0), 1.0 / 16.0, 5, SolverConfig(max_iters=8000), seed=0)
     report(
         3, "positivity regime", rep.minimum >= -1e-6,
         f"min over {len(rep.per_start)} starts = {rep.minimum:.3e}", time.perf_counter() - t0, 60,
@@ -140,7 +140,7 @@ def test_criterion_04_sigma_plus_oracle():
     t0 = time.perf_counter()
     est = sigma_pm(
         "plus", WELL, 1.0, (0.25, 0.125, 0.0625),
-        SolverConfig(restarts=0, max_iters=40000), n=1, h_for=lambda eps: eps / 16.0,
+        SolverConfig(max_iters=40000), n=1, h_for=lambda eps: eps / 16.0,
     )
     reference = line_constant(b=1.0, length=16.0, h=0.01)
     rel = abs(est.value - reference) / reference
@@ -225,7 +225,7 @@ def test_criterion_08_stationarity():
 
 def test_criterion_09_bounds():
     t0 = time.perf_counter()
-    minus, plus = sigma_pair(WELL, 0.05, (0.25, 0.125, 0.0625), SolverConfig(restarts=0, max_iters=40000), n=1)
+    minus, plus = sigma_pair(WELL, 0.05, (0.25, 0.125, 0.0625), SolverConfig(max_iters=40000), n=1)
     details = []
     ok = True
     for ang in (0.0, 45.0, 90.0, 135.0):

@@ -19,7 +19,7 @@ from homlab.cell import (
     verify_positivity,
 )
 
-QUICK = SolverConfig(restarts=0, max_iters=12000, grad_tol=1e-3 * 0.25**2)
+QUICK = SolverConfig(max_iters=12000, grad_tol=1e-3 * 0.25**2)
 
 
 def checkerboard(seed=0):
@@ -192,7 +192,7 @@ def test_f_hom_estimate_homogeneous_matches_single_cell(e2):
 
 def test_f_hom_estimate_raises_when_no_solve_converged(e2):
     with pytest.raises(EstimateError), pytest.warns(UserWarning, match="non-converged"):
-        f_hom_estimate(homogeneous(), e2, (8, 16), (0,), None, SolverConfig(restarts=0, max_iters=1), 0.25)
+        f_hom_estimate(homogeneous(), e2, (8, 16), (0,), None, SolverConfig(max_iters=1), 0.25)
 
 
 def test_f_hom_estimate_extrapolates_below_raw(e2):
@@ -240,12 +240,12 @@ def test_ergodic_average_stderr_scaling(e2):
 
 
 def test_positivity_zero_q_is_exactly_controlled():
-    report = verify_positivity(1e-9, (1.0, 1.0), 1.0 / 8.0, 2, SolverConfig(restarts=0, max_iters=3000), seed=1)
+    report = verify_positivity(1e-9, (1.0, 1.0), 1.0 / 8.0, 2, SolverConfig(max_iters=3000), seed=1)
     assert report.minimum >= -1e-9
 
 
 def test_positivity_small_q_unit_square():
-    report = verify_positivity(0.05, (1.0, 1.0), 1.0 / 16.0, 3, SolverConfig(restarts=0, max_iters=6000), seed=0)
+    report = verify_positivity(0.05, (1.0, 1.0), 1.0 / 16.0, 3, SolverConfig(max_iters=6000), seed=0)
     assert report.converged == (True, True, True)
     assert report.passed
     assert report.minimum >= -1e-6
@@ -253,7 +253,7 @@ def test_positivity_small_q_unit_square():
 
 def test_positivity_needs_every_start_converged():
     # one iteration leaves every start far from a minimum: that is no evidence of positivity
-    report = verify_positivity(0.05, (1.0, 1.0), 1.0 / 16.0, 2, SolverConfig(restarts=0, max_iters=1), seed=0)
+    report = verify_positivity(0.05, (1.0, 1.0), 1.0 / 16.0, 2, SolverConfig(max_iters=1), seed=0)
     assert report.converged == (False, False)
     assert not report.passed
 
@@ -261,7 +261,7 @@ def test_positivity_needs_every_start_converged():
 def test_positivity_large_q_goes_negative():
     from _oracles import oscillation_energy
 
-    report = verify_positivity(50.0, (1.0, 1.0), 1.0 / 16.0, 3, SolverConfig(restarts=0, max_iters=4000), seed=2)
+    report = verify_positivity(50.0, (1.0, 1.0), 1.0 / 16.0, 3, SolverConfig(max_iters=4000), seed=2)
     assert not report.passed
     competitor = oscillation_energy(50.0, delta=3.0, k=2.0 * np.pi)
     assert competitor < 0
@@ -271,7 +271,7 @@ def test_positivity_large_q_goes_negative():
 def test_positivity_scaled_variant():
     # the eps-scaled minus energy is also sign-controlled at small q
     report = verify_positivity(
-        0.05, (1.0, 1.0), 1.0 / 16.0, 2, SolverConfig(restarts=0, max_iters=4000), seed=3, epsilon=0.25
+        0.05, (1.0, 1.0), 1.0 / 16.0, 2, SolverConfig(max_iters=4000), seed=3, epsilon=0.25
     )
     assert report.minimum >= -1e-6
 

@@ -30,7 +30,6 @@ seed = 3
 [solver]
 max_iters = 4000
 grad_tol = 6.25e-5
-restarts = 0
 
 [output]
 dir = {out}
@@ -200,7 +199,10 @@ def test_config_hash_follows_the_resolved_config(tmp_path):
         ("a_range = 0.9 1.1", "a_range = 0.9"),
         ("b_range = 0.0 0.05", "b_range = 0.0 0.05 0.1"),
         ("c_range = 0.9 1.1", "c_range = 0.9 1.1 1.3"),
-        ("restarts = 0", "restarts = 0\nmax_iter = 3"),
+        ("[solver]", "[solver]\nmax_iter = 3"),
+        ("[solver]", "[solver]\nrestarts = 1"),
+        ("[solver]", "[solver]\nnoise_scale = 0.05"),
+        ("[solver]", "[solver]\nnoise_seed = 0"),
         ("[solver]", "[solvers]"),
         ("r_list = 4 8", "r_list = 4 4"),
         ("seeds = 0 1", "seeds = 0 0"),
@@ -214,6 +216,23 @@ def test_config_number_lists_are_read_exactly(tmp_path, old, new):
     with pytest.raises(ConfigError):
         load_config(path)
     assert main(["cell", "--config", path]) == 2
+
+
+def test_restarts_0_is_read_as_leaving_the_key_out(tmp_path):
+    # the solver has no restarts; the key is accepted with the value 0 only (other values are cases above)
+    bare, _ = write_config(tmp_path)
+    zero, _ = write_config(tmp_path, GOOD_CONFIG.replace("[solver]", "[solver]\nrestarts = 0"), "zero.ini")
+    assert load_config(zero) == load_config(bare)
+    assert load_config(zero).config_hash == load_config(bare).config_hash
+
+
+def test_cli_verify_on_a_mesh_that_misses_the_suite_cuboids_exits_2(tmp_path, capsys):
+    # h = 0.2 divides every r, but not the side 4.5 of the parts the subadditivity check glues
+    path, out = write_config(tmp_path, GOOD_CONFIG.replace("h = 0.25", "h = 0.2"))
+    assert main(["verify", "--config", path]) == 2
+    assert "h = 0.2 does not divide 4.5" in capsys.readouterr().err
+    assert json.loads(Path(out, "manifest.json").read_text())["command"] == "verify"
+    assert not Path(out, "verify.json").exists()
 
 
 def test_cli_verify_records_every_property_in_the_manifest(tmp_path):
@@ -301,7 +320,7 @@ def test_cli_import_and_cell_solve_load_no_scipy():
         "from homlab.geometry import Direction\n"
         "from homlab.solve import SolverConfig\n"
         "env = make_environment(EnvironmentSpec(kind='checkerboard', b_range=(-0.04, 0.05)))\n"
-        "cell_problem_r(env, Direction.from_integers(0, 1), 8, (0, 0), SolverConfig(restarts=0), 0.25)\n"
+        "cell_problem_r(env, Direction.from_integers(0, 1), 8, (0, 0), SolverConfig(), 0.25)\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
     src = str(Path(homlab.__file__).resolve().parents[1])

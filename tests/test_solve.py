@@ -24,7 +24,7 @@ def test_already_optimal_field_returns_zero(e2):
     cube = OrientedCube((0.0, 0.0), 2.0, e2)
     g = cube_grid(cube, 0.25, frame_width=0.5)
     g.values[...] = 1.0
-    res = minimize_energy(g, env_mplus(0.05), EnergyParams(1.0, "general"), SolverConfig(restarts=0))
+    res = minimize_energy(g, env_mplus(0.05), EnergyParams(1.0, "general"), SolverConfig())
     assert res.value == 0.0
     assert res.iters <= 1
     assert res.converged
@@ -36,7 +36,7 @@ def test_descent_monotone_under_iteration_budget(e1):
     env = env_mplus(1.0)
     values = []
     for max_iters in (50, 100, 200, 400):
-        res = minimize_energy(field, env, EnergyParams(1.0, "m_plus"), SolverConfig(restarts=0, max_iters=max_iters))
+        res = minimize_energy(field, env, EnergyParams(1.0, "m_plus"), SolverConfig(max_iters=max_iters))
         values.append(res.value)
     assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
 
@@ -45,7 +45,7 @@ def test_boundary_nodes_preserved_bit_exactly(e2):
     cube = OrientedCube((0.0, 0.0), 4.0, e2)
     field = profile_field(cube, e2, (0.0, 0.0), 1.0, h=0.25)
     before = field.values[field.frozen].copy()
-    res = minimize_energy(field, env_mplus(0.05), EnergyParams(1.0, "general"), SolverConfig(restarts=2, max_iters=500))
+    res = minimize_energy(field, env_mplus(0.05), EnergyParams(1.0, "general"), SolverConfig(max_iters=500))
     assert np.array_equal(res.field.values[field.frozen], before)
 
 
@@ -57,7 +57,7 @@ def test_determinism(e2):
         q=0.05, c1=0.8, c2=1.2, seed=3,
     )
     env = make_environment(spec)
-    cfg = SolverConfig(restarts=2, max_iters=800, noise_seed=11)
+    cfg = SolverConfig(max_iters=800)
     r1 = minimize_energy(field, env, EnergyParams(1.0, "general"), cfg)
     r2 = minimize_energy(field, env, EnergyParams(1.0, "general"), cfg)
     assert r1.value == r2.value
@@ -69,7 +69,7 @@ def test_solve_result_serializes_to_json(e2):
 
     cube = OrientedCube((0.0, 0.0), 4.0, e2)
     field = profile_field(cube, e2, (0.0, 0.0), 1.0, h=0.25)
-    res = minimize_energy(field, env_mplus(0.05), EnergyParams(1.0, "general"), SolverConfig(restarts=0, max_iters=300))
+    res = minimize_energy(field, env_mplus(0.05), EnergyParams(1.0, "general"), SolverConfig(max_iters=300))
     record = res.as_record()
     text = json.dumps(record)
     assert json.loads(text)["value"] == res.value
@@ -77,42 +77,31 @@ def test_solve_result_serializes_to_json(e2):
     assert record["stop_reason"] == ("converged" if res.converged else "max_iters")
     assert record["metric"] == "preconditioned"
     assert record["resets"] >= 0
-    assert record["restarts_used"] == 0
 
 
 def test_diagnostics_report_what_ran(e2):
     cube = OrientedCube((0.0, 0.0), 4.0, e2)
     field = profile_field(cube, e2, (0.0, 0.0), 1.0, h=0.25)
-    res = minimize_energy(field, env_mplus(0.05), EnergyParams(1.0, "general"), SolverConfig(restarts=2, max_iters=2))
+    res = minimize_energy(field, env_mplus(0.05), EnergyParams(1.0, "general"), SolverConfig(max_iters=2))
     assert not res.converged
     assert res.diagnostics["stop_reason"] == "max_iters"
-    assert res.restarts_used == 2
-    assert res.iters == 3 * 2
+    assert res.iters == 2
 
 
 def test_reported_value_is_energy_of_returned_field(e2):
     cube = OrientedCube((0.0, 0.0), 4.0, e2)
     field = profile_field(cube, e2, (0.0, 0.0), 1.0, h=0.25)
     env = env_mplus(0.05)
-    res = minimize_energy(field, env, EnergyParams(1.0, "general"), SolverConfig(restarts=0, max_iters=400))
+    res = minimize_energy(field, env, EnergyParams(1.0, "general"), SolverConfig(max_iters=400))
     model = EnergyModel(res.field, env, EnergyParams(1.0, "general"))
     assert res.value == pytest.approx(model.energy(res.field.values), abs=1e-12)
-
-
-def test_restarts_never_hurt(e2):
-    cube = OrientedCube((0.0, 0.0), 4.0, e2)
-    field = profile_field(cube, e2, (0.0, 0.0), 1.0, h=0.25)
-    env = env_mplus(0.05)
-    base = minimize_energy(field, env, EnergyParams(1.0, "general"), SolverConfig(restarts=0, max_iters=600))
-    noisy = minimize_energy(field, env, EnergyParams(1.0, "general"), SolverConfig(restarts=3, max_iters=600))
-    assert noisy.value <= base.value + 1e-12
 
 
 def test_one_dimensional_transition_constant_matches_dense_oracle(e1):
     # unit-scale comparison energy on a length-16 interval, ramp initialization
     cube = OrientedCube((0.0,), 16.0, e1)
     field = profile_field(cube, e1, (0.0,), 1.0, h=0.1, frame_width=frame_width_for(0.1, 1.0))
-    res = minimize_energy(field, env_mplus(1.0), EnergyParams(1.0, "m_plus"), SolverConfig(restarts=0))
+    res = minimize_energy(field, env_mplus(1.0), EnergyParams(1.0, "m_plus"), SolverConfig())
     reference = line_constant(b=1.0, length=16.0, h=0.02)
     assert res.value == pytest.approx(reference, rel=0.02)
     assert res.value >= 8.0 / 3.0 - 1e-6  # first-order sharp-interface lower bound
@@ -125,7 +114,7 @@ def test_upper_bound_semantics_under_nested_frames(e1):
     values = []
     for width in (0.25, 0.5, 1.0):
         field = profile_field(cube, e1, (0.0,), 1.0, h=0.125, frame_width=width)
-        res = minimize_energy(field, env, EnergyParams(1.0, "general"), SolverConfig(restarts=0))
+        res = minimize_energy(field, env, EnergyParams(1.0, "general"), SolverConfig())
         values.append(res.value)
     tol = 2e-6
     assert values[1] >= values[0] - tol
@@ -137,7 +126,7 @@ def test_divergence_error_on_non_finite_energy(e1):
     field = profile_field(cube, e1, (0.0,), 1.0, h=0.125)
     field.values[~field.frozen] = np.nan  # the value cap clamps inf, NaN survives
     with pytest.raises(DivergenceError):
-        minimize_energy(field, env_mplus(0.05), EnergyParams(1.0, "general"), SolverConfig(restarts=0))
+        minimize_energy(field, env_mplus(0.05), EnergyParams(1.0, "general"), SolverConfig())
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +178,7 @@ EXAMPLE_CHECKERBOARD = EnvironmentSpec(  # configs/example.ini
     kind="checkerboard", a_range=(0.8, 1.2), b_range=(-0.04, 0.05), c_range=(0.8, 1.2),
     q=0.05, c1=0.8, c2=1.2, seed=0,
 )
-ACC = SolverConfig(restarts=0, max_iters=25000, grad_tol=1e-3 * 0.25**2)
+ACC = SolverConfig(max_iters=25000, grad_tol=1e-3 * 0.25**2)
 
 
 @pytest.mark.parametrize(
@@ -222,7 +211,7 @@ def test_indefinite_model_falls_back_to_gradient_metric(e2, q, metric):
     # at q = 50 the -q eps lambda term makes the minus model's symbol negative
     grid = box_grid(e2, (0.0, 0.0), (1.0, 1.0), 1.0 / 16.0)
     grid.values[...] = np.random.default_rng(2).uniform(-1.5, 1.5, grid.shape)
-    res = minimize_energy(grid, env_mplus(q), EnergyParams(1.0, "m_minus"), SolverConfig(restarts=0, max_iters=5))
+    res = minimize_energy(grid, env_mplus(q), EnergyParams(1.0, "m_minus"), SolverConfig(max_iters=5))
     assert res.diagnostics["metric"] == metric
 
 
@@ -298,7 +287,7 @@ def test_member_with_a_flat_lateral_mean_solves_unchanged(monkeypatch):
     model, metric, u = _batch_metric([problem])
     phi, weight, _ = metric.interface.modes(u)
     assert not phi.any() and not weight.any()
-    cfg = SolverConfig(restarts=0, max_iters=200, grad_tol=1e-8)
+    cfg = SolverConfig(max_iters=200, grad_tol=1e-8)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no 0/0 on the way
         res = minimize_energy(*problem, cfg)
