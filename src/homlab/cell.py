@@ -8,7 +8,7 @@ preserve, with configurable slack for solver tolerance.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -270,10 +270,14 @@ def _cell_records(cells, cfg: SolverConfig) -> list[CellRecord]:
     (solve_many), so a record's `wall_ms` is the wall time of its batch and
     `batch` the batch size.
     """
-    problems = []
+    problems, datum = [], {}
     for env, nu, x0_index, x0, cube, epsilon, h in cells:
-        grid = cube_grid(cube, h, frame_width_for(h, epsilon, "cell"))
-        grid.values[...] = profile_values(grid, epsilon)
+        key = (cube.n, cube.side, epsilon, h)
+        if key not in datum:  # the same in local coordinates for every cell of one side: shared
+            grid = cube_grid(cube, h, frame_width_for(h, epsilon, "cell"))
+            grid.values[...] = profile_values(grid, epsilon)
+            datum[key] = grid
+        grid = replace(datum[key], direction=cube.direction, physical_shift=tuple(map(float, cube.center)))
         problems.append((grid, env, EnergyParams(epsilon, "general")))
     records = []
     for (env, nu, x0_index, x0, cube, epsilon, h), res in zip(cells, solve_many(problems, cfg)):

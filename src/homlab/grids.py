@@ -8,6 +8,7 @@ datum, so the lattice edge introduces no error beyond the frame convention itsel
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 from dataclasses import dataclass
 
@@ -265,76 +266,113 @@ def _combine(plus, minus) -> np.ndarray:
 class _Stencils:
     """The stencil table of a batch of same-geometry members, read from one padded copy.
 
-    P (`_pad`) writes u, shaped (members, *shape), into a preallocated array
-    with a leading member axis and one ghost layer per grid axis, filled axis by
-    axis (corners too) by edge replication, or wrap on periodic axes.  P^T
-    (`_fold`) adds the ghost layers of a second such array back onto their
-    sources, axes in reverse order.  Stencils run on the arrays flattened per
-    member, over the span from a member's first node to its last, so every tap
-    is one slice of a (members, padded size) array; span positions in a ghost
-    layer get weight 0.  A tap's slice of the padded array feeds D_k and its
-    slice of the fold array receives D_k^T, so the adjoints hold by
-    construction.  Members never share a span position, so a non-finite member
-    cannot leak into another one.  `use` runs the table on the first rows only.
-    Buffers are reused: one thread each.
+    P (`_pad`) writes u, shaped (members, *shape), into a preallocated buffer
+    that holds one padded block per member, with one ghost layer per grid axis
+    filled axis by axis (corners too) by edge replication, or wrap on periodic
+    axes.  P^T (`_fold`) adds the ghost layers of a second such buffer back onto
+    their sources, axes in reverse order.  The blocks lie end to end, each
+    followed by three zero separator rows (layers of the first axis), and the
+    stencils run on the flattened buffer over one span, from the first member's
+    first node to the last member's last node: every tap is one slice of it.
+    Span positions off the nodes (ghost layers, separators) get weight 0.  A
+    tap's slice of the padded buffer feeds D_k and its slice of the fold buffer
+    receives D_k^T, so the adjoints hold by construction.  A tap reaches less
+    than a row and a half along the span, so a value read at one position is
+    written less than three rows away: no value read from one member's block,
+    finite or not, reaches another member's block.  `use` runs the table on
+    the first members only.  Buffers are reused: one thread each.
+
+    With `state` (slices of `shape`), u covers only those nodes: `_pad` writes
+    them, the other nodes keep what `hold` wrote (rows of `held` belong to the
+    members, so permute them with the members), and Ku comes back on the state.
+    A side marked in `cut`, a (low, high) pair per axis, keeps the ghost layer
+    `hold` wrote there too, and its layer is not folded.
     """
 
-    def __init__(self, members: int, shape: tuple[int, ...], periodic: tuple[bool, ...]):
+    def __init__(self, members: int, shape: tuple[int, ...], periodic: tuple[bool, ...], state=None, cut=None):
         n = len(shape)
         self.shape = shape
-        self._p = np.zeros((members,) + tuple(m + 2 for m in shape))
-        self._q = np.zeros_like(self._p)
-        self._inner = (slice(None),) + (slice(1, -1),) * n
-        layers = []  # (ghost, source) views of p and of q, in padding order
-        for axis, wrap in enumerate(periodic):
-            for ghost, source in ((0, -2 if wrap else 1), (-1, 1 if wrap else -2)):
-                g, s = [(slice(None),) * (axis + 1) + (slice(i, i + 1 or None),) for i in (ghost, source)]
-                layers.append((self._p[g], self._p[s], self._q[g], self._q[s]))
-        strides = np.array(self._p.strides[1:]) // self._p.itemsize
-        start = int(strides.sum())
-        self._span = slice(start, start + int(np.dot(np.array(shape) - 1, strides)) + 1)
-        p, q = self._p.reshape(members, -1), self._q.reshape(members, -1)
-
-        def taps(rows, offsets):
-            shifts = (int(np.dot(t, strides)) for t in offsets)
-            return [rows[:, self._span.start + o : self._span.stop + o] for o in shifts]
-
-        table = [
-            (kind, axes, taps(p, plus), taps(p, minus), taps(q, plus), taps(q, minus))
+        padded = tuple(m + 2 for m in shape)
+        self.held = np.zeros((members, padded[0] + 3) + padded[1:])  # three separator rows after each block
+        self._q = np.zeros_like(self.held)
+        self._blocks = (slice(None), slice(0, padded[0]))  # the padded blocks, without separators
+        self._inner = (slice(None),) + tuple(slice(1, m + 1) for m in shape)
+        state = state or tuple(slice(0, m) for m in shape)
+        self._state = (slice(None),) + tuple(slice(s.start + 1, s.stop + 1) for s in state)
+        self._layers = []  # (ghost, source) index tuples, in padding order
+        for axis, (m, wrap, sides) in enumerate(zip(shape, periodic, cut or [(False, False)] * n)):
+            for held, ghost, source in zip(sides, (0, m + 1), (m if wrap else 1, 1 if wrap else m)):
+                if not held:
+                    self._layers.append(
+                        tuple((slice(None),) * (axis + 1) + (slice(i, i + 1),) for i in (ghost, source))
+                    )
+        strides = np.array(self.held.strides[1:]) // self.held.itemsize
+        self._node_strides = self.held.strides[1:]
+        self._block = self.held[0].size
+        self._start = int(strides.sum())
+        self._length = int(np.dot(np.array(shape) - 1, strides)) + 1  # one member's span
+        self._offsets = [
+            (kind, axes, *([int(np.dot(t, strides)) for t in taps] for taps in (plus, minus)))
             for kind, axes, plus, minus in _stencil_table(n)
         ]
-        self._all = (self._p[self._inner], self._q[self._inner], p, q, layers, table)
         self.use(members)
 
     def use(self, members: int) -> None:
-        """Run on the first `members` rows of the buffers (all of them at construction)."""
-        p_inner, q_inner, p, q, layers, table = self._all
-        self._p_inner, self._q_inner, self._p_rows, self._q_rows = (v[:members] for v in (p_inner, q_inner, p, q))
-        self._layers = [tuple(v[:members] for v in layer) for layer in layers]
+        """Run on the first `members` blocks of the buffers (all of them at construction)."""
+        p, q = self.held[:members], self._q[:members]
+        self._p_state, self._q_state = p[self._state], q[self._state]
+        self._q_all = q
+        p, q = p[self._blocks], q[self._blocks]
+        self._p_rows, self._q_rows = p.reshape(members, -1), q.reshape(members, -1)
+        self._layers_now = [(p[g], p[s], q[g], q[s]) for g, s in self._layers]
+        stop = self._stop(members)
+
+        def taps(flat, offsets):
+            return [flat[self._start + o : stop + o] for o in offsets]
+
+        p_flat, q_flat = self.held.reshape(-1), self._q.reshape(-1)
         self.table = [
-            (kind, axes, *([t[:members] for t in taps] for taps in tap_sets)) for kind, axes, *tap_sets in table
+            (kind, axes, taps(p_flat, plus), taps(p_flat, minus), taps(q_flat, plus), taps(q_flat, minus))
+            for kind, axes, plus, minus in self._offsets
         ]
 
-    def on_span(self, w) -> np.ndarray:
-        """Node values per member (or a scalar) laid out on the span, 0 in the ghost layers."""
-        padded = np.zeros_like(self._p)
-        padded[self._inner] = w
-        return padded.reshape(len(padded), -1)[:, self._span].copy()
+    def on_blocks(self, w) -> np.ndarray:
+        """Node values per member (or a scalar) laid out in the members' blocks, 0 off the nodes."""
+        blocks = np.zeros_like(self.held)
+        blocks[self._inner] = w
+        return blocks.reshape(len(blocks), -1)
+
+    def on_nodes_of_blocks(self, blocks: np.ndarray) -> np.ndarray:
+        """The node-shaped view, (members, *shape), of values laid out in blocks."""
+        return blocks.reshape((len(blocks),) + self.held.shape[1:])[self._inner]
+
+    def _stop(self, members: int) -> int:
+        """The end of the span of the first `members` blocks."""
+        return self._start + (members - 1) * self._block + self._length
+
+    def span(self, blocks: np.ndarray) -> np.ndarray:
+        """The span of the members whose blocks are given, as one flat view."""
+        return blocks.reshape(-1)[self._start : self._stop(len(blocks))]
 
     def on_nodes(self, d: np.ndarray) -> np.ndarray:
         """The node-shaped view, (members, *shape), of span values."""
-        strides = (d.strides[0],) + self._p.strides[1:]
-        return np.lib.stride_tricks.as_strided(d, (len(d),) + self.shape, strides, writeable=False)
+        members = (len(d) - self._length) // self._block + 1
+        strides = (self._block * d.itemsize,) + self._node_strides
+        return np.lib.stride_tricks.as_strided(d, (members,) + self.shape, strides, writeable=False)
+
+    def hold(self, values: np.ndarray, at: tuple) -> None:
+        """Write `values` of every member into the slices `at` of the padded blocks, once."""
+        self.held[(slice(None),) + at] = values
 
     def _pad(self, u: np.ndarray) -> None:
-        np.copyto(self._p_inner, u)
-        for p_ghost, p_source, _, _ in self._layers:
+        np.copyto(self._p_state, u)
+        for p_ghost, p_source, _, _ in self._layers_now:
             np.copyto(p_ghost, p_source)
 
     def _fold(self) -> np.ndarray:
-        for _, _, q_ghost, q_source in reversed(self._layers):
+        for _, _, q_ghost, q_source in reversed(self._layers_now):
             q_source += q_ghost
-        return self._q_inner
+        return self._q_state
 
     def differences(self, u: np.ndarray) -> list:
         """D_k P u on the nodes for every table entry, in table order."""
@@ -344,11 +382,12 @@ class _Stencils:
     def quadratic(self, u: np.ndarray, weights) -> tuple[np.ndarray, np.ndarray]:
         """(u.Ku, Ku) per member for K = P^T sum_k D_k^T w_k D_k P, span weights w_k.
 
-        u.Ku is read as (P u).(sum_k D_k^T w_k D_k P u) before the fold, one row
-        dot per member; Ku is a view into the fold array, valid until the next call.
+        u.Ku is read as (P u).(sum_k D_k^T w_k D_k P u) over each member's
+        padded block before the fold, one row dot per member; Ku is a view into
+        the fold buffer, valid until the next call.
         """
         self._pad(u)
-        self._q_rows.fill(0.0)
+        self._q_all.fill(0.0)
         for w, (_, _, plus, minus, q_plus, q_minus) in zip(weights, self.table):
             r = _combine(plus, minus)
             r *= w
@@ -402,6 +441,34 @@ class EnergyParams:
             raise ValueError(f"unknown energy variant {self.variant!r}")
 
 
+def _coefficients(fields, envs, epsilon: float) -> tuple:
+    """(a, b, c) at every member's nodes, looked up at the physical points x/eps; each (members, *shape).
+
+    Node coordinates are computed once per distinct low corner, and each
+    environment is looked up once, at the distinct lattice cells that its
+    members' nodes fall in.  A member gets the values its own lookup gives.
+    """
+    local, cells = {}, []
+    for f in fields:
+        if f.lo not in local:
+            local[f.lo] = f.local_points()
+        # the expression of f.physical_points(), so the same bits
+        points = local[f.lo] @ rotation_for(f.direction).T + np.asarray(f.physical_shift)
+        cells.append(np.floor(points / epsilon).astype(np.int64).reshape(-1, f.n))
+    by_env = {}
+    for k, env in enumerate(envs):
+        by_env.setdefault(env, []).append(k)
+    out = np.empty((3, len(fields), len(cells[0])))
+    for env, members in by_env.items():
+        mine = np.ascontiguousarray(np.concatenate([cells[k] for k in members]).T)  # (n, points)
+        low = mine.min(axis=1)
+        extent = mine.max(axis=1) - low + 1
+        keys, where = np.unique(np.ravel_multi_index(mine - low[:, None], extent), return_inverse=True)
+        distinct = np.stack(np.unravel_index(keys, extent), axis=-1) + low
+        out[:, members] = np.take(env.coefficients_at_points(distinct), where, axis=1).reshape(3, len(members), -1)
+    return tuple(v.reshape((len(fields),) + fields[0].shape) for v in out)
+
+
 class EnergyModel:
     """Discrete energy and its exact gradient for a batch of same-geometry members.
 
@@ -420,7 +487,8 @@ class EnergyModel:
 
     Node arrays carry a leading member axis, (members, *shape), and energies
     come back one per member.  A model of one member also takes a bare `shape`
-    array and then returns a float energy and a `shape` gradient.
+    array and then returns a float energy and a `shape` gradient.  `restrict`
+    gives the same energies as a function of a box of the nodes alone.
     """
 
     def __init__(self, field, env, params: EnergyParams):
@@ -448,11 +516,7 @@ class EnergyModel:
         self.cell_volume = first.h**first.n
         batch = (len(fields),) + self.shape
         if params.variant == "general":
-            coefficients = [
-                e.coefficients_at_points((f.physical_points() / params.epsilon).reshape(-1, self.n))
-                for f, e in zip(fields, envs)
-            ]
-            a, b, c = (np.stack(v).reshape(batch) for v in zip(*coefficients))
+            a, b, c = _coefficients(fields, envs, params.epsilon)
         else:
             q = np.array([e.spec.q for e in envs]).reshape((len(fields),) + (1,) * self.n)
             a, c = np.ones_like(q), np.ones_like(q)
@@ -461,19 +525,67 @@ class EnergyModel:
         wa = np.broadcast_to(vol * a / eps, batch).copy()
         w = {"d1": vol * eps * b, "d2": vol * eps**3 * c, "x": 2.0 * vol * eps**3 * c}
         self._stencils = _Stencils(len(fields), self.shape, self.periodic)
-        w = {kind: self._stencils.on_span(wk / _STEP[kind](self.h) ** 2) for kind, wk in w.items()}
-        self._kinds = tuple(w)
-        self._rows = [a, b, c, wa, *w.values()]  # every per-member array, one row per member
-        self._order = np.arange(len(fields))  # the member each row belongs to
-        self._use(len(fields))
+        w = {kind: self._stencils.on_blocks(wk / _STEP[kind](self.h) ** 2) for kind, wk in w.items()}
+        self._set_rows(a=a, b=b, c=c, wa=wa, frame=np.zeros(len(fields)), **w)
+
+    def _set_rows(self, **rows) -> None:
+        """Make `rows` the per-member arrays, one row per member each, with every member in the batch.
+
+        `frame` is each member's constant energy and `d1`, `d2`, `x` are the
+        weights laid out in the stencils' blocks; the stencils' held rows are
+        per-member data too.
+        """
+        self._rows = {**rows, "held": self._stencils.held}
+        self._order = np.arange(len(rows["frame"]))  # the member each row belongs to
+        self._use(len(self._order))
 
     def _use(self, members: int) -> None:
         """Make the first `members` rows the batch: views of them, and of the stencil buffers."""
         self.members = members
-        self.a, self.b, self.c, self.wa, *w = (v[:members] for v in self._rows)
+        rows = {name: v[:members] for name, v in self._rows.items()}
+        self.a, self.b, self.c, self.wa, self._frame = (rows[k] for k in ("a", "b", "c", "wa", "frame"))
         self._stencils.use(members)
-        w = dict(zip(self._kinds, w))
-        self._weights = [w[kind] for kind, *_ in self._stencils.table]
+        self._weights = [self._stencils.span(rows[kind]) for kind, *_ in self._stencils.table]
+
+    def restrict(self, values: np.ndarray, box: tuple, window: tuple) -> "EnergyModel":
+        """This batch's energy as a function of the nodes in `box` alone, every other node held at `values`.
+
+        `values` is (members, *shape) with every member in construction order,
+        and `box` and `window` are slices of shape.  The restricted model's nodes
+        are the box: it takes and returns box-shaped arrays, and its a, b, c, wa
+        and frozen mask cover the box.  `window` must hold every node within one
+        of the box, as far as the grid reaches, and the whole of every periodic
+        axis: the terms of those nodes are all that depend on the box.  Its
+        stencils run over the window and read the layer next to it too, so
+        every such term is computed as on the whole grid and the gradient equals
+        this model's bit for bit.  Each energy adds the member's constant
+        E(values) - E_window(values), so energies are whole-grid energies to
+        rounding.  A box of the whole grid gives the model itself.
+        """
+        if self.members != len(self._order) or np.any(self._order != np.arange(self.members)):
+            raise ValueError("restrict a model whose batch is every member in construction order")
+        if all(s == slice(0, m) for s, m in zip(box, self.shape)):
+            return self
+        energy = self.energy(values)
+        each = (slice(None),)
+        state = tuple(slice(b.start - w.start, b.stop - w.start) for b, w in zip(box, window))
+        cut = [(w.start > 0, w.stop < m) for w, m in zip(window, self.shape)]
+        model = copy.copy(self)
+        model.shape = tuple(s.stop - s.start for s in box)
+        model.frozen = self.frozen[box]
+        model._stencils = _Stencils(self.members, tuple(s.stop - s.start for s in window), self.periodic, state, cut)
+        # the window and, on its cut sides, the ghost layers: every node the stencils read
+        read = tuple(slice(w.start - lo, w.stop + hi) for w, (lo, hi) in zip(window, cut))
+        at = tuple(slice(1 - lo, w.stop - w.start + 1 + hi) for w, (lo, hi) in zip(window, cut))
+        model._stencils.hold(values[each + read], at)
+        batch = (self.members,) + self.shape
+        rows = {name: np.broadcast_to(self._rows[name], batch)[each + box].copy() for name in ("a", "b", "c", "wa")}
+        for kind in _STEP:
+            weights = self._stencils.on_nodes_of_blocks(self._rows[kind])
+            rows[kind] = model._stencils.on_blocks(weights[each + window])
+        model._set_rows(frame=np.zeros(self.members), **rows)
+        model._frame[...] = energy - model.energy(values[each + box])
+        return model
 
     @property
     def member_ids(self) -> np.ndarray:
@@ -497,7 +609,7 @@ class EnergyModel:
         rest = np.ones(len(row), dtype=bool)
         rest[chosen] = False
         perm = np.concatenate([chosen, np.flatnonzero(rest)])
-        for v in self._rows:
+        for v in self._rows.values():
             v[...] = v[perm]
         self._order = self._order[perm]
         self._use(len(chosen))
@@ -511,7 +623,8 @@ class EnergyModel:
         return x, bare
 
     def _value(self, u: np.ndarray, quad: np.ndarray) -> np.ndarray:
-        return _row_dots(self.wa.reshape(self.members, -1), self.well(u).reshape(self.members, -1)) + quad
+        well = _row_dots(self.wa.reshape(self.members, -1), self.well(u).reshape(self.members, -1))
+        return well + quad + self._frame
 
     def _gradient(self, u: np.ndarray, ku: np.ndarray) -> np.ndarray:
         g = self.well.derivative(u) * self.wa
@@ -537,10 +650,10 @@ class EnergyModel:
         return (float(e[0]), g[0]) if bare else (e, g)
 
     def energy_density(self, u: np.ndarray) -> np.ndarray:
+        """The energy per unit volume at each node (of a model that is not restricted)."""
         x, bare = self._batch(u)
         dens = self.wa * self.well(x)
         for w, d in zip(self._weights, self._stencils.differences(x)):
             dens += self._stencils.on_nodes(w) * (d * d)
         dens /= self.cell_volume
         return dens[0] if bare else dens
-

@@ -328,8 +328,15 @@ def run_sigma(cfg: ExperimentConfig, manifest: RunManifest | None = None) -> dic
     return payload
 
 
+def _check_unit_scale(cfg: ExperimentConfig) -> None:
+    """ConfigError unless the mesh resolves epsilon = 1, the scale that the cell problems solve at."""
+    if cfg.h > 1.0 / 4.0 + 1e-12:
+        raise ConfigError(f"h = {cfg.h} cannot resolve the cell problems' scale epsilon = 1; need h <= 1/4")
+
+
 def _solve_cells(cfg: ExperimentConfig, manifest: RunManifest | None, command: str) -> list[CellRecord]:
     """Every configured cell, direction x r x seed x x0; with a manifest, one record `<command>/<work id>` each."""
+    _check_unit_scale(cfg)
     records = cell_problems_r(cfg.env, cfg.nu_list, cfg.r_list, cfg.seeds, cfg.x0_list, cfg.solver, cfg.h)
     if manifest is not None:
         for rec in records:
@@ -574,6 +581,7 @@ def _prop_growth_random_env(cfg: ExperimentConfig) -> PropertyResult:
 
 
 def run_property_suite(cfg: ExperimentConfig) -> list[PropertyResult]:
+    _check_unit_scale(cfg)  # the cell-based properties solve at epsilon = 1 on the mesh h
     checks = [
         _prop_gradient,
         _prop_growth,

@@ -130,13 +130,14 @@ def _transform(mats, x: np.ndarray) -> np.ndarray:
     """Multiply x by mats[a] along each of its last len(mats) axes (one small matmul per axis).
 
     Leading axes (the member axis of a batch) are carried along; every member
-    gets the bits it would get alone.
+    gets the bits it would get alone.  The result is C-contiguous: every
+    later product and reduction on it would otherwise copy or stride.
     """
     if len(mats) == 1:
         return mats[0] @ x if x.ndim == 1 else (mats[0] @ x[..., None])[..., 0]
     for axis, q in enumerate(mats, start=x.ndim - len(mats)):
         x = q @ x if axis == x.ndim - 2 else (q @ x.swapaxes(axis, -2)).swapaxes(axis, -2)
-    return x
+    return np.ascontiguousarray(x)
 
 
 # floor of the interface modes' curvature, as a fraction of the model's own (README "Solver note")
@@ -146,12 +147,12 @@ SOFT_FLOOR = 0.2
 class _Metric:
     """The descent metric M of a batch: directions are d = M^-1 g and steps are measured in s'Ms.
 
-    On the bounding box of the free nodes, the base model P is diagonal in a
-    tensor product of closed-form axis bases, with the symbol
+    It acts on the free box (`_Geometry`), where the base model P is diagonal
+    in a tensor product of closed-form axis bases, with the symbol
     vol*(2(c eps^3 L^2 + b eps L) + W''(1) a/eps) (L the sum of the per-axis
-    Laplacian eigenvalues, a, b, c the coefficient means of each member): the
-    energy Hessian at u = +-1 for constant coefficients.  The bases are shared
-    by the batch, the symbol is per member.
+    Laplacian eigenvalues, a, b, c the whole-grid coefficient means of each
+    member): the energy Hessian at u = +-1 for constant coefficients.  The
+    bases are shared by the geometry group, the symbol is per member.
 
     With lateral axes (n >= 2), M corrects P on the interface's soft modes
     (`_Interface`), rebuilt from the current u by every `direction`; `norm2`
@@ -163,23 +164,23 @@ class _Metric:
     members of one kind; `_metrics` splits a batch by kind.
     """
 
-    def __init__(self, frozen: np.ndarray, box=None, bases=None, symbol=None, t_init=None, interface=None):
-        self.frozen = frozen
-        self.box, self.bases, self.symbol, self.t_init, self.interface = box, bases, symbol, t_init, interface
-        if box is None:
+    def __init__(self, frozen: np.ndarray, bases=None, symbol=None, t_init=None, interface=None):
+        self.frozen = frozen  # on the box
+        self.bases, self.symbol, self.t_init, self.interface = bases, symbol, t_init, interface
+        if bases is None:
             self.name = "gradient"
         else:
             self.name = "preconditioned"
             self.bases_t = [q.T for q in bases]
-            self.free_box = not frozen[box[1:]].any()  # then d needs no re-zeroing and s = -t d
+            self.free_box = not frozen.any()  # then d needs no re-zeroing and s = -t d
         self._modes = None
 
     def take(self, members) -> "_Metric":
         """The metric of the members at the given indices."""
-        if self.box is None:
+        if self.bases is None:
             return _Metric(self.frozen, t_init=self.t_init[members])
         interface = None if self.interface is None else self.interface.take(members)
-        return _Metric(self.frozen, self.box, self.bases, self.symbol[members], interface=interface)
+        return _Metric(self.frozen, self.bases, self.symbol[members], interface=interface)
 
     def direction(self, g: np.ndarray, u: np.ndarray):
         """(d, g'd): d = M^-1 g at u, zero at frozen nodes.
@@ -187,27 +188,25 @@ class _Metric:
         g'd is per member, shaped (members, 1, ...), and given only where it
         equals s'Ms / t^2 for the step s = -t d; else it is None.
         """
-        if self.box is None:
+        if self.bases is None:
             return self.t_init * g, None
-        d = np.zeros_like(g)
-        g_hat = _transform(self.bases_t, g[self.box])
+        g_hat = _transform(self.bases_t, g)
         coef = g_hat / self.symbol
         if self.interface is not None:
             self._modes = self.interface.modes(u)
             phi, weight, _ = self._modes
             coef += (weight * (g_hat @ phi[..., None])) * phi[..., None, :]
-        d[self.box] = _transform(self.bases, coef)
+        d = _transform(self.bases, coef)
         if self.interface is None or not self.free_box:
             np.copyto(d, 0.0, where=self.frozen)
             return d, None
-        # the box holds no frozen node and d is 0 outside it
         return d, g.reshape(len(g), 1, -1) @ d.reshape(len(d), -1, 1)
 
     def norm2(self, s: np.ndarray) -> np.ndarray:
         """s'Ms per member, shaped (members, 1, ...), in the metric of the last direction."""
-        if self.box is None:
+        if self.bases is None:
             return _row_sums(s * s) / self.t_init
-        coef = _transform(self.bases_t, s[self.box])
+        coef = _transform(self.bases_t, s)
         scaled = self.symbol * coef
         out = _row_sums(scaled * coef)
         if self._modes is not None:
@@ -218,7 +217,7 @@ class _Metric:
 
 
 class _Interface:
-    """The interface's soft modes in a box, and the metric's correction on them.
+    """The interface's soft modes in the free box, and the metric's correction on them.
 
     An interface across the box slides along the normal (the last axis) at
     almost no cost, once per lateral wavenumber k: the field changes by phi,
@@ -235,40 +234,62 @@ class _Interface:
     which stays SPD.  A member whose phi is zero or not finite gets no
     correction.  Every reduction is per member (stacked matmuls and
     reductions over the member's own rows), so members keep their bits.
+
+    Built once per geometry group; `batch` adds the members' coefficient
+    terms.  phi at the box's end rows reads the lateral means of the frozen
+    rows next to the box, which are constant per member (`ends`).
     """
 
-    def __init__(self, model: EnergyModel, box: tuple, q_normal: np.ndarray, mu: np.ndarray, lam_lateral, abc):
-        size = model.shape[-1]
-        rows = np.arange(size)[box[-1]]  # box[0] is the member axis
-        if model.periodic[-1]:
-            self.up, self.down = (rows + 1) % size, (rows - 1) % size
+    def __init__(self, grid: GridField, box: tuple, q_normal: np.ndarray, mu: np.ndarray, lam_lateral):
+        size = grid.shape[-1]
+        rows = np.arange(size)[box[-1]]
+        if grid.periodic[-1]:
+            up, down = (rows + 1) % size, (rows - 1) % size
         else:
-            self.up, self.down = np.minimum(rows + 1, size - 1), np.maximum(rows - 1, 0)
-        self.rows = box[-1]
-        self.lateral_box = box[:-1] + (slice(None),)
+            up, down = np.minimum(rows + 1, size - 1), np.maximum(rows - 1, 0)
+        read = np.zeros(size, dtype=bool)
+        read[up] = read[down] = True
+        read[rows] = False
+        self.outside = np.flatnonzero(read)  # frozen rows that phi reads
+        position = np.empty(size, dtype=int)  # of a row in u_bar followed by the outside rows
+        position[np.concatenate([rows, self.outside])] = np.arange(len(rows) + len(self.outside))
+        self.up, self.down = position[up], position[down]
+        self.lateral_box = box[:-1]
         # `w @ x` averages the last lateral axis of x; the last one first
-        self.lateral_means = [np.full(b.stop - b.start, 1.0 / (b.stop - b.start)) for b in box[-2:0:-1]]
+        self.lateral_means = [np.full(b.stop - b.start, 1.0 / (b.stop - b.start)) for b in box[-2::-1]]
         self.q_normal_t = q_normal.T
         self.mu_powers = np.stack([np.ones_like(mu), mu, mu * mu], axis=1)
+        self.lam = lam_lateral
         self.lateral_shape = (-1,) + lam_lateral.shape  # (members, *lateral box, 1)
         self.phi_shape = (-1,) + (1,) * (lam_lateral.ndim - 2) + (len(rows),)
-        self.well = model.well
-        self.curvature_at_wells = model.well.curvature(1.0)
-        a, b, c = abc  # coefficient means, (members, 1, ..., 1)
+
+    def batch(self, model: EnergyModel, abc, values: np.ndarray) -> "_Interface":
+        """The interface of a batch: whole-grid coefficient means abc, (members, 1, ..., 1), and node values."""
+        other = copy.copy(self)
+        other.well = model.well
+        other.curvature_at_wells = model.well.curvature(1.0)
+        a, b, c = abc
         eps, vol = model.eps, model.cell_volume
-        lam = lam_lateral.reshape(1, 1, -1)
+        lam = self.lam.reshape(1, 1, -1)
         big_a, big_b = (2.0 * vol * v.reshape(-1, 1, 1) for v in (c * eps**3, b * eps))
-        self.well_weight = (vol * a / eps).reshape(-1, 1, 1)
+        other.well_weight = (vol * a / eps).reshape(-1, 1, 1)
         # the symbol A (lam + mu)^2 + B (lam + mu) + C by powers of mu, so that
         # p_k |phi|^2 = [m0, m1, m2] @ poly[..., k] for the moments m_i = sum_j mu_j^i phi_hat_j^2
-        big_c = self.well_weight * self.curvature_at_wells
+        big_c = other.well_weight * other.curvature_at_wells
         terms = ((big_a * lam + big_b) * lam + big_c, 2.0 * big_a * lam + big_b, big_a)
-        self.poly = np.concatenate(np.broadcast_arrays(*terms), axis=1)
+        other.poly = np.concatenate(np.broadcast_arrays(*terms), axis=1)
+        other.ends = self._lateral_mean(values[(slice(None),) + self.lateral_box + (self.outside,)])
+        return other
 
     def take(self, members) -> "_Interface":
         other = copy.copy(self)
-        other.poly, other.well_weight = self.poly[members], self.well_weight[members]
+        other.poly, other.well_weight, other.ends = self.poly[members], self.well_weight[members], self.ends[members]
         return other
+
+    def _lateral_mean(self, x: np.ndarray) -> np.ndarray:
+        for w in self.lateral_means:
+            x = w @ x
+        return x
 
     def modes(self, u: np.ndarray) -> tuple:
         """(phi_hat, 1/alpha - 1/p, p) at u, shaped to broadcast against coefficient arrays.
@@ -277,14 +298,13 @@ class _Interface:
         two are (members, *lateral box, 1).  Here phi is left unnormalized and
         p, alpha are scaled by |phi|^2 to match, which gives the same M.
         """
-        u_bar = u[self.lateral_box]
-        for w in self.lateral_means:
-            u_bar = w @ u_bar
-        phi = u_bar.take(self.up, axis=-1)  # `u_bar[:, up]` would come back column-major
-        phi -= u_bar.take(self.down, axis=-1)
+        u_bar = self._lateral_mean(u)
+        rows = np.concatenate([u_bar, self.ends], axis=-1)
+        phi = rows.take(self.up, axis=-1)  # `rows[:, up]` would come back column-major
+        phi -= rows.take(self.down, axis=-1)
         phi_hat = (self.q_normal_t @ phi[..., None])[..., 0]
         p = ((phi_hat * phi_hat)[:, None, :] @ self.mu_powers) @ self.poly
-        drop = self.well.curvature(u_bar[:, self.rows]) - self.curvature_at_wells
+        drop = self.well.curvature(u_bar) - self.curvature_at_wells
         phi *= phi
         delta = self.well_weight * (drop[:, None, :] @ phi[..., None])
         # phi = 0 gives p = 0 and a NaN phi (u is clipped, so never infinite) a NaN p: no correction there
@@ -296,30 +316,55 @@ class _Interface:
         return phi_hat.reshape(self.phi_shape), weight.reshape(self.lateral_shape), p.reshape(self.lateral_shape)
 
 
-def _metrics(model: EnergyModel, free: np.ndarray) -> list:
-    """(member indices, _Metric) for each metric kind present in the batch."""
-    members = np.arange(model.members)
-    positive = np.zeros(model.members, dtype=bool)
-    if free.any():
-        box, bases, lams = [slice(None)], [], []
-        for axis, size in enumerate(free.shape):
-            other = tuple(a for a in range(free.ndim) if a != axis)
+class _Geometry:
+    """What the batches of one geometry group share; built once per group.
+
+    `box` is the bounding box of the free nodes (the whole grid when none is
+    free), the descent's state.  `window` is the box grown by one node along
+    each axis that does not wrap, as far as the grid reaches, and the whole
+    axis along a periodic one: the nodes whose energy terms depend on the box
+    (`EnergyModel.restrict`).  `frozen` is the frozen mask on the box.
+    With a free node, `bases` and `lam` are the metric's axis bases on the box
+    and the sum of their Laplacian eigenvalues, and `interface` (n >= 2) the
+    interface correction's tables.
+    """
+
+    def __init__(self, grid: GridField):
+        free = grid.free_mask()
+        box, window, bases, lams = [], [], [], []
+        for axis, size in enumerate(grid.shape):
+            other = tuple(a for a in range(grid.n) if a != axis)
             rows = np.flatnonzero(free.any(axis=other))
-            lo, hi = int(rows[0]), int(rows[-1]) + 1
-            if model.periodic[axis] and (lo, hi) == (0, size):
+            lo, hi = (int(rows[0]), int(rows[-1]) + 1) if len(rows) else (0, size)
+            wrap = grid.periodic[axis]
+            box.append(slice(lo, hi))
+            window.append(slice(0, size) if wrap else slice(max(lo - 1, 0), min(hi + 1, size)))
+            if wrap and (lo, hi) == (0, size):
                 ends = "wrap"
-            elif model.periodic[axis]:
+            elif wrap:
                 ends = "fixed-fixed"
             else:
                 ends = f"{'free' if lo == 0 else 'fixed'}-{'free' if hi == size else 'fixed'}"
-            q, lam = _axis_basis(hi - lo, model.h, ends)
-            box.append(slice(lo, hi))
+            q, lam = _axis_basis(hi - lo, grid.h, ends)
             bases.append(q)
-            shape = [1] * free.ndim
+            shape = [1] * grid.n
             shape[axis] = hi - lo
             lams.append(lam.reshape(shape))
-        lam = sum(lams)
-        eps = model.eps
+        self.box, self.window = tuple(box), tuple(window)
+        self.frozen = grid.frozen[self.box]
+        self.bases = self.lam = self.interface = None
+        if free.any():
+            self.bases, self.lam = bases, sum(lams)
+            if grid.n >= 2:
+                self.interface = _Interface(grid, self.box, bases[-1], lams[-1].ravel(), sum(lams[:-1]))
+
+
+def _metrics(model: EnergyModel, geometry: _Geometry, values: np.ndarray) -> list:
+    """(member indices, _Metric) for each metric kind present in the batch of the whole-grid model."""
+    members = np.arange(model.members)
+    positive = np.zeros(model.members, dtype=bool)
+    if geometry.bases is not None:
+        eps, lam = model.eps, geometry.lam
         abc = [np.mean(v, axis=_per_member(v), keepdims=True) for v in (model.a, model.b, model.c)]
         a, b, c = abc
         at_wells = model.well.curvature(1.0)
@@ -327,14 +372,14 @@ def _metrics(model: EnergyModel, free: np.ndarray) -> list:
         positive = np.min(symbol, axis=_per_member(symbol)) > 0.0
     kinds = []
     if positive.any():
-        box, interface = tuple(box), None
-        if model.n >= 2:
-            abc = [v[positive] for v in abc]
-            interface = _Interface(model, box, bases[-1], lams[-1].ravel(), sum(lams[:-1]), abc)
-        kinds.append((members[positive], _Metric(~free, box, bases, symbol[positive], interface=interface)))
+        interface = None
+        if geometry.interface is not None:
+            interface = geometry.interface.batch(model, [v[positive] for v in abc], values[positive])
+        metric = _Metric(geometry.frozen, geometry.bases, symbol[positive], interface=interface)
+        kinds.append((members[positive], metric))
     if not positive.all():
         t_init = _initial_step(model)[~positive].reshape((-1,) + (1,) * model.n)
-        kinds.append((members[~positive], _Metric(~free, t_init=t_init)))
+        kinds.append((members[~positive], _Metric(geometry.frozen, t_init=t_init)))
     return kinds
 
 
@@ -457,12 +502,18 @@ def minimize_batch(initials, envs, params: EnergyParams, cfg: SolverConfig = Sol
     has one Environment per initial.  Returns per member a SolveResult,
     bit-identical to what minimize_energy returns for that member alone, or
     the DivergenceError its solve raised.  Each result's diagnostics carry the
-    batch size (`batch`) and the batch's wall time (`wall_ms`).  A reported
-    value is the energy the descent computed for the returned field, so it is
-    the discrete energy of that field bit for bit.
+    batch size (`batch`) and the batch's wall time (`wall_ms`).  The descent
+    runs on the box of free nodes (`EnergyModel.restrict`), and a reported
+    value is the energy it computed for the returned field: the discrete
+    energy of that field to rounding.
     """
-    t0 = time.perf_counter()
     initials = list(initials)
+    return _solve_batch(initials, envs, params, cfg, _Geometry(initials[0]))
+
+
+def _solve_batch(initials: list, envs, params: EnergyParams, cfg: SolverConfig, geometry: _Geometry) -> list:
+    """minimize_batch with the group's geometry already built."""
+    t0 = time.perf_counter()
     first = initials[0]
     model = EnergyModel(initials, envs, params)
     grad_tol = cfg.grad_tol if cfg.grad_tol is not None else 1e-6 * first.h**first.n
@@ -470,10 +521,14 @@ def minimize_batch(initials, envs, params: EnergyParams, cfg: SolverConfig = Sol
     if first.frozen.any() and float(np.max(np.abs(values[:, first.frozen]))) > U_CAP:
         raise ValueError("frozen boundary data exceeds the value cap")
 
+    kinds = _metrics(model, geometry, values)
+    # from here on the whole-grid terms are gone: the descent holds the box
+    model = model.restrict(values, geometry.box, geometry.window)
+    box = (slice(None),) + geometry.box
     found = [None] * len(initials)
-    for members, metric in _metrics(model, first.free_mask()):
+    for members, metric in kinds:
         model.select(members)
-        for k, result in zip(members, _descend(model, metric, values[members], cfg, grad_tol)):
+        for k, result in zip(members, _descend(model, metric, values[box][members], cfg, grad_tol)):
             found[k] = (result, metric.name)
     wall_ms = 1000.0 * (time.perf_counter() - t0)
     results = []
@@ -482,9 +537,10 @@ def minimize_batch(initials, envs, params: EnergyParams, cfg: SolverConfig = Sol
             results.append(result)
             continue
         u, energy, iters, gnorm, converged, resets = result
+        values[k][geometry.box] = u
         results.append(
             SolveResult(
-                field=initials[k].copy_with(u),
+                field=initials[k].copy_with(values[k]),
                 value=float(energy),
                 iters=iters,
                 final_grad_norm=float(gnorm),
@@ -539,11 +595,12 @@ def solve_many(problems, cfg: SolverConfig = SolverConfig()) -> list:
         groups.setdefault(_geometry_key(initial, env, params), []).append(i)
     results = [None] * len(problems)
     for members in groups.values():
+        geometry = _Geometry(problems[members[0]][0])
         size = max(1, MAX_BATCH_NODES // problems[members[0]][0].values.size)
         for start in range(0, len(members), size):
             batch = members[start : start + size]
             initials, envs, params = zip(*(problems[i] for i in batch))
-            for i, result in zip(batch, minimize_batch(initials, envs, params[0], cfg)):
+            for i, result in zip(batch, _solve_batch(list(initials), envs, params[0], cfg, geometry)):
                 results[i] = result
     for result in results:
         if isinstance(result, DivergenceError):

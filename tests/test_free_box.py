@@ -1,0 +1,46 @@
+"""The descent iterates on the box of free nodes: the same gradient, whole-grid energies, frozen nodes untouched."""
+
+import numpy as np
+import pytest
+
+from homlab import solve
+from homlab.grids import EnergyModel
+from homlab.solve import minimize_energy
+
+from test_batch import ACC, profile_cell
+from test_solve import _wrapped_cell
+
+
+def cell(seed, degrees, wrapped):
+    """An r = 8 cell, framed on every side or wrapped laterally (framed only along the normal)."""
+    return _wrapped_cell(degrees, seed, 8) if wrapped else profile_cell(seed, degrees, (0.25, 0))
+
+
+@pytest.mark.parametrize("wrapped", [False, True], ids=["framed", "wrapped"])
+def test_restricted_model_gives_the_whole_grid_gradient_and_energy(wrapped):
+    problems = [cell(1, 45, wrapped), cell(2, 90, wrapped)]
+    initials, envs, params = zip(*problems)
+    geometry = solve._Geometry(initials[0])
+    box = (slice(None),) + geometry.box
+    values = np.stack([g.values for g in initials])
+    assert values[box].size < values.size  # the frame is cropped
+    full = EnergyModel(initials, envs, params[0])
+    restricted = full.restrict(values, geometry.box, geometry.window)
+    # a field other than the one the frozen nodes were taken from
+    u = values.copy()
+    u[box] += 0.3 * np.random.default_rng(5).standard_normal(u[box].shape)
+    energy, grad = restricted.value_and_gradient(u[box])
+    full_energy, full_grad = full.value_and_gradient(u)
+    assert np.array_equal(grad, full_grad[box])
+    np.testing.assert_allclose(energy, full_energy, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("wrapped", [False, True], ids=["framed", "wrapped"])
+def test_reported_value_is_the_whole_grid_energy_and_frozen_nodes_stay(wrapped):
+    initial, env, params = cell(3, 45, wrapped)
+    res = minimize_energy(initial, env, params, ACC)
+    assert res.converged
+    whole = EnergyModel(res.field, env, params).energy(res.field.values)
+    assert res.value == pytest.approx(whole, rel=1e-12, abs=0)
+    assert np.array_equal(res.field.values[initial.frozen], initial.values[initial.frozen])
+    assert initial.frozen.any()

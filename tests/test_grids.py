@@ -3,13 +3,14 @@ import pytest
 
 from homlab.core import compute_c_eta
 from homlab.environment import EnvironmentSpec, make_environment, shift_environment
-from homlab.geometry import Direction, OrientedCube
+from homlab.geometry import Direction, LatticeCuboid, OrientedCube
 from homlab.grids import (
     EnergyModel,
     EnergyParams,
     ResolutionError,
     box_grid,
     cube_grid,
+    cuboid_grid,
     discrete_gradient,
     discrete_hessian,
     profile_field,
@@ -311,3 +312,57 @@ def test_periodic_axis_wraps_stencil(e2):
     grad = discrete_gradient(g, node)
     # lateral neighbor below wraps to the last row
     assert grad[0] == pytest.approx((2.0 - 4.0) / (2 * 0.25))
+
+
+@pytest.mark.parametrize("periodic", [(False, False), (True, False)])
+def test_a_non_finite_member_leaves_its_neighbours_bits_alone(periodic):
+    # members' blocks lie end to end in one flat span; the separator rows between them must stop a NaN
+    spec = EnvironmentSpec(
+        kind="checkerboard", a_range=(0.8, 1.2), b_range=(-0.04, 0.05), c_range=(0.8, 1.2),
+        q=0.05, c1=0.8, c2=1.2,
+    )
+    rng = np.random.default_rng(23)
+    fields, envs = [], []
+    for seed, degrees in ((1, 0.0), (2, 30.0), (3, 75.0)):
+        cube = OrientedCube((0.0, 0.0), 2.0, Direction.from_angle_degrees(degrees))
+        g = cube_grid(cube, 0.25, frame_width=0.5, periodic_lateral=periodic[0])
+        g.values[...] = rng.uniform(-1.5, 1.5, g.shape)
+        fields.append(g)
+        envs.append(make_environment(spec.with_seed(seed)))
+    params = EnergyParams(1.0, "general")
+    u = np.stack([g.values for g in fields])
+    u[1, 0, :] = u[1, -1, :] = u[1, :, 0] = u[1, :, -1] = np.nan  # the middle member's edges
+    energy, grad = EnergyModel(fields, envs, params).value_and_gradient(u)
+    assert not np.isfinite(energy[1])
+    for k in (0, 2):
+        alone_energy, alone_grad = EnergyModel(fields[k], envs[k], params).value_and_gradient(u[k])
+        assert energy[k] == alone_energy
+        assert np.array_equal(grad[k], alone_grad)
+
+
+def test_batch_coefficients_equal_each_members_own_lookup():
+    spec = EnvironmentSpec(
+        kind="checkerboard", a_range=(0.8, 1.2), b_range=(-0.04, 0.05), c_range=(0.8, 1.2),
+        q=0.05, c1=0.8, c2=1.2,
+    )
+    shared = make_environment(spec.with_seed(4))
+    cubes = [  # (seed, direction, center): two members share one environment object
+        (shared, 0.0, (0.0, 0.0)),
+        (shared, 45.0, (1.3, -0.7)),
+        (make_environment(spec.with_seed(5)), 45.0, (0.0, 0.0)),
+        (make_environment(spec.with_seed(4)), 120.0, (-2.25, 3.5)),
+    ]
+    cube_fields = [
+        cube_grid(OrientedCube(center, 4.0, Direction.from_angle_degrees(deg)), 0.125, frame_width=0.5)
+        for _, deg, center in cubes
+    ]
+    e2 = Direction.from_integers(0, 1)
+    cuboid_fields = [cuboid_grid(LatticeCuboid((base,), e2), 0.25, 1.0) for base in ((0.0, 2.0), (-3.0, -1.0))]
+    assert cuboid_fields[0].lo != cuboid_fields[1].lo and cuboid_fields[0].shape == cuboid_fields[1].shape
+    cuboid_envs = [make_environment(spec.with_seed(6))] * 2
+    for fields, envs, eps in ((cube_fields, [env for env, _, _ in cubes], 0.5), (cuboid_fields, cuboid_envs, 1.0)):
+        model = EnergyModel(fields, envs, EnergyParams(eps, "general"))
+        for k, (f, env) in enumerate(zip(fields, envs)):
+            own = env.coefficients_at_points((f.physical_points() / eps).reshape(-1, f.n))
+            for batch, alone in zip((model.a, model.b, model.c), own):
+                assert np.array_equal(batch[k].ravel(), alone)

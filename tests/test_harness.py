@@ -329,3 +329,21 @@ def test_cli_import_and_cell_solve_load_no_scipy():
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("command", ["cell", "homogenize", "sweep", "verify"])
+def test_cell_commands_check_h_against_the_unit_scale(tmp_path, command):
+    # h = 0.5 resolves epsilon_list = 2.0, but these commands solve cells at epsilon = 1
+    text = GOOD_CONFIG
+    for old, new in (
+        ("h = 0.25", "h = 0.5"),
+        ("epsilon_list = 1.0", "epsilon_list = 2.0"),
+        ("r_list = 4 8", "r_list = 8"),
+        ("seeds = 0 1", "seeds = 0"),
+        ("nu_list = 0 p:3,4", "nu_list = 0"),
+    ):
+        text = text.replace(old, new)
+    path, out = write_config(tmp_path, text)
+    assert load_config(path).h == 0.5
+    assert main([command, "--config", path]) == 2
+    assert json.loads(Path(out, "manifest.json").read_text())["command"] == command

@@ -221,24 +221,27 @@ def test_indefinite_model_falls_back_to_gradient_metric(e2, q, metric):
 
 
 def _batch_metric(problems):
+    """The whole-grid model, the batch's metric, the node values, and the free box the metric acts on."""
     initials, envs, params = zip(*problems)
     model = EnergyModel(list(initials), list(envs), params[0])
-    ((_, metric),) = solve._metrics(model, initials[0].free_mask())
-    return model, metric, np.stack([f.values for f in initials])
+    u = np.stack([f.values for f in initials])
+    geometry = solve._Geometry(initials[0])
+    ((_, metric),) = solve._metrics(model, geometry, u)
+    return model, metric, u, (slice(None),) + geometry.box
 
 
 @pytest.mark.parametrize("case", ["mixed r = 8, datum + noise", "mixed r = 8, solved", "wrapped r = 16, solved"])
 def test_interface_metric_is_one_spd_form(case):
     problems = [_wrapped_cell(0, 0, 16)] if case.startswith("wrapped") else MIXED_CELLS
-    model, metric, u = _batch_metric(problems)
+    model, metric, u, box = _batch_metric(problems)
     if case.endswith("solved"):  # a relaxed interface: wide, so its sliding modes are soft
         initials, envs, params = zip(*problems)
         u = np.stack([res.field.values for res in solve.minimize_batch(initials, envs, params[0], ACC)])
     else:
         free = problems[0][0].free_mask()
         u[:, free] += 0.05 * np.random.default_rng(3).standard_normal(int(free.sum()))
-    g = model.gradient(u)
-    d, gd = metric.direction(g, u)
+    g = model.gradient(u)[box]
+    d, gd = metric.direction(g, u[box])
     g_dot_d = np.sum(g * d, axis=(1, 2))
     # d = M^-1 g with M the form norm2 measures in, so d'Md = g'd; gd is that number
     np.testing.assert_allclose(metric.norm2(d).ravel(), g_dot_d, rtol=1e-12, atol=0)
@@ -246,8 +249,8 @@ def test_interface_metric_is_one_spd_form(case):
     assert np.all(g_dot_d > 0)
 
     # P's curvature along the unit phi_hat per lateral mode, and the corrected one, computed directly
-    rows = metric.box[-1]
-    u_bar = u[metric.box[:-1]].mean(axis=1)
+    rows = box[-1]
+    u_bar = u[box[:-1]].mean(axis=1)
     phi = (u_bar[:, rows.start + 1 : rows.stop + 1] - u_bar[:, rows.start - 1 : rows.stop - 1]) / 2.0
     phi /= np.linalg.norm(phi, axis=1, keepdims=True)
     phi_hat = phi @ metric.bases[-1]
@@ -284,8 +287,8 @@ def _flat_mean_cell():
 
 def test_member_with_a_flat_lateral_mean_solves_unchanged(monkeypatch):
     problem = _flat_mean_cell()
-    model, metric, u = _batch_metric([problem])
-    phi, weight, _ = metric.interface.modes(u)
+    model, metric, u, box = _batch_metric([problem])
+    phi, weight, _ = metric.interface.modes(u[box])
     assert not phi.any() and not weight.any()
     cfg = SolverConfig(max_iters=200, grad_tol=1e-8)
     with warnings.catch_warnings():
