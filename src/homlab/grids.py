@@ -279,12 +279,12 @@ class _Stencils:
     receives D_k^T, so the adjoints hold by construction.  A tap reaches less
     than a row and a half along the span, so a value read at one position is
     written less than three rows away: no value read from one member's block,
-    finite or not, reaches another member's block.  `use` runs the table on
-    the first members only.  Buffers are reused: one thread each.
+    finite or not, reaches another member's block.  `take` gives the stencils
+    of some of the members.  Buffers are reused: one thread each.
 
     With `state` (slices of `shape`), u covers only those nodes: `_pad` writes
-    them, the other nodes keep what `hold` wrote (rows of `held` belong to the
-    members, so permute them with the members), and Ku comes back on the state.
+    them, the other nodes keep what `hold` wrote (a row of `held` per member,
+    which `take` copies), and Ku comes back on the state.
     A side marked in `cut`, a (low, high) pair per axis, keeps the ghost layer
     `hold` wrote there too, and its layer is not folded.
     """
@@ -315,20 +315,19 @@ class _Stencils:
             (kind, axes, *([int(np.dot(t, strides)) for t in taps] for taps in (plus, minus)))
             for kind, axes, plus, minus in _stencil_table(n)
         ]
-        self.use(members)
+        self._views()
 
-    def use(self, members: int) -> None:
-        """Run on the first `members` blocks of the buffers (all of them at construction)."""
-        p, q = self.held[:members], self._q[:members]
-        self._p_state, self._q_state = p[self._state], q[self._state]
-        self._q_all = q
-        p, q = p[self._blocks], q[self._blocks]
+    def _views(self) -> None:
+        """The views of the buffers that every call reads: state, ghost layers, member rows and taps."""
+        members = len(self.held)
+        p, q = self.held[self._blocks], self._q[self._blocks]
+        self._p_state, self._q_state = self.held[self._state], self._q[self._state]
         self._p_rows, self._q_rows = p.reshape(members, -1), q.reshape(members, -1)
-        self._layers_now = [(p[g], p[s], q[g], q[s]) for g, s in self._layers]
-        stop = self._stop(members)
+        self._ghosts = [(p[g], p[s], q[g], q[s]) for g, s in self._layers]
+        length = (members - 1) * self._block + self._length  # the batch's span
 
         def taps(flat, offsets):
-            return [flat[self._start + o : stop + o] for o in offsets]
+            return [flat[self._start + o : self._start + o + length] for o in offsets]
 
         p_flat, q_flat = self.held.reshape(-1), self._q.reshape(-1)
         self.table = [
@@ -336,23 +335,23 @@ class _Stencils:
             for kind, axes, plus, minus in self._offsets
         ]
 
+    def take(self, members) -> "_Stencils":
+        """The stencils of the members at the given indices, in that order, with copies of their held rows."""
+        other = copy.copy(self)
+        other.held = self.held[members]
+        other._q = np.zeros_like(other.held)
+        other._views()
+        return other
+
     def on_blocks(self, w) -> np.ndarray:
         """Node values per member (or a scalar) laid out in the members' blocks, 0 off the nodes."""
         blocks = np.zeros_like(self.held)
         blocks[self._inner] = w
         return blocks.reshape(len(blocks), -1)
 
-    def on_nodes_of_blocks(self, blocks: np.ndarray) -> np.ndarray:
-        """The node-shaped view, (members, *shape), of values laid out in blocks."""
-        return blocks.reshape((len(blocks),) + self.held.shape[1:])[self._inner]
-
-    def _stop(self, members: int) -> int:
-        """The end of the span of the first `members` blocks."""
-        return self._start + (members - 1) * self._block + self._length
-
     def span(self, blocks: np.ndarray) -> np.ndarray:
         """The span of the members whose blocks are given, as one flat view."""
-        return blocks.reshape(-1)[self._start : self._stop(len(blocks))]
+        return blocks.reshape(-1)[self._start : self._start + (len(blocks) - 1) * self._block + self._length]
 
     def on_nodes(self, d: np.ndarray) -> np.ndarray:
         """The node-shaped view, (members, *shape), of span values."""
@@ -366,11 +365,11 @@ class _Stencils:
 
     def _pad(self, u: np.ndarray) -> None:
         np.copyto(self._p_state, u)
-        for p_ghost, p_source, _, _ in self._layers_now:
+        for p_ghost, p_source, _, _ in self._ghosts:
             np.copyto(p_ghost, p_source)
 
     def _fold(self) -> np.ndarray:
-        for _, _, q_ghost, q_source in reversed(self._layers_now):
+        for _, _, q_ghost, q_source in reversed(self._ghosts):
             q_source += q_ghost
         return self._q_state
 
@@ -387,7 +386,7 @@ class _Stencils:
         the fold buffer, valid until the next call.
         """
         self._pad(u)
-        self._q_all.fill(0.0)
+        self._q.fill(0.0)
         for w, (_, _, plus, minus, q_plus, q_minus) in zip(weights, self.table):
             r = _combine(plus, minus)
             r *= w
@@ -488,7 +487,8 @@ class EnergyModel:
     Node arrays carry a leading member axis, (members, *shape), and energies
     come back one per member.  A model of one member also takes a bare `shape`
     array and then returns a float energy and a `shape` gradient.  `restrict`
-    gives the same energies as a function of a box of the nodes alone.
+    gives the same energies as a function of a box of the nodes alone, and
+    `take` the batch of some of the members; both return a new model.
     """
 
     def __init__(self, field, env, params: EnergyParams):
@@ -524,95 +524,69 @@ class EnergyModel:
         vol, eps = self.cell_volume, self.eps
         wa = np.broadcast_to(vol * a / eps, batch).copy()
         w = {"d1": vol * eps * b, "d2": vol * eps**3 * c, "x": 2.0 * vol * eps**3 * c}
-        self._stencils = _Stencils(len(fields), self.shape, self.periodic)
-        w = {kind: self._stencils.on_blocks(wk / _STEP[kind](self.h) ** 2) for kind, wk in w.items()}
-        self._set_rows(a=a, b=b, c=c, wa=wa, frame=np.zeros(len(fields)), **w)
+        stencils = _Stencils(len(fields), self.shape, self.periodic)
+        w = {kind: stencils.on_blocks(wk / _STEP[kind](self.h) ** 2) for kind, wk in w.items()}
+        self.a, self.b, self.c = a, b, c
+        self._hold(stencils, wa, w, np.zeros(len(fields)))
 
-    def _set_rows(self, **rows) -> None:
-        """Make `rows` the per-member arrays, one row per member each, with every member in the batch.
+    def _hold(self, stencils: _Stencils, wa: np.ndarray, w: dict, frame: np.ndarray) -> None:
+        """Make the batch the members whose rows these are, one row per member each.
 
-        `frame` is each member's constant energy and `d1`, `d2`, `x` are the
-        weights laid out in the stencils' blocks; the stencils' held rows are
-        per-member data too.
+        `w` maps each stencil kind to its weights laid out in the stencils'
+        blocks, and `frame` is each member's constant energy.
         """
-        self._rows = {**rows, "held": self._stencils.held}
-        self._order = np.arange(len(rows["frame"]))  # the member each row belongs to
-        self._use(len(self._order))
-
-    def _use(self, members: int) -> None:
-        """Make the first `members` rows the batch: views of them, and of the stencil buffers."""
-        self.members = members
-        rows = {name: v[:members] for name, v in self._rows.items()}
-        self.a, self.b, self.c, self.wa, self._frame = (rows[k] for k in ("a", "b", "c", "wa", "frame"))
-        self._stencils.use(members)
-        self._weights = [self._stencils.span(rows[kind]) for kind, *_ in self._stencils.table]
+        self._stencils, self.wa, self._w, self._frame = stencils, wa, w, frame
+        self.members = len(frame)
+        self._weights = [stencils.span(w[kind]) for kind, *_ in stencils.table]
 
     def restrict(self, values: np.ndarray, box: tuple, window: tuple) -> "EnergyModel":
         """This batch's energy as a function of the nodes in `box` alone, every other node held at `values`.
 
-        `values` is (members, *shape) with every member in construction order,
-        and `box` and `window` are slices of shape.  The restricted model's nodes
-        are the box: it takes and returns box-shaped arrays, and its a, b, c, wa
-        and frozen mask cover the box.  `window` must hold every node within one
-        of the box, as far as the grid reaches, and the whole of every periodic
-        axis: the terms of those nodes are all that depend on the box.  Its
-        stencils run over the window and read the layer next to it too, so
-        every such term is computed as on the whole grid and the gradient equals
-        this model's bit for bit.  Each energy adds the member's constant
-        E(values) - E_window(values), so energies are whole-grid energies to
-        rounding.  A box of the whole grid gives the model itself.
+        `values` is (members, *shape), and `box` and `window` are slices of
+        shape.  The restricted model's nodes are the box: it takes and returns
+        box-shaped arrays, and its wa and frozen mask cover the box; it has no
+        a, b, c.  `window` must hold every node within one of the box, as far
+        as the grid reaches, and the whole of every periodic axis: the terms of
+        those nodes are all that depend on the box.  Its stencils run over the
+        window and read the layer next to it too, so every such term is
+        computed as on the whole grid and the gradient equals this model's bit
+        for bit.  Each energy adds the member's constant E(values) -
+        E_window(values), so energies are whole-grid energies to rounding.  A
+        box of the whole grid gives the model itself.
         """
-        if self.members != len(self._order) or np.any(self._order != np.arange(self.members)):
-            raise ValueError("restrict a model whose batch is every member in construction order")
         if all(s == slice(0, m) for s, m in zip(box, self.shape)):
             return self
         energy = self.energy(values)
         each = (slice(None),)
         state = tuple(slice(b.start - w.start, b.stop - w.start) for b, w in zip(box, window))
         cut = [(w.start > 0, w.stop < m) for w, m in zip(window, self.shape)]
-        model = copy.copy(self)
-        model.shape = tuple(s.stop - s.start for s in box)
-        model.frozen = self.frozen[box]
-        model._stencils = _Stencils(self.members, tuple(s.stop - s.start for s in window), self.periodic, state, cut)
+        stencils = _Stencils(self.members, tuple(s.stop - s.start for s in window), self.periodic, state, cut)
         # the window and, on its cut sides, the ghost layers: every node the stencils read
         read = tuple(slice(w.start - lo, w.stop + hi) for w, (lo, hi) in zip(window, cut))
         at = tuple(slice(1 - lo, w.stop - w.start + 1 + hi) for w, (lo, hi) in zip(window, cut))
-        model._stencils.hold(values[each + read], at)
-        batch = (self.members,) + self.shape
-        rows = {name: np.broadcast_to(self._rows[name], batch)[each + box].copy() for name in ("a", "b", "c", "wa")}
-        for kind in _STEP:
-            weights = self._stencils.on_nodes_of_blocks(self._rows[kind])
-            rows[kind] = model._stencils.on_blocks(weights[each + window])
-        model._set_rows(frame=np.zeros(self.members), **rows)
+        stencils.hold(values[each + read], at)
+        w = {kind: self._stencils.on_nodes(self._stencils.span(wk))[each + window] for kind, wk in self._w.items()}
+        w = {kind: stencils.on_blocks(wk) for kind, wk in w.items()}
+        model = self._copy(stencils, self.wa[each + box].copy(), w, np.zeros(self.members))
+        model.shape = tuple(s.stop - s.start for s in box)
+        model.frozen = self.frozen[box]
         model._frame[...] = energy - model.energy(values[each + box])
         return model
 
-    @property
-    def member_ids(self) -> np.ndarray:
-        """The members of the batch, as indices into the fields the model was built from."""
-        return self._order[: self.members]
+    def take(self, members) -> "EnergyModel":
+        """The batch of the members at the given indices, in that order, as a new model with copies of their rows.
 
-    def select(self, ids) -> None:
-        """Make the members `ids` (indices into the fields the model was built from) the batch, in that order.
-
-        Rows are permuted in place, so members left out keep their data and can
-        be selected again, and no member's arrays are copied for good.
+        The model it is taken from is left as it was.  The new model has no a, b, c.
         """
-        ids = np.asarray(ids, dtype=int)
-        if np.array_equal(self._order[: len(ids)], ids):
-            if len(ids) != self.members:
-                self._use(len(ids))
-            return
-        row = np.empty_like(self._order)
-        row[self._order] = np.arange(len(row))
-        chosen = row[ids]
-        rest = np.ones(len(row), dtype=bool)
-        rest[chosen] = False
-        perm = np.concatenate([chosen, np.flatnonzero(rest)])
-        for v in self._rows.values():
-            v[...] = v[perm]
-        self._order = self._order[perm]
-        self._use(len(chosen))
+        w = {kind: wk[members] for kind, wk in self._w.items()}
+        return self._copy(self._stencils.take(members), self.wa[members], w, self._frame[members])
+
+    def _copy(self, stencils: _Stencils, wa: np.ndarray, w: dict, frame: np.ndarray) -> "EnergyModel":
+        """A copy of this model that holds the given rows (`_hold`) and none of the constructor's a, b, c."""
+        model = copy.copy(self)
+        model.a = model.b = model.c = None  # read only before the descent, from the whole-grid model
+        model._hold(stencils, wa, w, frame)
+        return model
 
     def _batch(self, u: np.ndarray) -> tuple[np.ndarray, bool]:
         """u with its member axis, and whether it came without one."""

@@ -135,10 +135,6 @@ class ExperimentConfig:
         for r in self.r_list:
             if not _divides(self.h, r):
                 raise ConfigError(f"h = {self.h} does not divide r = {r}")
-        if self.epsilon_list and self.h > min(self.epsilon_list) / 4.0 + 1e-12:
-            raise ConfigError(
-                f"h = {self.h} cannot resolve the smallest scale {min(self.epsilon_list)}; need h <= eps/4"
-            )
         if any(nu.n != self.dimension for nu in self.nu_list):
             raise ConfigError("direction dimension does not match experiment dimension")
         if any(len(x0) != self.dimension for x0 in self.x0_list):

@@ -432,8 +432,7 @@ def _descend(model: EnergyModel, metric: _Metric, u0: np.ndarray, cfg: SolverCon
             keep = [k for k in range(len(ids)) if not stop[k]]
             if not keep:
                 return out
-            model.select(model.member_ids[keep])
-            metric = metric.take(keep)
+            model, metric = model.take(keep), metric.take(keep)
             u, grad, best_u = u[keep], grad[keep], best_u[keep]
             t, best_e, gnorm, resets, ids = ([x[k] for k in keep] for x in (t, best_e, gnorm, resets, ids))
             converged, failed = [False] * len(keep), [False] * len(keep)
@@ -527,8 +526,8 @@ def _solve_batch(initials: list, envs, params: EnergyParams, cfg: SolverConfig, 
     box = (slice(None),) + geometry.box
     found = [None] * len(initials)
     for members, metric in kinds:
-        model.select(members)
-        for k, result in zip(members, _descend(model, metric, values[box][members], cfg, grad_tol)):
+        batch = model if len(kinds) == 1 else model.take(members)  # one kind holds every member, in order
+        for k, result in zip(members, _descend(batch, metric, values[box][members], cfg, grad_tol)):
             found[k] = (result, metric.name)
     wall_ms = 1000.0 * (time.perf_counter() - t0)
     results = []

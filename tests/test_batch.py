@@ -25,10 +25,10 @@ CHECKERBOARD = EnvironmentSpec(  # configs/example.ini
 ACC = SolverConfig(max_iters=25000, grad_tol=6.25e-5)
 
 
-def profile_cell(seed, degrees, x0, r=8.0, h=0.25):
+def profile_cell(seed, degrees, x0, r=8.0, h=0.25, wrapped=False):
     nu = Direction.from_angle_degrees(degrees)
     cube = OrientedCube(tuple(r * v for v in x0), r, nu)
-    grid = cube_grid(cube, h, frame_width_for(h, 1.0, "cell"))
+    grid = cube_grid(cube, h, frame_width_for(h, 1.0, "cell"), periodic_lateral=wrapped)
     grid.values[...] = profile_values(grid, 1.0)
     return grid, make_environment(CHECKERBOARD.with_seed(seed)), EnergyParams(1.0, "general")
 
@@ -45,9 +45,13 @@ def random_starts(qs, seed=0, amplitudes=None):
 
 MIXED_CELLS = [profile_cell(seed, deg, x0) for seed in (1, 2) for deg in (0, 45, 90, 135) for x0 in ((0, 0), (0.25, 0))]
 
+WRAPPED = [(1, 0, (0, 0)), (2, 45, (0.25, 0)), (1, 90, (0, 0)), (2, 135, (0, 0))]
+
 CASES = {
     # directions, seeds and centers at r = 8; frozen frames
     "mixed-cells": (MIXED_CELLS[::3], ACC),
+    # laterally periodic windows; members converge at different iterations
+    "wrapped-cells": ([profile_cell(seed, deg, x0, wrapped=True) for seed, deg, x0 in WRAPPED], ACC),
     # members stop at max_iters while others converge
     "max-iters": (MIXED_CELLS[:6], SolverConfig(max_iters=22, grad_tol=6.25e-5)),
     # q = 50 starts fall back to the gradient metric; q = 0.05 ones are preconditioned
@@ -78,6 +82,9 @@ def test_batch_matches_each_member_solved_alone(case):
         assert res.diagnostics["batch"] == len(problems)
     if case == "max-iters":
         assert {res.diagnostics["stop_reason"] for res in together} == {"converged", "max_iters"}
+    if case == "wrapped-cells":
+        assert all(initial.periodic[0] for initial in initials)
+        assert len({res.iters for res in together}) > 1
     if case == "positivity-starts":
         assert [res.diagnostics["metric"] for res in together] == ["gradient", "preconditioned"] * 2
 

@@ -44,3 +44,24 @@ def test_reported_value_is_the_whole_grid_energy_and_frozen_nodes_stay(wrapped):
     assert res.value == pytest.approx(whole, rel=1e-12, abs=0)
     assert np.array_equal(res.field.values[initial.frozen], initial.values[initial.frozen])
     assert initial.frozen.any()
+
+
+@pytest.mark.parametrize("wrapped", [False, True], ids=["framed", "wrapped"])
+def test_take_gives_the_rows_of_the_whole_batch(wrapped):
+    problems = [cell(1, 45, wrapped), cell(2, 90, wrapped), cell(3, 0, wrapped)]
+    initials, envs, params = zip(*problems)
+    geometry = solve._Geometry(initials[0])
+    box = (slice(None),) + geometry.box
+    values = np.stack([g.values for g in initials])
+    model = EnergyModel(initials, envs, params[0]).restrict(values, geometry.box, geometry.window)
+    u = values[box] + 0.3 * np.random.default_rng(7).standard_normal(values[box].shape)
+    energy, grad = model.value_and_gradient(u)
+    taken = model.take([2, 0])
+    assert taken is not model and taken.members == 2
+    for other in (taken, model.take([1, 2, 0]).take([1, 2])):
+        e, g = other.value_and_gradient(u[[2, 0]])
+        assert np.array_equal(e, energy[[2, 0]])
+        assert np.array_equal(g, grad[[2, 0]])
+    # the model taken from is left as it was
+    e, g = model.value_and_gradient(u)
+    assert np.array_equal(e, energy) and np.array_equal(g, grad)

@@ -57,11 +57,15 @@ def test_load_config_roundtrip(tmp_path):
     assert cfg.out_dir == out
 
 
-def test_config_rejects_unresolvable_h(tmp_path):
-    bad = GOOD_CONFIG.replace("epsilon_list = 1.0", "epsilon_list = 0.5")
-    path, _ = write_config(tmp_path, bad)
-    with pytest.raises(ConfigError):
-        load_config(path)
+def test_sigma_config_with_h_above_a_quarter_of_epsilon_loads_and_runs(tmp_path):
+    # sigma solves each scale on its own mesh eps/8, so h = 0.25 does not have to resolve eps = 0.5
+    text = Path(__file__).parents[1].joinpath("configs", "sigma.ini").read_text()
+    text = text.replace("h = 0.015625", "h = 0.25").replace("epsilon_list = 0.25 0.125 0.0625", "epsilon_list = 0.5")
+    path, out = write_config(tmp_path, text.replace("dir = out", "dir = {out}"))
+    cfg = load_config(path)
+    assert (cfg.h, cfg.epsilon_list) == (0.25, (0.5,))
+    assert main(["sigma", "--config", path]) == 0
+    assert Path(out, "sigma.json").exists()
 
 
 def test_config_rejects_small_r(tmp_path):
@@ -257,8 +261,8 @@ def test_every_exported_name_resolves():
 
 def test_cli_config_error_exit_code(tmp_path):
     path = tmp_path / "broken.ini"
-    path.write_text("[experiment]\nh = 0.25\nepsilon_list = 0.5\n")
-    assert main(["verify", "--config", str(path)]) == 2
+    path.write_text("[experiment]\nh = 0.5\n")  # the cell problems' scale epsilon = 1 needs h <= 1/4
+    assert main(["verify", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
     assert main(["cell", "--config", "/nonexistent.ini"]) == 2
 
 
