@@ -95,7 +95,8 @@ class CellRecord:
 class SigmaEstimate:
     """Upper bound for one optimal transition constant, minimized over a scale grid.
 
-    `fields` holds the solved slab field of every scale in `per_epsilon`.
+    `fields` holds the solved slab field and `stop_reason` the solver's stop
+    reason of every scale this variant solved.
     """
 
     variant: str
@@ -103,6 +104,7 @@ class SigmaEstimate:
     epsilon_grid: tuple[float, ...]
     best_epsilon: float
     per_epsilon: dict
+    stop_reason: dict
     fields: dict = field(default_factory=dict, repr=False)
 
 
@@ -200,8 +202,7 @@ def sigma_pm(
         raise ValueError(f"minus variant requires q <= {MINUS_VARIANT_Q_MAX} (got {q})")
     if h_for is None:
         h_for = lambda eps: eps / 8.0
-    per_eps = {}
-    fields = {}
+    per_eps, stop_reason, fields = {}, {}, {}
     for eps in epsilon_grid:
         if not 0.0 < eps <= 1.0:
             raise ValueError("scales must lie in (0, 1]")
@@ -216,6 +217,7 @@ def sigma_pm(
             warnings.warn(f"skipping degenerate scale {eps}: frozen frame fills the unit slab")
             continue
         per_eps[eps] = res.value
+        stop_reason[eps] = res.diagnostics["stop_reason"]
         fields[eps] = res.field
     if not per_eps:
         raise ValueError("no resolvable scale in the grid")
@@ -226,6 +228,7 @@ def sigma_pm(
         epsilon_grid=tuple(epsilon_grid),
         best_epsilon=best_eps,
         per_epsilon=per_eps,
+        stop_reason=stop_reason,
         fields=fields,
     )
 
@@ -252,7 +255,7 @@ def sigma_pair(
         minus_at_plus = EnergyModel(plus_field, env, EnergyParams(eps, "m_minus")).energy(plus_field.values)
         per_eps[eps] = min(per_eps.get(eps, np.inf), minus_at_plus)
     best_eps = min(per_eps, key=per_eps.get)
-    minus = SigmaEstimate("minus", per_eps[best_eps], minus.epsilon_grid, best_eps, per_eps, minus.fields)
+    minus = replace(minus, value=per_eps[best_eps], best_epsilon=best_eps, per_epsilon=per_eps)
     return minus, plus
 
 

@@ -2,12 +2,14 @@
 
 Exit codes: 0 success, 1 property failure, 2 configuration error, 3 numerical
 divergence or no converged solve to estimate from.  Every exit after the
-config loads writes manifest.json.
+config file parses writes manifest.json, also when the config then fails
+validation.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -31,7 +33,8 @@ EXIT_CONFIG_ERROR = 2
 EXIT_DIVERGENCE = 3
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache  # built on the first call, not at import
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="homlab",
         description="Cell-problem laboratory for homogenized surface energies",
@@ -54,12 +57,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     overrides = {"out": args.out, "seed": args.seed, "format": args.format}
     try:
         cfg = load_config(args.config, overrides)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        if exc.config is not None:
+            manifest = build_manifest(exc.config, args.command)
+            write_json(os.path.join(exc.config.out_dir, "manifest.json"), manifest.to_dict())
         return EXIT_CONFIG_ERROR
 
     manifest = build_manifest(cfg, args.command)

@@ -51,7 +51,14 @@ __all__ = [
 
 
 class ConfigError(ValueError):
-    """Configuration is syntactically or semantically invalid."""
+    """Configuration is syntactically or semantically invalid.
+
+    `config` is the parsed config when the file parsed but failed validation.
+    """
+
+    def __init__(self, message: str, config=None):
+        super().__init__(message)
+        self.config = config
 
 
 def _parse_numbers(text: str, kind=float) -> tuple:
@@ -124,12 +131,14 @@ class ExperimentConfig:
     def validate(self):
         if self.h <= 0:
             raise ConfigError("h must be positive")
-        for name in ("r_list", "seeds", "nu_list", "x0_list"):
+        for name in ("r_list", "epsilon_list", "seeds", "nu_list", "x0_list"):
             entries = [v.nu if name == "nu_list" else v for v in getattr(self, name)]  # directions by unit vector
             if not entries:
                 raise ConfigError(f"{name} must not be empty")
             if len(set(entries)) < len(entries):
                 raise ConfigError(f"{name} has a repeated entry")
+        if any(eps <= 0 for eps in self.epsilon_list):
+            raise ConfigError("all epsilon values must be positive")
         if any(r < 4 for r in self.r_list):
             raise ConfigError("all r values must be >= 4")
         for r in self.r_list:
@@ -220,7 +229,10 @@ def load_config(path: str, overrides: dict | None = None) -> ExperimentConfig:
         cfg.solver = dataclasses.replace(cfg.solver, **read["solver"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    return cfg.validate()
+    try:
+        return cfg.validate()
+    except ConfigError as exc:
+        raise ConfigError(str(exc), cfg) from exc
 
 
 @dataclass
@@ -316,6 +328,10 @@ def run_sigma(cfg: ExperimentConfig, manifest: RunManifest | None = None) -> dic
         "per_epsilon": {
             "minus": {str(k): v for k, v in minus.per_epsilon.items()},
             "plus": {str(k): v for k, v in plus.per_epsilon.items()},
+        },
+        "stop_reason": {
+            "minus": {str(k): v for k, v in minus.stop_reason.items()},
+            "plus": {str(k): v for k, v in plus.stop_reason.items()},
         },
         "c_eta": compute_c_eta(well, cfg.env.q),
     }

@@ -12,7 +12,7 @@ import numpy as np
 from .environment import Environment
 from .grids import U_CAP, EnergyModel, EnergyParams, GridField
 
-__all__ = ["SolverConfig", "SolveResult", "DivergenceError", "minimize_energy", "minimize_batch", "solve_many"]
+__all__ = ["SolverConfig", "SolveResult", "DivergenceError", "minimize_energy", "solve_many"]
 
 
 # nodes per lockstep batch: eight 32^2 cells, two 64^2 cells, one larger cell
@@ -49,19 +49,6 @@ class SolveResult:
     final_grad_norm: float
     converged: bool
     diagnostics: dict = field(default_factory=dict)
-
-    def as_record(self) -> dict:
-        """JSON-serializable summary (the field itself is exported separately)."""
-        return {
-            "value": self.value,
-            "iters": self.iters,
-            "final_grad_norm": self.final_grad_norm,
-            "converged": self.converged,
-            "shape": list(self.field.shape),
-            "h": self.field.h,
-            "nu": list(self.field.direction.nu),
-            **{k: v for k, v in self.diagnostics.items() if isinstance(v, (int, float, str, bool))},
-        }
 
 
 def _per_member(x: np.ndarray) -> tuple[int, ...]:
@@ -159,28 +146,23 @@ class _Metric:
     measures in the metric of the last direction.
 
     A member whose symbol is not positive on the spectrum (e.g. the minus
-    comparison energy at large q) falls back to M = I/_initial_step, which
-    makes its descent the plain two-point gradient method.  One _Metric holds
-    members of one kind; `_metrics` splits a batch by kind.
+    comparison energy at large q) gets the constant symbol 1/_initial_step
+    and no interface correction: M = I/t0, which makes its descent the plain
+    two-point gradient method (`_metric`).
     """
 
-    def __init__(self, frozen: np.ndarray, bases=None, symbol=None, t_init=None, interface=None):
+    def __init__(self, frozen: np.ndarray, bases, symbol: np.ndarray, interface):
         self.frozen = frozen  # on the box
-        self.bases, self.symbol, self.t_init, self.interface = bases, symbol, t_init, interface
-        if bases is None:
-            self.name = "gradient"
-        else:
-            self.name = "preconditioned"
-            self.bases_t = [q.T for q in bases]
-            self.free_box = not frozen.any()  # then d needs no re-zeroing and s = -t d
+        self.bases, self.symbol, self.interface = bases, symbol, interface
+        self.bases_t = [q.T for q in bases]
+        # g'd gives s'Ms / t^2 where d needs no re-zeroing at frozen nodes; on a line (n = 1) norm2 measures it
+        self.gives_gd = len(bases) >= 2 and not frozen.any()
         self._modes = None
 
     def take(self, members) -> "_Metric":
         """The metric of the members at the given indices."""
-        if self.bases is None:
-            return _Metric(self.frozen, t_init=self.t_init[members])
         interface = None if self.interface is None else self.interface.take(members)
-        return _Metric(self.frozen, self.bases, self.symbol[members], interface=interface)
+        return _Metric(self.frozen, self.bases, self.symbol[members], interface)
 
     def direction(self, g: np.ndarray, u: np.ndarray):
         """(d, g'd): d = M^-1 g at u, zero at frozen nodes.
@@ -188,8 +170,6 @@ class _Metric:
         g'd is per member, shaped (members, 1, ...), and given only where it
         equals s'Ms / t^2 for the step s = -t d; else it is None.
         """
-        if self.bases is None:
-            return self.t_init * g, None
         g_hat = _transform(self.bases_t, g)
         coef = g_hat / self.symbol
         if self.interface is not None:
@@ -197,15 +177,13 @@ class _Metric:
             phi, weight, _ = self._modes
             coef += (weight * (g_hat @ phi[..., None])) * phi[..., None, :]
         d = _transform(self.bases, coef)
-        if self.interface is None or not self.free_box:
+        if not self.gives_gd:
             np.copyto(d, 0.0, where=self.frozen)
             return d, None
         return d, g.reshape(len(g), 1, -1) @ d.reshape(len(d), -1, 1)
 
     def norm2(self, s: np.ndarray) -> np.ndarray:
         """s'Ms per member, shaped (members, 1, ...), in the metric of the last direction."""
-        if self.bases is None:
-            return _row_sums(s * s) / self.t_init
         coef = _transform(self.bases_t, s)
         scaled = self.symbol * coef
         out = _row_sums(scaled * coef)
@@ -231,9 +209,10 @@ class _Interface:
     by alpha_k = max(p_k + delta, SOFT_FLOOR p_k):
         M_k = P_k - gamma_k P_k phi_hat phi_hat' P_k,  gamma_k = (p_k - alpha_k) / p_k^2,
         M_k^-1 = P_k^-1 + (1/alpha_k - 1/p_k) phi_hat phi_hat',
-    which stays SPD.  A member whose phi is zero or not finite gets no
-    correction.  Every reduction is per member (stacked matmuls and
-    reductions over the member's own rows), so members keep their bits.
+    which stays SPD.  A member whose phi is zero or not finite, or whose
+    symbol is not positive, gets no correction.  Every reduction is per
+    member (stacked matmuls and reductions over the member's own rows), so
+    members keep their bits.
 
     Built once per geometry group; `batch` adds the members' coefficient
     terms.  phi at the box's end rows reads the lateral means of the frozen
@@ -263,8 +242,12 @@ class _Interface:
         self.lateral_shape = (-1,) + lam_lateral.shape  # (members, *lateral box, 1)
         self.phi_shape = (-1,) + (1,) * (lam_lateral.ndim - 2) + (len(rows),)
 
-    def batch(self, model: EnergyModel, abc, values: np.ndarray) -> "_Interface":
-        """The interface of a batch: whole-grid coefficient means abc, (members, 1, ..., 1), and node values."""
+    def batch(self, model: EnergyModel, abc, values: np.ndarray, corrected: np.ndarray) -> "_Interface":
+        """The interface of a batch.
+
+        abc are the whole-grid coefficient means, (members, 1, ..., 1), and
+        `corrected` masks the members that get the correction.
+        """
         other = copy.copy(self)
         other.well = model.well
         other.curvature_at_wells = model.well.curvature(1.0)
@@ -278,6 +261,7 @@ class _Interface:
         big_c = other.well_weight * other.curvature_at_wells
         terms = ((big_a * lam + big_b) * lam + big_c, 2.0 * big_a * lam + big_b, big_a)
         other.poly = np.concatenate(np.broadcast_arrays(*terms), axis=1)
+        other.poly[~corrected] = 0.0  # p = 0, which `modes` leaves uncorrected
         other.ends = self._lateral_mean(values[(slice(None),) + self.lateral_box + (self.outside,)])
         return other
 
@@ -324,9 +308,9 @@ class _Geometry:
     each axis that does not wrap, as far as the grid reaches, and the whole
     axis along a periodic one: the nodes whose energy terms depend on the box
     (`EnergyModel.restrict`).  `frozen` is the frozen mask on the box.
-    With a free node, `bases` and `lam` are the metric's axis bases on the box
-    and the sum of their Laplacian eigenvalues, and `interface` (n >= 2) the
-    interface correction's tables.
+    `bases` and `lam` are the metric's axis bases on the box and the sum of
+    their Laplacian eigenvalues, and `interface` (n >= 2) the interface
+    correction's tables.
     """
 
     def __init__(self, grid: GridField):
@@ -352,35 +336,27 @@ class _Geometry:
             lams.append(lam.reshape(shape))
         self.box, self.window = tuple(box), tuple(window)
         self.frozen = grid.frozen[self.box]
-        self.bases = self.lam = self.interface = None
-        if free.any():
-            self.bases, self.lam = bases, sum(lams)
-            if grid.n >= 2:
-                self.interface = _Interface(grid, self.box, bases[-1], lams[-1].ravel(), sum(lams[:-1]))
+        self.bases, self.lam = bases, sum(lams)
+        self.interface = None
+        if grid.n >= 2:
+            self.interface = _Interface(grid, self.box, bases[-1], lams[-1].ravel(), sum(lams[:-1]))
 
 
-def _metrics(model: EnergyModel, geometry: _Geometry, values: np.ndarray) -> list:
-    """(member indices, _Metric) for each metric kind present in the batch of the whole-grid model."""
-    members = np.arange(model.members)
-    positive = np.zeros(model.members, dtype=bool)
-    if geometry.bases is not None:
-        eps, lam = model.eps, geometry.lam
-        abc = [np.mean(v, axis=_per_member(v), keepdims=True) for v in (model.a, model.b, model.c)]
-        a, b, c = abc
-        at_wells = model.well.curvature(1.0)
-        symbol = model.cell_volume * (2.0 * (c * eps**3 * lam * lam + b * eps * lam) + at_wells * a / eps)
-        positive = np.min(symbol, axis=_per_member(symbol)) > 0.0
-    kinds = []
-    if positive.any():
-        interface = None
-        if geometry.interface is not None:
-            interface = geometry.interface.batch(model, [v[positive] for v in abc], values[positive])
-        metric = _Metric(geometry.frozen, geometry.bases, symbol[positive], interface=interface)
-        kinds.append((members[positive], metric))
+def _metric(model: EnergyModel, geometry: _Geometry, values: np.ndarray) -> tuple:
+    """(_Metric, positive) of the batch of the whole-grid model: the metric and whose symbol is positive."""
+    eps, lam = model.eps, geometry.lam
+    abc = [np.mean(v, axis=_per_member(v), keepdims=True) for v in (model.a, model.b, model.c)]
+    a, b, c = abc
+    at_wells = model.well.curvature(1.0)
+    symbol = model.cell_volume * (2.0 * (c * eps**3 * lam * lam + b * eps * lam) + at_wells * a / eps)
+    positive = np.min(symbol, axis=_per_member(symbol)) > 0.0
+    interface = None
+    if geometry.interface is not None and positive.any():
+        interface = geometry.interface.batch(model, abc, values, positive)
     if not positive.all():
-        t_init = _initial_step(model)[~positive].reshape((-1,) + (1,) * model.n)
-        kinds.append((members[~positive], _Metric(geometry.frozen, t_init=t_init)))
-    return kinds
+        each = (-1,) + (1,) * model.n
+        symbol = np.where(positive.reshape(each), symbol, 1.0 / _initial_step(model).reshape(each))
+    return _Metric(geometry.frozen, geometry.bases, symbol, interface), positive
 
 
 def _descend(model: EnergyModel, metric: _Metric, u0: np.ndarray, cfg: SolverConfig, grad_tol: float):
@@ -494,24 +470,18 @@ def _descend(model: EnergyModel, metric: _Metric, u0: np.ndarray, cfg: SolverCon
             best_u[improved] = u[improved]
 
 
-def minimize_batch(initials, envs, params: EnergyParams, cfg: SolverConfig = SolverConfig()) -> list:
-    """Solve same-geometry problems as one lockstep batch, one descent for all members.
+def _solve_batch(initials: list, envs, params: EnergyParams, cfg: SolverConfig, geometry: _Geometry) -> list:
+    """Solve problems of one geometry as one lockstep batch, one descent for all members.
 
-    `initials` share shape, spacing, periodic axes and frozen nodes; `envs`
-    has one Environment per initial.  Returns per member a SolveResult,
-    bit-identical to what minimize_energy returns for that member alone, or
-    the DivergenceError its solve raised.  Each result's diagnostics carry the
+    `initials` share shape, spacing, periodic axes and frozen nodes, those of
+    `geometry`; `envs` has one Environment per initial.  Returns per member a
+    SolveResult, bit-identical to what the member gets alone, or the
+    DivergenceError its solve raised.  Each result's diagnostics carry the
     batch size (`batch`) and the batch's wall time (`wall_ms`).  The descent
     runs on the box of free nodes (`EnergyModel.restrict`), and a reported
     value is the energy it computed for the returned field: the discrete
     energy of that field to rounding.
     """
-    initials = list(initials)
-    return _solve_batch(initials, envs, params, cfg, _Geometry(initials[0]))
-
-
-def _solve_batch(initials: list, envs, params: EnergyParams, cfg: SolverConfig, geometry: _Geometry) -> list:
-    """minimize_batch with the group's geometry already built."""
     t0 = time.perf_counter()
     first = initials[0]
     model = EnergyModel(initials, envs, params)
@@ -520,18 +490,14 @@ def _solve_batch(initials: list, envs, params: EnergyParams, cfg: SolverConfig, 
     if first.frozen.any() and float(np.max(np.abs(values[:, first.frozen]))) > U_CAP:
         raise ValueError("frozen boundary data exceeds the value cap")
 
-    kinds = _metrics(model, geometry, values)
+    metric, positive = _metric(model, geometry, values)
     # from here on the whole-grid terms are gone: the descent holds the box
     model = model.restrict(values, geometry.box, geometry.window)
-    box = (slice(None),) + geometry.box
-    found = [None] * len(initials)
-    for members, metric in kinds:
-        batch = model if len(kinds) == 1 else model.take(members)  # one kind holds every member, in order
-        for k, result in zip(members, _descend(batch, metric, values[box][members], cfg, grad_tol)):
-            found[k] = (result, metric.name)
+    # a contiguous copy of the box, which _descend clips in place
+    found = _descend(model, metric, values[(slice(None),) + geometry.box].copy(), cfg, grad_tol)
     wall_ms = 1000.0 * (time.perf_counter() - t0)
     results = []
-    for k, (result, metric_name) in enumerate(found):
+    for k, result in enumerate(found):
         if isinstance(result, DivergenceError):
             results.append(result)
             continue
@@ -548,7 +514,7 @@ def _solve_batch(initials: list, envs, params: EnergyParams, cfg: SolverConfig, 
                     "grad_tol": grad_tol,
                     "resets": resets,
                     "stop_reason": "converged" if converged else "max_iters",
-                    "metric": metric_name,
+                    "metric": "preconditioned" if positive[k] else "gradient",
                     "batch": len(initials),
                     "wall_ms": wall_ms,
                 },
@@ -568,11 +534,9 @@ def minimize_energy(
     Accepted iterates never increase the energy, frozen nodes are preserved
     bit-exactly, and the reported value is the discrete energy of the returned
     field.  The value has upper-bound semantics for the underlying infimum.
-    A batch of one of minimize_batch.
+    A solve_many of one problem.
     """
-    (result,) = minimize_batch([initial], [env], params, cfg)
-    if isinstance(result, DivergenceError):
-        raise result
+    (result,) = solve_many([(initial, env, params)], cfg)
     return result
 
 
@@ -584,10 +548,11 @@ def solve_many(problems, cfg: SolverConfig = SolverConfig()) -> list:
     """Solve (initial, env, params) problems, each group of one geometry in lockstep batches.
 
     Problems that share shape, frozen nodes, periodic axes, spacing, energy
-    parameters and double well form a group.  A group is solved by
-    minimize_batch in batches of at most MAX_BATCH_NODES nodes (at least one
-    member each), which bounds the working memory of a batch.  Results come back
-    in submission order; the first DivergenceError in that order is raised.
+    parameters and double well form a group.  A group is solved in lockstep
+    batches (`_solve_batch`) of at most MAX_BATCH_NODES nodes (at least one
+    member each), which bounds the working memory of a batch; each member gets
+    the bits it gets alone.  Results come back in submission order; the first
+    DivergenceError in that order is raised.
     """
     groups = {}
     for i, (initial, env, params) in enumerate(problems):

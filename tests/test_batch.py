@@ -14,7 +14,7 @@ from homlab.environment import EnvironmentSpec, make_environment
 from homlab.geometry import Direction, OrientedCube
 from homlab.grids import EnergyModel, EnergyParams, box_grid, cube_grid, frame_width_for, profile_values
 from homlab.harness import load_config, run_cell
-from homlab.solve import DivergenceError, SolverConfig, minimize_batch, minimize_energy, solve_many
+from homlab.solve import DivergenceError, SolverConfig, minimize_energy, solve_many
 
 from test_harness import GOOD_CONFIG, write_config
 
@@ -54,7 +54,7 @@ CASES = {
     "wrapped-cells": ([profile_cell(seed, deg, x0, wrapped=True) for seed, deg, x0 in WRAPPED], ACC),
     # members stop at max_iters while others converge
     "max-iters": (MIXED_CELLS[:6], SolverConfig(max_iters=22, grad_tol=6.25e-5)),
-    # q = 50 starts fall back to the gradient metric; q = 0.05 ones are preconditioned
+    # q = 50 starts get the gradient metric M = I/t0; q = 0.05 ones are preconditioned
     "positivity-starts": (random_starts((50.0, 0.05, 50.0, 0.05)), SolverConfig(max_iters=3000)),
     # starts near the value cap: some first trials are clipped, so their s'Ms is measured exactly
     "clipped-starts": (
@@ -66,8 +66,8 @@ CASES = {
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_batch_matches_each_member_solved_alone(case):
     problems, cfg = CASES[case]
-    initials, envs, params = zip(*problems)
-    together = minimize_batch(initials, envs, params[0], cfg)
+    initials = [initial for initial, _, _ in problems]
+    together = solve_many(problems, cfg)
     for (initial, env, p), res in zip(problems, together):
         alone = minimize_energy(initial, env, p, cfg)
         assert res.value == alone.value
@@ -115,7 +115,7 @@ def test_divergence_of_one_member_leaves_the_others_untouched():
     broken.values[~broken.frozen] = np.nan
     initials = [problems[0][0], broken, problems[2][0]]
     envs = [env for _, env, _ in problems]
-    together = minimize_batch(initials, envs, problems[0][2], ACC)
+    together = solve._solve_batch(initials, envs, problems[0][2], ACC, solve._Geometry(initials[0]))
     assert isinstance(together[1], DivergenceError)
     for k in (0, 2):
         alone = minimize_energy(*problems[k], ACC)
@@ -192,7 +192,7 @@ def test_sigma_pair_evaluates_the_minus_energy_on_the_solved_plus_fields(monkeyp
 def test_members_must_share_their_geometry():
     (a, env, params), (b, _, _) = MIXED_CELLS[0], profile_cell(1, 0, (0, 0), r=4.0)
     with pytest.raises(ValueError, match="share"):
-        minimize_batch([a, b], [env, env], params, ACC)
+        EnergyModel([a, b], [env, env], params)
     with pytest.raises(ValueError, match="share the double well"):
         other = make_environment(CHECKERBOARD, DoubleWell(c0=2.0))
-        minimize_batch([a, a], [env, other], params, ACC)
+        EnergyModel([a, a], [env, other], params)

@@ -68,6 +68,19 @@ def test_sigma_config_with_h_above_a_quarter_of_epsilon_loads_and_runs(tmp_path)
     assert Path(out, "sigma.json").exists()
 
 
+def test_sigma_json_reports_every_solve_that_stopped_early(tmp_path):
+    # one iteration stops every slab solve early; sigma still exits 0, so the payload has to say so
+    text = Path(__file__).parents[1].joinpath("configs", "sigma.ini").read_text()
+    text = text.replace("max_iters = 40000", "max_iters = 1").replace("dir = out", "dir = {out}")
+    path, out = write_config(tmp_path, text)
+    assert main(["sigma", "--config", path]) == 0
+    payload = json.loads(Path(out, "sigma.json").read_text())
+    scales = {"0.25", "0.125", "0.0625"}
+    for variant in ("minus", "plus"):
+        assert set(payload["stop_reason"][variant]) == scales
+        assert set(payload["stop_reason"][variant].values()) == {"max_iters"}
+
+
 def test_config_rejects_small_r(tmp_path):
     bad = GOOD_CONFIG.replace("r_list = 4 8", "r_list = 2 8")
     path, _ = write_config(tmp_path, bad)
@@ -213,6 +226,10 @@ def test_config_hash_follows_the_resolved_config(tmp_path):
         ("nu_list = 0 p:3,4", "nu_list = 0 p:0,1"),
         ("x0_list = 0,0", "x0_list = 0,0 0,0"),
         ("h = 0.25\nr_list = 4 8", "h = 0.15\nr_list = 8"),
+        ("epsilon_list = 1.0", "epsilon_list = 0"),
+        ("epsilon_list = 1.0", "epsilon_list = -0.5"),
+        ("epsilon_list = 1.0", "epsilon_list = 0.5 0.5"),
+        ("epsilon_list = 1.0", "epsilon_list ="),
     ],
 )
 def test_config_number_lists_are_read_exactly(tmp_path, old, new):
@@ -235,6 +252,16 @@ def test_cli_verify_on_a_mesh_that_misses_the_suite_cuboids_exits_2(tmp_path, ca
     path, out = write_config(tmp_path, GOOD_CONFIG.replace("h = 0.25", "h = 0.2"))
     assert main(["verify", "--config", path]) == 2
     assert "h = 0.2 does not divide 4.5" in capsys.readouterr().err
+    assert json.loads(Path(out, "manifest.json").read_text())["command"] == "verify"
+    assert not Path(out, "verify.json").exists()
+
+
+def test_cli_verify_with_a_zero_epsilon_exits_2_with_a_manifest(tmp_path, capsys):
+    # it died with "cube side must be positive" (exit 1), leaving no output directory
+    text = GOOD_CONFIG.replace("epsilon_list = 1.0", "epsilon_list = 0")
+    path, out = write_config(tmp_path, text.replace("r_list = 4 8", "r_list = 8").replace("seeds = 0 1", "seeds = 0"))
+    assert main(["verify", "--config", path]) == 2
+    assert "epsilon values must be positive" in capsys.readouterr().err
     assert json.loads(Path(out, "manifest.json").read_text())["command"] == "verify"
     assert not Path(out, "verify.json").exists()
 
@@ -272,6 +299,7 @@ def test_cli_sigma_writes_summary(tmp_path):
     assert main(["sigma", "--config", path]) == 0
     payload = json.loads(Path(out, "sigma.json").read_text())
     assert 0 < payload["sigma_minus"] <= payload["sigma_plus"]
+    assert payload["stop_reason"] == {"minus": {"0.25": "converged"}, "plus": {"0.25": "converged"}}
     manifest = json.loads(Path(out, "manifest.json").read_text())
     assert manifest["records"] == [
         {"work_id": "sigma/minus/eps=0.25", "seed": 3},

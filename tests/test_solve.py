@@ -13,7 +13,7 @@ from homlab.grids import (
 from homlab.solve import DivergenceError, SolverConfig, _axis_basis, _transform, minimize_energy
 
 from _oracles import line_constant
-from test_batch import MIXED_CELLS
+from test_batch import MIXED_CELLS, random_starts
 
 
 def env_mplus(q=1.0):
@@ -62,21 +62,6 @@ def test_determinism(e2):
     r2 = minimize_energy(field, env, EnergyParams(1.0, "general"), cfg)
     assert r1.value == r2.value
     assert np.array_equal(r1.field.values, r2.field.values)
-
-
-def test_solve_result_serializes_to_json(e2):
-    import json
-
-    cube = OrientedCube((0.0, 0.0), 4.0, e2)
-    field = profile_field(cube, e2, (0.0, 0.0), 1.0, h=0.25)
-    res = minimize_energy(field, env_mplus(0.05), EnergyParams(1.0, "general"), SolverConfig(max_iters=300))
-    record = res.as_record()
-    text = json.dumps(record)
-    assert json.loads(text)["value"] == res.value
-    assert record["shape"] == [16, 16]
-    assert record["stop_reason"] == ("converged" if res.converged else "max_iters")
-    assert record["metric"] == "preconditioned"
-    assert record["resets"] >= 0
 
 
 def test_diagnostics_report_what_ran(e2):
@@ -215,6 +200,26 @@ def test_indefinite_model_falls_back_to_gradient_metric(e2, q, metric):
     assert res.diagnostics["metric"] == metric
 
 
+@pytest.mark.parametrize("qs", [(50.0,), (0.05, 50.0, 0.05)], ids=["alone", "batched"])
+def test_non_positive_member_gets_the_metric_i_over_t0(qs):
+    problems = random_starts(qs)
+    model, metric, u, box = _batch_metric(problems)
+    k = qs.index(50.0)
+    t0 = solve._initial_step(model)[k]
+
+    def close(x, y):
+        return np.linalg.norm(x - y) <= 1e-12 * np.linalg.norm(y)
+
+    g = model.gradient(u)[box]
+    d, _ = metric.direction(g, u[box])
+    assert close(d[k], t0 * g[k])
+    s = np.random.default_rng(6).standard_normal(g.shape)
+    assert close(metric.norm2(s).ravel()[k], np.sum(s[k] * s[k]) / t0)
+    if len(qs) > 1:  # the q = 0.05 members keep the preconditioned metric and its interface correction
+        assert not close(d[0], solve._initial_step(model)[0] * g[0])
+        assert metric.interface is not None
+
+
 # ---------------------------------------------------------------------------
 # The interface correction of the descent metric
 # ---------------------------------------------------------------------------
@@ -226,7 +231,7 @@ def _batch_metric(problems):
     model = EnergyModel(list(initials), list(envs), params[0])
     u = np.stack([f.values for f in initials])
     geometry = solve._Geometry(initials[0])
-    ((_, metric),) = solve._metrics(model, geometry, u)
+    metric, _ = solve._metric(model, geometry, u)
     return model, metric, u, (slice(None),) + geometry.box
 
 
@@ -235,8 +240,7 @@ def test_interface_metric_is_one_spd_form(case):
     problems = [_wrapped_cell(0, 0, 16)] if case.startswith("wrapped") else MIXED_CELLS
     model, metric, u, box = _batch_metric(problems)
     if case.endswith("solved"):  # a relaxed interface: wide, so its sliding modes are soft
-        initials, envs, params = zip(*problems)
-        u = np.stack([res.field.values for res in solve.minimize_batch(initials, envs, params[0], ACC)])
+        u = np.stack([res.field.values for res in solve.solve_many(problems, ACC)])
     else:
         free = problems[0][0].free_mask()
         u[:, free] += 0.05 * np.random.default_rng(3).standard_normal(int(free.sum()))
