@@ -166,15 +166,11 @@ class BoundsReport:
 # ---------------------------------------------------------------------------
 
 
-def _slab_solve(variant: str, q: float, epsilon: float, h: float, n: int, cfg: SolverConfig,
-                well: DoubleWell) -> SolveResult:
-    grid = slab_grid(1.0, h, frame_width_for(h, epsilon, "slab"), n=n)
+def _slab_solve(variant: str, q: float, epsilon: float, h: float, cfg: SolverConfig, well: DoubleWell) -> SolveResult:
+    grid = slab_grid(1.0, h, frame_width_for(h, epsilon, "slab"))
     grid.values[...] = profile_values(grid, epsilon)
-    # admissible datum is exactly +-1 near the top/bottom faces
-    sign_col = np.sign(grid.axis_coords(n - 1))
-    shape = [1] * n
-    shape[-1] = len(sign_col)
-    signs = np.broadcast_to(sign_col.reshape(shape), grid.shape)
+    # admissible datum is exactly +-1 near the two ends of the unit interval
+    signs = np.sign(grid.axis_coords(0))
     grid.values[grid.frozen] = signs[grid.frozen]
     env = make_environment(EnvironmentSpec(q=q), well)
     return minimize_energy(grid, env, EnergyParams(epsilon, variant), cfg)
@@ -186,13 +182,12 @@ def sigma_pm(
     q: float,
     epsilon_grid,
     cfg: SolverConfig = SolverConfig(),
-    n: int = 1,
     h_for=None,
 ) -> SigmaEstimate:
     """Upper bound for sigma+ or sigma-: min over the scale grid of unit-slab solves.
 
-    The slab is the unit cube with periodic lateral faces and values frozen to
-    +-1 near the top/bottom faces; each admissible scale contributes one solve.
+    The slab is the unit interval with values frozen to +-1 near its two ends;
+    each admissible scale contributes one solve.
     Scales the mesh cannot resolve are skipped with a warning.  The minus
     variant is gated to small q, where the comparison energy stays positive.
     """
@@ -208,7 +203,7 @@ def sigma_pm(
             raise ValueError("scales must lie in (0, 1]")
         h = h_for(eps)
         try:
-            res = _slab_solve("m_plus" if variant == "plus" else "m_minus", q, eps, h, n, cfg, well)
+            res = _slab_solve("m_plus" if variant == "plus" else "m_minus", q, eps, h, cfg, well)
         except ResolutionError as exc:
             warnings.warn(f"skipping unresolved scale {eps}: {exc}")
             continue
@@ -238,7 +233,6 @@ def sigma_pair(
     q: float,
     epsilon_grid,
     cfg: SolverConfig = SolverConfig(),
-    n: int = 1,
 ) -> tuple[SigmaEstimate, SigmaEstimate]:
     """(sigma-_hat, sigma+_hat) with the minus bound also fed the plus minimizers.
 
@@ -247,8 +241,8 @@ def sigma_pair(
     remaining a valid upper bound for sigma-.  The minus estimate keeps the
     fields it solved for.
     """
-    plus = sigma_pm("plus", well, q, epsilon_grid, cfg, n=n)
-    minus = sigma_pm("minus", well, q, epsilon_grid, cfg, n=n)
+    plus = sigma_pm("plus", well, q, epsilon_grid, cfg)
+    minus = sigma_pm("minus", well, q, epsilon_grid, cfg)
     env = make_environment(EnvironmentSpec(q=q), well)
     per_eps = dict(minus.per_epsilon)
     for eps, plus_field in plus.fields.items():
@@ -553,19 +547,18 @@ def f_hom_estimate(
     nu: Direction,
     r_schedule,
     seeds,
-    x0_list=None,
     cfg: SolverConfig = SolverConfig(),
     h: float = 0.25,
 ) -> FHomEstimate:
     """Estimate the homogenized density for one normal direction.
 
-    For every (r, seed, x0) a unit-scale cell problem is solved; per-seed
-    limits extrapolate the x0-averaged normalized values in 1/r over the top
-    three scales (boundary-frame heuristic, reported alongside raw records).
+    For every (r, seed) the unit-scale cell problem centered at the origin is
+    solved; per-seed limits extrapolate the normalized values in 1/r over the
+    top three scales (boundary-frame heuristic, reported alongside raw records).
     Non-converged solves are excluded with a warning; if none converged,
     EstimateError is raised instead of returning a NaN estimate.
     """
-    records = cell_problems_r(spec, [nu], r_schedule, seeds, x0_list, cfg, h)
+    records = cell_problems_r(spec, [nu], r_schedule, seeds, None, cfg, h)
     return f_hom_reduce(nu, r_schedule, seeds, records)
 
 

@@ -52,7 +52,7 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output directory (overrides config)")
         p.add_argument("--seed", type=int, default=None, help="environment seed override")
         p.add_argument("--threads", type=int, default=None, help="accepted and ignored: cells of one geometry run as one batch")
-        p.add_argument("--format", choices=("csv", "json", "both"), default=None)
+        p.add_argument("--format", default=None, help="accepted only as both: every command writes all of its outputs")
     return parser
 
 

@@ -48,16 +48,16 @@ def _mix_int(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def _cell_uniforms(seed: int, cells: np.ndarray, streams: int = 3) -> np.ndarray:
-    """Uniforms in [0,1), shape cells.shape[:-1] + (streams,), keyed by (seed, cell)."""
+def _cell_uniforms(seed: int, cells: np.ndarray) -> np.ndarray:
+    """Uniforms in [0,1), shape cells.shape[:-1] + (3,), one per coefficient a, b, c, keyed by (seed, cell)."""
     cells = np.atleast_2d(np.asarray(cells, dtype=np.int64))
     state = _mix_int(int(seed) & _U64)
     h = np.full(cells.shape[:-1], state, dtype=np.uint64)
     for axis in range(cells.shape[-1]):
         word = cells[..., axis].view(np.uint64) * _AXIS_SALT[axis % len(_AXIS_SALT)]
         h = _mix(h ^ word)
-    out = np.empty(cells.shape[:-1] + (streams,), dtype=float)
-    for k in range(streams):
+    out = np.empty(cells.shape[:-1] + (3,), dtype=float)
+    for k in range(3):
         out[..., k] = _mix(h + np.uint64(k + 1)).astype(float) * _INV_2_64
     return out
 

@@ -18,8 +18,6 @@ __all__ = [
     "m_nu_for",
 ]
 
-_UNIT_TOL = 1e-12
-
 
 class LatticeIncompatibleError(ValueError):
     """Raised for directions whose rotation matrix has irrational entries."""

@@ -539,25 +539,29 @@ class EnergyModel:
         self.members = len(frame)
         self._weights = [stencils.span(w[kind]) for kind, *_ in stencils.table]
 
-    def restrict(self, values: np.ndarray, box: tuple, window: tuple) -> "EnergyModel":
+    def restrict(self, values: np.ndarray, box: tuple) -> "EnergyModel":
         """This batch's energy as a function of the nodes in `box` alone, every other node held at `values`.
 
-        `values` is (members, *shape), and `box` and `window` are slices of
-        shape.  The restricted model's nodes are the box: it takes and returns
-        box-shaped arrays, and its wa and frozen mask cover the box; it has no
-        a, b, c.  `window` must hold every node within one of the box, as far
-        as the grid reaches, and the whole of every periodic axis: the terms of
-        those nodes are all that depend on the box.  Its stencils run over the
-        window and read the layer next to it too, so every such term is
-        computed as on the whole grid and the gradient equals this model's bit
-        for bit.  Each energy adds the member's constant E(values) -
-        E_window(values), so energies are whole-grid energies to rounding.  A
-        box of the whole grid gives the model itself.
+        `values` is (members, *shape), and `box` is slices of shape.  The
+        restricted model's nodes are the box: it takes and returns box-shaped
+        arrays, and its wa and frozen mask cover the box; it has no a, b, c.
+        The terms that depend on the box are those of the window: every node
+        within one of the box, as far as the grid reaches, and the whole of
+        every periodic axis.  Its stencils run over the window and read the
+        layer next to it too, so every such term is computed as on the whole
+        grid and the gradient equals this model's bit for bit.  Each energy
+        adds the member's constant E(values) - E_window(values), so energies
+        are whole-grid energies to rounding.  A box of the whole grid gives the
+        model itself.
         """
         if all(s == slice(0, m) for s, m in zip(box, self.shape)):
             return self
         energy = self.energy(values)
         each = (slice(None),)
+        window = tuple(
+            slice(0, m) if wrap else slice(max(b.start - 1, 0), min(b.stop + 1, m))
+            for b, m, wrap in zip(box, self.shape, self.periodic)
+        )
         state = tuple(slice(b.start - w.start, b.stop - w.start) for b, w in zip(box, window))
         cut = [(w.start > 0, w.stop < m) for w, m in zip(window, self.shape)]
         stencils = _Stencils(self.members, tuple(s.stop - s.start for s in window), self.periodic, state, cut)

@@ -118,7 +118,6 @@ class ExperimentConfig:
     env: EnvironmentSpec = field(default_factory=EnvironmentSpec)
     solver: SolverConfig = field(default_factory=SolverConfig)
     out_dir: str = "out"
-    out_format: str = "both"  # csv | json | both
 
     def __post_init__(self):
         if self.dimension not in (1, 2):  # before any default is built from it
@@ -148,26 +147,24 @@ class ExperimentConfig:
             raise ConfigError("direction dimension does not match experiment dimension")
         if any(len(x0) != self.dimension for x0 in self.x0_list):
             raise ConfigError("x0 dimension does not match experiment dimension")
-        if self.out_format not in ("csv", "json", "both"):
-            raise ConfigError("format must be csv, json, or both")
         return self
 
     @property
     def config_hash(self) -> str:
         """Hash of the resolved settings that decide the results (CLI overrides included).
 
-        Output location and format are left out: they do not change any number.
+        The output location is left out: it does not change any number.
         """
         resolved = dataclasses.asdict(self)
-        for key in ("out_dir", "out_format"):
-            del resolved[key]
+        del resolved["out_dir"]
         return hashlib.sha256(json.dumps(resolved, sort_keys=True).encode()).hexdigest()[:16]
 
 
 # section -> key -> parser.  A key names the field it sets: of ExperimentConfig
 # for [experiment], of its `env` for [environment], of its `solver` for [solver];
 # [output] keys set out_<key>.  A key the file leaves out keeps the dataclass default.
-# `restarts` sets nothing: it is read only to accept 0, which perfbench's generated configs still set.
+# `restarts` and `format` set nothing: they are read only to accept 0 and both, which
+# perfbench's generated configs and argv still set.
 _CONFIG_KEYS = {
     "experiment": {
         "dimension": int, "h": float, "r_list": _parse_numbers, "epsilon_list": _parse_numbers,
@@ -206,7 +203,7 @@ def _read_sections(parser: configparser.ConfigParser) -> dict:
 
 
 def load_config(path: str, overrides: dict | None = None) -> ExperimentConfig:
-    """Config file plus CLI overrides (seed, out, format; threads is accepted and ignored)."""
+    """Config file plus CLI overrides (seed, out; format is read only as both, threads is accepted and ignored)."""
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
         if not parser.read(path):
@@ -218,6 +215,8 @@ def load_config(path: str, overrides: dict | None = None) -> ExperimentConfig:
     for key, section, name in (("seed", "environment", "seed"), ("out", "output", "dir"), ("format", "output", "format")):
         if overrides.get(key) is not None:
             read[section][name] = overrides[key]
+    if read["output"].pop("format", "both") != "both":
+        raise ConfigError("format was removed: every command writes all of its outputs, so only both is read")
     exp = read["experiment"]
     try:
         if "nu_list" in exp:
@@ -313,7 +312,7 @@ def run_sigma(cfg: ExperimentConfig, manifest: RunManifest | None = None) -> dic
     """sigma- and sigma+ over epsilon_list; with a manifest, one record `sigma/<variant>/eps=..` per solved scale."""
     well = DoubleWell()
     try:
-        minus, plus = sigma_pair(well, cfg.env.q, cfg.epsilon_list, cfg.solver, n=1)
+        minus, plus = sigma_pair(well, cfg.env.q, cfg.epsilon_list, cfg.solver)
     except ValueError as exc:
         raise ConfigError(f"sigma needs scales resolvable on the unit slab: {exc}") from exc
     if manifest is not None:
@@ -335,8 +334,7 @@ def run_sigma(cfg: ExperimentConfig, manifest: RunManifest | None = None) -> dic
         },
         "c_eta": compute_c_eta(well, cfg.env.q),
     }
-    if cfg.out_format in ("json", "both"):
-        write_json(os.path.join(cfg.out_dir, "sigma.json"), payload)
+    write_json(os.path.join(cfg.out_dir, "sigma.json"), payload)
     return payload
 
 
@@ -359,8 +357,7 @@ def _solve_cells(cfg: ExperimentConfig, manifest: RunManifest | None, command: s
 def run_cell(cfg: ExperimentConfig, manifest: RunManifest | None = None) -> list[CellRecord]:
     """CellRecord for every direction x r x seed x x0, in that order."""
     records = _solve_cells(cfg, manifest, "cell")
-    if cfg.out_format in ("csv", "both"):
-        write_cell_csv(os.path.join(cfg.out_dir, "cell.csv"), records)
+    write_cell_csv(os.path.join(cfg.out_dir, "cell.csv"), records)
     return records
 
 
@@ -381,10 +378,8 @@ def run_homogenize(cfg: ExperimentConfig, manifest: RunManifest | None = None) -
             "x0_spread": {str(k): v for k, v in est.x0_spread.items()},
         }
     payload = {"f_hom": table, "r_schedule": list(cfg.r_list)}
-    if cfg.out_format in ("json", "both"):
-        write_json(os.path.join(cfg.out_dir, "fhom.json"), payload)
-    if cfg.out_format in ("csv", "both"):
-        write_cell_csv(os.path.join(cfg.out_dir, "fhom_records.csv"), records)
+    write_json(os.path.join(cfg.out_dir, "fhom.json"), payload)
+    write_cell_csv(os.path.join(cfg.out_dir, "fhom_records.csv"), records)
     return payload
 
 
@@ -558,9 +553,9 @@ def _prop_bounds(cfg: ExperimentConfig) -> PropertyResult:
     if gated:
         return gated
     well = DoubleWell()
-    minus, plus = sigma_pair(well, cfg.env.q, (0.25, 0.125), cfg.solver, n=1)
+    minus, plus = sigma_pair(well, cfg.env.q, (0.25, 0.125), cfg.solver)
     nu = cfg.nu_list[0]
-    est = f_hom_estimate(cfg.env, nu, cfg.r_list, cfg.seeds[:2] or (0,), None, cfg.solver, cfg.h)
+    est = f_hom_estimate(cfg.env, nu, cfg.r_list, cfg.seeds[:2], cfg.solver, cfg.h)
     report = bounds_check(est.estimate, minus.value, plus.value, cfg.env.c1, cfg.env.c2)
     return PropertyResult(
         "bounds",
@@ -575,7 +570,7 @@ def _prop_monotonicity(cfg: ExperimentConfig) -> PropertyResult:
         return gated
     env = make_environment(cfg.env)
     nu = cfg.nu_list[0]
-    eps = min(cfg.epsilon_list) if cfg.epsilon_list else 0.125
+    eps = min(cfg.epsilon_list)
     c_eta = compute_c_eta(DoubleWell(), cfg.env.q)
     rhos = [4 * eps, 8 * eps, 16 * eps]
     seq = []

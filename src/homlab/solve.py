@@ -304,25 +304,21 @@ class _Geometry:
     """What the batches of one geometry group share; built once per group.
 
     `box` is the bounding box of the free nodes (the whole grid when none is
-    free), the descent's state.  `window` is the box grown by one node along
-    each axis that does not wrap, as far as the grid reaches, and the whole
-    axis along a periodic one: the nodes whose energy terms depend on the box
-    (`EnergyModel.restrict`).  `frozen` is the frozen mask on the box.
-    `bases` and `lam` are the metric's axis bases on the box and the sum of
-    their Laplacian eigenvalues, and `interface` (n >= 2) the interface
-    correction's tables.
+    free), the descent's state (`EnergyModel.restrict`).  `frozen` is the
+    frozen mask on the box.  `bases` and `lam` are the metric's axis bases on
+    the box and the sum of their Laplacian eigenvalues, and `interface` (n >= 2)
+    the interface correction's tables.
     """
 
     def __init__(self, grid: GridField):
         free = grid.free_mask()
-        box, window, bases, lams = [], [], [], []
+        box, bases, lams = [], [], []
         for axis, size in enumerate(grid.shape):
             other = tuple(a for a in range(grid.n) if a != axis)
             rows = np.flatnonzero(free.any(axis=other))
             lo, hi = (int(rows[0]), int(rows[-1]) + 1) if len(rows) else (0, size)
             wrap = grid.periodic[axis]
             box.append(slice(lo, hi))
-            window.append(slice(0, size) if wrap else slice(max(lo - 1, 0), min(hi + 1, size)))
             if wrap and (lo, hi) == (0, size):
                 ends = "wrap"
             elif wrap:
@@ -334,7 +330,7 @@ class _Geometry:
             shape = [1] * grid.n
             shape[axis] = hi - lo
             lams.append(lam.reshape(shape))
-        self.box, self.window = tuple(box), tuple(window)
+        self.box = tuple(box)
         self.frozen = grid.frozen[self.box]
         self.bases, self.lam = bases, sum(lams)
         self.interface = None
@@ -492,7 +488,7 @@ def _solve_batch(initials: list, envs, params: EnergyParams, cfg: SolverConfig, 
 
     metric, positive = _metric(model, geometry, values)
     # from here on the whole-grid terms are gone: the descent holds the box
-    model = model.restrict(values, geometry.box, geometry.window)
+    model = model.restrict(values, geometry.box)
     # a contiguous copy of the box, which _descend clips in place
     found = _descend(model, metric, values[(slice(None),) + geometry.box].copy(), cfg, grad_tol)
     wall_ms = 1000.0 * (time.perf_counter() - t0)

@@ -140,7 +140,7 @@ def test_criterion_04_sigma_plus_oracle():
     t0 = time.perf_counter()
     est = sigma_pm(
         "plus", WELL, 1.0, (0.25, 0.125, 0.0625),
-        SolverConfig(max_iters=40000), n=1, h_for=lambda eps: eps / 16.0,
+        SolverConfig(max_iters=40000), h_for=lambda eps: eps / 16.0,
     )
     reference = line_constant(b=1.0, length=16.0, h=0.01)
     rel = abs(est.value - reference) / reference
@@ -159,7 +159,7 @@ def test_criterion_05_isotropy():
     estimates = []
     for ang in angles:
         nu = Direction.from_angle_degrees(ang)
-        est = f_hom_estimate(HOMOGENEOUS, nu, (8, 16, 32), (0,), None, ACC, 0.25)
+        est = f_hom_estimate(HOMOGENEOUS, nu, (8, 16, 32), (0,), ACC, 0.25)
         estimates.append(est.estimate)
     estimates = np.array(estimates)
     reference = line_constant(b=0.05, length=32.0, h=0.02)
@@ -225,12 +225,12 @@ def test_criterion_08_stationarity():
 
 def test_criterion_09_bounds():
     t0 = time.perf_counter()
-    minus, plus = sigma_pair(WELL, 0.05, (0.25, 0.125, 0.0625), SolverConfig(max_iters=40000), n=1)
+    minus, plus = sigma_pair(WELL, 0.05, (0.25, 0.125, 0.0625), SolverConfig(max_iters=40000))
     details = []
     ok = True
     for ang in (0.0, 45.0, 90.0, 135.0):
         nu = Direction.from_angle_degrees(ang)
-        est = f_hom_estimate(STRONG_CHECKERBOARD, nu, (8, 16, 32), (0, 1, 2, 3), None, ACC, 0.25)
+        est = f_hom_estimate(STRONG_CHECKERBOARD, nu, (8, 16, 32), (0, 1, 2, 3), ACC, 0.25)
         rep = bounds_check(est.estimate, minus.value, plus.value, 0.8, 1.2, slack=0.05)
         ok = ok and rep.passed
         details.append(f"{ang:g}deg: {est.estimate:.4f}")
@@ -255,7 +255,7 @@ def test_criterion_10_ergodic_concentration():
     ])
     std8, std32 = v8.std(ddof=1), v32.std(ddof=1)
     pinned_limits = np.array([
-        f_hom_estimate(PINNED, E2, (8, 16), (s,), None, ACC, 0.25).estimate for s in range(8)
+        f_hom_estimate(PINNED, E2, (8, 16), (s,), ACC, 0.25).estimate for s in range(8)
     ])
     pinned_range = pinned_limits.max() - pinned_limits.min()
     ok = std32 <= std8 and pinned_range > 5.0 * std32

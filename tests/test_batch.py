@@ -180,7 +180,7 @@ def test_sigma_pair_evaluates_the_minus_energy_on_the_solved_plus_fields(monkeyp
     env = make_environment(EnvironmentSpec(q=q), quartic)
     per_eps = dict(cell.sigma_pm("minus", quartic, q, scales, cfg).per_epsilon)
     for eps in plus.per_epsilon:
-        res = cell._slab_solve("m_plus", q, eps, eps / 8.0, 1, cfg, quartic)
+        res = cell._slab_solve("m_plus", q, eps, eps / 8.0, cfg, quartic)
         assert res.value == plus.per_epsilon[eps]
         again = EnergyModel(res.field, env, EnergyParams(eps, "m_minus")).energy(res.field.values)
         per_eps[eps] = min(per_eps[eps], again)

@@ -39,31 +39,31 @@ def homogeneous(q=0.05):
 
 
 def test_sigma_minus_not_above_plus(quartic):
-    minus, plus = sigma_pair(quartic, 0.05, (0.25, 0.125), QUICK, n=1)
+    minus, plus = sigma_pair(quartic, 0.05, (0.25, 0.125), QUICK)
     assert 0.0 < minus.value <= plus.value
 
 
 def test_sigma_bounded_by_ramp_constant(quartic):
     c_eta = compute_c_eta(quartic, 0.05)
-    minus, plus = sigma_pair(quartic, 0.05, (0.25, 0.125), QUICK, n=1)
+    minus, plus = sigma_pair(quartic, 0.05, (0.25, 0.125), QUICK)
     assert plus.value <= c_eta + 1e-6
     assert minus.value <= c_eta + 1e-6
 
 
 def test_sigma_is_min_over_scale_grid(quartic):
-    est = sigma_pm("plus", quartic, 0.05, (0.5, 0.25, 0.125), QUICK, n=1)
+    est = sigma_pm("plus", quartic, 0.05, (0.5, 0.25, 0.125), QUICK)
     assert est.value == min(est.per_epsilon.values())
     assert est.per_epsilon[est.best_epsilon] == est.value
 
 
 def test_sigma_minus_gate(quartic):
     with pytest.raises(ValueError):
-        sigma_pm("minus", quartic, 1.0, (0.25,), QUICK, n=1)
+        sigma_pm("minus", quartic, 1.0, (0.25,), QUICK)
 
 
 def test_sigma_skips_unresolvable_scales(quartic):
     with pytest.warns(UserWarning):
-        est = sigma_pm("plus", quartic, 0.05, (0.125, 0.5), QUICK, n=1, h_for=lambda e: 0.125)
+        est = sigma_pm("plus", quartic, 0.05, (0.125, 0.5), QUICK, h_for=lambda e: 0.125)
     assert 0.125 not in est.per_epsilon
     assert 0.5 in est.per_epsilon
 
@@ -71,11 +71,11 @@ def test_sigma_skips_unresolvable_scales(quartic):
 def test_sigma_skips_degenerate_scales(quartic):
     # at eps = 1 the frozen frame fills the unit slab: no competitor, no value
     with pytest.warns(UserWarning, match="degenerate"):
-        est = sigma_pm("plus", quartic, 0.05, (1.0, 0.25), QUICK, n=1)
+        est = sigma_pm("plus", quartic, 0.05, (1.0, 0.25), QUICK)
     assert 1.0 not in est.per_epsilon
     assert 0.25 in est.per_epsilon
     with pytest.warns(UserWarning, match="degenerate"), pytest.raises(ValueError):
-        sigma_pm("plus", quartic, 0.05, (1.0,), QUICK, n=1)
+        sigma_pm("plus", quartic, 0.05, (1.0,), QUICK)
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +183,7 @@ def test_glued_partition_is_subadditive_witness(e2):
 
 
 def test_f_hom_estimate_homogeneous_matches_single_cell(e2):
-    est = f_hom_estimate(homogeneous(), e2, (8, 16), (0, 1), None, QUICK, 0.25)
+    est = f_hom_estimate(homogeneous(), e2, (8, 16), (0, 1), QUICK, 0.25)
     # no randomness: both seeds give the same limit
     limits = list(est.per_seed_limit.values())
     assert limits[0] == pytest.approx(limits[1], rel=1e-12)
@@ -192,19 +192,19 @@ def test_f_hom_estimate_homogeneous_matches_single_cell(e2):
 
 def test_f_hom_estimate_raises_when_no_solve_converged(e2):
     with pytest.raises(EstimateError), pytest.warns(UserWarning, match="non-converged"):
-        f_hom_estimate(homogeneous(), e2, (8, 16), (0,), None, SolverConfig(max_iters=1), 0.25)
+        f_hom_estimate(homogeneous(), e2, (8, 16), (0,), SolverConfig(max_iters=1), 0.25)
 
 
 def test_f_hom_estimate_extrapolates_below_raw(e2):
-    est = f_hom_estimate(homogeneous(), e2, (8, 16), (0,), None, QUICK, 0.25)
+    est = f_hom_estimate(homogeneous(), e2, (8, 16), (0,), QUICK, 0.25)
     raw_top = [rec.normalized for rec in est.records if rec.r == 16]
     assert est.estimate < min(raw_top)  # boundary frame inflates raw values
 
 
 def test_f_hom_limit_insensitive_to_schedule_doubling(e2):
     # r(t) = t versus r(t) = 2t: extrapolated limits agree within 3%
-    est_a = f_hom_estimate(homogeneous(), e2, (8, 16, 32), (0,), None, QUICK, 0.25)
-    est_b = f_hom_estimate(homogeneous(), e2, (16, 32, 64), (0,), None, QUICK, 0.25)
+    est_a = f_hom_estimate(homogeneous(), e2, (8, 16, 32), (0,), QUICK, 0.25)
+    est_b = f_hom_estimate(homogeneous(), e2, (16, 32, 64), (0,), QUICK, 0.25)
     assert est_b.estimate == pytest.approx(est_a.estimate, rel=0.03)
 
 
@@ -220,7 +220,7 @@ def test_ergodic_average_consistent_with_density_records(e2):
     spec = checkerboard()
     seeds = (0, 1, 2, 3)
     avg = ergodic_average(spec, e2, 16, seeds, QUICK, 0.25)
-    est = f_hom_estimate(spec, e2, (8, 16), seeds, None, QUICK, 0.25)
+    est = f_hom_estimate(spec, e2, (8, 16), seeds, QUICK, 0.25)
     raw16 = [rec.normalized for rec in est.records if rec.r == 16]
     assert avg.mean == pytest.approx(np.mean(raw16), abs=2 * max(avg.stderr, 1e-12))
 

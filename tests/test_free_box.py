@@ -25,7 +25,7 @@ def test_restricted_model_gives_the_whole_grid_gradient_and_energy(wrapped):
     values = np.stack([g.values for g in initials])
     assert values[box].size < values.size  # the frame is cropped
     full = EnergyModel(initials, envs, params[0])
-    restricted = full.restrict(values, geometry.box, geometry.window)
+    restricted = full.restrict(values, geometry.box)
     # a field other than the one the frozen nodes were taken from
     u = values.copy()
     u[box] += 0.3 * np.random.default_rng(5).standard_normal(u[box].shape)
@@ -53,7 +53,7 @@ def test_take_gives_the_rows_of_the_whole_batch(wrapped):
     geometry = solve._Geometry(initials[0])
     box = (slice(None),) + geometry.box
     values = np.stack([g.values for g in initials])
-    model = EnergyModel(initials, envs, params[0]).restrict(values, geometry.box, geometry.window)
+    model = EnergyModel(initials, envs, params[0]).restrict(values, geometry.box)
     u = values[box] + 0.3 * np.random.default_rng(7).standard_normal(values[box].shape)
     energy, grad = model.value_and_gradient(u)
     taken = model.take([2, 0])

@@ -33,7 +33,6 @@ grad_tol = 6.25e-5
 
 [output]
 dir = {out}
-format = both
 """
 
 
@@ -230,13 +229,24 @@ def test_config_hash_follows_the_resolved_config(tmp_path):
         ("epsilon_list = 1.0", "epsilon_list = -0.5"),
         ("epsilon_list = 1.0", "epsilon_list = 0.5 0.5"),
         ("epsilon_list = 1.0", "epsilon_list ="),
+        ("[output]", "[output]\nformat = csv"),
+        ("[output]", "[output]\nformat = json"),
     ],
 )
 def test_config_number_lists_are_read_exactly(tmp_path, old, new):
-    path, _ = write_config(tmp_path, GOOD_CONFIG.replace(old, new))
+    path, out = write_config(tmp_path, GOOD_CONFIG.replace(old, new))
     with pytest.raises(ConfigError):
         load_config(path)
     assert main(["cell", "--config", path]) == 2
+    assert not Path(out, "cell.csv").exists()
+
+
+def test_format_other_than_both_on_the_command_line_exits_2(tmp_path, capsys):
+    # it exited 0 and wrote only manifest.json: the one result, cell.csv, went missing
+    path, out = write_config(tmp_path)
+    assert main(["cell", "--config", path, "--format", "json"]) == 2
+    assert "format was removed" in capsys.readouterr().err
+    assert not Path(out, "cell.csv").exists()
 
 
 def test_restarts_0_is_read_as_leaving_the_key_out(tmp_path):
@@ -245,6 +255,36 @@ def test_restarts_0_is_read_as_leaving_the_key_out(tmp_path):
     zero, _ = write_config(tmp_path, GOOD_CONFIG.replace("[solver]", "[solver]\nrestarts = 0"), "zero.ini")
     assert load_config(zero) == load_config(bare)
     assert load_config(zero).config_hash == load_config(bare).config_hash
+
+
+def test_format_both_is_read_as_leaving_the_key_out(tmp_path):
+    # every command writes all of its outputs; the key and the flag are accepted with the value both only
+    bare, _ = write_config(tmp_path)
+    both, _ = write_config(tmp_path, GOOD_CONFIG.replace("[output]", "[output]\nformat = both"), "both.ini")
+    assert load_config(both) == load_config(bare)
+    assert load_config(both).config_hash == load_config(bare).config_hash
+    assert load_config(bare, {"format": "both"}).config_hash == load_config(bare).config_hash
+
+
+# every file each command writes besides manifest.json
+OUTPUTS = {
+    "cell": {"cell.csv"},
+    "homogenize": {"fhom.json", "fhom_records.csv"},
+    "sweep": {"fhom.json", "fhom_records.csv", "sweep.csv"},
+    "sigma": {"sigma.json"},
+    "verify": {"verify.json"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(OUTPUTS))
+def test_every_command_writes_all_of_its_outputs(tmp_path, command):
+    text = GOOD_CONFIG.replace("seeds = 0 1", "seeds = 0").replace("nu_list = 0 p:3,4", "nu_list = 0")
+    if command == "sigma":
+        text = text.replace("epsilon_list = 1.0", "epsilon_list = 0.25").replace("h = 0.25", "h = 0.0625")
+    path, out = write_config(tmp_path, text)
+    assert "format" not in Path(path).read_text()
+    assert main([command, "--config", path]) == 0
+    assert {p.name for p in Path(out).iterdir()} == OUTPUTS[command] | {"manifest.json"}
 
 
 def test_cli_verify_on_a_mesh_that_misses_the_suite_cuboids_exits_2(tmp_path, capsys):
