@@ -25,7 +25,7 @@ from .harness import (
     write_json,
 )
 from .cell import EstimateError
-from .solve import DivergenceError
+from .solve import MAX_BATCH_NODES, DivergenceError
 
 EXIT_OK = 0
 EXIT_PROPERTY_FAILURE = 1
@@ -51,7 +51,12 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="path to the experiment config")
         p.add_argument("--out", default=None, help="output directory (overrides config)")
         p.add_argument("--seed", type=int, default=None, help="environment seed override")
-        p.add_argument("--threads", type=int, default=None, help="accepted and ignored: cells of one geometry run as one batch")
+        p.add_argument(
+            "--threads",
+            type=int,
+            default=None,
+            help=f"accepted and ignored: cells of one geometry run in lockstep batches of at most {MAX_BATCH_NODES} nodes",
+        )
         p.add_argument("--format", default=None, help="accepted only as both: every command writes all of its outputs")
     return parser
 

@@ -5,11 +5,20 @@ from __future__ import annotations
 import configparser
 import csv
 import dataclasses
-import hashlib
 import json
 import os
 import time
 from dataclasses import dataclass, field
+
+# CPython's builtin sha256 (`_sha2` from 3.12, `_sha256` before), as random.py
+# does for sha512: hashlib loads OpenSSL, about 3.5 MB of RSS, for one digest per run
+try:
+    from _sha2 import sha256
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 import numpy as np
 
@@ -157,7 +166,7 @@ class ExperimentConfig:
         """
         resolved = dataclasses.asdict(self)
         del resolved["out_dir"]
-        return hashlib.sha256(json.dumps(resolved, sort_keys=True).encode()).hexdigest()[:16]
+        return sha256(json.dumps(resolved, sort_keys=True).encode()).hexdigest()[:16]
 
 
 # section -> key -> parser.  A key names the field it sets: of ExperimentConfig
@@ -277,7 +286,10 @@ def write_cell_csv(path: str, records) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(
-            ["nu_deg", "r", "seed", "x0_index", "m_hat", "normalized", "iters", "grad_norm", "stop_reason", "wall_ms"]
+            [
+                "nu_deg", "r", "seed", "x0_index", "m_hat", "normalized", "iters", "grad_norm", "stop_reason", "batch",
+                "wall_ms",
+            ]
         )
         for rec in records:
             writer.writerow(
@@ -291,6 +303,7 @@ def write_cell_csv(path: str, records) -> None:
                     rec.diagnostics.get("iters", ""),
                     _fmt(rec.diagnostics.get("grad_norm", float("nan"))),
                     rec.diagnostics.get("stop_reason", ""),
+                    rec.diagnostics.get("batch", ""),
                     _fmt(round(rec.diagnostics.get("wall_ms", 0.0), 3)),
                 ]
             )

@@ -15,8 +15,10 @@ from .grids import U_CAP, EnergyModel, EnergyParams, GridField
 __all__ = ["SolverConfig", "SolveResult", "DivergenceError", "minimize_energy", "solve_many"]
 
 
-# nodes per lockstep batch: eight 32^2 cells, two 64^2 cells, one larger cell
-MAX_BATCH_NODES = 8192
+# nodes per lockstep batch: sixteen 32^2 cells, four 64^2 cells, one 128^2 cell.
+# One r = 32 cell at h = 0.25 is the largest single solve of the shipped configs,
+# so no batch holds more nodes than a cell that is solved alone anyway.
+MAX_BATCH_NODES = 16384
 
 
 class DivergenceError(RuntimeError):

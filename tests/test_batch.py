@@ -50,6 +50,8 @@ WRAPPED = [(1, 0, (0, 0)), (2, 45, (0.25, 0)), (1, 90, (0, 0)), (2, 135, (0, 0))
 CASES = {
     # directions, seeds and centers at r = 8; frozen frames
     "mixed-cells": (MIXED_CELLS[::3], ACC),
+    # the 16 r = 8 cells of the benchmark's cells_r8_2w workload: one batch of MAX_BATCH_NODES
+    "cells-r8-2w": (MIXED_CELLS, ACC),
     # laterally periodic windows; members converge at different iterations
     "wrapped-cells": ([profile_cell(seed, deg, x0, wrapped=True) for seed, deg, x0 in WRAPPED], ACC),
     # members stop at max_iters while others converge
@@ -107,6 +109,17 @@ def test_solve_many_groups_by_geometry_and_keeps_submission_order():
         alone = minimize_energy(initial, env, params, ACC)
         assert res.value == alone.value and res.iters == alone.iters
     assert [res.diagnostics["batch"] for res in results] == [2, 1, 2, 1]
+
+
+def test_a_group_larger_than_max_batch_nodes_runs_in_several_batches(monkeypatch):
+    monkeypatch.setattr(solve, "MAX_BATCH_NODES", 2 * 32 * 32)  # two r = 8 cells
+    problems = MIXED_CELLS[:5]
+    together = solve_many(problems, ACC)
+    assert [res.diagnostics["batch"] for res in together] == [2, 2, 2, 2, 1]
+    for (initial, env, params), res in zip(problems, together):
+        alone = minimize_energy(initial, env, params, ACC)
+        assert res.value == alone.value and res.iters == alone.iters
+        assert np.array_equal(res.field.values, alone.field.values)
 
 
 def test_divergence_of_one_member_leaves_the_others_untouched():
