@@ -2,6 +2,16 @@
 
 __version__ = "0.1.0"
 
+import os
+
+# One BLAS thread unless the user says otherwise.  The descent's dense products
+# are small; OpenBLAS's default pool spins on every core for no wall gain.  The
+# variables are read when numpy loads, so this holds only where homlab imports
+# numpy first (`python -m homlab`, the `homlab` script, the tests).
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+del _var
+
 from .core import (
     DoubleWell,
     TransitionProfile,

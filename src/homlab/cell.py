@@ -482,14 +482,20 @@ def glued_partition_energy(
 
 
 def _fit_limit(rs: np.ndarray, values: np.ndarray) -> float:
-    """Least-squares fit of value = limit + A/r on the top three scales."""
+    """Least-squares fit of value = limit + A/r on the top three scales; returns the limit.
+
+    The intercept in closed form, with x = 1/r over the m scales kept:
+    limit = sum_i (Sxx - Sx x_i) v_i / (m Sxx - Sx^2), weights -0.5, 0.5 and 1
+    at r = 8, 16, 32.  A 2-column fit needs no LAPACK routine, whose code
+    would otherwise be paged into every process that estimates f_hom.
+    """
     order = np.argsort(rs)[-3:]
     r, v = rs[order], values[order]
     if len(r) == 1:
         return float(v[0])
-    design = np.stack([np.ones_like(r), 1.0 / r], axis=1)
-    coef, *_ = np.linalg.lstsq(design, v, rcond=None)
-    return float(coef[0])
+    x = 1.0 / r
+    sx, sxx = float(np.sum(x)), float(np.sum(x * x))
+    return float(np.sum((sxx - sx * x) * v) / (len(x) * sxx - sx * sx))
 
 
 def _converged(records) -> list[CellRecord]:

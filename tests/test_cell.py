@@ -7,6 +7,7 @@ from homlab.geometry import Direction, LatticeCuboid
 from homlab.solve import SolverConfig
 from homlab.cell import (
     EstimateError,
+    _fit_limit,
     bounds_check,
     cell_problem_r,
     eps_scaled_cell,
@@ -199,6 +200,23 @@ def test_f_hom_estimate_extrapolates_below_raw(e2):
     est = f_hom_estimate(homogeneous(), e2, (8, 16), (0,), QUICK, 0.25)
     raw_top = [rec.normalized for rec in est.records if rec.r == 16]
     assert est.estimate < min(raw_top)  # boundary frame inflates raw values
+
+
+@pytest.mark.parametrize("rs", [(8, 16), (16, 8), (8, 16, 32), (32, 8, 16), (4, 8, 16, 32, 64), (64, 16, 4, 32, 8)])
+def test_fit_limit_is_the_least_squares_intercept_of_the_top_three_scales(rs):
+    r = np.array(rs, dtype=float)
+    v = 2.1 + 3.7 / r + np.random.default_rng(0).normal(scale=0.05, size=len(r))
+    top = np.argsort(r)[-3:]
+    design = np.stack([np.ones(len(top)), 1.0 / r[top]], axis=1)
+    oracle = np.linalg.lstsq(design, v[top], rcond=None)[0][0]
+    assert _fit_limit(r, v) == pytest.approx(oracle, rel=1e-12)
+
+
+def test_fit_limit_weights_at_8_16_32():
+    # the weights perfbench's f_hom band is built from
+    v8, v16, v32 = 17.01, 9.55, 5.82
+    limit = _fit_limit(np.array([8.0, 16.0, 32.0]), np.array([v8, v16, v32]))
+    assert limit == pytest.approx(-0.5 * v8 + 0.5 * v16 + v32, rel=1e-15)
 
 
 def test_f_hom_limit_insensitive_to_schedule_doubling(e2):

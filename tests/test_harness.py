@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from homlab.cli import main
+from homlab.cli import UPPER_BOUND_NOTE, main
 from homlab.harness import ConfigError, load_config, run_cell, run_property_suite
 
 GOOD_CONFIG = """
@@ -306,9 +306,13 @@ def test_cli_verify_with_a_zero_epsilon_exits_2_with_a_manifest(tmp_path, capsys
     assert not Path(out, "verify.json").exists()
 
 
-def test_cli_verify_records_every_property_in_the_manifest(tmp_path):
+def test_cli_verify_records_every_property_in_the_manifest(tmp_path, capsys):
     path, out = write_config(tmp_path)
     assert main(["verify", "--config", path]) == 0
+    # one line per property, then the note on what the values bound, once
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == UPPER_BOUND_NOTE
+    assert len(lines) == 10 and all(line.startswith("[") for line in lines[:-1])
     manifest = json.loads(Path(out, "manifest.json").read_text())
     work_ids = [rec["work_id"] for rec in manifest["records"]]
     assert len(work_ids) == 9
@@ -403,6 +407,24 @@ def test_cli_import_and_cell_solve_load_no_scipy():
     assert out.returncode == 0, out.stderr
     # nor hashlib, which loads OpenSSL: config_hash takes CPython's builtin sha256
     assert out.stdout.split() == ["[]", "[]"]
+
+
+@pytest.mark.parametrize("given, expected", [({}, ["1", "1", "1"]), ({"OPENBLAS_NUM_THREADS": "2"}, ["2", "1", "1"])])
+def test_importing_homlab_defaults_blas_to_one_thread_unless_set(given, expected):
+    import os
+    import subprocess
+    import sys
+
+    import homlab
+
+    names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    # this process imported homlab already, so its own environment holds the defaults
+    env = {k: v for k, v in os.environ.items() if k not in names}
+    env.update(given, PYTHONPATH=str(Path(homlab.__file__).resolve().parents[1]))
+    code = f"import os, homlab.cli\nprint(*(os.environ.get(k) for k in {names!r}))\n"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == expected
 
 
 @pytest.mark.parametrize("command", ["cell", "homogenize", "sweep", "verify"])
