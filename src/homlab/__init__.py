@@ -8,9 +8,10 @@ import os
 # are small; OpenBLAS's default pool spins on every core for no wall gain.  The
 # variables are read when numpy loads, so this holds only where homlab imports
 # numpy first (`python -m homlab`, the `homlab` script, the tests).
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_var, "1")
-del _var
+# BLAS_THREADS keeps the values as read here, for each run's manifest.
+BLAS_THREADS = {
+    var: os.environ.setdefault(var, "1") for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+}
 
 from .core import (
     DoubleWell,

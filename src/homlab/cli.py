@@ -60,7 +60,10 @@ def _parser() -> argparse.ArgumentParser:
             "--threads",
             type=int,
             default=None,
-            help=f"accepted and ignored: cells of one geometry run in lockstep batches of at most {MAX_BATCH_NODES} nodes",
+            help=(
+                f"accepted and ignored: cells of one geometry run in lockstep batches of at most {MAX_BATCH_NODES}"
+                " nodes, solved side by side on the CPUs this process may use (taskset limits them)"
+            ),
         )
         p.add_argument("--format", default=None, help="accepted only as both: every command writes all of its outputs")
     return parser

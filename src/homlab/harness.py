@@ -22,12 +22,12 @@ except ImportError:
 
 import numpy as np
 
-from . import __version__
+from . import BLAS_THREADS, __version__
 from .core import DoubleWell, compute_c_eta
 from .environment import EnvironmentSpec, make_environment, shift_environment, verify_growth_bounds
 from .geometry import Direction, LatticeCuboid, OrientedCube
 from .grids import EnergyModel, EnergyParams, cube_grid
-from .solve import SolverConfig
+from .solve import SolverConfig, usable_cpus
 from .cell import (
     MINUS_VARIANT_Q_MAX,
     CellRecord,
@@ -245,12 +245,19 @@ def load_config(path: str, overrides: dict | None = None) -> ExperimentConfig:
 
 @dataclass
 class RunManifest:
-    """Provenance of one run: config hash, version, per-record work-item ids."""
+    """Provenance of one run: config hash, version, per-record work-item ids.
+
+    `workers` is the most processes a solve_many call of the run may use (the
+    CPUs it may run on) and `blas_threads` the BLAS thread variables homlab
+    read at import; neither enters `config_hash`, and no result depends on them.
+    """
 
     config_hash: str
     tool_version: str
     command: str
     started: str
+    workers: int
+    blas_threads: dict
     records: list = field(default_factory=list)
 
     def add(self, work_id: str, seed: int):
@@ -262,6 +269,8 @@ class RunManifest:
             "tool_version": self.tool_version,
             "command": self.command,
             "started": self.started,
+            "workers": self.workers,
+            "blas_threads": self.blas_threads,
             "records": self.records,
         }
 
@@ -272,6 +281,8 @@ def build_manifest(cfg: ExperimentConfig, command: str) -> RunManifest:
         tool_version=__version__,
         command=command,
         started=time.strftime("%Y-%m-%dT%H:%M:%S"),
+        workers=usable_cpus(),
+        blas_threads=dict(BLAS_THREADS),
     )
 
 

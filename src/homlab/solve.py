@@ -4,6 +4,10 @@ from __future__ import annotations
 
 import copy
 import math
+import os
+import pickle
+import sys
+import threading
 import time
 from dataclasses import dataclass, field
 
@@ -12,7 +16,7 @@ import numpy as np
 from .environment import Environment
 from .grids import U_CAP, EnergyModel, EnergyParams, GridField
 
-__all__ = ["SolverConfig", "SolveResult", "DivergenceError", "minimize_energy", "solve_many"]
+__all__ = ["SolverConfig", "SolveResult", "DivergenceError", "minimize_energy", "solve_many", "usable_cpus"]
 
 
 # nodes per lockstep batch: sixteen 32^2 cells, four 64^2 cells, one 128^2 cell.
@@ -542,6 +546,102 @@ def _geometry_key(initial: GridField, env: Environment, params: EnergyParams) ->
     return (initial.shape, initial.frozen.tobytes(), initial.periodic, initial.h, params, env.well)
 
 
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask, which `taskset` sets; 1 off Linux, where nothing forks."""
+    if sys.platform != "linux":
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _placed(weights: list, workers: int) -> list:
+    """Batch indices per worker, each in submission order.
+
+    Longest first, each batch goes to the least-loaded worker (the lowest
+    index on a tie), so worker 0, the caller, takes the heaviest batch.
+    """
+    loads = [0] * workers
+    shares = [[] for _ in range(workers)]
+    for b in sorted(range(len(weights)), key=lambda b: -weights[b]):
+        w = loads.index(min(loads))
+        shares[w].append(b)
+        loads[w] += weights[b]
+    return [sorted(share) for share in shares]
+
+
+def _solve_share(problems, batches, share, cfg: SolverConfig) -> list:
+    """(index, result) of every problem of the batches `share` names, solved one after another."""
+    found = []
+    for b in share:
+        members, geometry = batches[b]
+        initials, envs, params = zip(*(problems[i] for i in members))
+        found += zip(members, _solve_batch(list(initials), envs, params[0], cfg, geometry))
+    return found
+
+
+def _worker(problems, batches, share, cfg: SolverConfig, write_fd: int):
+    """Body of a forked worker: send the pickled outcome of `share` down `write_fd`, then exit at once."""
+    try:
+        try:
+            sent = (True, _solve_share(problems, batches, share, cfg))
+        except Exception as exc:
+            sent = (False, exc)
+        with open(write_fd, "wb") as pipe:
+            pipe.write(pickle.dumps(sent, pickle.HIGHEST_PROTOCOL))
+    finally:
+        # no atexit handler, buffer flush or test teardown of the parent runs twice
+        os._exit(0)
+
+
+def _solve_shares(problems, batches, shares, cfg: SolverConfig) -> list:
+    """Solve shares[0] here and every other share in a forked worker; (index, result) of every problem.
+
+    A worker sends its (index, result) list, or the exception its share
+    raised, through its own pipe; that exception is raised here, the first
+    in worker order.  Every worker is reaped before this returns or raises,
+    and killed first when this process raises.  A share whose fork fails is
+    solved here.
+    """
+    workers = []  # (pid, read end of its pipe)
+    own = list(shares[0])
+    try:
+        for share in shares[1:]:
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _worker(problems, batches, share, cfg, write_fd)  # does not return
+            except OSError:  # no process to spare (a pids limit): this process solves the share
+                os.close(read_fd)
+                own = sorted(own + share)
+                continue
+            finally:
+                os.close(write_fd)
+            workers.append((pid, read_fd))
+        found = _solve_share(problems, batches, own, cfg)
+        sent = []
+        for pid, read_fd in workers:
+            with open(read_fd, "rb", closefd=False) as pipe:
+                data = pipe.read()
+            if not data:
+                raise RuntimeError(f"batch worker {pid} exited without a result")
+            sent.append(pickle.loads(data))  # written by _worker above
+    except BaseException:
+        import signal  # only this path sends a signal
+
+        for pid, _ in workers:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pid, read_fd in workers:
+            os.close(read_fd)
+            os.waitpid(pid, 0)
+    for ok, payload in sent:
+        if not ok:
+            raise payload
+        found += payload
+    return found
+
+
 def solve_many(problems, cfg: SolverConfig = SolverConfig()) -> list:
     """Solve (initial, env, params) problems, each group of one geometry in lockstep batches.
 
@@ -549,23 +649,31 @@ def solve_many(problems, cfg: SolverConfig = SolverConfig()) -> list:
     parameters and double well form a group.  A group is solved in lockstep
     batches (`_solve_batch`) of at most MAX_BATCH_NODES nodes (at least one
     member each), which bounds the working memory of a batch; each member gets
-    the bits it gets alone.  Results come back in submission order; the first
-    DivergenceError in that order is raised.
+    the bits it gets alone.  With two or more batches, up to usable_cpus()
+    processes solve whole batches side by side: the caller and forked workers
+    (Linux only, and only while the process runs one Python thread), which
+    changes no bit of any result.  Results come back in submission order; the
+    first DivergenceError in that order is raised.
     """
     groups = {}
     for i, (initial, env, params) in enumerate(problems):
         groups.setdefault(_geometry_key(initial, env, params), []).append(i)
-    results = [None] * len(problems)
+    batches, weights = [], []
     for members in groups.values():
-        geometry = _Geometry(problems[members[0]][0])
-        size = max(1, MAX_BATCH_NODES // problems[members[0]][0].values.size)
+        first = problems[members[0]][0]
+        geometry = _Geometry(first)
+        size = max(1, MAX_BATCH_NODES // first.values.size)
         for start in range(0, len(members), size):
-            batch = members[start : start + size]
-            initials, envs, params = zip(*(problems[i] for i in batch))
-            for i, result in zip(batch, _solve_batch(list(initials), envs, params[0], cfg, geometry)):
-                results[i] = result
+            batches.append((members[start : start + size], geometry))
+            # a batch costs about nodes x iterations, and iterations grow with the cell's side
+            weights.append(len(batches[-1][0]) * first.values.size * max(first.shape))
+    workers = 1
+    if len(batches) > 1 and threading.active_count() == 1:  # forking a threaded process can copy a held lock
+        workers = min(usable_cpus(), len(batches))
+    results = [None] * len(problems)
+    for i, result in _solve_shares(problems, batches, _placed(weights, workers), cfg):
+        results[i] = result
     for result in results:
         if isinstance(result, DivergenceError):
             raise result
     return results
-

@@ -1,6 +1,7 @@
 """Lockstep batches: a group solved together gives each member the bits it gets alone."""
 
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,7 @@ from homlab.cli import main
 from homlab.core import DoubleWell
 from homlab.environment import EnvironmentSpec, make_environment
 from homlab.geometry import Direction, OrientedCube
-from homlab.grids import EnergyModel, EnergyParams, box_grid, cube_grid, frame_width_for, profile_values
+from homlab.grids import U_CAP, EnergyModel, EnergyParams, box_grid, cube_grid, frame_width_for, profile_values
 from homlab.harness import load_config, run_cell
 from homlab.solve import DivergenceError, SolverConfig, minimize_energy, solve_many
 
@@ -135,6 +136,133 @@ def test_divergence_of_one_member_leaves_the_others_untouched():
         assert together[k].value == alone.value and together[k].iters == alone.iters
     with pytest.raises(DivergenceError):
         solve_many([problems[0], (broken, envs[1], problems[1][2])], ACC)
+
+
+# framed r = 8/16/32 cells (two at r = 16, one batch), a wrapped cell, and q = 50 and q = 0.05
+# starts (gradient and preconditioned metric): five batches of different weights
+WORKER_SET = (
+    [profile_cell(1, 0, (0, 0), r=r) for r in (8.0, 16.0, 32.0)]
+    + [profile_cell(2, 45, (0.25, 0), r=16.0), profile_cell(1, 0, (0, 0), r=16.0, wrapped=True)]
+    + random_starts((50.0, 0.05))
+)
+WORKER_CFG = SolverConfig(max_iters=300, grad_tol=6.25e-5)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """pids of the workers this process forks."""
+    started = []
+    fork = os.fork
+
+    def counting():
+        pid = fork()
+        if pid:
+            started.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting)
+    return started
+
+
+@pytest.mark.parametrize("reverse", [False, True], ids=["submitted", "reversed"])
+def test_results_do_not_depend_on_the_worker_count_or_order(monkeypatch, forks, reverse):
+    monkeypatch.setattr(solve, "usable_cpus", lambda: 1)
+    serial = solve_many(WORKER_SET, WORKER_CFG)
+    assert {res.diagnostics["metric"] for res in serial} == {"gradient", "preconditioned"}
+    assert {res.diagnostics["stop_reason"] for res in serial} == {"converged", "max_iters"}
+    problems = WORKER_SET[::-1] if reverse else WORKER_SET
+    drop = lambda diagnostics: {k: v for k, v in diagnostics.items() if k != "wall_ms"}
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(solve, "usable_cpus", lambda: workers)
+        forks.clear()
+        results = solve_many(problems, WORKER_CFG)
+        assert_no_child_left()
+        assert len(forks) == workers - 1
+        for res, alone in zip(results[::-1] if reverse else results, serial, strict=True):
+            assert (res.value, res.iters, res.final_grad_norm, res.converged) == (
+                alone.value, alone.iters, alone.final_grad_norm, alone.converged
+            )
+            assert res.field.values.tobytes() == alone.field.values.tobytes()
+            assert res.field.values.shape == alone.field.values.shape
+            assert drop(res.diagnostics) == drop(alone.diagnostics)
+
+
+@pytest.mark.parametrize("r_bad, r_good, solved_here", [(8.0, 32.0, [1]), (32.0, 8.0, [0])], ids=["worker", "caller"])
+def test_the_batch_error_of_a_worker_or_the_caller_is_raised(monkeypatch, forks, r_bad, r_good, solved_here):
+    # the heavier batch stays with the caller; a worker's error comes back with its type and message
+    monkeypatch.setattr(solve, "usable_cpus", lambda: 2)
+    bad, env, params = profile_cell(1, 0, (0, 0), r=r_bad)
+    bad.values[bad.frozen] *= 2 * U_CAP
+    here = []
+    share = solve._solve_share
+
+    def spy(problems, batches, indices, cfg):
+        here.extend(i for b in indices for i in batches[b][0])
+        return share(problems, batches, indices, cfg)
+
+    monkeypatch.setattr(solve, "_solve_share", spy)
+    with pytest.raises(ValueError, match="^frozen boundary data exceeds the value cap$"):
+        solve_many([(bad, env, params), profile_cell(2, 0, (0, 0), r=r_good)], ACC)
+    assert_no_child_left()
+    assert len(forks) == 1
+    assert here == solved_here
+
+
+@pytest.mark.parametrize("reverse", [False, True], ids=["submitted", "reversed"])
+def test_the_first_divergence_in_submission_order_is_raised_across_workers(monkeypatch, forks, reverse):
+    # each batch's DivergenceError names its grid shape, so the raised one shows whose it is
+    solve_batch = solve._solve_batch
+
+    def naming(initials, *args):
+        found = solve_batch(initials, *args)
+        return [DivergenceError(f"{initials[0].shape}") if isinstance(x, DivergenceError) else x for x in found]
+
+    monkeypatch.setattr(solve, "_solve_batch", naming)
+    monkeypatch.setattr(solve, "usable_cpus", lambda: 2)
+    broken = []
+    for r in (8.0, 32.0):  # the r = 32 batch stays with the caller, r = 8 goes to the worker
+        grid, env, params = profile_cell(1, 0, (0, 0), r=r)
+        grid.values[~grid.frozen] = np.nan
+        broken.append((grid, env, params))
+    problems = [broken[0], broken[1], profile_cell(1, 0, (0, 0), r=16.0)]
+    if reverse:
+        problems = problems[::-1]
+    with pytest.raises(DivergenceError) as raised:
+        solve_many(problems, ACC)
+    assert_no_child_left()
+    assert len(forks) == 1
+    first = broken[1] if reverse else broken[0]
+    assert str(raised.value) == f"{first[0].shape}"
+
+
+def test_a_share_whose_fork_fails_is_solved_by_the_caller(monkeypatch):
+    monkeypatch.setattr(solve, "usable_cpus", lambda: 1)
+    problems = [profile_cell(1, 0, (0, 0), r=r) for r in (8.0, 16.0, 32.0)]
+    serial = solve_many(problems, ACC)
+
+    def no_process(*_):
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", no_process)
+    monkeypatch.setattr(solve, "usable_cpus", lambda: 3)
+    for res, alone in zip(solve_many(problems, ACC), serial, strict=True):
+        assert res.value == alone.value and res.iters == alone.iters
+        assert res.field.values.tobytes() == alone.field.values.tobytes()
+
+
+def test_workers_never_outnumber_the_batches(monkeypatch, forks):
+    monkeypatch.setattr(solve, "usable_cpus", lambda: 64)
+    solve_many([profile_cell(1, 0, (0, 0), r=r) for r in (8.0, 16.0, 32.0)], ACC)
+    assert_no_child_left()
+    assert len(forks) == 2
+    forks.clear()
+    solve_many(MIXED_CELLS, ACC)  # one batch: solved here, no batch is split
+    assert forks == []
 
 
 def test_run_cell_with_mixed_r_returns_records_in_submission_order(tmp_path):

@@ -1,11 +1,13 @@
 import csv
 import json
+import os
 from pathlib import Path
 
 import pytest
 
 from homlab.cli import UPPER_BOUND_NOTE, main
 from homlab.harness import ConfigError, load_config, run_cell, run_property_suite
+from homlab.solve import usable_cpus
 
 GOOD_CONFIG = """
 [experiment]
@@ -122,6 +124,10 @@ def test_cli_cell_and_manifest(tmp_path):
     assert manifest["command"] == "cell"
     assert len(manifest["records"]) == 8
     assert all("work_id" in rec and "seed" in rec for rec in manifest["records"])
+    # provenance that enters no result: the process cap of a solve_many call and the BLAS threads
+    assert manifest["workers"] == usable_cpus()
+    blas = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    assert manifest["blas_threads"] == {var: os.environ[var] for var in blas}
 
 
 def test_thread_count_does_not_change_results(tmp_path):
@@ -399,14 +405,16 @@ def test_cli_import_and_cell_solve_load_no_scipy():
         "cell_problem_r(env, Direction.from_integers(0, 1), 8, (0, 0), SolverConfig(), 0.25)\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
         "print(sorted(m for m in sys.modules if m in ('hashlib', '_hashlib')))\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('multiprocessing', 'concurrent')))\n"
     )
     src = str(Path(homlab.__file__).resolve().parents[1])
     out = subprocess.run(
         [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120
     )
     assert out.returncode == 0, out.stderr
-    # nor hashlib, which loads OpenSSL: config_hash takes CPython's builtin sha256
-    assert out.stdout.split() == ["[]", "[]"]
+    # nor hashlib, which loads OpenSSL: config_hash takes CPython's builtin sha256; nor a
+    # process pool module: solve_many forks its batch workers with os.fork
+    assert out.stdout.split() == ["[]", "[]", "[]"]
 
 
 @pytest.mark.parametrize("given, expected", [({}, ["1", "1", "1"]), ({"OPENBLAS_NUM_THREADS": "2"}, ["2", "1", "1"])])
