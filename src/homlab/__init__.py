@@ -40,9 +40,8 @@ from .grids import (
     ResolutionError,
     discrete_gradient,
     discrete_hessian,
-    profile_field,
 )
-from .solve import DivergenceError, SolveResult, SolverConfig, minimize_energy
+from .solve import DivergenceError, SolveResult, SolverConfig, solve_many
 from .cell import (
     BoundsReport,
     CellRecord,

@@ -26,7 +26,7 @@ from .grids import (
     profile_values,
     slab_grid,
 )
-from .solve import SolverConfig, SolveResult, minimize_energy, solve_many
+from .solve import SolverConfig, SolveResult, solve_many
 
 __all__ = [
     "EstimateError",
@@ -101,7 +101,6 @@ class SigmaEstimate:
 
     variant: str
     value: float
-    epsilon_grid: tuple[float, ...]
     best_epsilon: float
     per_epsilon: dict
     stop_reason: dict
@@ -115,7 +114,6 @@ class MuSample:
     cuboid: LatticeCuboid
     seed: int
     value: float
-    raw_value: float
     fallback: bool
     anomaly: bool
     diagnostics: dict = field(default_factory=dict)
@@ -173,14 +171,14 @@ def _slab_solve(variant: str, q: float, epsilon: float, h: float, cfg: SolverCon
     signs = np.sign(grid.axis_coords(0))
     grid.values[grid.frozen] = signs[grid.frozen]
     env = make_environment(EnvironmentSpec(q=q), well)
-    return minimize_energy(grid, env, EnergyParams(epsilon, variant), cfg)
+    return solve_many([(grid, env, EnergyParams(epsilon, variant))], cfg)[0]
 
 
 def sigma_pm(
     variant: str,
     well: DoubleWell,
     q: float,
-    epsilon_grid,
+    scales,
     cfg: SolverConfig = SolverConfig(),
     h_for=None,
 ) -> SigmaEstimate:
@@ -198,7 +196,7 @@ def sigma_pm(
     if h_for is None:
         h_for = lambda eps: eps / 8.0
     per_eps, stop_reason, fields = {}, {}, {}
-    for eps in epsilon_grid:
+    for eps in scales:
         if not 0.0 < eps <= 1.0:
             raise ValueError("scales must lie in (0, 1]")
         h = h_for(eps)
@@ -220,7 +218,6 @@ def sigma_pm(
     return SigmaEstimate(
         variant=variant,
         value=per_eps[best_eps],
-        epsilon_grid=tuple(epsilon_grid),
         best_epsilon=best_eps,
         per_epsilon=per_eps,
         stop_reason=stop_reason,
@@ -231,7 +228,7 @@ def sigma_pm(
 def sigma_pair(
     well: DoubleWell,
     q: float,
-    epsilon_grid,
+    scales,
     cfg: SolverConfig = SolverConfig(),
 ) -> tuple[SigmaEstimate, SigmaEstimate]:
     """(sigma-_hat, sigma+_hat) with the minus bound also fed the plus minimizers.
@@ -241,8 +238,8 @@ def sigma_pair(
     remaining a valid upper bound for sigma-.  The minus estimate keeps the
     fields it solved for.
     """
-    plus = sigma_pm("plus", well, q, epsilon_grid, cfg)
-    minus = sigma_pm("minus", well, q, epsilon_grid, cfg)
+    plus = sigma_pm("plus", well, q, scales, cfg)
+    minus = sigma_pm("minus", well, q, scales, cfg)
     env = make_environment(EnvironmentSpec(q=q), well)
     per_eps = dict(minus.per_epsilon)
     for eps, plus_field in plus.fields.items():
@@ -385,7 +382,7 @@ def eps_scaled_cell(
 def _cuboid_solution(env: Environment, cuboid: LatticeCuboid, cfg: SolverConfig, h: float) -> SolveResult:
     grid = cuboid_grid(cuboid, h, frame_width_for(h, 1.0, "cell"))
     grid.values[...] = profile_values(grid, 1.0)
-    return minimize_energy(grid, env, EnergyParams(1.0, "general"), cfg)
+    return solve_many([(grid, env, EnergyParams(1.0, "general"))], cfg)[0]
 
 
 def mu_nu(
@@ -407,7 +404,7 @@ def mu_nu(
     if min(cuboid.base_lengths) < 1.0:
         c_eta = compute_c_eta(env.well, spec.q)
         value = spec.c2 * c_eta * cuboid.base_area
-        return MuSample(cuboid, spec.seed, value, value, fallback=True, anomaly=False)
+        return MuSample(cuboid, spec.seed, value, fallback=True, anomaly=False)
     res = _cuboid_solution(env, cuboid, cfg, h)
     raw = res.value / m ** (n - 1)
     anomaly = raw < -SOLVER_SLACK
@@ -416,7 +413,6 @@ def mu_nu(
         cuboid,
         spec.seed,
         value,
-        raw,
         fallback=False,
         anomaly=anomaly,
         diagnostics={"iters": res.iters, "converged": res.converged, "wall_ms": res.diagnostics["wall_ms"], "h": h},
@@ -524,10 +520,8 @@ def f_hom_reduce(nu: Direction, r_schedule, seeds, records) -> FHomEstimate:
     x0_spread = {}
     for seed in seeds:
         by_r = {r: float(np.mean(values[seed, r])) for r in r_schedule if (seed, r) in values}
-        if len(by_r) >= 2:
+        if by_r:
             per_seed_limit[seed] = _fit_limit(np.array(list(by_r)), np.array(list(by_r.values())))
-        elif by_r:
-            per_seed_limit[seed] = next(iter(by_r.values()))
         top_r_values = values.get((seed, r_schedule[-1]), [])
         if len(top_r_values) > 1:
             mean = float(np.mean(top_r_values))

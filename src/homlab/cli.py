@@ -55,7 +55,10 @@ def _parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="path to the experiment config")
         p.add_argument("--out", default=None, help="output directory (overrides config)")
-        p.add_argument("--seed", type=int, default=None, help="environment seed override")
+        p.add_argument(
+            "--seed", type=int, default=None,
+            help="sets [environment] seed, which only verify reads: cell, homogenize and sweep solve seeds",
+        )
         p.add_argument(
             "--threads",
             type=int,

@@ -41,18 +41,11 @@ def _mix(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def _mix_int(z: int) -> int:
-    z = (z + 0x9E3779B97F4A7C15) & _U64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _U64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _U64
-    return z ^ (z >> 31)
-
-
 def _cell_uniforms(seed: int, cells: np.ndarray) -> np.ndarray:
     """Uniforms in [0,1), shape cells.shape[:-1] + (3,), one per coefficient a, b, c, keyed by (seed, cell)."""
     cells = np.atleast_2d(np.asarray(cells, dtype=np.int64))
-    state = _mix_int(int(seed) & _U64)
-    h = np.full(cells.shape[:-1], state, dtype=np.uint64)
+    state = _mix(np.array([int(seed) & _U64], dtype=np.uint64))
+    h = np.full(cells.shape[:-1], state[0], dtype=np.uint64)
     for axis in range(cells.shape[-1]):
         word = cells[..., axis].view(np.uint64) * _AXIS_SALT[axis % len(_AXIS_SALT)]
         h = _mix(h ^ word)

@@ -67,34 +67,19 @@ class Direction:
         t = math.radians(theta)
         return Direction((math.sin(t), math.cos(t)))
 
-    @staticmethod
-    def from_vector(v) -> "Direction":
-        v = np.asarray(v, dtype=float)
-        norm = float(np.linalg.norm(v))
-        if norm == 0.0:
-            raise ValueError("zero vector has no direction")
-        return Direction(tuple(v / norm))
-
     def angle_degrees(self) -> float:
         if self.n == 1:
             return 0.0 if self.nu[0] > 0 else 180.0
         return math.degrees(math.atan2(self.nu[0], self.nu[1])) % 360.0
 
 
-def _as_direction(nu) -> Direction:
-    if isinstance(nu, Direction):
-        return nu
-    return Direction(tuple(float(x) for x in np.atleast_1d(nu)))
-
-
-def rotation_for(nu) -> np.ndarray:
+def rotation_for(d: Direction) -> np.ndarray:
     """Orthogonal matrix with last column equal to nu.
 
     n=1 gives the 1x1 matrix [nu]; n=2 gives the proper rotation taking e2 to
     nu, i.e. [[nu_2, nu_1], [-nu_1, nu_2]].  Rational directions yield rational
     entries.
     """
-    d = _as_direction(nu)
     if d.n == 1:
         return np.array([[d.nu[0]]])
     if d.n == 2:
@@ -125,16 +110,14 @@ def _m_nu_cached(p: tuple[int, ...]) -> int:
     raise LatticeIncompatibleError(f"no integer scale found for {p}")  # pragma: no cover
 
 
-def m_nu_for(nu) -> int:
+def m_nu_for(d: Direction) -> int:
     """Smallest integer >= 3 such that the scaled rotation matrix is integral."""
-    d = _as_direction(nu)
     p, _ = _integer_data(d)
     return _m_nu_cached(p)
 
 
-def integer_rotation(nu) -> np.ndarray:
+def integer_rotation(d: Direction) -> np.ndarray:
     """Exact integer matrix m_nu * R_nu for a lattice-compatible direction."""
-    d = _as_direction(nu)
     p, m = _integer_data(d)
     scale = m_nu_for(d)
     if d.n == 1:

@@ -27,7 +27,6 @@ __all__ = [
     "slab_grid",
     "cuboid_grid",
     "frame_width_for",
-    "profile_field",
     "profile_values",
     "discrete_gradient",
     "discrete_hessian",
@@ -188,43 +187,12 @@ def cuboid_grid(cuboid: LatticeCuboid, h: float, frame_width: float) -> GridFiel
 # ---------------------------------------------------------------------------
 
 
-def profile_values(grid: GridField, epsilon: float, normal_offset: float = 0.0) -> np.ndarray:
-    """eta((t_n + offset)/eps) as node values; constant along lateral axes by construction."""
-    t = grid.axis_coords(grid.n - 1) + normal_offset
-    column = DEFAULT_PROFILE(t / epsilon)
+def profile_values(grid: GridField, epsilon: float) -> np.ndarray:
+    """eta(t_n/eps) as node values; constant along lateral axes by construction."""
+    column = DEFAULT_PROFILE(grid.axis_coords(grid.n - 1) / epsilon)
     shape = [1] * grid.n
     shape[-1] = len(column)
     return np.broadcast_to(column.reshape(shape), grid.shape).copy()
-
-
-def profile_field(
-    cube: OrientedCube,
-    nu,
-    x0,
-    epsilon: float,
-    h: float,
-    frame_width: float | None = None,
-) -> GridField:
-    """Regularized-jump field eta(((y - x0) . nu)/eps) sampled on a cube grid.
-
-    When nu is the cube's own axis the values are computed from the local normal
-    coordinate (exactly constant along lateral node lines); otherwise they fall
-    back to physical dot products.
-    """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    d = nu if isinstance(nu, Direction) else Direction.from_vector(nu)
-    if frame_width is None:
-        frame_width = frame_width_for(h, epsilon, "cell")
-    grid = cube_grid(cube, h, frame_width)
-    x0 = np.asarray(x0, dtype=float)
-    if d.nu == cube.direction.nu:
-        offset = float(np.dot(np.asarray(cube.center) - x0, np.asarray(d.nu)))
-        grid.values[...] = profile_values(grid, epsilon, normal_offset=offset)
-    else:
-        signed = (grid.physical_points() - x0) @ np.asarray(d.nu)
-        grid.values[...] = DEFAULT_PROFILE(signed / epsilon)
-    return grid
 
 
 # ---------------------------------------------------------------------------

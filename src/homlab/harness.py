@@ -160,9 +160,10 @@ class ExperimentConfig:
 
     @property
     def config_hash(self) -> str:
-        """Hash of the resolved settings that decide the results (CLI overrides included).
+        """Hash of the resolved settings (CLI overrides included).
 
-        The output location is left out: it does not change any number.
+        The output location is left out: it does not change any number.  `--seed` is in, though
+        only verify reads it: cell, homogenize and sweep solve `seeds`, so it changes no row of theirs.
         """
         resolved = dataclasses.asdict(self)
         del resolved["out_dir"]
@@ -264,15 +265,7 @@ class RunManifest:
         self.records.append({"work_id": work_id, "seed": seed})
 
     def to_dict(self) -> dict:
-        return {
-            "config_hash": self.config_hash,
-            "tool_version": self.tool_version,
-            "command": self.command,
-            "started": self.started,
-            "workers": self.workers,
-            "blas_threads": self.blas_threads,
-            "records": self.records,
-        }
+        return dataclasses.asdict(self)
 
 
 def build_manifest(cfg: ExperimentConfig, command: str) -> RunManifest:

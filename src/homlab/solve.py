@@ -16,7 +16,7 @@ import numpy as np
 from .environment import Environment
 from .grids import U_CAP, EnergyModel, EnergyParams, GridField
 
-__all__ = ["SolverConfig", "SolveResult", "DivergenceError", "minimize_energy", "solve_many", "usable_cpus"]
+__all__ = ["SolverConfig", "SolveResult", "DivergenceError", "solve_many", "usable_cpus"]
 
 
 # nodes per lockstep batch: sixteen 32^2 cells, four 64^2 cells, one 128^2 cell.
@@ -31,7 +31,7 @@ class DivergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Stopping rule of minimize_energy.
+    """Stopping rule of solve_many.
 
     grad_tol = None resolves to 1e-6 * h^n at solve time (gradient entries scale
     with the cell volume).
@@ -161,8 +161,8 @@ class _Metric:
         self.frozen = frozen  # on the box
         self.bases, self.symbol, self.interface = bases, symbol, interface
         self.bases_t = [q.T for q in bases]
-        # g'd gives s'Ms / t^2 where d needs no re-zeroing at frozen nodes; on a line (n = 1) norm2 measures it
-        self.gives_gd = len(bases) >= 2 and not frozen.any()
+        # g'd gives s'Ms / t^2 where d needs no re-zeroing at frozen nodes
+        self.gives_gd = not frozen.any()
         self._modes = None
 
     def take(self, members) -> "_Metric":
@@ -525,23 +525,6 @@ def _solve_batch(initials: list, envs, params: EnergyParams, cfg: SolverConfig, 
     return results
 
 
-def minimize_energy(
-    initial: GridField,
-    env: Environment,
-    params: EnergyParams,
-    cfg: SolverConfig = SolverConfig(),
-) -> SolveResult:
-    """Monotone descent from `initial`.
-
-    Accepted iterates never increase the energy, frozen nodes are preserved
-    bit-exactly, and the reported value is the discrete energy of the returned
-    field.  The value has upper-bound semantics for the underlying infimum.
-    A solve_many of one problem.
-    """
-    (result,) = solve_many([(initial, env, params)], cfg)
-    return result
-
-
 def _geometry_key(initial: GridField, env: Environment, params: EnergyParams) -> tuple:
     return (initial.shape, initial.frozen.tobytes(), initial.periodic, initial.h, params, env.well)
 
@@ -645,6 +628,8 @@ def _solve_shares(problems, batches, shares, cfg: SolverConfig) -> list:
 def solve_many(problems, cfg: SolverConfig = SolverConfig()) -> list:
     """Solve (initial, env, params) problems, each group of one geometry in lockstep batches.
 
+    Each is a monotone descent from `initial` that keeps frozen nodes bit-exactly;
+    the value is the discrete energy of the returned field, an upper bound for the infimum.
     Problems that share shape, frozen nodes, periodic axes, spacing, energy
     parameters and double well form a group.  A group is solved in lockstep
     batches (`_solve_batch`) of at most MAX_BATCH_NODES nodes (at least one

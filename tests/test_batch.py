@@ -15,7 +15,7 @@ from homlab.environment import EnvironmentSpec, make_environment
 from homlab.geometry import Direction, OrientedCube
 from homlab.grids import U_CAP, EnergyModel, EnergyParams, box_grid, cube_grid, frame_width_for, profile_values
 from homlab.harness import load_config, run_cell
-from homlab.solve import DivergenceError, SolverConfig, minimize_energy, solve_many
+from homlab.solve import DivergenceError, SolverConfig, solve_many
 
 from test_harness import GOOD_CONFIG, write_config
 
@@ -72,7 +72,7 @@ def test_batch_matches_each_member_solved_alone(case):
     initials = [initial for initial, _, _ in problems]
     together = solve_many(problems, cfg)
     for (initial, env, p), res in zip(problems, together):
-        alone = minimize_energy(initial, env, p, cfg)
+        (alone,) = solve_many([(initial, env, p)], cfg)
         assert res.value == alone.value
         assert res.iters == alone.iters
         assert res.final_grad_norm == alone.final_grad_norm
@@ -99,7 +99,7 @@ def test_clipped_trials_are_measured_exactly(monkeypatch):
     monkeypatch.setattr(solve._Metric, "norm2", lambda self, s: exact.append(len(s)) or norm2(self, s))
     for k, clipped in ((2, True), (1, False)):
         exact.clear()
-        minimize_energy(*problems[k], cfg)
+        solve_many([problems[k]], cfg)
         assert bool(exact) == clipped  # only a clipped trial needs the exact s'Ms
 
 
@@ -107,7 +107,7 @@ def test_solve_many_groups_by_geometry_and_keeps_submission_order():
     problems = [MIXED_CELLS[0], profile_cell(1, 0, (0, 0), r=4.0), MIXED_CELLS[3], random_starts((0.05,))[0]]
     results = solve_many(problems, ACC)
     for (initial, env, params), res in zip(problems, results):
-        alone = minimize_energy(initial, env, params, ACC)
+        (alone,) = solve_many([(initial, env, params)], ACC)
         assert res.value == alone.value and res.iters == alone.iters
     assert [res.diagnostics["batch"] for res in results] == [2, 1, 2, 1]
 
@@ -118,7 +118,7 @@ def test_a_group_larger_than_max_batch_nodes_runs_in_several_batches(monkeypatch
     together = solve_many(problems, ACC)
     assert [res.diagnostics["batch"] for res in together] == [2, 2, 2, 2, 1]
     for (initial, env, params), res in zip(problems, together):
-        alone = minimize_energy(initial, env, params, ACC)
+        (alone,) = solve_many([(initial, env, params)], ACC)
         assert res.value == alone.value and res.iters == alone.iters
         assert np.array_equal(res.field.values, alone.field.values)
 
@@ -132,7 +132,7 @@ def test_divergence_of_one_member_leaves_the_others_untouched():
     together = solve._solve_batch(initials, envs, problems[0][2], ACC, solve._Geometry(initials[0]))
     assert isinstance(together[1], DivergenceError)
     for k in (0, 2):
-        alone = minimize_energy(*problems[k], ACC)
+        (alone,) = solve_many([problems[k]], ACC)
         assert together[k].value == alone.value and together[k].iters == alone.iters
     with pytest.raises(DivergenceError):
         solve_many([problems[0], (broken, envs[1], problems[1][2])], ACC)
@@ -308,11 +308,11 @@ def test_sigma_pair_evaluates_the_minus_energy_on_the_solved_plus_fields(monkeyp
     q, scales, cfg = 0.05, (0.25, 0.125), SolverConfig(max_iters=20000)
     solves = []
 
-    def counting(*args, **kwargs):
-        solves.append(args[2].variant)
-        return minimize_energy(*args, **kwargs)
+    def counting(problems, *args, **kwargs):
+        solves.extend(params.variant for _, _, params in problems)
+        return solve_many(problems, *args, **kwargs)
 
-    monkeypatch.setattr(cell, "minimize_energy", counting)
+    monkeypatch.setattr(cell, "solve_many", counting)
     minus, plus = sigma_pair(quartic, q, scales, cfg)
     assert sorted(solves) == ["m_minus"] * len(scales) + ["m_plus"] * len(scales)
 

@@ -6,6 +6,7 @@ from homlab.environment import EnvironmentSpec, make_environment, shift_environm
 from homlab.geometry import Direction, LatticeCuboid
 from homlab.solve import SolverConfig
 from homlab.cell import (
+    CellRecord,
     EstimateError,
     _fit_limit,
     bounds_check,
@@ -13,6 +14,7 @@ from homlab.cell import (
     eps_scaled_cell,
     ergodic_average,
     f_hom_estimate,
+    f_hom_reduce,
     glued_partition_energy,
     mu_nu,
     sigma_pair,
@@ -217,6 +219,27 @@ def test_fit_limit_weights_at_8_16_32():
     v8, v16, v32 = 17.01, 9.55, 5.82
     limit = _fit_limit(np.array([8.0, 16.0, 32.0]), np.array([v8, v16, v32]))
     assert limit == pytest.approx(-0.5 * v8 + 0.5 * v16 + v32, rel=1e-15)
+
+
+def test_f_hom_reduce_takes_a_single_scale_as_is_and_fits_three(e2):
+    # hand-built records, no solve: seed 0 converged at r = 32 only, seed 1 at every scale
+    def record(seed, r, x0_index, normalized, converged=True):
+        return CellRecord(
+            nu=e2, r=r, epsilon=1.0, seed=seed, x0=(0.25 * x0_index, 0.0), x0_index=x0_index, m_hat=r * normalized,
+            normalized=normalized, diagnostics={"converged": converged},
+        )
+
+    records = [record(0, 8.0, 0, 9.0, False), record(0, 32.0, 0, 2.2), record(0, 32.0, 1, 2.4)]
+    records += [record(1, r, 0, v) for r, v in ((8.0, 2.6), (16.0, 2.35), (32.0, 2.225))]
+    records.append(record(0, 32.0, 0, 7.0))
+    records[-1].nu = Direction.from_integers(1, 0)  # another direction's record is ignored
+    with pytest.warns(UserWarning, match="non-converged"):
+        est = f_hom_reduce(e2, (8, 16, 32), (0, 1), records)
+    assert est.per_seed_limit[0] == float(np.mean([2.2, 2.4]))
+    assert est.per_seed_limit[1] == _fit_limit(np.array([8.0, 16.0, 32.0]), np.array([2.6, 2.35, 2.225]))
+    assert est.per_seed_limit[1] == pytest.approx(-0.5 * 2.6 + 0.5 * 2.35 + 2.225, rel=1e-15)
+    assert est.estimate == float(np.mean([est.per_seed_limit[0], est.per_seed_limit[1]]))
+    assert len(est.records) == 6
 
 
 def test_f_hom_limit_insensitive_to_schedule_doubling(e2):

@@ -5,7 +5,7 @@ import pytest
 
 from homlab import solve
 from homlab.grids import EnergyModel
-from homlab.solve import minimize_energy
+from homlab.solve import solve_many
 
 from test_batch import ACC, profile_cell
 from test_solve import _wrapped_cell
@@ -38,7 +38,7 @@ def test_restricted_model_gives_the_whole_grid_gradient_and_energy(wrapped):
 @pytest.mark.parametrize("wrapped", [False, True], ids=["framed", "wrapped"])
 def test_reported_value_is_the_whole_grid_energy_and_frozen_nodes_stay(wrapped):
     initial, env, params = cell(3, 45, wrapped)
-    res = minimize_energy(initial, env, params, ACC)
+    (res,) = solve_many([(initial, env, params)], ACC)
     assert res.converged
     whole = EnergyModel(res.field, env, params).energy(res.field.values)
     assert res.value == pytest.approx(whole, rel=1e-12, abs=0)

@@ -13,8 +13,16 @@ from homlab.grids import (
     cuboid_grid,
     discrete_gradient,
     discrete_hessian,
-    profile_field,
+    frame_width_for,
+    profile_values,
 )
+
+
+def profile_datum(cube, eps, h, frame_width=None):
+    """The cell datum as the cell commands build it: the transition profile on a framed cube grid."""
+    grid = cube_grid(cube, h, frame_width_for(h, eps, "cell") if frame_width is None else frame_width)
+    grid.values[...] = profile_values(grid, eps)
+    return grid
 
 
 def homogeneous_env(q=0.05, b=None):
@@ -25,7 +33,7 @@ def homogeneous_env(q=0.05, b=None):
 def test_profile_field_hyperplane_and_plateau(e2):
     cube = OrientedCube((0.0, 0.0), 8.0, e2)
     eps = 1.0
-    field = profile_field(cube, e2, (0.0, 0.0), eps, h=0.25)
+    field = profile_datum(cube, eps, h=0.25)
     pts = field.physical_points()
     signed = pts[..., 1]
     on_plateau = np.abs(signed) > eps / 2
@@ -37,21 +45,10 @@ def test_profile_field_hyperplane_and_plateau(e2):
 
 def test_profile_field_small_eps_approaches_jump(e2):
     cube = OrientedCube((0.0, 0.0), 8.0, e2)
-    field = profile_field(cube, e2, (0.0, 0.0), 0.5, h=0.125)
+    field = profile_datum(cube, 0.5, h=0.125)
     pts = field.physical_points()
     off = np.abs(pts[..., 1]) > 0.25
     assert np.array_equal(field.values[off], np.sign(pts[..., 1][off]))
-
-
-def test_profile_field_arbitrary_direction_matches_dot_product():
-    d = Direction.from_vector((1.0, 3.0))
-    cube = OrientedCube((0.5, -0.25), 4.0, Direction.from_integers(0, 1))
-    field = profile_field(cube, d, (0.5, -0.25), 1.0, h=0.25)
-    pts = field.physical_points()
-    signed = (pts - np.array([0.5, -0.25])) @ np.array(d.nu)
-    from homlab.core import TransitionProfile
-
-    assert field.values == pytest.approx(TransitionProfile()(signed), abs=1e-14)
 
 
 def test_stencils_exact_on_affine_and_quadratic(e2):
@@ -108,7 +105,7 @@ def test_profile_energy_bounded_by_ramp_constant(e1, e2, quartic):
     for d, side, h in ((e1, 4.0, 0.0625), (e2, 4.0, 0.125)):
         cube = OrientedCube((0.0,) * d.n, side, d)
         eps = 0.5
-        field = profile_field(cube, d, (0.0,) * d.n, eps, h=h)
+        field = profile_datum(cube, eps, h=h)
         for variant in ("m_plus", "m_minus"):
             val = EnergyModel(field, env, EnergyParams(eps, variant)).energy(field.values)
             cross_section = side ** (d.n - 1)
@@ -275,7 +272,7 @@ def test_energy_frame_invariant_for_isotropic_density(e2):
     vals = {}
     for d in (e2, Direction.from_integers(3, 4), Direction.from_angle_degrees(30.0)):
         cube = OrientedCube((0.0, 0.0), 8.0, d)
-        field = profile_field(cube, d, (0.0, 0.0), 1.0, h=0.25)
+        field = profile_datum(cube, 1.0, h=0.25)
         vals[d.nu] = EnergyModel(field, env, EnergyParams(1.0, "general")).energy(field.values)
     ref = vals[e2.nu]
     for v in vals.values():

@@ -102,6 +102,21 @@ def test_config_seed_override(tmp_path):
     assert cfg.env.seed == 42
 
 
+def test_seed_flag_changes_the_config_hash_but_no_cell_row(tmp_path):
+    # --seed sets [environment] seed, which only verify's single-environment properties
+    # read; cell solves the `seeds` list
+    rows, hashes = [], []
+    for flags in ([], ["--seed", "5"]):
+        path, out = write_config(tmp_path)
+        assert main(["cell", "--config", path, *flags]) == 0
+        with open(Path(out, "cell.csv"), newline="") as fh:
+            rows.append([row[:-1] for row in csv.reader(fh)])  # every column but wall_ms
+        hashes.append(json.loads(Path(out, "manifest.json").read_text())["config_hash"])
+    assert rows[0][0][-1] == "batch" and len(rows[0]) == 9
+    assert rows[0] == rows[1]
+    assert hashes[0] != hashes[1]
+
+
 def test_run_cell_emits_deterministic_csv(tmp_path):
     path, out = write_config(tmp_path)
     cfg = load_config(path)

@@ -8,12 +8,13 @@ from homlab.environment import EnvironmentSpec, make_environment
 from homlab.geometry import Direction, OrientedCube
 from homlab import solve
 from homlab.grids import (
-    EnergyModel, EnergyParams, box_grid, cube_grid, frame_width_for, profile_field, profile_values,
+    EnergyModel, EnergyParams, box_grid, cube_grid, frame_width_for, profile_values,
 )
-from homlab.solve import DivergenceError, SolverConfig, _axis_basis, _transform, minimize_energy
+from homlab.solve import DivergenceError, SolverConfig, _axis_basis, _transform, solve_many
 
 from _oracles import line_constant
 from test_batch import MIXED_CELLS, random_starts
+from test_grids import profile_datum
 
 
 def env_mplus(q=1.0):
@@ -24,7 +25,7 @@ def test_already_optimal_field_returns_zero(e2):
     cube = OrientedCube((0.0, 0.0), 2.0, e2)
     g = cube_grid(cube, 0.25, frame_width=0.5)
     g.values[...] = 1.0
-    res = minimize_energy(g, env_mplus(0.05), EnergyParams(1.0, "general"), SolverConfig())
+    (res,) = solve_many([(g, env_mplus(0.05), EnergyParams(1.0, "general"))], SolverConfig())
     assert res.value == 0.0
     assert res.iters <= 1
     assert res.converged
@@ -32,42 +33,42 @@ def test_already_optimal_field_returns_zero(e2):
 
 def test_descent_monotone_under_iteration_budget(e1):
     cube = OrientedCube((0.0,), 8.0, e1)
-    field = profile_field(cube, e1, (0.0,), 1.0, h=0.125)
+    field = profile_datum(cube, 1.0, h=0.125)
     env = env_mplus(1.0)
     values = []
     for max_iters in (50, 100, 200, 400):
-        res = minimize_energy(field, env, EnergyParams(1.0, "m_plus"), SolverConfig(max_iters=max_iters))
+        (res,) = solve_many([(field, env, EnergyParams(1.0, "m_plus"))], SolverConfig(max_iters=max_iters))
         values.append(res.value)
     assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
 
 
 def test_boundary_nodes_preserved_bit_exactly(e2):
     cube = OrientedCube((0.0, 0.0), 4.0, e2)
-    field = profile_field(cube, e2, (0.0, 0.0), 1.0, h=0.25)
+    field = profile_datum(cube, 1.0, h=0.25)
     before = field.values[field.frozen].copy()
-    res = minimize_energy(field, env_mplus(0.05), EnergyParams(1.0, "general"), SolverConfig(max_iters=500))
+    (res,) = solve_many([(field, env_mplus(0.05), EnergyParams(1.0, "general"))], SolverConfig(max_iters=500))
     assert np.array_equal(res.field.values[field.frozen], before)
 
 
 def test_determinism(e2):
     cube = OrientedCube((0.0, 0.0), 4.0, e2)
-    field = profile_field(cube, e2, (0.0, 0.0), 1.0, h=0.25)
+    field = profile_datum(cube, 1.0, h=0.25)
     spec = EnvironmentSpec(
         kind="checkerboard", a_range=(0.8, 1.2), b_range=(0.0, 0.05), c_range=(0.8, 1.2),
         q=0.05, c1=0.8, c2=1.2, seed=3,
     )
     env = make_environment(spec)
     cfg = SolverConfig(max_iters=800)
-    r1 = minimize_energy(field, env, EnergyParams(1.0, "general"), cfg)
-    r2 = minimize_energy(field, env, EnergyParams(1.0, "general"), cfg)
+    (r1,) = solve_many([(field, env, EnergyParams(1.0, "general"))], cfg)
+    (r2,) = solve_many([(field, env, EnergyParams(1.0, "general"))], cfg)
     assert r1.value == r2.value
     assert np.array_equal(r1.field.values, r2.field.values)
 
 
 def test_diagnostics_report_what_ran(e2):
     cube = OrientedCube((0.0, 0.0), 4.0, e2)
-    field = profile_field(cube, e2, (0.0, 0.0), 1.0, h=0.25)
-    res = minimize_energy(field, env_mplus(0.05), EnergyParams(1.0, "general"), SolverConfig(max_iters=2))
+    field = profile_datum(cube, 1.0, h=0.25)
+    (res,) = solve_many([(field, env_mplus(0.05), EnergyParams(1.0, "general"))], SolverConfig(max_iters=2))
     assert not res.converged
     assert res.diagnostics["stop_reason"] == "max_iters"
     assert res.iters == 2
@@ -75,9 +76,9 @@ def test_diagnostics_report_what_ran(e2):
 
 def test_reported_value_is_energy_of_returned_field(e2):
     cube = OrientedCube((0.0, 0.0), 4.0, e2)
-    field = profile_field(cube, e2, (0.0, 0.0), 1.0, h=0.25)
+    field = profile_datum(cube, 1.0, h=0.25)
     env = env_mplus(0.05)
-    res = minimize_energy(field, env, EnergyParams(1.0, "general"), SolverConfig(max_iters=400))
+    (res,) = solve_many([(field, env, EnergyParams(1.0, "general"))], SolverConfig(max_iters=400))
     model = EnergyModel(res.field, env, EnergyParams(1.0, "general"))
     assert res.value == pytest.approx(model.energy(res.field.values), abs=1e-12)
 
@@ -85,8 +86,8 @@ def test_reported_value_is_energy_of_returned_field(e2):
 def test_one_dimensional_transition_constant_matches_dense_oracle(e1):
     # unit-scale comparison energy on a length-16 interval, ramp initialization
     cube = OrientedCube((0.0,), 16.0, e1)
-    field = profile_field(cube, e1, (0.0,), 1.0, h=0.1, frame_width=frame_width_for(0.1, 1.0))
-    res = minimize_energy(field, env_mplus(1.0), EnergyParams(1.0, "m_plus"), SolverConfig())
+    field = profile_datum(cube, 1.0, h=0.1, frame_width=frame_width_for(0.1, 1.0))
+    (res,) = solve_many([(field, env_mplus(1.0), EnergyParams(1.0, "m_plus"))], SolverConfig())
     reference = line_constant(b=1.0, length=16.0, h=0.02)
     assert res.value == pytest.approx(reference, rel=0.02)
     assert res.value >= 8.0 / 3.0 - 1e-6  # first-order sharp-interface lower bound
@@ -98,8 +99,8 @@ def test_upper_bound_semantics_under_nested_frames(e1):
     env = env_mplus(0.05)
     values = []
     for width in (0.25, 0.5, 1.0):
-        field = profile_field(cube, e1, (0.0,), 1.0, h=0.125, frame_width=width)
-        res = minimize_energy(field, env, EnergyParams(1.0, "general"), SolverConfig())
+        field = profile_datum(cube, 1.0, h=0.125, frame_width=width)
+        (res,) = solve_many([(field, env, EnergyParams(1.0, "general"))], SolverConfig())
         values.append(res.value)
     tol = 2e-6
     assert values[1] >= values[0] - tol
@@ -108,10 +109,10 @@ def test_upper_bound_semantics_under_nested_frames(e1):
 
 def test_divergence_error_on_non_finite_energy(e1):
     cube = OrientedCube((0.0,), 4.0, e1)
-    field = profile_field(cube, e1, (0.0,), 1.0, h=0.125)
+    field = profile_datum(cube, 1.0, h=0.125)
     field.values[~field.frozen] = np.nan  # the value cap clamps inf, NaN survives
     with pytest.raises(DivergenceError):
-        minimize_energy(field, env_mplus(0.05), EnergyParams(1.0, "general"), SolverConfig())
+        solve_many([(field, env_mplus(0.05), EnergyParams(1.0, "general"))], SolverConfig())
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +197,7 @@ def test_indefinite_model_falls_back_to_gradient_metric(e2, q, metric):
     # at q = 50 the -q eps lambda term makes the minus model's symbol negative
     grid = box_grid(e2, (0.0, 0.0), (1.0, 1.0), 1.0 / 16.0)
     grid.values[...] = np.random.default_rng(2).uniform(-1.5, 1.5, grid.shape)
-    res = minimize_energy(grid, env_mplus(q), EnergyParams(1.0, "m_minus"), SolverConfig(max_iters=5))
+    (res,) = solve_many([(grid, env_mplus(q), EnergyParams(1.0, "m_minus"))], SolverConfig(max_iters=5))
     assert res.diagnostics["metric"] == metric
 
 
@@ -297,7 +298,7 @@ def test_member_with_a_flat_lateral_mean_solves_unchanged(monkeypatch):
     cfg = SolverConfig(max_iters=200, grad_tol=1e-8)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no 0/0 on the way
-        res = minimize_energy(*problem, cfg)
+        (res,) = solve_many([problem], cfg)
     assert res.converged and np.isfinite(res.value)
 
     modes = solve._Interface.modes
@@ -307,7 +308,7 @@ def test_member_with_a_flat_lateral_mean_solves_unchanged(monkeypatch):
         return np.zeros_like(phi), np.zeros_like(weight), p
 
     monkeypatch.setattr(solve._Interface, "modes", without_correction)
-    plain = minimize_energy(*problem, cfg)
+    (plain,) = solve_many([problem], cfg)
     assert (res.value, res.iters, res.final_grad_norm) == (plain.value, plain.iters, plain.final_grad_norm)
     assert np.array_equal(res.field.values, plain.field.values)
 
@@ -332,7 +333,7 @@ def test_e1_seed_24_leaves_its_plateau():
 @pytest.mark.parametrize("seed", [0, 3])
 def test_wrapped_e2_cells_converge(seed):
     # a wrapped interface may slide freely: 226 and 220 iterations without the correction
-    res = minimize_energy(*_wrapped_cell(0, seed, 16), ACC)
+    (res,) = solve_many([_wrapped_cell(0, seed, 16)], ACC)
     assert res.converged
     assert res.iters <= 150
 
