@@ -78,9 +78,9 @@ class GridField:
         grids = np.meshgrid(*(self.axis_coords(a) for a in range(self.n)), indexing="ij")
         return np.stack(grids, axis=-1)
 
-    def physical_points(self) -> np.ndarray:
-        rot = rotation_for(self.direction)
-        return self.local_points() @ rot.T + np.asarray(self.physical_shift)
+    def to_physical(self, local: np.ndarray) -> np.ndarray:
+        """Physical coordinates of local points (..., n), such as `local_points()`: rotated, then shifted."""
+        return local @ rotation_for(self.direction).T + np.asarray(self.physical_shift)
 
     def copy_with(self, values: np.ndarray) -> "GridField":
         if values.shape != self.values.shape:
@@ -419,8 +419,7 @@ def _coefficients(fields, envs, epsilon: float) -> tuple:
     for f in fields:
         if f.lo not in local:
             local[f.lo] = f.local_points()
-        # the expression of f.physical_points(), so the same bits
-        points = local[f.lo] @ rotation_for(f.direction).T + np.asarray(f.physical_shift)
+        points = f.to_physical(local[f.lo])
         cells.append(np.floor(points / epsilon).astype(np.int64).reshape(-1, f.n))
     by_env = {}
     for k, env in enumerate(envs):

@@ -265,7 +265,8 @@ class RunManifest:
         self.records.append({"work_id": work_id, "seed": seed})
 
     def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
+        """The fields as they are, not copied: `dataclasses.asdict` would deep-copy every record."""
+        return dict(vars(self))
 
 
 def build_manifest(cfg: ExperimentConfig, command: str) -> RunManifest:

@@ -24,6 +24,14 @@ __all__ = ["SolverConfig", "SolveResult", "DivergenceError", "solve_many", "usab
 # so no batch holds more nodes than a cell that is solved alone anyway.
 MAX_BATCH_NODES = 16384
 
+# free-box nodes of one member from which the metric runs in float32 (README
+# "Precision of the metric").  Time of one two-axis transform, float32 with its
+# casts / float64, one BLAS thread, median of 15 interleaved rounds on a 2-vCPU
+# VM: 16 x 24^2 1.10, 1 x 56^2 0.92, 4 x 56^2 0.84, 1 x 64^2 0.78, 1 x 104^2
+# 0.65, 1 x 120^2 0.62.  Every r <= 16 cell at h = 0.25 (boxes of 24^2, 56^2
+# and 64 x 56) keeps float64 and its bits; an r = 32 cell (120^2) switches.
+FLOAT32_METRIC_NODES = 64 * 64
+
 
 class DivergenceError(RuntimeError):
     """Raised when the energy turns non-finite during descent."""
@@ -155,12 +163,17 @@ class _Metric:
     comparison energy at large q) gets the constant symbol 1/_initial_step
     and no interface correction: M = I/t0, which makes its descent the plain
     two-point gradient method (`_metric`).
+
+    M runs in the dtype of the bases (`_Geometry`): g and s are cast to it
+    once and d back to float64 once, and the symbol and the interface terms
+    are held in it, so no product of a direction falls back to float64.
     """
 
     def __init__(self, frozen: np.ndarray, bases, symbol: np.ndarray, interface):
         self.frozen = frozen  # on the box
         self.bases, self.symbol, self.interface = bases, symbol, interface
         self.bases_t = [q.T for q in bases]
+        self.dtype = bases[0].dtype
         # g'd gives s'Ms / t^2 where d needs no re-zeroing at frozen nodes
         self.gives_gd = not frozen.any()
         self._modes = None
@@ -174,15 +187,16 @@ class _Metric:
         """(d, g'd): d = M^-1 g at u, zero at frozen nodes.
 
         g'd is per member, shaped (members, 1, ...), and given only where it
-        equals s'Ms / t^2 for the step s = -t d; else it is None.
+        equals s'Ms / t^2 for the step s = -t d (to the rounding of the
+        metric's dtype); else it is None.
         """
-        g_hat = _transform(self.bases_t, g)
+        g_hat = _transform(self.bases_t, g.astype(self.dtype, copy=False))
         coef = g_hat / self.symbol
         if self.interface is not None:
-            self._modes = self.interface.modes(u)
+            self._modes = tuple(x.astype(self.dtype, copy=False) for x in self.interface.modes(u))
             phi, weight, _ = self._modes
             coef += (weight * (g_hat @ phi[..., None])) * phi[..., None, :]
-        d = _transform(self.bases, coef)
+        d = _transform(self.bases, coef).astype(np.float64, copy=False)
         if not self.gives_gd:
             np.copyto(d, 0.0, where=self.frozen)
             return d, None
@@ -190,7 +204,7 @@ class _Metric:
 
     def norm2(self, s: np.ndarray) -> np.ndarray:
         """s'Ms per member, shaped (members, 1, ...), in the metric of the last direction."""
-        coef = _transform(self.bases_t, s)
+        coef = _transform(self.bases_t, s.astype(self.dtype, copy=False))
         scaled = self.symbol * coef
         out = _row_sums(scaled * coef)
         if self._modes is not None:
@@ -313,7 +327,9 @@ class _Geometry:
     free), the descent's state (`EnergyModel.restrict`).  `frozen` is the
     frozen mask on the box.  `bases` and `lam` are the metric's axis bases on
     the box and the sum of their Laplacian eigenvalues, and `interface` (n >= 2)
-    the interface correction's tables.
+    the interface correction's tables.  The bases are float32 when the box
+    holds at least FLOAT32_METRIC_NODES nodes, else float64 (`dtype`); `lam`
+    and the interface tables stay float64.
     """
 
     def __init__(self, grid: GridField):
@@ -338,10 +354,12 @@ class _Geometry:
             lams.append(lam.reshape(shape))
         self.box = tuple(box)
         self.frozen = grid.frozen[self.box]
-        self.bases, self.lam = bases, sum(lams)
+        self.lam = sum(lams)
         self.interface = None
         if grid.n >= 2:
             self.interface = _Interface(grid, self.box, bases[-1], lams[-1].ravel(), sum(lams[:-1]))
+        self.dtype = np.float32 if self.frozen.size >= FLOAT32_METRIC_NODES else np.float64
+        self.bases = [q.astype(self.dtype, copy=False) for q in bases]
 
 
 def _metric(model: EnergyModel, geometry: _Geometry, values: np.ndarray) -> tuple:
@@ -358,7 +376,7 @@ def _metric(model: EnergyModel, geometry: _Geometry, values: np.ndarray) -> tupl
     if not positive.all():
         each = (-1,) + (1,) * model.n
         symbol = np.where(positive.reshape(each), symbol, 1.0 / _initial_step(model).reshape(each))
-    return _Metric(geometry.frozen, geometry.bases, symbol, interface), positive
+    return _Metric(geometry.frozen, geometry.bases, symbol.astype(geometry.dtype, copy=False), interface), positive
 
 
 def _descend(model: EnergyModel, metric: _Metric, u0: np.ndarray, cfg: SolverConfig, grad_tol: float):
@@ -517,6 +535,7 @@ def _solve_batch(initials: list, envs, params: EnergyParams, cfg: SolverConfig, 
                     "resets": resets,
                     "stop_reason": "converged" if converged else "max_iters",
                     "metric": "preconditioned" if positive[k] else "gradient",
+                    "metric_dtype": metric.dtype.name,
                     "batch": len(initials),
                     "wall_ms": wall_ms,
                 },

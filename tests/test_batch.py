@@ -63,12 +63,16 @@ CASES = {
     "clipped-starts": (
         random_starts((0.05,) * 3, amplitudes=(2.9, 1.5, 2.9)), SolverConfig(max_iters=3000)
     ),
+    # the cells-r8-2w batch with the float32 cut lowered to its 24^2 boxes
+    "cells-r8-2w-float32": (MIXED_CELLS, ACC),
 }
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_batch_matches_each_member_solved_alone(case):
+def test_batch_matches_each_member_solved_alone(case, monkeypatch):
     problems, cfg = CASES[case]
+    if case.endswith("float32"):
+        monkeypatch.setattr(solve, "FLOAT32_METRIC_NODES", 24 * 24)
     initials = [initial for initial, _, _ in problems]
     together = solve_many(problems, cfg)
     for (initial, env, p), res in zip(problems, together):
@@ -78,8 +82,9 @@ def test_batch_matches_each_member_solved_alone(case):
         assert res.final_grad_norm == alone.final_grad_norm
         assert res.converged == alone.converged
         assert np.array_equal(res.field.values, alone.field.values)
-        for key in ("resets", "stop_reason", "metric"):
+        for key in ("resets", "stop_reason", "metric", "metric_dtype"):
             assert res.diagnostics[key] == alone.diagnostics[key]
+        assert res.diagnostics["metric_dtype"] == ("float32" if case.endswith("float32") else "float64")
         # frozen nodes keep their boundary data bit for bit
         assert np.array_equal(res.field.values[initial.frozen], initial.values[initial.frozen])
         assert res.diagnostics["batch"] == len(problems)
@@ -90,6 +95,29 @@ def test_batch_matches_each_member_solved_alone(case):
         assert len({res.iters for res in together}) > 1
     if case == "positivity-starts":
         assert [res.diagnostics["metric"] for res in together] == ["gradient", "preconditioned"] * 2
+
+
+def test_metric_bases_are_float32_from_64_squared_box_nodes():
+    # at h = 0.25 the free boxes are 24^2 (r = 8), 56^2 and 64 x 56 (r = 16, framed and wrapped), 120^2 (r = 32)
+    for r, dtype in ((8.0, np.float64), (16.0, np.float64), (32.0, np.float32)):
+        for wrapped in (False, True):
+            geometry = solve._Geometry(profile_cell(1, 45, (0, 0), r=r, wrapped=wrapped)[0])
+            assert (geometry.frozen.size >= solve.FLOAT32_METRIC_NODES) == (dtype == np.float32)
+            assert [q.dtype for q in geometry.bases] == [np.dtype(dtype)] * 2
+
+
+def test_r32_cell_on_the_float32_metric_returns_float64_within_the_reference_band(monkeypatch):
+    problem = profile_cell(0, 90, (0, 0), r=32.0)
+    initial = problem[0]
+    (res,) = solve_many([problem], ACC)
+    assert res.converged and res.diagnostics["metric_dtype"] == "float32"
+    assert res.field.values.dtype == np.float64 and type(res.value) is float
+    assert np.array_equal(res.field.values[initial.frozen], initial.values[initial.frozen])
+    monkeypatch.setattr(solve, "FLOAT32_METRIC_NODES", initial.values.size + 1)  # above every box
+    (exact,) = solve_many([problem], ACC)
+    assert exact.diagnostics["metric_dtype"] == "float64"
+    # the tolerance of perfbench/reference.json: an upper bound may fall further than it may rise
+    assert -1e-4 <= (res.value - exact.value) / exact.value <= 1e-5
 
 
 def test_clipped_trials_are_measured_exactly(monkeypatch):

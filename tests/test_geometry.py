@@ -140,7 +140,7 @@ def test_frame_invariance_of_derivative_norms():
 
     for h in (0.02, 0.01):
         grid = box_grid(d, (-0.5, -0.5), (1.0, 1.0), h)
-        pts = grid.physical_points()
+        pts = grid.to_physical(grid.local_points())
         grid.values[...] = f(pts)
         node = (grid.shape[0] // 2, grid.shape[1] // 2)
         y = pts[node]

@@ -34,7 +34,7 @@ def test_profile_field_hyperplane_and_plateau(e2):
     cube = OrientedCube((0.0, 0.0), 8.0, e2)
     eps = 1.0
     field = profile_datum(cube, eps, h=0.25)
-    pts = field.physical_points()
+    pts = field.to_physical(field.local_points())
     signed = pts[..., 1]
     on_plateau = np.abs(signed) > eps / 2
     assert np.array_equal(field.values[on_plateau], np.sign(signed[on_plateau]))
@@ -46,7 +46,7 @@ def test_profile_field_hyperplane_and_plateau(e2):
 def test_profile_field_small_eps_approaches_jump(e2):
     cube = OrientedCube((0.0, 0.0), 8.0, e2)
     field = profile_datum(cube, 0.5, h=0.125)
-    pts = field.physical_points()
+    pts = field.to_physical(field.local_points())
     off = np.abs(pts[..., 1]) > 0.25
     assert np.array_equal(field.values[off], np.sign(pts[..., 1][off]))
 
@@ -360,6 +360,6 @@ def test_batch_coefficients_equal_each_members_own_lookup():
     for fields, envs, eps in ((cube_fields, [env for env, _, _ in cubes], 0.5), (cuboid_fields, cuboid_envs, 1.0)):
         model = EnergyModel(fields, envs, EnergyParams(eps, "general"))
         for k, (f, env) in enumerate(zip(fields, envs)):
-            own = env.coefficients_at_points((f.physical_points() / eps).reshape(-1, f.n))
+            own = env.coefficients_at_points((f.to_physical(f.local_points()) / eps).reshape(-1, f.n))
             for batch, alone in zip((model.a, model.b, model.c), own):
                 assert np.array_equal(batch[k].ravel(), alone)

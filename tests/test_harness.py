@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 from pathlib import Path
@@ -6,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from homlab.cli import UPPER_BOUND_NOTE, main
-from homlab.harness import ConfigError, load_config, run_cell, run_property_suite
+from homlab.harness import ConfigError, build_manifest, load_config, run_cell, run_property_suite
 from homlab.solve import usable_cpus
 
 GOOD_CONFIG = """
@@ -143,6 +144,14 @@ def test_cli_cell_and_manifest(tmp_path):
     assert manifest["workers"] == usable_cpus()
     blas = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
     assert manifest["blas_threads"] == {var: os.environ[var] for var in blas}
+
+
+def test_manifest_to_dict_gives_what_asdict_gives(tmp_path):
+    path, _ = write_config(tmp_path)
+    manifest = build_manifest(load_config(path, {}), "cell")
+    for seed in range(3):
+        manifest.add(f"cell nu=90 r=8 seed={seed} x0=0", seed)
+    assert manifest.to_dict() == dataclasses.asdict(manifest)
 
 
 def test_thread_count_does_not_change_results(tmp_path):
