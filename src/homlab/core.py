@@ -51,6 +51,16 @@ class DoubleWell:
         s = np.asarray(s, dtype=float)
         return 4.0 * s * (s * s - 1.0)
 
+    def value_and_derivative(self, s):
+        """(W(s), W'(s)) from one evaluation of s^2 - 1, each bit for bit as the separate calls give it."""
+        s = np.asarray(s, dtype=float)
+        t = s * s
+        t -= 1.0
+        dw = 4.0 * s
+        dw *= t
+        t *= t
+        return t, dw
+
     def curvature(self, s):
         """Second derivative of the potential, 12 s^2 - 4 (8 at the wells)."""
         s = np.asarray(s, dtype=float)

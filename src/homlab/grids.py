@@ -411,26 +411,34 @@ class EnergyParams:
 def _coefficients(fields, envs, epsilon: float) -> tuple:
     """(a, b, c) at every member's nodes, looked up at the physical points x/eps; each (members, *shape).
 
-    Node coordinates are computed once per distinct low corner, and each
-    environment is looked up once, at the distinct lattice cells that its
-    members' nodes fall in.  A member gets the values its own lookup gives.
+    Lattice cells are computed once per distinct placement (low corner,
+    direction, shift), and the distinct cells of one environment's placements
+    once per distinct list of placements; each environment is looked up once,
+    at the distinct lattice cells that its members' nodes fall in.  A member
+    gets the values its own lookup gives.
     """
-    local, cells = {}, []
-    for f in fields:
-        if f.lo not in local:
-            local[f.lo] = f.local_points()
-        points = f.to_physical(local[f.lo])
-        cells.append(np.floor(points / epsilon).astype(np.int64).reshape(-1, f.n))
+    local, cells = {}, {}
+    placements = [(f.lo, f.direction, f.physical_shift) for f in fields]
+    for f, key in zip(fields, placements):
+        if key not in cells:
+            if f.lo not in local:
+                local[f.lo] = f.local_points()
+            points = f.to_physical(local[f.lo])
+            cells[key] = np.floor(points / epsilon).astype(np.int64).reshape(-1, f.n)
     by_env = {}
     for k, env in enumerate(envs):
         by_env.setdefault(env, []).append(k)
-    out = np.empty((3, len(fields), len(cells[0])))
+    out = np.empty((3, len(fields), len(cells[placements[0]])))
+    distinct_cells = {}  # per list of placements: (distinct cells, index of each node's cell among them)
     for env, members in by_env.items():
-        mine = np.ascontiguousarray(np.concatenate([cells[k] for k in members]).T)  # (n, points)
-        low = mine.min(axis=1)
-        extent = mine.max(axis=1) - low + 1
-        keys, where = np.unique(np.ravel_multi_index(mine - low[:, None], extent), return_inverse=True)
-        distinct = np.stack(np.unravel_index(keys, extent), axis=-1) + low
+        mine = tuple(placements[k] for k in members)
+        if mine not in distinct_cells:
+            every = np.ascontiguousarray(np.concatenate([cells[p] for p in mine]).T)  # (n, points)
+            low = every.min(axis=1)
+            extent = every.max(axis=1) - low + 1
+            keys, where = np.unique(np.ravel_multi_index(every - low[:, None], extent), return_inverse=True)
+            distinct_cells[mine] = np.stack(np.unravel_index(keys, extent), axis=-1) + low, where
+        distinct, where = distinct_cells[mine]
         out[:, members] = np.take(env.coefficients_at_points(distinct), where, axis=1).reshape(3, len(members), -1)
     return tuple(v.reshape((len(fields),) + fields[0].shape) for v in out)
 
@@ -479,6 +487,7 @@ class EnergyModel:
         self.eps = params.epsilon
         self.periodic = first.periodic
         self.frozen = first.frozen.copy()
+        self.has_frozen = bool(self.frozen.any())
         self.well: DoubleWell = envs[0].well
         self.cell_volume = first.h**first.n
         batch = (len(fields),) + self.shape
@@ -541,6 +550,7 @@ class EnergyModel:
         model = self._copy(stencils, self.wa[each + box].copy(), w, np.zeros(self.members))
         model.shape = tuple(s.stop - s.start for s in box)
         model.frozen = self.frozen[box]
+        model.has_frozen = bool(model.frozen.any())
         model._frame[...] = energy - model.energy(values[each + box])
         return model
 
@@ -567,31 +577,35 @@ class EnergyModel:
             raise ValueError(f"expected node values of shape {(self.members,) + self.shape}, got {u.shape}")
         return x, bare
 
-    def _value(self, u: np.ndarray, quad: np.ndarray) -> np.ndarray:
-        well = _row_dots(self.wa.reshape(self.members, -1), self.well(u).reshape(self.members, -1))
-        return well + quad + self._frame
+    def _value(self, quad: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """Energies from u.Ku and w = W(u)."""
+        return _row_dots(self.wa.reshape(self.members, -1), w.reshape(self.members, -1)) + quad + self._frame
 
-    def _gradient(self, u: np.ndarray, ku: np.ndarray) -> np.ndarray:
-        g = self.well.derivative(u) * self.wa
-        g += 2.0 * ku
-        np.copyto(g, 0.0, where=self.frozen)
-        return g
+    def _gradient(self, ku: np.ndarray, dw: np.ndarray) -> np.ndarray:
+        """wa W'(u) + 2 Ku, zero at frozen nodes, built in place in dw = W'(u); ku is overwritten."""
+        dw *= self.wa
+        ku *= 2.0
+        dw += ku
+        if self.has_frozen:
+            np.copyto(dw, 0.0, where=self.frozen)
+        return dw
 
     def energy(self, u: np.ndarray):
         x, bare = self._batch(u)
-        e = self._value(x, self._stencils.quadratic(x, self._weights)[0])
+        e = self._value(self._stencils.quadratic(x, self._weights)[0], self.well(x))
         return float(e[0]) if bare else e
 
     def gradient(self, u: np.ndarray) -> np.ndarray:
         x, bare = self._batch(u)
-        g = self._gradient(x, self._stencils.quadratic(x, self._weights)[1])
+        g = self._gradient(self._stencils.quadratic(x, self._weights)[1], self.well.derivative(x))
         return g[0] if bare else g
 
     def value_and_gradient(self, u: np.ndarray):
-        """Energy and gradient from one application of K."""
+        """Energy and gradient from one application of K and one evaluation of u^2 - 1."""
         x, bare = self._batch(u)
         quad, ku = self._stencils.quadratic(x, self._weights)
-        e, g = self._value(x, quad), self._gradient(x, ku)
+        w, dw = self.well.value_and_derivative(x)
+        e, g = self._value(quad, w), self._gradient(ku, dw)
         return (float(e[0]), g[0]) if bare else (e, g)
 
     def energy_density(self, u: np.ndarray) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Nonconvex descent over free nodes: preconditioned two-point steps, monotone acceptance."""
+"""Nonconvex descent over free nodes: preconditioned two-point or L-BFGS steps, monotone acceptance."""
 
 from __future__ import annotations
 
@@ -31,6 +31,17 @@ MAX_BATCH_NODES = 16384
 # 0.65, 1 x 120^2 0.62.  Every r <= 16 cell at h = 0.25 (boxes of 24^2, 56^2
 # and 64 x 56) keeps float64 and its bits; an r = 32 cell (120^2) switches.
 FLOAT32_METRIC_NODES = 64 * 64
+
+# secant pairs of the L-BFGS memory on float32-metric geometries (README "Secant
+# pairs").  r = 32 cells of the configs/example.ini checkerboard, seeds 0-39 at
+# 0, 45 and 90 degrees, total / maximum iterations, all converged: two-point
+# step 11400 / 284; 1 pair 37095 / 1342, 2: 7928 / 136, 3: 7681 / 116, 4: 7160
+# / 110, 5: 6613 / 101, 6: 6329 / 98, 8: 5861 / 88.  Share of the two-loop in
+# an iteration (1 x 120^2, one BLAS thread, 2-vCPU VM): 11-13% at 5, 12-15% at
+# 6, 14-16% at 8.  On 30 of the cells (interleaved rounds) 6 and 8 pairs were
+# 4% and 8% faster than 5, 4 and 3 pairs 3% and 11% slower.  5 keeps the
+# two-loop below 15% of an iteration with a margin.
+SECANT_PAIRS = 5
 
 
 class DivergenceError(RuntimeError):
@@ -183,6 +194,26 @@ class _Metric:
         interface = None if self.interface is None else self.interface.take(members)
         return _Metric(self.frozen, self.bases, self.symbol[members], interface)
 
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        """x's coordinates in the bases, in the metric's dtype: (members, *box)."""
+        return _transform(self.bases_t, x.astype(self.dtype, copy=False))
+
+    def apply(self, g_hat: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """M^-1 at u in coordinates: g_hat / symbol plus the interface correction at u."""
+        coef = g_hat / self.symbol
+        if self.interface is not None:
+            self._modes = tuple(x.astype(self.dtype, copy=False) for x in self.interface.modes(u))
+            phi, weight, _ = self._modes
+            coef += (weight * (g_hat @ phi[..., None])) * phi[..., None, :]
+        return coef
+
+    def inverse(self, coef: np.ndarray) -> np.ndarray:
+        """The float64 field with these coordinates, zero at frozen nodes."""
+        d = _transform(self.bases, coef).astype(np.float64, copy=False)
+        if not self.gives_gd:
+            np.copyto(d, 0.0, where=self.frozen)
+        return d
+
     def direction(self, g: np.ndarray, u: np.ndarray):
         """(d, g'd): d = M^-1 g at u, zero at frozen nodes.
 
@@ -190,21 +221,14 @@ class _Metric:
         equals s'Ms / t^2 for the step s = -t d (to the rounding of the
         metric's dtype); else it is None.
         """
-        g_hat = _transform(self.bases_t, g.astype(self.dtype, copy=False))
-        coef = g_hat / self.symbol
-        if self.interface is not None:
-            self._modes = tuple(x.astype(self.dtype, copy=False) for x in self.interface.modes(u))
-            phi, weight, _ = self._modes
-            coef += (weight * (g_hat @ phi[..., None])) * phi[..., None, :]
-        d = _transform(self.bases, coef).astype(np.float64, copy=False)
+        d = self.inverse(self.apply(self.forward(g), u))
         if not self.gives_gd:
-            np.copyto(d, 0.0, where=self.frozen)
             return d, None
         return d, g.reshape(len(g), 1, -1) @ d.reshape(len(d), -1, 1)
 
     def norm2(self, s: np.ndarray) -> np.ndarray:
         """s'Ms per member, shaped (members, 1, ...), in the metric of the last direction."""
-        coef = _transform(self.bases_t, s.astype(self.dtype, copy=False))
+        coef = self.forward(s)
         scaled = self.symbol * coef
         out = _row_sums(scaled * coef)
         if self._modes is not None:
@@ -379,25 +403,120 @@ def _metric(model: EnergyModel, geometry: _Geometry, values: np.ndarray) -> tupl
     return _Metric(geometry.frozen, geometry.bases, symbol.astype(geometry.dtype, copy=False), interface), positive
 
 
-def _descend(model: EnergyModel, metric: _Metric, u0: np.ndarray, cfg: SolverConfig, grad_tol: float):
-    """Two-point (Barzilai-Borwein) iteration in the metric M with best-so-far tracking, in lockstep.
+class _Memory:
+    """Limited-memory BFGS on the metric: directions d = H g with H0 = M^-1 and the last few secant pairs.
 
-    Directions are d = M^-1 g and the step is t = s'Ms / s'y (t = 1 at the
-    start), so with M = I/t0 this is the plain two-point gradient method.
-    Where the metric gives g'd and the clip left s = -t d alone, s'Ms is
-    t^2 g'd and costs no transform; else it is measured exactly.  The
-    raw trajectory may oscillate (that is what makes the two-point step fast);
-    accepted states are the best-so-far ones, so the reported energy sequence
-    is nonincreasing.  A blow-up beyond the best energy by a wide margin resets
-    the trajectory to the best state with a smaller step; a non-finite energy
-    raises DivergenceError.  The stopping rule is max|g| <= grad_tol at the record.
+    The pairs live in the metric's coordinates (`_Metric.forward`) and dtype:
+    y_hat = g_hat - g_hat_prev takes the forward transforms the directions take
+    anyway, and s_hat = -t r_hat the coordinates r_hat of the last direction,
+    so an iteration still takes one forward and one inverse transform.  The
+    bases are orthonormal, so every dot product of the two-loop recursion
+    (Nocedal & Wright, Numerical Optimization, alg. 7.4) is the same in
+    coordinates.  It runs as stacked matrix products over the (members, pairs,
+    nodes) arrays, plus per member a recursion over the products s_i'y_j
+    (i older than j), kept as each pair is stored (Liu & Nocedal, Math.
+    Program. 45, 1989).
+
+    Each member has its own ring of slots and order of pairs, so it gets the
+    bits it gets alone.  A pair is stored only where s'y > 0, and `forget`
+    drops a member's pairs.
+    """
+
+    def __init__(self, members: int, nodes: int, dtype, pairs: int):
+        self.s = np.zeros((members, pairs, nodes), dtype)
+        self.y = np.zeros_like(self.s)
+        self.order = [[] for _ in range(members)]  # slots, oldest pair first
+        self.rho = [[0.0] * pairs for _ in range(members)]  # 1 / s_i'y_i
+        self.sy = [[[0.0] * pairs for _ in range(pairs)] for _ in range(members)]  # s_i'y_j, i older than j
+        self.g_hat = np.zeros((members, 1, nodes), dtype)  # of the last direction
+        self.r_hat = np.zeros_like(self.g_hat)
+
+    def take(self, members) -> "_Memory":
+        """The memory of the members at the given indices."""
+        other = copy.copy(self)
+        other.s, other.y, other.g_hat, other.r_hat = (x[members] for x in (self.s, self.y, self.g_hat, self.r_hat))
+        other.order, other.rho, other.sy = ([x[k] for k in members] for x in (self.order, self.rho, self.sy))
+        return other
+
+    def forget(self, k: int) -> None:
+        self.order[k] = []
+
+    def _store(self, k: int, step: float, g_hat: np.ndarray) -> tuple:
+        """(slot, s_i'y for every slot i): member k's pair of the step -step r_hat, over its oldest pair if need be."""
+        order = self.order[k]
+        slot = order.pop(0) if len(order) == len(self.s[k]) else min(set(range(len(self.s[k]))) - set(order))
+        s, y = self.s[k], self.y[k]
+        np.multiply(self.r_hat[k, 0], -step, out=s[slot])
+        np.subtract(g_hat[k, 0], self.g_hat[k, 0], out=y[slot])
+        return slot, (s @ y[slot]).tolist()
+
+    def direction(self, metric: _Metric, g: np.ndarray, u: np.ndarray, steps: list) -> np.ndarray:
+        """d = H g at u, zero at frozen nodes.
+
+        steps[k] is the step t of member k's last move -t d where that move
+        gives a secant pair, else None.
+        """
+        members, pairs = self.s.shape[:2]
+        g_hat = metric.forward(g).reshape(members, 1, -1)
+        s_y = {k: self._store(k, step, g_hat) for k, step in enumerate(steps) if step is not None}
+        s_g = (self.s @ g_hat.transpose(0, 2, 1)).tolist()  # (members, pairs, 1): s_i'g
+        coef = []  # per member [alpha_i by slot], then alpha_i - beta_i
+        for k in range(members):
+            order, rho, sy = self.order[k], self.rho[k], self.sy[k]
+            if k in s_y:
+                new, dots = s_y[k]
+                if math.isfinite(dots[new]) and dots[new] > 0.0:
+                    rho[new] = 1.0 / dots[new]
+                    for i in order:
+                        sy[i][new] = dots[i]
+                    order.append(new)
+            a = [0.0] * pairs
+            for n in range(len(order) - 1, -1, -1):
+                i = order[n]
+                acc = s_g[k][i][0]
+                for j in order[n + 1 :]:
+                    acc -= a[j] * sy[i][j]
+                a[i] = rho[i] * acc
+            coef.append([a])
+        q = np.array(coef, self.s.dtype) @ self.y
+        np.subtract(g_hat, q, out=q)
+        r_hat = metric.apply(q.reshape(g.shape), u).reshape(g_hat.shape)
+        y_r = (self.y @ r_hat.transpose(0, 2, 1)).tolist()
+        for k in range(members):
+            order, rho, sy, c = self.order[k], self.rho[k], self.sy[k], coef[k][0]
+            for n, i in enumerate(order):
+                acc = y_r[k][i][0]
+                for j in order[:n]:
+                    acc += c[j] * sy[j][i]
+                c[i] -= rho[i] * acc
+        r_hat += np.array(coef, self.s.dtype) @ self.s
+        self.g_hat, self.r_hat = g_hat, r_hat
+        return metric.inverse(r_hat.reshape(g.shape))
+
+
+def _descend(model: EnergyModel, metric: _Metric, u0: np.ndarray, cfg: SolverConfig, grad_tol: float, memory=None):
+    """Two-point (Barzilai-Borwein) or L-BFGS iteration in the metric M with best-so-far tracking, in lockstep.
+
+    Without `memory`, directions are d = M^-1 g and the step is t = s'Ms / s'y
+    (t = 1 at the start), so with M = I/t0 this is the plain two-point
+    gradient method.  Where the metric gives g'd and the clip left s = -t d
+    alone, s'Ms is t^2 g'd and costs no transform; else it is measured
+    exactly.  With a `_Memory`, directions are its L-BFGS d = H g and the step
+    is t = 1.  The raw trajectory may oscillate (that is what makes both
+    steps fast without a line search); accepted states are the best-so-far
+    ones, so the reported energy sequence is nonincreasing.  A blow-up beyond
+    the best energy by a wide margin resets the trajectory to the best state
+    with a smaller step, and so does a trial of the memory that the value cap
+    clips; a reset member of the memory drops its secant pairs.  A
+    non-finite energy raises DivergenceError.  The stopping rule is
+    max|g| <= grad_tol at the record.
 
     u0 is a batch, (members, *shape), and the arrays are stepped together; each
-    member keeps its own step, record, resets and stop test (the per-member
-    numbers below are Python lists), so it follows the iterates it would follow
-    alone.  A member that stops or raises leaves the working arrays.  Returns one
-    entry per member: (u, energy, iters, final grad norm, converged, resets) or
-    its DivergenceError.
+    member keeps its own step, record, resets, pairs and stop test (the
+    per-member numbers below are Python lists), so it follows the iterates it
+    would follow alone.  A member that stops or raises leaves the working
+    arrays.  Returns one entry per member: (u, energy, iters, final grad norm,
+    converged, resets) or its DivergenceError.
     """
     out = [None] * len(u0)
     ids = list(range(len(u0)))
@@ -410,6 +529,7 @@ def _descend(model: EnergyModel, metric: _Metric, u0: np.ndarray, cfg: SolverCon
         if failed[k]:
             out[k] = DivergenceError(f"initial energy is not finite ({energy[k]})")
     t = [1.0] * len(ids)
+    steps = [None] * len(ids)  # the step of each member's last move where it gives a secant pair
     best_u, best_e = u.copy(), list(energy)
     gnorm = _row_max_abs(grad).tolist()
     converged = [g <= grad_tol for g in gnorm]
@@ -429,18 +549,26 @@ def _descend(model: EnergyModel, metric: _Metric, u0: np.ndarray, cfg: SolverCon
             if not keep:
                 return out
             model, metric = model.take(keep), metric.take(keep)
+            if memory is not None:
+                memory = memory.take(keep)
             u, grad, best_u = u[keep], grad[keep], best_u[keep]
-            t, best_e, gnorm, resets, ids = ([x[k] for k in keep] for x in (t, best_e, gnorm, resets, ids))
+            per_member = (t, steps, best_e, gnorm, resets, ids)
+            t, steps, best_e, gnorm, resets, ids = ([x[k] for k in keep] for x in per_member)
             converged, failed = [False] * len(keep), [False] * len(keep)
         iters += 1
-        trial, gd = metric.direction(grad, u)
-        trial *= np.reshape(t, each)
+        if memory is None:
+            trial, gd = metric.direction(grad, u)
+        else:
+            trial, gd = memory.direction(metric, grad, u, steps), None
+        if any(tk != 1.0 for tk in t):  # a unit step needs no product
+            trial *= np.reshape(t, each)
         np.subtract(u, trial, out=trial)
+        clipped = (_row_max_abs(trial) > U_CAP).tolist()
         if gd is not None:
             # s'Ms = t^2 g'd while s = -t d; a member the clip shortens needs the exact s'Ms
             ps = [tk * tk * x for tk, x in zip(t, gd.ravel().tolist())]
-            clipped = (_row_max_abs(trial) > U_CAP).tolist()
-        np.clip(trial, -U_CAP, U_CAP, out=trial)
+        if any(clipped):
+            np.clip(trial, -U_CAP, U_CAP, out=trial)
         e_trial, grad_new = model.value_and_gradient(trial)
         energy = e_trial.tolist()
         back = []  # members that restart from their record
@@ -452,8 +580,9 @@ def _descend(model: EnergyModel, metric: _Metric, u0: np.ndarray, cfg: SolverCon
                     out[ids[k]] = DivergenceError(f"energy diverged at iteration {iters} (step {t[k]})")
                 t[k] = max(t[k] * 0.01, 1e-300)
                 back.append(k)
-            elif e > best_e[k] + 1e3 * (abs(best_e[k]) + 1.0):
-                # runaway trajectory: restart from the record with a cautious step
+            elif e > best_e[k] + 1e3 * (abs(best_e[k]) + 1.0) or (memory is not None and clipped[k]):
+                # runaway trajectory, or a step of the memory's model that the cap cut short:
+                # restart from the record with a cautious step
                 resets[k] += 1
                 t[k] *= 0.1
                 back.append(k)
@@ -461,21 +590,29 @@ def _descend(model: EnergyModel, metric: _Metric, u0: np.ndarray, cfg: SolverCon
             trial[back] = best_u[back]
             e_trial, grad_new = model.value_and_gradient(trial)
             energy = e_trial.tolist()
-        s = trial - u
-        y = grad_new - grad
-        y *= s
-        sy = _row_sums(y).ravel().tolist()
-        if gd is None:
-            ps = metric.norm2(s).ravel().tolist()
-        elif any(clipped):
-            ps = [x if c else p for x, c, p in zip(metric.norm2(s).ravel().tolist(), clipped, ps)]
+        if memory is not None:
+            # a reset move gives no pair, and the member drops the pairs it holds
+            steps = [None if k in back else tk for k, tk in enumerate(t)]
+            for k in back:
+                memory.forget(k)
+        else:
+            s = trial - u
+            y = grad_new - grad
+            y *= s
+            sy = _row_sums(y).ravel().tolist()
+            if gd is None:
+                ps = metric.norm2(s).ravel().tolist()
+            elif any(clipped):
+                ps = [x if c else p for x, c, p in zip(metric.norm2(s).ravel().tolist(), clipped, ps)]
         u, grad = trial, grad_new
         gnorm = _row_max_abs(grad).tolist()
         improved = []
         for k, e in enumerate(energy):
             if k in back:
                 continue
-            if math.isfinite(sy[k]) and sy[k] > 0.0:
+            if memory is not None:
+                t[k] = 1.0
+            elif math.isfinite(sy[k]) and sy[k] > 0.0:
                 t[k] = min(max(ps[k] / sy[k], 1e-12), 1e14)
             else:
                 t[k] *= 2.0
@@ -514,7 +651,10 @@ def _solve_batch(initials: list, envs, params: EnergyParams, cfg: SolverConfig, 
     # from here on the whole-grid terms are gone: the descent holds the box
     model = model.restrict(values, geometry.box)
     # a contiguous copy of the box, which _descend clips in place
-    found = _descend(model, metric, values[(slice(None),) + geometry.box].copy(), cfg, grad_tol)
+    memory = None  # the pairs need s = -t d, which re-zeroing frozen nodes of the box would break
+    if geometry.dtype == np.float32 and metric.gives_gd and SECANT_PAIRS > 0:
+        memory = _Memory(len(initials), geometry.frozen.size, geometry.dtype, SECANT_PAIRS)
+    found = _descend(model, metric, values[(slice(None),) + geometry.box].copy(), cfg, grad_tol, memory)
     wall_ms = 1000.0 * (time.perf_counter() - t0)
     results = []
     for k, result in enumerate(found):
@@ -536,6 +676,7 @@ def _solve_batch(initials: list, envs, params: EnergyParams, cfg: SolverConfig, 
                     "stop_reason": "converged" if converged else "max_iters",
                     "metric": "preconditioned" if positive[k] else "gradient",
                     "metric_dtype": metric.dtype.name,
+                    "secant_pairs": 0 if memory is None else SECANT_PAIRS,
                     "batch": len(initials),
                     "wall_ms": wall_ms,
                 },

@@ -120,6 +120,71 @@ def test_r32_cell_on_the_float32_metric_returns_float64_within_the_reference_ban
     assert -1e-4 <= (res.value - exact.value) / exact.value <= 1e-5
 
 
+def test_r32_cell_with_secant_pairs_converges_in_fewer_iterations_within_the_reference_band(monkeypatch):
+    problem = profile_cell(0, 90, (0, 0), r=32.0)
+    initial = problem[0]
+    (res,) = solve_many([problem], ACC)
+    assert res.converged and res.diagnostics["secant_pairs"] == solve.SECANT_PAIRS > 0
+    assert np.array_equal(res.field.values[initial.frozen], initial.values[initial.frozen])
+    monkeypatch.setattr(solve, "SECANT_PAIRS", 0)  # the two-point step in the same float32 metric
+    (two_point,) = solve_many([problem], ACC)
+    assert two_point.converged and two_point.diagnostics["secant_pairs"] == 0
+    assert res.iters < two_point.iters
+    assert -1e-4 <= (res.value - two_point.value) / two_point.value <= 1e-5
+
+
+def _secant_spies(monkeypatch, energy_of_call=None):
+    """Per direction of the memory, (steps, pairs held on entry), and whether the trial it gave touches U_CAP."""
+    seen, at_cap, calls = [], [], []
+    direction = solve._Memory.direction
+    value_and_gradient = EnergyModel.value_and_gradient
+
+    def spy_direction(self, metric, g, u, steps):
+        seen.append((list(steps), [len(order) for order in self.order]))
+        return direction(self, metric, g, u, steps)
+
+    def spy_energy(self, u):
+        calls.append(None)
+        if len(at_cap) < len(seen):  # the first call after a direction evaluates its trial
+            at_cap.append(bool(np.max(np.abs(u)) >= U_CAP))
+        e, g = value_and_gradient(self, u)
+        return (energy_of_call(len(calls), e), g) if energy_of_call else (e, g)
+
+    monkeypatch.setattr(solve._Memory, "direction", spy_direction)
+    monkeypatch.setattr(EnergyModel, "value_and_gradient", spy_energy)
+    return seen, at_cap
+
+
+def test_a_clipped_step_of_the_memory_restarts_from_the_record_without_pairs(monkeypatch):
+    # a start next to the value cap whose memory sends a step past it, on a 16^2 box with the float32 cut lowered to it
+    (problem,) = random_starts((0.05,), seed=3, amplitudes=(2.99,))
+    monkeypatch.setattr(solve, "FLOAT32_METRIC_NODES", problem[0].values.size)
+    seen, at_cap = _secant_spies(monkeypatch)
+    (res,) = solve_many([problem], SolverConfig(max_iters=3000))
+    assert res.converged and res.diagnostics["secant_pairs"] > 0
+    clipped = at_cap[: len(seen) - 1]  # the trials whose pairs directions 2, 3, ... may store
+    assert any(clipped) and res.diagnostics["resets"] == sum(clipped)
+    assert [steps[0] is None for steps, _ in seen[1:]] == clipped
+    assert all(held == [0] for (_, held), c in zip(seen[1:], clipped) if c)
+    # the restart's step is a tenth of the clipped one, then the unit step returns
+    for n, c in enumerate(clipped[:-1]):
+        if c:
+            assert seen[n + 2][0] == [0.1]
+
+
+def test_a_reset_step_stores_no_secant_pair_and_drops_the_pairs(monkeypatch):
+    problem = MIXED_CELLS[0]
+    monkeypatch.setattr(solve, "FLOAT32_METRIC_NODES", 24 * 24)  # its free box
+    # the trial of iteration 5 (energy call 6) is not finite: the member restarts from its record
+    seen, at_cap = _secant_spies(monkeypatch, lambda call, e: np.full_like(e, np.inf) if call == 6 else e)
+    (res,) = solve_many([problem], ACC)
+    assert res.converged and res.diagnostics["secant_pairs"] > 0 and res.diagnostics["resets"] == 1
+    assert not any(at_cap)
+    assert seen[4] == ([1.0], [3])  # direction 5 stores the pair of step 4 next to those of steps 1-3
+    assert seen[5] == ([None], [0])  # direction 6 follows the reset: no pair and none held
+    assert seen[6][0] == [0.01]  # the step after the reset, cut to a hundredth, gives a pair
+
+
 def test_clipped_trials_are_measured_exactly(monkeypatch):
     problems, cfg = CASES["clipped-starts"]
     exact = []
@@ -151,19 +216,24 @@ def test_a_group_larger_than_max_batch_nodes_runs_in_several_batches(monkeypatch
         assert np.array_equal(res.field.values, alone.field.values)
 
 
-def test_divergence_of_one_member_leaves_the_others_untouched():
+def test_divergence_of_one_member_leaves_the_others_untouched(monkeypatch):
     problems = MIXED_CELLS[:3]
     broken = problems[1][0].copy_with(problems[1][0].values.copy())
     broken.values[~broken.frozen] = np.nan
     initials = [problems[0][0], broken, problems[2][0]]
     envs = [env for _, env, _ in problems]
-    together = solve._solve_batch(initials, envs, problems[0][2], ACC, solve._Geometry(initials[0]))
-    assert isinstance(together[1], DivergenceError)
-    for k in (0, 2):
-        (alone,) = solve_many([problems[k]], ACC)
-        assert together[k].value == alone.value and together[k].iters == alone.iters
-    with pytest.raises(DivergenceError):
-        solve_many([problems[0], (broken, envs[1], problems[1][2])], ACC)
+    # the two-point step, then the secant pairs with the float32 cut lowered to the 24^2 boxes:
+    # the broken member leaves the batch before its first direction
+    for cut in (solve.FLOAT32_METRIC_NODES, 24 * 24):
+        monkeypatch.setattr(solve, "FLOAT32_METRIC_NODES", cut)
+        together = solve._solve_batch(initials, envs, problems[0][2], ACC, solve._Geometry(initials[0]))
+        assert isinstance(together[1], DivergenceError)
+        for k in (0, 2):
+            (alone,) = solve_many([problems[k]], ACC)
+            assert together[k].value == alone.value and together[k].iters == alone.iters
+            assert together[k].diagnostics["secant_pairs"] == (0 if cut > 24 * 24 else solve.SECANT_PAIRS)
+        with pytest.raises(DivergenceError):
+            solve_many([problems[0], (broken, envs[1], problems[1][2])], ACC)
 
 
 # framed r = 8/16/32 cells (two at r = 16, one batch), a wrapped cell, and q = 50 and q = 0.05

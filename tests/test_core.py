@@ -45,6 +45,12 @@ def test_potential_derivative_matches_finite_difference(quartic):
         assert quartic.derivative(s) == pytest.approx(fd, rel=1e-8)
 
 
+def test_potential_value_and_derivative_are_the_separate_calls_bit_for_bit(quartic):
+    s = np.random.default_rng(1).uniform(-3.0, 3.0, 1000)
+    value, derivative = quartic.value_and_derivative(s)
+    assert np.array_equal(value, quartic(s)) and np.array_equal(derivative, quartic.derivative(s))
+
+
 def test_profile_plateaus_and_oddness():
     assert eta(0.0) == 0.0
     assert eta(0.7) == 1.0

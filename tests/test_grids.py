@@ -363,3 +363,47 @@ def test_batch_coefficients_equal_each_members_own_lookup():
             own = env.coefficients_at_points((f.to_physical(f.local_points()) / eps).reshape(-1, f.n))
             for batch, alone in zip((model.a, model.b, model.c), own):
                 assert np.array_equal(batch[k].ravel(), alone)
+
+
+def test_members_that_share_placements_across_environments_get_their_own_lookup():
+    # the cells_r8_2w layout: seeds 1 and 2 hold the same directions and centers, so the lattice
+    # cells of a placement and the distinct cells of a list of placements are computed once;
+    # seed 3 holds as many members at other centers
+    spec = EnvironmentSpec(
+        kind="checkerboard", a_range=(0.8, 1.2), b_range=(-0.04, 0.05), c_range=(0.8, 1.2),
+        q=0.05, c1=0.8, c2=1.2,
+    )
+    fields, envs = [], []
+    shared, other = ((0.0, 0.0), (2.0, 0.0)), ((0.5, 0.25), (-3.0, 1.0))
+    for seed, centers in ((1, shared), (2, shared), (3, other)):
+        for deg in (0.0, 45.0, 90.0, 135.0):
+            for center in centers:
+                fields.append(profile_datum(OrientedCube(center, 8.0, Direction.from_angle_degrees(deg)), 1.0, 0.25))
+                envs.append(make_environment(spec.with_seed(seed)))
+    params = EnergyParams(1.0, "general")
+    model = EnergyModel(fields, envs, params)
+    for k, (f, env) in enumerate(zip(fields, envs)):
+        alone = EnergyModel(f, env, params)
+        for batch, own in zip((model.a, model.b, model.c), (alone.a, alone.b, alone.c)):
+            assert np.array_equal(batch[k], own[0])
+
+
+@pytest.mark.parametrize("restricted", [False, True], ids=["framed-grid", "frozen-free-box"])
+def test_value_and_gradient_are_the_separate_calls_bit_for_bit(restricted):
+    # one evaluation of u^2 - 1 serves W and W'; a box without frozen nodes skips their re-zeroing
+    rng = np.random.default_rng(5)
+    grid = profile_datum(OrientedCube((0.0, 0.0), 4.0, Direction.from_angle_degrees(30.0)), 1.0, 0.25)
+    grid.values[~grid.frozen] += rng.uniform(-0.5, 0.5, int((~grid.frozen).sum()))
+    env = make_environment(EnvironmentSpec(kind="checkerboard", b_range=(-0.04, 0.05), seed=2))
+    model = EnergyModel([grid, grid], [env, env], EnergyParams(1.0, "general"))
+    u = np.stack([grid.values, -grid.values])
+    if restricted:
+        rows = np.flatnonzero((~grid.frozen).any(axis=1))
+        box = (slice(rows[0], rows[-1] + 1),) * 2
+        model, u = model.restrict(u, box), u[(slice(None),) + box].copy()
+        assert not model.has_frozen
+    else:
+        assert model.has_frozen
+    energy, grad = model.value_and_gradient(u)
+    assert np.array_equal(energy, model.energy(u))
+    assert np.array_equal(grad, model.gradient(u))

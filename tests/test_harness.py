@@ -459,6 +459,35 @@ def test_importing_homlab_defaults_blas_to_one_thread_unless_set(given, expected
     assert out.stdout.split() == expected
 
 
+@pytest.mark.parametrize(
+    "numpy_first, expected", [(False, ["1", "1", "1"]), (True, [None, None, None])], ids=["homlab-first", "numpy-first"]
+)
+def test_the_manifest_records_blas_threads_numpy_read_in_either_import_order(tmp_path, numpy_first, expected):
+    # numpy's BLAS reads the thread variables when numpy loads: after that, homlab's defaults come too late
+    import os
+    import subprocess
+    import sys
+
+    import homlab
+
+    names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    env = {k: v for k, v in os.environ.items() if k not in names}
+    env["PYTHONPATH"] = str(Path(homlab.__file__).resolve().parents[1])
+    path, out = write_config(tmp_path)
+    code = (
+        ("import numpy\n" if numpy_first else "")
+        + "import json, sys\n"
+        + "from homlab.harness import build_manifest, load_config\n"
+        + "manifest = build_manifest(load_config(sys.argv[1]), 'cell')\n"
+        + "print(json.dumps([manifest.config_hash, manifest.blas_threads]))\n"
+    )
+    run = subprocess.run([sys.executable, "-c", code, path], env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    config_hash, blas_threads = json.loads(run.stdout)
+    assert blas_threads == dict(zip(names, expected))
+    assert config_hash == load_config(path).config_hash  # provenance that enters no result
+
+
 @pytest.mark.parametrize("command", ["cell", "homogenize", "sweep", "verify"])
 def test_cell_commands_check_h_against_the_unit_scale(tmp_path, command):
     # h = 0.5 resolves epsilon_list = 2.0, but these commands solve cells at epsilon = 1
