@@ -6,6 +6,7 @@ import configparser
 import csv
 import dataclasses
 import json
+import math
 import os
 import time
 from dataclasses import dataclass, field
@@ -70,7 +71,15 @@ class ConfigError(ValueError):
         self.config = config
 
 
-def _parse_numbers(text: str, kind=float) -> tuple:
+def _finite(text: str) -> float:
+    """The float a config sets; nan and inf are errors, as text that is no number is."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text.strip()!r} is not a finite number")
+    return value
+
+
+def _parse_numbers(text: str, kind=_finite) -> tuple:
     return tuple(kind(tok) for tok in text.replace(",", " ").split())
 
 
@@ -90,24 +99,22 @@ def _no_restarts(text: str) -> None:
         raise ConfigError("restarts were removed: the solver runs one descent pass, so only restarts = 0 is read")
 
 
-def _parse_direction(token: str, n: int) -> Direction:
-    token = token.strip()
-    if token.startswith("p:"):
-        parts = token[2:].replace(",", " ").split()
-        try:
-            ints = [int(p) for p in parts]
-        except ValueError as exc:
-            raise ConfigError(f"bad integer direction {token!r}") from exc
-        if len(ints) != n:
-            raise ConfigError(f"direction {token!r} has wrong dimension for n={n}")
-        return Direction.from_integers(*ints)
+def _direction_tokens(text: str) -> list:
+    """nu_list's tokens: integer directions `p:a,b` as text, angles in degrees as finite floats."""
+    return [tok if tok.startswith("p:") else _finite(tok) for tok in text.split()]
+
+
+def _parse_direction(token, n: int) -> Direction:
+    if isinstance(token, float):
+        return Direction.from_integers(1 if token >= 0 else -1) if n == 1 else Direction.from_angle_degrees(token)
+    parts = token[2:].replace(",", " ").split()
     try:
-        value = float(token)
+        ints = [int(p) for p in parts]
     except ValueError as exc:
-        raise ConfigError(f"bad direction token {token!r}") from exc
-    if n == 1:
-        return Direction.from_integers(1 if value >= 0 else -1)
-    return Direction.from_angle_degrees(value)
+        raise ConfigError(f"bad integer direction {token!r}") from exc
+    if len(ints) != n:
+        raise ConfigError(f"direction {token!r} has wrong dimension for n={n}")
+    return Direction.from_integers(*ints)
 
 
 @dataclass
@@ -177,17 +184,17 @@ class ExperimentConfig:
 # perfbench's generated configs and argv still set.
 _CONFIG_KEYS = {
     "experiment": {
-        "dimension": int, "h": float, "r_list": _parse_numbers, "epsilon_list": _parse_numbers,
+        "dimension": int, "h": _finite, "r_list": _parse_numbers, "epsilon_list": _parse_numbers,
         "seeds": lambda text: _parse_numbers(text, int),
-        "nu_list": str.split,  # tokens; read as directions once the dimension is known
-        "x0_list": lambda text: tuple(tuple(float(v) for v in tok.split(",")) for tok in text.split()),
+        "nu_list": _direction_tokens,  # read as directions once the dimension is known
+        "x0_list": lambda text: tuple(tuple(_finite(v) for v in tok.split(",")) for tok in text.split()),
     },
     "environment": {
         "kind": str, "a_range": _parse_range, "b_range": _parse_range, "c_range": _parse_range,
-        "q": float, "c1": float, "c2": float, "seed": int,
+        "q": _finite, "c1": _finite, "c2": _finite, "seed": int,
     },
     "solver": {
-        "max_iters": int, "grad_tol": lambda text: None if text in ("auto", "") else float(text),
+        "max_iters": int, "grad_tol": lambda text: None if text in ("auto", "") else _finite(text),
         "restarts": _no_restarts,
     },
     "output": {"dir": str, "format": str},

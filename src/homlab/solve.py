@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import BLAS_THREADS
 from .environment import Environment
 from .grids import U_CAP, EnergyModel, EnergyParams, GridField
 
@@ -62,8 +63,8 @@ class SolverConfig:
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.grad_tol is not None and self.grad_tol <= 0:
-            raise ValueError("grad_tol must be positive")
+        if self.grad_tol is not None and not 0.0 < self.grad_tol < math.inf:
+            raise ValueError("grad_tol must be positive and finite")
 
 
 @dataclass
@@ -167,8 +168,8 @@ class _Metric:
     bases are shared by the geometry group, the symbol is per member.
 
     With lateral axes (n >= 2), M corrects P on the interface's soft modes
-    (`_Interface`), rebuilt from the current u by every `direction`; `norm2`
-    measures in the metric of the last direction.
+    (`_Interface`), rebuilt from the current u by every `apply`; `norm2`
+    measures in the metric of the last `apply`.
 
     A member whose symbol is not positive on the spectrum (e.g. the minus
     comparison energy at large q) gets the constant symbol 1/_initial_step
@@ -180,19 +181,16 @@ class _Metric:
     are held in it, so no product of a direction falls back to float64.
     """
 
-    def __init__(self, frozen: np.ndarray, bases, symbol: np.ndarray, interface):
-        self.frozen = frozen  # on the box
+    def __init__(self, bases, symbol: np.ndarray, interface):
         self.bases, self.symbol, self.interface = bases, symbol, interface
         self.bases_t = [q.T for q in bases]
         self.dtype = bases[0].dtype
-        # g'd gives s'Ms / t^2 where d needs no re-zeroing at frozen nodes
-        self.gives_gd = not frozen.any()
         self._modes = None
 
     def take(self, members) -> "_Metric":
         """The metric of the members at the given indices."""
         interface = None if self.interface is None else self.interface.take(members)
-        return _Metric(self.frozen, self.bases, self.symbol[members], interface)
+        return _Metric(self.bases, self.symbol[members], interface)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """x's coordinates in the bases, in the metric's dtype: (members, *box)."""
@@ -208,26 +206,11 @@ class _Metric:
         return coef
 
     def inverse(self, coef: np.ndarray) -> np.ndarray:
-        """The float64 field with these coordinates, zero at frozen nodes."""
-        d = _transform(self.bases, coef).astype(np.float64, copy=False)
-        if not self.gives_gd:
-            np.copyto(d, 0.0, where=self.frozen)
-        return d
-
-    def direction(self, g: np.ndarray, u: np.ndarray):
-        """(d, g'd): d = M^-1 g at u, zero at frozen nodes.
-
-        g'd is per member, shaped (members, 1, ...), and given only where it
-        equals s'Ms / t^2 for the step s = -t d (to the rounding of the
-        metric's dtype); else it is None.
-        """
-        d = self.inverse(self.apply(self.forward(g), u))
-        if not self.gives_gd:
-            return d, None
-        return d, g.reshape(len(g), 1, -1) @ d.reshape(len(d), -1, 1)
+        """The float64 field with these coordinates."""
+        return _transform(self.bases, coef).astype(np.float64, copy=False)
 
     def norm2(self, s: np.ndarray) -> np.ndarray:
-        """s'Ms per member, shaped (members, 1, ...), in the metric of the last direction."""
+        """s'Ms per member, shaped (members, 1, ...), in the metric of the last `apply`."""
         coef = self.forward(s)
         scaled = self.symbol * coef
         out = _row_sums(scaled * coef)
@@ -347,13 +330,14 @@ class _Interface:
 class _Geometry:
     """What the batches of one geometry group share; built once per group.
 
-    `box` is the bounding box of the free nodes (the whole grid when none is
-    free), the descent's state (`EnergyModel.restrict`).  `frozen` is the
-    frozen mask on the box.  `bases` and `lam` are the metric's axis bases on
-    the box and the sum of their Laplacian eigenvalues, and `interface` (n >= 2)
-    the interface correction's tables.  The bases are float32 when the box
-    holds at least FLOAT32_METRIC_NODES nodes, else float64 (`dtype`); `lam`
-    and the interface tables stay float64.
+    `box` is the bounding box of the free nodes, the descent's state
+    (`EnergyModel.restrict`), and `nodes` its size; it holds no frozen node
+    (else ValueError) unless none is free, where it is the whole grid.  `bases`
+    and `lam` are the metric's axis bases on the box and the sum of their
+    Laplacian eigenvalues, and `interface` (n >= 2) the interface correction's
+    tables.  The bases are float32 when the box holds at least
+    FLOAT32_METRIC_NODES nodes, else float64 (`dtype`); `lam` and the
+    interface tables stay float64.
     """
 
     def __init__(self, grid: GridField):
@@ -377,12 +361,15 @@ class _Geometry:
             shape[axis] = hi - lo
             lams.append(lam.reshape(shape))
         self.box = tuple(box)
-        self.frozen = grid.frozen[self.box]
+        frozen = grid.frozen[self.box]
+        if frozen.any() and not frozen.all():
+            raise ValueError("frozen nodes inside the bounding box of the free nodes")
+        self.nodes = frozen.size
         self.lam = sum(lams)
         self.interface = None
         if grid.n >= 2:
             self.interface = _Interface(grid, self.box, bases[-1], lams[-1].ravel(), sum(lams[:-1]))
-        self.dtype = np.float32 if self.frozen.size >= FLOAT32_METRIC_NODES else np.float64
+        self.dtype = np.float32 if self.nodes >= FLOAT32_METRIC_NODES else np.float64
         self.bases = [q.astype(self.dtype, copy=False) for q in bases]
 
 
@@ -400,11 +387,54 @@ def _metric(model: EnergyModel, geometry: _Geometry, values: np.ndarray) -> tupl
     if not positive.all():
         each = (-1,) + (1,) * model.n
         symbol = np.where(positive.reshape(each), symbol, 1.0 / _initial_step(model).reshape(each))
-    return _Metric(geometry.frozen, geometry.bases, symbol.astype(geometry.dtype, copy=False), interface), positive
+    return _Metric(geometry.bases, symbol.astype(geometry.dtype, copy=False), interface), positive
+
+
+def _stepped(d: np.ndarray, t: list) -> np.ndarray:
+    if any(tk != 1.0 for tk in t):  # a unit step needs no product
+        d *= np.reshape(t, (-1,) + (1,) * (d.ndim - 1))
+    return d
+
+
+class _TwoPoint:
+    """The two-point (Barzilai-Borwein) rule in the metric: moves t M^-1 g, t = 1 first, then t = s'Ms / s'y.
+
+    With M = I/t0 it is the plain two-point gradient method.  While s = -t d,
+    s'Ms is t^2 g'd and costs no transform; a clipped trial's s'Ms is measured.
+    """
+
+    clip_resets = False  # a clipped trial is measured, not reset
+    pairs = 0
+
+    def __init__(self, metric: _Metric, t: list):
+        self.metric, self.t, self.gd = metric, t, []  # gd: g'd of each member's last direction
+
+    def take(self, members) -> "_TwoPoint":
+        return _TwoPoint(self.metric.take(members), [self.t[k] for k in members])
+
+    def trial(self, grad: np.ndarray, u: np.ndarray) -> np.ndarray:
+        metric = self.metric
+        d = metric.inverse(metric.apply(metric.forward(grad), u))
+        self.gd = (grad.reshape(len(grad), 1, -1) @ d.reshape(len(d), -1, 1)).ravel().tolist()
+        return _stepped(d, self.t)
+
+    def moved(self, u, trial, grad, grad_new, clipped: list, back: list) -> None:
+        s = trial - u
+        y = grad_new - grad
+        y *= s
+        sy = _row_sums(y).ravel().tolist()
+        ps = [tk * tk * x for tk, x in zip(self.t, self.gd)]
+        if any(clipped):
+            ps = [x if c else p for x, c, p in zip(self.metric.norm2(s).ravel().tolist(), clipped, ps)]
+        for k in set(range(len(self.t))).difference(back):
+            if math.isfinite(sy[k]) and sy[k] > 0.0:
+                self.t[k] = min(max(ps[k] / sy[k], 1e-12), 1e14)
+            else:
+                self.t[k] *= 2.0
 
 
 class _Memory:
-    """Limited-memory BFGS on the metric: directions d = H g with H0 = M^-1 and the last few secant pairs.
+    """Limited-memory BFGS in the metric: moves t H g, H0 = M^-1 and the last few secant pairs, t = 1.
 
     The pairs live in the metric's coordinates (`_Metric.forward`) and dtype:
     y_hat = g_hat - g_hat_prev takes the forward transforms the directions take
@@ -418,28 +448,30 @@ class _Memory:
     Program. 45, 1989).
 
     Each member has its own ring of slots and order of pairs, so it gets the
-    bits it gets alone.  A pair is stored only where s'y > 0, and `forget`
-    drops a member's pairs.
+    bits it gets alone.  A pair is stored only where s'y > 0; a reset member
+    drops its pairs, and its next move gives none.
     """
 
-    def __init__(self, members: int, nodes: int, dtype, pairs: int):
-        self.s = np.zeros((members, pairs, nodes), dtype)
+    clip_resets = True  # the cap cut a step of the memory's model short: restart from the record
+
+    def __init__(self, metric: _Metric, members: int, nodes: int, pairs: int):
+        self.metric, self.t, self.pairs = metric, [1.0] * members, pairs
+        self.pending = [None] * members  # the step of each member's last move where it gives a secant pair
+        self.s = np.zeros((members, pairs, nodes), metric.dtype)
         self.y = np.zeros_like(self.s)
         self.order = [[] for _ in range(members)]  # slots, oldest pair first
         self.rho = [[0.0] * pairs for _ in range(members)]  # 1 / s_i'y_i
         self.sy = [[[0.0] * pairs for _ in range(pairs)] for _ in range(members)]  # s_i'y_j, i older than j
-        self.g_hat = np.zeros((members, 1, nodes), dtype)  # of the last direction
+        self.g_hat = np.zeros((members, 1, nodes), metric.dtype)  # of the last direction
         self.r_hat = np.zeros_like(self.g_hat)
 
     def take(self, members) -> "_Memory":
-        """The memory of the members at the given indices."""
         other = copy.copy(self)
+        other.metric = self.metric.take(members)
         other.s, other.y, other.g_hat, other.r_hat = (x[members] for x in (self.s, self.y, self.g_hat, self.r_hat))
-        other.order, other.rho, other.sy = ([x[k] for k in members] for x in (self.order, self.rho, self.sy))
+        per_member = (self.order, self.rho, self.sy, self.t, self.pending)
+        other.order, other.rho, other.sy, other.t, other.pending = ([x[k] for k in members] for x in per_member)
         return other
-
-    def forget(self, k: int) -> None:
-        self.order[k] = []
 
     def _store(self, k: int, step: float, g_hat: np.ndarray) -> tuple:
         """(slot, s_i'y for every slot i): member k's pair of the step -step r_hat, over its oldest pair if need be."""
@@ -450,15 +482,11 @@ class _Memory:
         np.subtract(g_hat[k, 0], self.g_hat[k, 0], out=y[slot])
         return slot, (s @ y[slot]).tolist()
 
-    def direction(self, metric: _Metric, g: np.ndarray, u: np.ndarray, steps: list) -> np.ndarray:
-        """d = H g at u, zero at frozen nodes.
-
-        steps[k] is the step t of member k's last move -t d where that move
-        gives a secant pair, else None.
-        """
-        members, pairs = self.s.shape[:2]
+    def trial(self, g: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """t H g at u, after storing the pairs of the last moves."""
+        metric, (members, pairs) = self.metric, self.s.shape[:2]
         g_hat = metric.forward(g).reshape(members, 1, -1)
-        s_y = {k: self._store(k, step, g_hat) for k, step in enumerate(steps) if step is not None}
+        s_y = {k: self._store(k, step, g_hat) for k, step in enumerate(self.pending) if step is not None}
         s_g = (self.s @ g_hat.transpose(0, 2, 1)).tolist()  # (members, pairs, 1): s_i'g
         coef = []  # per member [alpha_i by slot], then alpha_i - beta_i
         for k in range(members):
@@ -491,36 +519,39 @@ class _Memory:
                 c[i] -= rho[i] * acc
         r_hat += np.array(coef, self.s.dtype) @ self.s
         self.g_hat, self.r_hat = g_hat, r_hat
-        return metric.inverse(r_hat.reshape(g.shape))
+        return _stepped(metric.inverse(r_hat.reshape(g.shape)), self.t)
+
+    def moved(self, u, trial, grad, grad_new, clipped: list, back: list) -> None:
+        # a reset move gives no pair, and the member drops the pairs it holds; the others step on at t = 1
+        self.pending = [None if k in back else tk for k, tk in enumerate(self.t)]
+        for k in back:
+            self.order[k] = []
+        self.t = [tk if k in back else 1.0 for k, tk in enumerate(self.t)]
 
 
-def _descend(model: EnergyModel, metric: _Metric, u0: np.ndarray, cfg: SolverConfig, grad_tol: float, memory=None):
-    """Two-point (Barzilai-Borwein) or L-BFGS iteration in the metric M with best-so-far tracking, in lockstep.
+def _descend(model: EnergyModel, rule, u0: np.ndarray, cfg: SolverConfig, grad_tol: float):
+    """Descent by a direction rule (`_TwoPoint`, `_Memory`) with best-so-far tracking, in lockstep.
 
-    Without `memory`, directions are d = M^-1 g and the step is t = s'Ms / s'y
-    (t = 1 at the start), so with M = I/t0 this is the plain two-point
-    gradient method.  Where the metric gives g'd and the clip left s = -t d
-    alone, s'Ms is t^2 g'd and costs no transform; else it is measured
-    exactly.  With a `_Memory`, directions are its L-BFGS d = H g and the step
-    is t = 1.  The raw trajectory may oscillate (that is what makes both
-    steps fast without a line search); accepted states are the best-so-far
-    ones, so the reported energy sequence is nonincreasing.  A blow-up beyond
-    the best energy by a wide margin resets the trajectory to the best state
-    with a smaller step, and so does a trial of the memory that the value cap
-    clips; a reset member of the memory drops its secant pairs.  A
-    non-finite energy raises DivergenceError.  The stopping rule is
-    max|g| <= grad_tol at the record.
+    `rule.trial(grad, u)` gives the moves t d, and `rule.moved(u, trial, grad,
+    grad_new, clipped, back)` sets each member's next step in `rule.t` from
+    its move (`clipped` flags the trials the value cap clipped, `back` lists
+    the members reset to their record).  The raw trajectory may oscillate
+    (that is what makes both rules fast without a line search); accepted
+    states are the best-so-far ones, so the reported energy sequence is
+    nonincreasing.  A blow-up beyond the best energy by a wide margin, and a
+    clipped trial where `rule.clip_resets`, reset the member to its record
+    and scale its t down.  A non-finite energy raises DivergenceError.  The
+    stopping rule is max|g| <= grad_tol at the record.
 
     u0 is a batch, (members, *shape), and the arrays are stepped together; each
     member keeps its own step, record, resets, pairs and stop test (the
     per-member numbers below are Python lists), so it follows the iterates it
     would follow alone.  A member that stops or raises leaves the working
-    arrays.  Returns one entry per member: (u, energy, iters, final grad norm,
-    converged, resets) or its DivergenceError.
+    arrays (`take`).  Returns one entry per member: (u, energy, iters, final
+    grad norm, converged, resets) or its DivergenceError.
     """
     out = [None] * len(u0)
     ids = list(range(len(u0)))
-    each = (-1,) + (1,) * model.n  # shape of one number per member
     u = np.clip(u0, -U_CAP, U_CAP, out=u0)
     energy, grad = model.value_and_gradient(u)
     energy = energy.tolist()
@@ -528,8 +559,6 @@ def _descend(model: EnergyModel, metric: _Metric, u0: np.ndarray, cfg: SolverCon
     for k in ids:
         if failed[k]:
             out[k] = DivergenceError(f"initial energy is not finite ({energy[k]})")
-    t = [1.0] * len(ids)
-    steps = [None] * len(ids)  # the step of each member's last move where it gives a secant pair
     best_u, best_e = u.copy(), list(energy)
     gnorm = _row_max_abs(grad).tolist()
     converged = [g <= grad_tol for g in gnorm]
@@ -548,25 +577,14 @@ def _descend(model: EnergyModel, metric: _Metric, u0: np.ndarray, cfg: SolverCon
             keep = [k for k in range(len(ids)) if not stop[k]]
             if not keep:
                 return out
-            model, metric = model.take(keep), metric.take(keep)
-            if memory is not None:
-                memory = memory.take(keep)
+            model, rule = model.take(keep), rule.take(keep)
             u, grad, best_u = u[keep], grad[keep], best_u[keep]
-            per_member = (t, steps, best_e, gnorm, resets, ids)
-            t, steps, best_e, gnorm, resets, ids = ([x[k] for k in keep] for x in per_member)
+            best_e, gnorm, resets, ids = ([x[k] for k in keep] for x in (best_e, gnorm, resets, ids))
             converged, failed = [False] * len(keep), [False] * len(keep)
         iters += 1
-        if memory is None:
-            trial, gd = metric.direction(grad, u)
-        else:
-            trial, gd = memory.direction(metric, grad, u, steps), None
-        if any(tk != 1.0 for tk in t):  # a unit step needs no product
-            trial *= np.reshape(t, each)
+        trial = rule.trial(grad, u)
         np.subtract(u, trial, out=trial)
         clipped = (_row_max_abs(trial) > U_CAP).tolist()
-        if gd is not None:
-            # s'Ms = t^2 g'd while s = -t d; a member the clip shortens needs the exact s'Ms
-            ps = [tk * tk * x for tk, x in zip(t, gd.ravel().tolist())]
         if any(clipped):
             np.clip(trial, -U_CAP, U_CAP, out=trial)
         e_trial, grad_new = model.value_and_gradient(trial)
@@ -577,45 +595,25 @@ def _descend(model: EnergyModel, metric: _Metric, u0: np.ndarray, cfg: SolverCon
                 resets[k] += 1
                 if resets[k] > 60:
                     failed[k] = True
-                    out[ids[k]] = DivergenceError(f"energy diverged at iteration {iters} (step {t[k]})")
-                t[k] = max(t[k] * 0.01, 1e-300)
+                    out[ids[k]] = DivergenceError(f"energy diverged at iteration {iters} (step {rule.t[k]})")
+                rule.t[k] = max(rule.t[k] * 0.01, 1e-300)
                 back.append(k)
-            elif e > best_e[k] + 1e3 * (abs(best_e[k]) + 1.0) or (memory is not None and clipped[k]):
-                # runaway trajectory, or a step of the memory's model that the cap cut short:
-                # restart from the record with a cautious step
+            elif e > best_e[k] + 1e3 * (abs(best_e[k]) + 1.0) or (rule.clip_resets and clipped[k]):
+                # runaway trajectory, or a clipped trial the rule does not measure: restart from the record
                 resets[k] += 1
-                t[k] *= 0.1
+                rule.t[k] *= 0.1
                 back.append(k)
         if back:
             trial[back] = best_u[back]
             e_trial, grad_new = model.value_and_gradient(trial)
             energy = e_trial.tolist()
-        if memory is not None:
-            # a reset move gives no pair, and the member drops the pairs it holds
-            steps = [None if k in back else tk for k, tk in enumerate(t)]
-            for k in back:
-                memory.forget(k)
-        else:
-            s = trial - u
-            y = grad_new - grad
-            y *= s
-            sy = _row_sums(y).ravel().tolist()
-            if gd is None:
-                ps = metric.norm2(s).ravel().tolist()
-            elif any(clipped):
-                ps = [x if c else p for x, c, p in zip(metric.norm2(s).ravel().tolist(), clipped, ps)]
+        rule.moved(u, trial, grad, grad_new, clipped, back)
         u, grad = trial, grad_new
         gnorm = _row_max_abs(grad).tolist()
         improved = []
         for k, e in enumerate(energy):
             if k in back:
                 continue
-            if memory is not None:
-                t[k] = 1.0
-            elif math.isfinite(sy[k]) and sy[k] > 0.0:
-                t[k] = min(max(ps[k] / sy[k], 1e-12), 1e14)
-            else:
-                t[k] *= 2.0
             if e < best_e[k]:
                 best_e[k] = e
                 improved.append(k)
@@ -650,11 +648,12 @@ def _solve_batch(initials: list, envs, params: EnergyParams, cfg: SolverConfig, 
     metric, positive = _metric(model, geometry, values)
     # from here on the whole-grid terms are gone: the descent holds the box
     model = model.restrict(values, geometry.box)
+    if geometry.dtype == np.float32 and SECANT_PAIRS > 0:
+        rule = _Memory(metric, len(initials), geometry.nodes, SECANT_PAIRS)
+    else:
+        rule = _TwoPoint(metric, [1.0] * len(initials))
     # a contiguous copy of the box, which _descend clips in place
-    memory = None  # the pairs need s = -t d, which re-zeroing frozen nodes of the box would break
-    if geometry.dtype == np.float32 and metric.gives_gd and SECANT_PAIRS > 0:
-        memory = _Memory(len(initials), geometry.frozen.size, geometry.dtype, SECANT_PAIRS)
-    found = _descend(model, metric, values[(slice(None),) + geometry.box].copy(), cfg, grad_tol, memory)
+    found = _descend(model, rule, values[(slice(None),) + geometry.box].copy(), cfg, grad_tol)
     wall_ms = 1000.0 * (time.perf_counter() - t0)
     results = []
     for k, result in enumerate(found):
@@ -676,7 +675,7 @@ def _solve_batch(initials: list, envs, params: EnergyParams, cfg: SolverConfig, 
                     "stop_reason": "converged" if converged else "max_iters",
                     "metric": "preconditioned" if positive[k] else "gradient",
                     "metric_dtype": metric.dtype.name,
-                    "secant_pairs": 0 if memory is None else SECANT_PAIRS,
+                    "secant_pairs": rule.pairs,
                     "batch": len(initials),
                     "wall_ms": wall_ms,
                 },
@@ -691,7 +690,8 @@ def _geometry_key(initial: GridField, env: Environment, params: EnergyParams) ->
 
 def usable_cpus() -> int:
     """CPUs this process may run on: its affinity mask, which `taskset` sets; 1 off Linux, where nothing forks."""
-    if sys.platform != "linux":
+    # and 1 unless BLAS read one thread: where numpy loaded before homlab, a pool per core would spin in each worker
+    if sys.platform != "linux" or any(v != "1" for v in BLAS_THREADS.values()):
         return 1
     return len(os.sched_getaffinity(0))
 

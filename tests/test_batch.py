@@ -102,7 +102,7 @@ def test_metric_bases_are_float32_from_64_squared_box_nodes():
     for r, dtype in ((8.0, np.float64), (16.0, np.float64), (32.0, np.float32)):
         for wrapped in (False, True):
             geometry = solve._Geometry(profile_cell(1, 45, (0, 0), r=r, wrapped=wrapped)[0])
-            assert (geometry.frozen.size >= solve.FLOAT32_METRIC_NODES) == (dtype == np.float32)
+            assert (geometry.nodes >= solve.FLOAT32_METRIC_NODES) == (dtype == np.float32)
             assert [q.dtype for q in geometry.bases] == [np.dtype(dtype)] * 2
 
 
@@ -134,14 +134,14 @@ def test_r32_cell_with_secant_pairs_converges_in_fewer_iterations_within_the_ref
 
 
 def _secant_spies(monkeypatch, energy_of_call=None):
-    """Per direction of the memory, (steps, pairs held on entry), and whether the trial it gave touches U_CAP."""
+    """Per trial of the memory, (steps of the pending pairs, pairs held on entry), and whether it touches U_CAP."""
     seen, at_cap, calls = [], [], []
-    direction = solve._Memory.direction
+    trial = solve._Memory.trial
     value_and_gradient = EnergyModel.value_and_gradient
 
-    def spy_direction(self, metric, g, u, steps):
-        seen.append((list(steps), [len(order) for order in self.order]))
-        return direction(self, metric, g, u, steps)
+    def spy_trial(self, g, u):
+        seen.append((list(self.pending), [len(order) for order in self.order]))
+        return trial(self, g, u)
 
     def spy_energy(self, u):
         calls.append(None)
@@ -150,7 +150,7 @@ def _secant_spies(monkeypatch, energy_of_call=None):
         e, g = value_and_gradient(self, u)
         return (energy_of_call(len(calls), e), g) if energy_of_call else (e, g)
 
-    monkeypatch.setattr(solve._Memory, "direction", spy_direction)
+    monkeypatch.setattr(solve._Memory, "trial", spy_trial)
     monkeypatch.setattr(EnergyModel, "value_and_gradient", spy_energy)
     return seen, at_cap
 

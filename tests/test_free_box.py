@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from homlab import solve
-from homlab.grids import EnergyModel
+from homlab.environment import EnvironmentSpec, make_environment
+from homlab.grids import EnergyModel, EnergyParams
 from homlab.solve import solve_many
 
 from test_batch import ACC, profile_cell
+from test_grids import kernel_grid
 from test_solve import _wrapped_cell
 
 
@@ -65,3 +67,18 @@ def test_take_gives_the_rows_of_the_whole_batch(wrapped):
     # the model taken from is left as it was
     e, g = model.value_and_gradient(u)
     assert np.array_equal(e, energy) and np.array_equal(g, grad)
+
+
+@pytest.mark.parametrize("periodic", [(True,), (True, True)], ids=["1d", "2d"])
+def test_solve_many_rejects_frozen_nodes_inside_the_free_box(periodic):
+    grid = kernel_grid(periodic, 0.0)  # no frame: a frozen patch with free nodes on every side
+    grid.values[...] = np.random.default_rng(8).uniform(-1.0, 1.0, grid.shape)
+    problem = (grid, make_environment(EnvironmentSpec()), EnergyParams(1.0, "general"))
+    with pytest.raises(ValueError, match="frozen nodes inside the bounding box of the free nodes"):
+        solve_many([problem], ACC)
+    # a grid with no free node keeps its box, the whole grid, and stops at once
+    grid.frozen[...] = True
+    (res,) = solve_many([problem], ACC)
+    assert res.converged and res.iters == 0 and res.final_grad_norm == 0.0
+    assert res.value == EnergyModel(grid, problem[1], problem[2]).energy(grid.values)
+    assert np.array_equal(res.field.values, grid.values)

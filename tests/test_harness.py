@@ -271,6 +271,30 @@ def test_config_number_lists_are_read_exactly(tmp_path, old, new):
     assert not Path(out, "cell.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "section, key, old, value",
+    [
+        ("experiment", "x0_list", "0,0", "0,nan"),
+        ("experiment", "x0_list", "0,0", "0,inf"),
+        ("experiment", "r_list", "4 8", "nan"),
+        ("experiment", "r_list", "4 8", "inf"),
+        ("experiment", "h", "0.25", "nan"),
+        ("experiment", "epsilon_list", "1.0", "nan"),
+        ("experiment", "nu_list", "0 p:3,4", "inf"),
+        ("environment", "q", "0.05", "nan"),
+        ("environment", "a_range", "0.9 1.1", "1 nan"),
+        ("environment", "c_range", "0.9 1.1", "1 inf"),
+        ("solver", "grad_tol", "6.25e-5", "nan"),
+    ],
+)
+def test_every_number_a_config_sets_must_be_finite(tmp_path, capsys, section, key, old, value):
+    # before, these ran (x0 nan read garbage lattice cells), died with a traceback, or exited 3
+    path, out = write_config(tmp_path, GOOD_CONFIG.replace(f"{key} = {old}", f"{key} = {value}"))
+    assert main(["cell", "--config", path]) == 2
+    assert f"config error: bad {key} in [{section}]: " in capsys.readouterr().err
+    assert not Path(out, "cell.csv").exists()
+
+
 def test_format_other_than_both_on_the_command_line_exits_2(tmp_path, capsys):
     # it exited 0 and wrote only manifest.json: the one result, cell.csv, went missing
     path, out = write_config(tmp_path)
@@ -486,6 +510,41 @@ def test_the_manifest_records_blas_threads_numpy_read_in_either_import_order(tmp
     config_hash, blas_threads = json.loads(run.stdout)
     assert blas_threads == dict(zip(names, expected))
     assert config_hash == load_config(path).config_hash  # provenance that enters no result
+
+
+def test_numpy_imported_first_forks_no_worker_and_changes_no_row(tmp_path):
+    # numpy's BLAS read no thread variable, so its pool (one thread per core) would spin in every worker:
+    # with two workers, these 8 framed r = 32 cells took 1.6-13 s on a 2-vCPU VM against 0.6 s for `python -m`
+    import os
+    import subprocess
+    import sys
+
+    import homlab
+
+    names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    env = {k: v for k, v in os.environ.items() if k not in names}
+    env["PYTHONPATH"] = str(Path(homlab.__file__).resolve().parents[1])
+    text = Path(__file__).parents[1].joinpath("configs", "example.ini").read_text()
+    for old, new in (("r_list = 8 16 32", "r_list = 32"), ("seeds = 0 1 2 3", "seeds = 0 1 2 3 4 5 6 7"),
+                     ("nu_list = 0 45 90 135", "nu_list = 90"), ("dir = out", "dir = {out}")):
+        text = text.replace(old, new)
+    path, _ = write_config(tmp_path, text)
+    first = str(tmp_path / "numpy_first")
+    code = (
+        "import sys\nimport numpy\nimport homlab.cli\n"
+        "sys.exit(homlab.cli.main(['cell', '--config', sys.argv[1], '--out', sys.argv[2]]))\n"
+    )
+    for argv in ([sys.executable, "-c", code, path, first], [sys.executable, "-m", "homlab", "cell", "--config", path]):
+        run = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=300)
+        assert run.returncode == 0, run.stderr
+    manifest = json.loads(Path(first, "manifest.json").read_text())
+    assert manifest["workers"] == 1 and manifest["blas_threads"] == dict.fromkeys(names)
+    rows = [
+        [{k: v for k, v in row.items() if k != "wall_ms"} for row in csv.DictReader(open(Path(d, "cell.csv")))]
+        for d in (first, tmp_path / "out")
+    ]
+    assert len(rows[0]) == 8 and {row["stop_reason"] for row in rows[0]} == {"converged"}
+    assert rows[0] == rows[1]
 
 
 @pytest.mark.parametrize("command", ["cell", "homogenize", "sweep", "verify"])

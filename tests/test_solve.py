@@ -31,6 +31,13 @@ def test_already_optimal_field_returns_zero(e2):
     assert res.converged
 
 
+@pytest.mark.parametrize("grad_tol", [0.0, -1.0, float("nan"), float("inf")])
+def test_solver_config_rejects_a_grad_tol_that_is_not_positive_and_finite(grad_tol):
+    # with a nan tolerance every solve ran to max_iters; with an infinite one, none took a step
+    with pytest.raises(ValueError, match="grad_tol must be positive and finite"):
+        SolverConfig(grad_tol=grad_tol)
+
+
 def test_descent_monotone_under_iteration_budget(e1):
     cube = OrientedCube((0.0,), 8.0, e1)
     field = profile_datum(cube, 1.0, h=0.125)
@@ -212,7 +219,7 @@ def test_non_positive_member_gets_the_metric_i_over_t0(qs):
         return np.linalg.norm(x - y) <= 1e-12 * np.linalg.norm(y)
 
     g = model.gradient(u)[box]
-    d, _ = metric.direction(g, u[box])
+    d, _ = _direction(metric, g, u[box])
     assert close(d[k], t0 * g[k])
     s = np.random.default_rng(6).standard_normal(g.shape)
     assert close(metric.norm2(s).ravel()[k], np.sum(s[k] * s[k]) / t0)
@@ -236,6 +243,12 @@ def _batch_metric(problems):
     return model, metric, u, (slice(None),) + geometry.box
 
 
+def _direction(metric, g, u):
+    """(d, g'd) of the two-point rule's first trial, d = M^-1 g at u, with g'd shaped (members, 1, 1)."""
+    rule = solve._TwoPoint(metric, [1.0] * len(g))
+    return rule.trial(g, u), np.reshape(rule.gd, (-1, 1, 1))
+
+
 @pytest.mark.parametrize("case", ["mixed r = 8, datum + noise", "mixed r = 8, solved", "wrapped r = 16, solved"])
 def test_interface_metric_is_one_spd_form(case):
     problems = [_wrapped_cell(0, 0, 16)] if case.startswith("wrapped") else MIXED_CELLS
@@ -246,7 +259,7 @@ def test_interface_metric_is_one_spd_form(case):
         free = problems[0][0].free_mask()
         u[:, free] += 0.05 * np.random.default_rng(3).standard_normal(int(free.sum()))
     g = model.gradient(u)[box]
-    d, gd = metric.direction(g, u[box])
+    d, gd = _direction(metric, g, u[box])
     g_dot_d = np.sum(g * d, axis=(1, 2))
     # d = M^-1 g with M the form norm2 measures in, so d'Md = g'd; gd is that number
     np.testing.assert_allclose(metric.norm2(d).ravel(), g_dot_d, rtol=1e-12, atol=0)
