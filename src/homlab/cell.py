@@ -205,7 +205,7 @@ def sigma_pm(
         except ResolutionError as exc:
             warnings.warn(f"skipping unresolved scale {eps}: {exc}")
             continue
-        if not res.field.free_mask().any():
+        if res.field.frozen.all():
             # frame covers the whole slab: the datum is the only competitor
             warnings.warn(f"skipping degenerate scale {eps}: frozen frame fills the unit slab")
             continue

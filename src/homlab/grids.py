@@ -51,14 +51,15 @@ class GridField:
 
     `lo` is the low corner of the local box, `physical_shift` the translation
     applied after rotating local coordinates (the cube center, or zero for
-    cuboids).  Frozen nodes are never touched by solvers; periodic axes wrap.
+    cuboids).  `frame` is the number of frozen node layers at each end of each
+    axis, 0 on periodic axes (which wrap); solvers move only the box inside (`free`).
     """
 
     direction: Direction
     lo: tuple[float, ...]
     h: float
     values: np.ndarray
-    frozen: np.ndarray
+    frame: tuple[int, ...]
     periodic: tuple[bool, ...]
     physical_shift: tuple[float, ...]
 
@@ -69,6 +70,19 @@ class GridField:
     @property
     def shape(self) -> tuple[int, ...]:
         return self.values.shape
+
+    @property
+    def free(self) -> tuple[slice, ...]:
+        """The box of free nodes as slices of `shape`; empty where the frame fills an axis."""
+        return tuple(slice(d, max(d, m - d)) for d, m in zip(self.frame, self.shape))
+
+    @property
+    def frozen(self) -> np.ndarray:
+        """A read-only mask of the frozen nodes: those outside `free`."""
+        mask = np.ones(self.shape, dtype=bool)
+        mask[self.free] = False
+        mask.flags.writeable = False
+        return mask
 
     def axis_coords(self, axis: int) -> np.ndarray:
         m = self.shape[axis]
@@ -86,9 +100,6 @@ class GridField:
         if values.shape != self.values.shape:
             raise ValueError("replacement values have the wrong shape")
         return dataclasses.replace(self, values=values)
-
-    def free_mask(self) -> np.ndarray:
-        return ~self.frozen
 
 
 def frame_width_for(h: float, epsilon: float, kind: str = "cell") -> float:
@@ -119,7 +130,7 @@ def box_grid(
     frame_width: float = 0.0,
     periodic_axes: tuple[bool, ...] | None = None,
 ) -> GridField:
-    """Empty grid over the local box prod [lo_k, lo_k + sides_k); general constructor."""
+    """Empty grid over the local box prod [lo_k, lo_k + sides_k), framed `frame_width` deep; general constructor."""
     lo = tuple(float(v) for v in lo)
     sides = tuple(float(v) for v in sides)
     n = len(sides)
@@ -127,24 +138,21 @@ def box_grid(
     periodic = tuple(periodic_axes) if periodic_axes is not None else (False,) * n
     if physical_shift is None:
         physical_shift = (0.0,) * n
-    values = np.zeros(counts)
-    frozen = np.zeros(counts, dtype=bool)
-    if frame_width > 0:
-        tol = 1e-9 * h
-        for axis in range(n):
-            if periodic[axis]:
-                continue
-            coords = lo[axis] + (np.arange(counts[axis]) + 0.5) * h
-            near = (coords - lo[axis] < frame_width - tol) | (lo[axis] + sides[axis] - coords < frame_width - tol)
-            shape = [1] * n
-            shape[axis] = counts[axis]
-            frozen |= near.reshape(shape)
+    frame = []
+    for axis, m in enumerate(counts):
+        coords = lo[axis] + (np.arange(m) + 0.5) * h
+        width = 0.0 if periodic[axis] else frame_width - 1e-9 * h
+        low = int(np.count_nonzero(coords - lo[axis] < width))
+        high = int(np.count_nonzero(lo[axis] + sides[axis] - coords < width))
+        if low != high:
+            raise ValueError(f"frame of axis {axis} is {low} nodes deep at its low end and {high} at its high end")
+        frame.append(low)
     return GridField(
         direction=direction,
         lo=lo,
         h=h,
-        values=values,
-        frozen=frozen,
+        values=np.zeros(counts),
+        frame=tuple(frame),
         periodic=periodic,
         physical_shift=tuple(float(v) for v in physical_shift),
     )
@@ -447,7 +455,7 @@ class EnergyModel:
     """Discrete energy and its exact gradient for a batch of same-geometry members.
 
     A member is one (field, environment) pair.  `field` is one GridField or a
-    sequence of them that share shape, spacing, periodic axes and frozen nodes;
+    sequence of them that share shape, spacing and periodic axes;
     `env` is one Environment for every member or a sequence of one per field.
     Built once per solve: coefficients, weights and stencil views are hoisted
     out of the iteration loop.  The energy is the midpoint-rule node sum
@@ -457,7 +465,8 @@ class EnergyModel:
     In terms of the stencil table D_k, with weights w_k that fold in the
     denominators, h^n eps^k and the factor 2 of the mixed terms,
         E = sum wa W(u) + u.Ku,   grad E = wa W'(u) + 2 Ku,
-    where wa = h^n a / eps and K = P^T sum_k D_k^T w_k D_k P.
+    where wa = h^n a / eps and K = P^T sum_k D_k^T w_k D_k P.  The energy
+    covers every node, and so does its gradient: the model knows no frame.
 
     Node arrays carry a leading member axis, (members, *shape), and energies
     come back one per member.  A model of one member also takes a bare `shape`
@@ -473,10 +482,8 @@ class EnergyModel:
         if len(envs) != len(fields):
             raise ValueError("need one environment per field")
         for f, e in zip(fields[1:], envs[1:]):
-            if (f.shape, f.h, f.periodic) != (first.shape, first.h, first.periodic) or not np.array_equal(
-                f.frozen, first.frozen
-            ):
-                raise ValueError("members must share shape, spacing, periodic axes and frozen nodes")
+            if (f.shape, f.h, f.periodic) != (first.shape, first.h, first.periodic):
+                raise ValueError("members must share shape, spacing and periodic axes")
             if e.well != envs[0].well:
                 raise ValueError("members must share the double well")
         if first.h > params.epsilon / 4.0 + 1e-12:
@@ -486,8 +493,6 @@ class EnergyModel:
         self.n = first.n
         self.eps = params.epsilon
         self.periodic = first.periodic
-        self.frozen = first.frozen.copy()
-        self.has_frozen = bool(self.frozen.any())
         self.well: DoubleWell = envs[0].well
         self.cell_volume = first.h**first.n
         batch = (len(fields),) + self.shape
@@ -520,7 +525,7 @@ class EnergyModel:
 
         `values` is (members, *shape), and `box` is slices of shape.  The
         restricted model's nodes are the box: it takes and returns box-shaped
-        arrays, and its wa and frozen mask cover the box; it has no a, b, c.
+        arrays, and its wa covers the box; it has no a, b, c.
         The terms that depend on the box are those of the window: every node
         within one of the box, as far as the grid reaches, and the whole of
         every periodic axis.  Its stencils run over the window and read the
@@ -549,8 +554,6 @@ class EnergyModel:
         w = {kind: stencils.on_blocks(wk) for kind, wk in w.items()}
         model = self._copy(stencils, self.wa[each + box].copy(), w, np.zeros(self.members))
         model.shape = tuple(s.stop - s.start for s in box)
-        model.frozen = self.frozen[box]
-        model.has_frozen = bool(model.frozen.any())
         model._frame[...] = energy - model.energy(values[each + box])
         return model
 
@@ -582,12 +585,10 @@ class EnergyModel:
         return _row_dots(self.wa.reshape(self.members, -1), w.reshape(self.members, -1)) + quad + self._frame
 
     def _gradient(self, ku: np.ndarray, dw: np.ndarray) -> np.ndarray:
-        """wa W'(u) + 2 Ku, zero at frozen nodes, built in place in dw = W'(u); ku is overwritten."""
+        """wa W'(u) + 2 Ku, built in place in dw = W'(u); ku is overwritten."""
         dw *= self.wa
         ku *= 2.0
         dw += ku
-        if self.has_frozen:
-            np.copyto(dw, 0.0, where=self.frozen)
         return dw
 
     def energy(self, u: np.ndarray):

@@ -60,6 +60,10 @@ __all__ = [
 ]
 
 
+# largest |r x0_k| of a cell center: node coordinates resolve h, and _coefficients' cell index fits int64 (n = 2)
+MAX_CENTER = 2.0**30
+
+
 class ConfigError(ValueError):
     """Configuration is syntactically or semantically invalid.
 
@@ -163,6 +167,8 @@ class ExperimentConfig:
             raise ConfigError("direction dimension does not match experiment dimension")
         if any(len(x0) != self.dimension for x0 in self.x0_list):
             raise ConfigError("x0 dimension does not match experiment dimension")
+        if any(max(self.r_list) * abs(v) > MAX_CENTER for x0 in self.x0_list for v in x0):
+            raise ConfigError(f"x0_list puts a cell center beyond 2**30 at r = {max(self.r_list):g}")
         return self
 
     @property

@@ -107,10 +107,10 @@ def _initial_step(model: EnergyModel) -> np.ndarray:
 def _axis_basis(m: int, h: float, ends: str) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormal eigenbasis (columns) and eigenvalues of the 1-D [-1, 2, -1]/h^2 Laplacian.
 
-    `ends` names the boundary rows: "fixed" ends sit next to frozen nodes (the
-    row keeps its 2), "free" ends are edge-replicated grid edges (the row reads
-    [1, -1]), and "wrap" closes the axis periodically.  Each basis is closed
-    form: sine, cosine, mixed sine or real Fourier.
+    `ends` names the boundary rows: "fixed-fixed" ends sit next to frozen
+    nodes (the rows keep their 2), "free-free" ends are edge-replicated grid
+    edges (the rows read [1, -1]), and "wrap" closes the axis periodically.
+    Each basis is closed form: sine, cosine or real Fourier.
     """
     j = np.arange(m)[:, None]  # node
     k = np.arange(m)  # mode
@@ -129,11 +129,6 @@ def _axis_basis(m: int, h: float, ends: str) -> tuple[np.ndarray, np.ndarray]:
     elif ends == "fixed-fixed":
         q = np.sin(np.pi * (k + 1) * (j + 1) / (m + 1)) * np.sqrt(2.0 / (m + 1))
         lam = np.sin(np.pi * (k + 1) / (2 * (m + 1))) ** 2
-    elif ends in ("fixed-free", "free-fixed"):
-        q = np.sin(np.pi * (2 * k + 1) * (j + 1) / (2 * m + 1)) * np.sqrt(4.0 / (2 * m + 1))
-        lam = np.sin(np.pi * (2 * k + 1) / (2 * (2 * m + 1))) ** 2
-        if ends == "free-fixed":
-            q = np.ascontiguousarray(q[::-1])  # a reversed view would keep `q @ x` off BLAS
     else:
         raise ValueError(f"unknown boundary pair {ends!r}")
     return q, 4.0 * lam / (h * h)
@@ -330,41 +325,28 @@ class _Interface:
 class _Geometry:
     """What the batches of one geometry group share; built once per group.
 
-    `box` is the bounding box of the free nodes, the descent's state
-    (`EnergyModel.restrict`), and `nodes` its size; it holds no frozen node
-    (else ValueError) unless none is free, where it is the whole grid.  `bases`
-    and `lam` are the metric's axis bases on the box and the sum of their
-    Laplacian eigenvalues, and `interface` (n >= 2) the interface correction's
-    tables.  The bases are float32 when the box holds at least
-    FLOAT32_METRIC_NODES nodes, else float64 (`dtype`); `lam` and the
-    interface tables stay float64.
+    `box` is the grid's free box (`GridField.free`), the descent's state
+    (`EnergyModel.restrict`), and `nodes` its size; where the frame fills
+    the grid, `nodes` is 0 and nothing else is built.  `bases` and `lam` are
+    the metric's axis bases on the box and the sum of their Laplacian
+    eigenvalues, and `interface` (n >= 2) the interface correction's tables.
+    The bases are float32 when the box holds at least FLOAT32_METRIC_NODES
+    nodes, else float64 (`dtype`); `lam` and the interface tables stay float64.
     """
 
     def __init__(self, grid: GridField):
-        free = grid.free_mask()
-        box, bases, lams = [], [], []
-        for axis, size in enumerate(grid.shape):
-            other = tuple(a for a in range(grid.n) if a != axis)
-            rows = np.flatnonzero(free.any(axis=other))
-            lo, hi = (int(rows[0]), int(rows[-1]) + 1) if len(rows) else (0, size)
-            wrap = grid.periodic[axis]
-            box.append(slice(lo, hi))
-            if wrap and (lo, hi) == (0, size):
-                ends = "wrap"
-            elif wrap:
-                ends = "fixed-fixed"
-            else:
-                ends = f"{'free' if lo == 0 else 'fixed'}-{'free' if hi == size else 'fixed'}"
-            q, lam = _axis_basis(hi - lo, grid.h, ends)
+        self.box = grid.free
+        self.nodes = math.prod(b.stop - b.start for b in self.box)
+        if not self.nodes:
+            return
+        bases, lams = [], []
+        for axis, (b, wrap, depth) in enumerate(zip(self.box, grid.periodic, grid.frame)):
+            ends = "wrap" if wrap else "fixed-fixed" if depth else "free-free"
+            q, lam = _axis_basis(b.stop - b.start, grid.h, ends)
             bases.append(q)
             shape = [1] * grid.n
-            shape[axis] = hi - lo
+            shape[axis] = b.stop - b.start
             lams.append(lam.reshape(shape))
-        self.box = tuple(box)
-        frozen = grid.frozen[self.box]
-        if frozen.any() and not frozen.all():
-            raise ValueError("frozen nodes inside the bounding box of the free nodes")
-        self.nodes = frozen.size
         self.lam = sum(lams)
         self.interface = None
         if grid.n >= 2:
@@ -628,14 +610,16 @@ def _descend(model: EnergyModel, rule, u0: np.ndarray, cfg: SolverConfig, grad_t
 def _solve_batch(initials: list, envs, params: EnergyParams, cfg: SolverConfig, geometry: _Geometry) -> list:
     """Solve problems of one geometry as one lockstep batch, one descent for all members.
 
-    `initials` share shape, spacing, periodic axes and frozen nodes, those of
+    `initials` share shape, spacing, periodic axes and frame, those of
     `geometry`; `envs` has one Environment per initial.  Returns per member a
     SolveResult, bit-identical to what the member gets alone, or the
     DivergenceError its solve raised.  Each result's diagnostics carry the
     batch size (`batch`) and the batch's wall time (`wall_ms`).  The descent
-    runs on the box of free nodes (`EnergyModel.restrict`), and a reported
-    value is the energy it computed for the returned field: the discrete
-    energy of that field to rounding.
+    runs on the free box (`EnergyModel.restrict`), and a reported value is
+    the energy it computed for the returned field: the discrete energy of
+    that field to rounding.  Where the frame fills the grid, each member is
+    its datum, converged at iteration 0 with gradient norm 0: the free box
+    is empty, so no node can move.
     """
     t0 = time.perf_counter()
     first = initials[0]
@@ -645,15 +629,22 @@ def _solve_batch(initials: list, envs, params: EnergyParams, cfg: SolverConfig, 
     if first.frozen.any() and float(np.max(np.abs(values[:, first.frozen]))) > U_CAP:
         raise ValueError("frozen boundary data exceeds the value cap")
 
-    metric, positive = _metric(model, geometry, values)
-    # from here on the whole-grid terms are gone: the descent holds the box
-    model = model.restrict(values, geometry.box)
-    if geometry.dtype == np.float32 and SECANT_PAIRS > 0:
-        rule = _Memory(metric, len(initials), geometry.nodes, SECANT_PAIRS)
-    else:
-        rule = _TwoPoint(metric, [1.0] * len(initials))
-    # a contiguous copy of the box, which _descend clips in place
-    found = _descend(model, rule, values[(slice(None),) + geometry.box].copy(), cfg, grad_tol)
+    if geometry.nodes:
+        metric, positive = _metric(model, geometry, values)
+        # from here on the whole-grid terms are gone: the descent holds the box
+        model = model.restrict(values, geometry.box)
+        if geometry.dtype == np.float32 and SECANT_PAIRS > 0:
+            rule = _Memory(metric, len(initials), geometry.nodes, SECANT_PAIRS)
+        else:
+            rule = _TwoPoint(metric, [1.0] * len(initials))
+        # a contiguous copy of the box, which _descend clips in place
+        found = _descend(model, rule, values[(slice(None),) + geometry.box].copy(), cfg, grad_tol)
+        descent = {"metric_dtype": metric.dtype.name, "secant_pairs": rule.pairs}
+        descent = [{"metric": "preconditioned" if p else "gradient", **descent} for p in positive]
+    else:  # the frame fills the grid: no node moves, and no metric is built
+        found = [(values[k][geometry.box], e, 0, 0.0, True, 0) for k, e in enumerate(model.energy(values).tolist())]
+        found = [r if math.isfinite(r[1]) else DivergenceError(f"initial energy is not finite ({r[1]})") for r in found]
+        descent = [{}] * len(initials)
     wall_ms = 1000.0 * (time.perf_counter() - t0)
     results = []
     for k, result in enumerate(found):
@@ -673,9 +664,7 @@ def _solve_batch(initials: list, envs, params: EnergyParams, cfg: SolverConfig, 
                     "grad_tol": grad_tol,
                     "resets": resets,
                     "stop_reason": "converged" if converged else "max_iters",
-                    "metric": "preconditioned" if positive[k] else "gradient",
-                    "metric_dtype": metric.dtype.name,
-                    "secant_pairs": rule.pairs,
+                    **descent[k],
                     "batch": len(initials),
                     "wall_ms": wall_ms,
                 },
@@ -685,7 +674,7 @@ def _solve_batch(initials: list, envs, params: EnergyParams, cfg: SolverConfig, 
 
 
 def _geometry_key(initial: GridField, env: Environment, params: EnergyParams) -> tuple:
-    return (initial.shape, initial.frozen.tobytes(), initial.periodic, initial.h, params, env.well)
+    return (initial.shape, initial.frame, initial.periodic, initial.h, params, env.well)
 
 
 def usable_cpus() -> int:
@@ -790,7 +779,7 @@ def solve_many(problems, cfg: SolverConfig = SolverConfig()) -> list:
 
     Each is a monotone descent from `initial` that keeps frozen nodes bit-exactly;
     the value is the discrete energy of the returned field, an upper bound for the infimum.
-    Problems that share shape, frozen nodes, periodic axes, spacing, energy
+    Problems that share shape, frame, periodic axes, spacing, energy
     parameters and double well form a group.  A group is solved in lockstep
     batches (`_solve_batch`) of at most MAX_BATCH_NODES nodes (at least one
     member each), which bounds the working memory of a batch; each member gets

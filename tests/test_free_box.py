@@ -5,11 +5,11 @@ import pytest
 
 from homlab import solve
 from homlab.environment import EnvironmentSpec, make_environment
-from homlab.grids import EnergyModel, EnergyParams
-from homlab.solve import solve_many
+from homlab.geometry import Direction
+from homlab.grids import EnergyModel, EnergyParams, box_grid
+from homlab.solve import DivergenceError, solve_many
 
 from test_batch import ACC, profile_cell
-from test_grids import kernel_grid
 from test_solve import _wrapped_cell
 
 
@@ -69,16 +69,19 @@ def test_take_gives_the_rows_of_the_whole_batch(wrapped):
     assert np.array_equal(e, energy) and np.array_equal(g, grad)
 
 
-@pytest.mark.parametrize("periodic", [(True,), (True, True)], ids=["1d", "2d"])
-def test_solve_many_rejects_frozen_nodes_inside_the_free_box(periodic):
-    grid = kernel_grid(periodic, 0.0)  # no frame: a frozen patch with free nodes on every side
+@pytest.mark.parametrize("periodic", [(False,), (True, False)], ids=["1d", "2d"])
+def test_a_grid_whose_frame_fills_it_is_its_datum_at_iteration_0(periodic):
+    # 12 nodes per axis and a frame 6 deep at each end of the non-periodic ones: the free box is empty
+    n = len(periodic)
+    grid = box_grid(Direction.from_integers(*range(1, n + 1)), (-1.0,) * n, (3.0,) * n, 0.25, frame_width=1.5,
+                    periodic_axes=periodic)
+    assert grid.frozen.all()
     grid.values[...] = np.random.default_rng(8).uniform(-1.0, 1.0, grid.shape)
     problem = (grid, make_environment(EnvironmentSpec()), EnergyParams(1.0, "general"))
-    with pytest.raises(ValueError, match="frozen nodes inside the bounding box of the free nodes"):
-        solve_many([problem], ACC)
-    # a grid with no free node keeps its box, the whole grid, and stops at once
-    grid.frozen[...] = True
     (res,) = solve_many([problem], ACC)
     assert res.converged and res.iters == 0 and res.final_grad_norm == 0.0
     assert res.value == EnergyModel(grid, problem[1], problem[2]).energy(grid.values)
     assert np.array_equal(res.field.values, grid.values)
+    grid.values[0] = np.nan  # a datum of no finite energy is a divergence, as a descent from it would be
+    with pytest.raises(DivergenceError, match="initial energy is not finite"):
+        solve_many([problem], ACC)

@@ -15,6 +15,7 @@ from homlab.grids import (
     discrete_hessian,
     frame_width_for,
     profile_values,
+    slab_grid,
 )
 
 
@@ -124,19 +125,24 @@ def test_gradient_matches_finite_differences(e2):
     g.values[...] = rng.uniform(-1.5, 1.5, g.shape)
     model = EnergyModel(g, env, EnergyParams(1.0, "general"))
     grad = model.gradient(g.values)
-    assert np.all(grad[g.frozen] == 0.0)
-    free_nodes = np.argwhere(~g.frozen)
+    # the model's gradient covers every node, the frozen ones too
+    for nodes in (np.argwhere(~g.frozen), np.argwhere(g.frozen)):
+        assert len(nodes) >= 30
+        assert fd_worst(model, g.values, grad, nodes[rng.choice(len(nodes), 30, replace=False)]) < 1e-5
+
+
+def fd_worst(model, u, grad, nodes):
+    """Largest relative gap between grad and central differences of the energy at the given nodes."""
     worst = 0.0
-    for node in free_nodes[rng.choice(len(free_nodes), 30, replace=False)]:
-        node = tuple(node)
-        d = 1e-6 * max(1.0, abs(g.values[node]))
-        up = g.values.copy()
+    for node in map(tuple, nodes):
+        d = 1e-6 * max(1.0, abs(u[node]))
+        up = u.copy()
         up[node] += d
-        dn = g.values.copy()
+        dn = u.copy()
         dn[node] -= d
         fd = (model.energy(up) - model.energy(dn)) / (2 * d)
         worst = max(worst, abs(fd - grad[node]) / max(abs(grad[node]), 1e-10))
-    assert worst < 1e-5
+    return worst
 
 
 def test_value_and_gradient_consistent_with_separate_calls(e2):
@@ -181,7 +187,6 @@ def test_plus_minus_gradient_difference_is_gradient_term(e2):
         d = np.kron(mats[0], mats[1])
         grad_b += d.T @ (2.0 * vol * eps * q * (d @ u))
     grad_b = grad_b.reshape(g.shape)
-    grad_b[g.frozen] = 0.0
     assert grad_plus - grad_minus == pytest.approx(2.0 * grad_b, rel=1e-9, abs=1e-12)
 
 
@@ -197,10 +202,7 @@ KERNEL_GRIDS = [
 def kernel_grid(periodic, frame):
     n = len(periodic)
     direction = Direction.from_angle_degrees(30.0) if n == 2 else Direction.from_integers(1)
-    g = box_grid(direction, (-1.0,) * n, (3.0,) * n, 0.25, frame_width=frame, periodic_axes=periodic)
-    if frame == 0.0:
-        g.frozen[(slice(2, 4),) * n] = True  # a frozen patch where no axis has a frame
-    return g
+    return box_grid(direction, (-1.0,) * n, (3.0,) * n, 0.25, frame_width=frame, periodic_axes=periodic)
 
 
 @pytest.mark.parametrize("variant", ["general", "m_minus"])
@@ -212,7 +214,7 @@ def test_kernel_is_symmetric_and_matches_density(periodic, frame, variant):
         q=0.05, c1=0.8, c2=1.2, seed=2,
     )
     g = kernel_grid(periodic, frame)
-    assert g.frozen.any() and not g.frozen.all()
+    assert g.frozen.any() == (frame > 0 and not all(periodic)) and not g.frozen.all()
     model = EnergyModel(g, make_environment(spec), EnergyParams(1.0, variant))
     u, v = rng.uniform(-1.5, 1.5, (2,) + g.shape)
 
@@ -226,8 +228,10 @@ def test_kernel_is_symmetric_and_matches_density(periodic, frame, variant):
     energy, grad = model.value_and_gradient(u)
     assert energy == model.energy(u)
     assert np.array_equal(grad, model.gradient(u))
-    assert np.all(grad[g.frozen] == 0.0)
-    assert np.all(grad[~g.frozen] != 0.0)
+    assert np.all(grad != 0.0)
+    # every frozen node and as many others, against central differences
+    nodes = np.concatenate([np.argwhere(g.frozen), np.argwhere(~g.frozen)[: max(int(g.frozen.sum()), 8)]])
+    assert fd_worst(model, u, grad, nodes) < 1e-5
 
 
 def test_growth_sandwich_exact_on_random_fields(e2):
@@ -299,6 +303,60 @@ def test_boundary_mask_codes(e2):
     assert g.frozen[3, 0] and g.frozen[3, -1]  # bottom and top frame
     assert not g.frozen[0, 4] and not g.frozen[-1, 4]  # lateral wrap edge stays free
     assert not g.frozen[3, 4]
+
+
+def distance_test_mask(grid, sides, frame_width):
+    """The reference mask: every node nearer than frame_width to a face of a non-periodic axis."""
+    frozen = np.zeros(grid.shape, dtype=bool)
+    tol = 1e-9 * grid.h
+    for axis, (lo, side, m) in enumerate(zip(grid.lo, sides, grid.shape)):
+        if grid.periodic[axis] or frame_width <= 0:
+            continue
+        coords = lo + (np.arange(m) + 0.5) * grid.h
+        near = (coords - lo < frame_width - tol) | (lo + side - coords < frame_width - tol)
+        shape = [1] * grid.n
+        shape[axis] = m
+        frozen |= near.reshape(shape)
+    return frozen
+
+
+def built_grids():
+    """(grid, sides, frame width) of every grid the commands build, and of the frames the tests use."""
+    cell_width = frame_width_for(0.25, 1.0, "cell")
+    for r in (4, 8, 16, 32):
+        for wrapped in (False, True):
+            cube = OrientedCube((0.0, 0.0), float(r), Direction.from_angle_degrees(45.0))
+            yield cube_grid(cube, 0.25, cell_width, periodic_lateral=wrapped), (float(r),) * 2, cell_width
+    # the property suite's lattice cuboids, their parts and shifts
+    for direction in (Direction.from_integers(1, 0), Direction.from_integers(3, 4), Direction.from_integers(0, 1)):
+        for base in ((0.0, 2.0), (0.5, 1.5), (0.0, 3.0), (0.0, 1.5), (1.5, 3.0)):
+            for cub in (LatticeCuboid((base,), direction), LatticeCuboid((base,), direction).shifted((-2,))):
+                sides = tuple(hi - lo for lo, hi in cub.local_bounds())
+                yield cuboid_grid(cub, 0.25, cell_width), sides, cell_width
+    for eps in (1.0, 0.5, 0.25, 0.125, 0.0625):  # the sigma slabs, h = eps/8
+        width = frame_width_for(eps / 8.0, eps, "slab")
+        yield slab_grid(1.0, eps / 8.0, width), (1.0,), width
+    for sides in ((1.0,), (1.0, 1.0)):  # the positivity boxes
+        direction = Direction.from_integers(*([0] * (len(sides) - 1) + [1]))
+        yield box_grid(direction, (0.0,) * len(sides), sides, 1.0 / 16.0), sides, 0.0
+    e2 = Direction.from_angle_degrees(30.0)
+    # the tests' frames, and eps-scaled cells of side 1 at eps = 1/8 and 1/16
+    tests = ((2.0, 0.125, 0.25), (2.0, 0.25, 0.5), (2.0, 0.25, 0.25), (4.0, 0.125, 0.5), (8.0, 0.1, 1.0),
+             (1.0, 1.0 / 32.0, 0.125), (1.0, 1.0 / 64.0, 0.0625))
+    for side, h, width in tests:
+        yield cube_grid(OrientedCube((0.0, 0.0), side, e2), h, width), (side, side), width
+
+
+def test_frame_gives_the_distance_test_mask():
+    seen = set()
+    for grid, sides, width in built_grids():
+        reference = distance_test_mask(grid, sides, width)
+        assert np.array_equal(grid.frozen, reference), (grid.shape, grid.frame, width)
+        assert not reference[grid.free].any() and reference.sum() == reference.size - grid.values[grid.free].size
+        seen.add((grid.frozen.all(), grid.frozen.any()))
+    assert seen == {(True, True), (False, True), (False, False)}  # filled frames, frames and none
+    with pytest.raises(ValueError, match="read-only"):
+        grid.frozen[...] = False
 
 
 def test_periodic_axis_wraps_stencil(e2):
@@ -390,7 +448,7 @@ def test_members_that_share_placements_across_environments_get_their_own_lookup(
 
 @pytest.mark.parametrize("restricted", [False, True], ids=["framed-grid", "frozen-free-box"])
 def test_value_and_gradient_are_the_separate_calls_bit_for_bit(restricted):
-    # one evaluation of u^2 - 1 serves W and W'; a box without frozen nodes skips their re-zeroing
+    # one evaluation of u^2 - 1 serves W and W', on the whole grid and on its free box
     rng = np.random.default_rng(5)
     grid = profile_datum(OrientedCube((0.0, 0.0), 4.0, Direction.from_angle_degrees(30.0)), 1.0, 0.25)
     grid.values[~grid.frozen] += rng.uniform(-0.5, 0.5, int((~grid.frozen).sum()))
@@ -398,12 +456,7 @@ def test_value_and_gradient_are_the_separate_calls_bit_for_bit(restricted):
     model = EnergyModel([grid, grid], [env, env], EnergyParams(1.0, "general"))
     u = np.stack([grid.values, -grid.values])
     if restricted:
-        rows = np.flatnonzero((~grid.frozen).any(axis=1))
-        box = (slice(rows[0], rows[-1] + 1),) * 2
-        model, u = model.restrict(u, box), u[(slice(None),) + box].copy()
-        assert not model.has_frozen
-    else:
-        assert model.has_frozen
+        model, u = model.restrict(u, grid.free), u[(slice(None),) + grid.free].copy()
     energy, grad = model.value_and_gradient(u)
     assert np.array_equal(energy, model.energy(u))
     assert np.array_equal(grad, model.gradient(u))

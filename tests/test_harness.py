@@ -360,6 +360,38 @@ def test_cli_verify_with_a_zero_epsilon_exits_2_with_a_manifest(tmp_path, capsys
     assert not Path(out, "verify.json").exists()
 
 
+def example_r8_config(tmp_path, x0_list, name):
+    """configs/example.ini at r = 8, seed 0 and 90 degrees, with the given centers."""
+    text = Path(__file__).parents[1].joinpath("configs", "example.ini").read_text()
+    for old, new in (("r_list = 8 16 32", "r_list = 8"), ("seeds = 0 1 2 3", "seeds = 0"),
+                     ("nu_list = 0 45 90 135", "nu_list = 90"), ("x0_list = 0,0", f"x0_list = {x0_list}"),
+                     ("dir = out", f"dir = {tmp_path / name}")):
+        assert old in text
+        text = text.replace(old, new)
+    path = tmp_path / f"{name}.ini"
+    path.write_text(text)
+    return str(path), tmp_path / name
+
+
+@pytest.mark.parametrize("x0_list", ["0,0 1e9,1e9", "1e18,0", "0,0 3e8,3e8", "0,0 1e8,1e8"])
+def test_cell_centers_beyond_2_to_the_30_exit_2_with_a_manifest(tmp_path, capsys, x0_list):
+    # before, 1e9 died in the lattice-cell index (int64 overflow, exit 1), and 1e18 exited 0 with a wrong
+    # converged m_hat: adjacent doubles near 8e18 are 1024 apart, against h = 0.25
+    path, out = example_r8_config(tmp_path, x0_list, "far")
+    far = max(abs(float(v)) for tok in x0_list.split() for v in tok.split(","))
+    if 8 * far > 2**30:
+        assert main(["cell", "--config", path]) == 2
+        assert "x0_list puts a cell center beyond 2**30 at r = 8" in capsys.readouterr().err
+        assert json.loads(Path(out, "manifest.json").read_text())["command"] == "cell"
+        assert not Path(out, "cell.csv").exists()
+        return
+    origin, origin_out = example_r8_config(tmp_path, "0,0", "origin")
+    assert main(["cell", "--config", path]) == 0 and main(["cell", "--config", origin]) == 0
+    rows, alone = ([row for row in csv.DictReader(open(Path(d, "cell.csv")))] for d in (out, origin_out))
+    assert {row["stop_reason"] for row in rows} == {"converged"} and len(rows) == 2
+    assert rows[0]["m_hat"] == alone[0]["m_hat"]
+
+
 def test_cli_verify_records_every_property_in_the_manifest(tmp_path, capsys):
     path, out = write_config(tmp_path)
     assert main(["verify", "--config", path]) == 0
@@ -514,7 +546,9 @@ def test_the_manifest_records_blas_threads_numpy_read_in_either_import_order(tmp
 
 def test_numpy_imported_first_forks_no_worker_and_changes_no_row(tmp_path):
     # numpy's BLAS read no thread variable, so its pool (one thread per core) would spin in every worker:
-    # with two workers, these 8 framed r = 32 cells took 1.6-13 s on a 2-vCPU VM against 0.6 s for `python -m`
+    # with two workers, these 8 framed r = 32 cells took 1.6-13 s on a 2-vCPU VM against 0.6 s for `python -m`.
+    # The rows are compared bit for bit, which relies on BLAS threads changing no bit (README "Reproducibility
+    # notes": measured equal at 2 threads on a 2-vCPU VM; more threads are unverified)
     import os
     import subprocess
     import sys

@@ -141,7 +141,7 @@ def _dense_laplacian(m, ends):
     return lap
 
 
-@pytest.mark.parametrize("ends", ["fixed-fixed", "free-free", "fixed-free", "free-fixed", "wrap"])
+@pytest.mark.parametrize("ends", ["fixed-fixed", "free-free", "wrap"])
 @pytest.mark.parametrize("m", [7, 8, 9])
 def test_axis_basis_diagonalizes_dense_laplacian(ends, m):
     h = 0.25
@@ -151,7 +151,7 @@ def test_axis_basis_diagonalizes_dense_laplacian(ends, m):
 
 
 @pytest.mark.parametrize("shape", [(7,), (24,), (1, 9), (24, 24), (23, 25), (60, 124), (124, 124)])
-@pytest.mark.parametrize("ends", ["fixed-fixed", "free-fixed", "wrap"])
+@pytest.mark.parametrize("ends", ["fixed-fixed", "free-free", "wrap"])
 def test_transform_matches_tensordot_bit_for_bit(shape, ends):
     rng = np.random.default_rng(len(shape) * 1000 + shape[-1])
     mats = [_axis_basis(m, 0.25, ends)[0] for m in shape]
@@ -256,7 +256,7 @@ def test_interface_metric_is_one_spd_form(case):
     if case.endswith("solved"):  # a relaxed interface: wide, so its sliding modes are soft
         u = np.stack([res.field.values for res in solve.solve_many(problems, ACC)])
     else:
-        free = problems[0][0].free_mask()
+        free = ~problems[0][0].frozen
         u[:, free] += 0.05 * np.random.default_rng(3).standard_normal(int(free.sum()))
     g = model.gradient(u)[box]
     d, gd = _direction(metric, g, u[box])
