@@ -35,9 +35,9 @@ from .geometry import (
 from .environment import (
     Environment,
     EnvironmentSpec,
+    growth_violations,
     make_environment,
     shift_environment,
-    verify_growth_bounds,
 )
 from .grids import (
     EnergyParams,

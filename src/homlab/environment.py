@@ -11,10 +11,9 @@ from .core import DoubleWell
 __all__ = [
     "EnvironmentSpec",
     "Environment",
-    "GrowthReport",
+    "growth_violations",
     "make_environment",
     "shift_environment",
-    "verify_growth_bounds",
 ]
 
 KINDS = ("homogeneous", "checkerboard", "pinned")
@@ -140,59 +139,26 @@ def shift_environment(env: Environment, z) -> Environment:
     return replace(env, offset=tuple(o + v for o, v in zip(offset, z)))
 
 
-@dataclass
-class GrowthReport:
-    samples: int
-    counterexamples: list
+def growth_violations(spec: EnvironmentSpec) -> list[str]:
+    """The growth bounds the spec's coefficients break, one message each; [] when all hold.
 
-    @property
-    def passed(self) -> bool:
-        return not self.counterexamples
-
-
-def verify_growth_bounds(env: Environment, samples: int = 1000, n: int = 2, seed: int = 0) -> GrowthReport:
-    """Check c1(W - q|xi|^2 + |zeta|^2) <= f <= c2(W + q|xi|^2 + |zeta|^2) on sampled tuples.
-
-    Points x are drawn from the box [-16, 16)^n, and each side may miss by
-    1e-12 relative.  Random tuples are augmented with deterministic corner
-    probes (u at the wells and far out, xi/zeta zeroed or excited one at a
-    time) so range-boundary violations cannot slip past a thin random sample.
+    W, |xi|^2 and |zeta|^2 are independent and nonnegative, so
+    c1(W - q|xi|^2 + |zeta|^2) <= a*W + b|xi|^2 + c|zeta|^2 <= c2(W + q|xi|^2 + |zeta|^2)
+    holds at every tuple exactly when c1 <= a <= c2, -c1*q <= b <= c2*q and
+    c1 <= c <= c2 hold at every coefficient the spec draws: the closed ranges, or
+    for `homogeneous` the midpoints, which is all coefficients_at_cells makes there.
     """
-    if samples < 1:
-        raise ValueError("need at least one sample")
-    rng = np.random.default_rng(seed)
-    spec = env.spec
-    x = rng.uniform(-16.0, 16.0, size=(samples, n))
-    u = rng.uniform(-3.0, 3.0, size=samples)
-    xi = rng.normal(size=(samples, n))
-    zeta = rng.normal(size=(samples, n, n))
-    probe_u = np.array([-3.0, -1.0, 0.0, 1.0, 3.0])
-    probes = []
-    for pu in probe_u:
-        for gx in (0.0, 1.0, 3.0):
-            for hz in (0.0, 1.0):
-                probes.append((pu, gx, hz))
-    px = np.tile(x[:1], (len(probes), 1))
-    pu = np.array([p[0] for p in probes])
-    pxi = np.zeros((len(probes), n))
-    pxi[:, 0] = [p[1] for p in probes]
-    pzeta = np.zeros((len(probes), n, n))
-    pzeta[:, 0, 0] = [p[2] for p in probes]
-    x = np.concatenate([x, px])
-    u = np.concatenate([u, pu])
-    xi = np.concatenate([xi, pxi])
-    zeta = np.concatenate([zeta, pzeta])
-    a, b, c = env.coefficients_at_points(x)
-    w = env.well(u)
-    gsq = np.sum(xi * xi, axis=1)
-    hsq = np.sum(zeta * zeta, axis=(1, 2))
-    f = a * w + b * gsq + c * hsq
-    lower = spec.c1 * (w - spec.q * gsq + hsq)
-    upper = spec.c2 * (w + spec.q * gsq + hsq)
-    scale = 1.0 + np.abs(f)
-    bad = np.where((f - lower < -1e-12 * scale) | (upper - f < -1e-12 * scale))[0]
-    ces = [
-        {"x": x[i].tolist(), "u": float(u[i]), "f": float(f[i]), "lower": float(lower[i]), "upper": float(upper[i])}
-        for i in bad[:20]
-    ]
-    return GrowthReport(samples=samples, counterexamples=ces)
+    c1, c2, q = spec.c1, spec.c2, spec.q
+    found = []
+    for name, (lo, hi), low, low_name, high, high_name in (
+        ("a", spec.a_range, c1, "c1", c2, "c2"),
+        ("b", spec.b_range, -c1 * q, "-c1*q", c2 * q, "c2*q"),
+        ("c", spec.c_range, c1, "c1", c2, "c2"),
+    ):
+        if spec.kind == "homogeneous":
+            lo = hi = lo + 0.5 * (hi - lo)
+        if lo < low:
+            found.append(f"{name} >= {low_name} fails at {name} = {lo!r} ({low_name} = {low!r})")
+        if hi > high:
+            found.append(f"{name} <= {high_name} fails at {name} = {hi!r} ({high_name} = {high!r})")
+    return found

@@ -1,11 +1,14 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from homlab.environment import (
     EnvironmentSpec,
+    growth_violations,
     make_environment,
     shift_environment,
-    verify_growth_bounds,
 )
 
 
@@ -111,9 +114,7 @@ def test_pinned_environment_is_constant_in_space_but_varies_with_seed():
 
 
 def test_growth_bounds_pass_for_valid_environment():
-    report = verify_growth_bounds(make_environment(checkerboard_spec()), samples=800, seed=3)
-    assert report.passed
-    assert report.counterexamples == []
+    assert growth_violations(checkerboard_spec()) == []
 
 
 def test_growth_bounds_catch_broken_environment():
@@ -127,6 +128,42 @@ def test_growth_bounds_catch_broken_environment():
         c1=0.9,
         c2=1.0,
     )
-    report = verify_growth_bounds(make_environment(spec), samples=500, seed=1)
-    assert not report.passed
-    assert len(report.counterexamples) > 0
+    violations = growth_violations(spec)
+    assert len(violations) > 0
+    assert violations == ["b >= -c1*q fails at b = -0.49 (-c1*q = -0.45)"]
+
+
+@pytest.mark.parametrize(
+    "change, bound",
+    [
+        (dict(a_range=(0.7, 1.2)), "a >= c1"),
+        (dict(a_range=(0.8, 1.3)), "a <= c2"),
+        (dict(b_range=(-0.05, 0.05)), "b >= -c1*q"),
+        (dict(b_range=(-0.04, 0.07)), "b <= c2*q"),
+        (dict(c_range=(0.7, 1.2)), "c >= c1"),
+        (dict(c_range=(0.8, 1.3)), "c <= c2"),
+    ],
+)
+def test_growth_violations_name_exactly_the_broken_bound(change, bound):
+    assert [v.split(" fails")[0] for v in growth_violations(checkerboard_spec(**change))] == [bound]
+
+
+def test_growth_bounds_see_the_coefficients_each_kind_draws():
+    # homogeneous draws only the midpoints (u = 0.5); the other kinds draw anywhere in the closed ranges
+    wide = dict(a_range=(0.5, 1.5), c1=1.0, c2=1.0)
+    assert growth_violations(EnvironmentSpec(kind="homogeneous", **wide)) == []
+    for kind in ("checkerboard", "pinned"):
+        violations = growth_violations(EnvironmentSpec(kind=kind, **wide))
+        assert [v.split(" fails")[0] for v in violations] == ["a >= c1", "a <= c2"]
+
+
+def test_example_checkerboard_on_its_lower_b_bound_passes():
+    # b_lo = -0.04 is -c1*q in decimals; in floats -c1*q = -0.04000000000000001. The bounds are closed and
+    # carry no tolerance: one ulp beyond either b bound fails
+    spec = checkerboard_spec()
+    low, high = -spec.c1 * spec.q, spec.c2 * spec.q
+    assert low < spec.b_range[0] == -0.04
+    assert growth_violations(spec) == []
+    assert growth_violations(replace(spec, b_range=(low, high))) == []
+    beyond = replace(spec, b_range=(math.nextafter(low, -1.0), math.nextafter(high, 1.0)))
+    assert [v.split(" fails")[0] for v in growth_violations(beyond)] == ["b >= -c1*q", "b <= c2*q"]

@@ -392,6 +392,22 @@ def test_cell_centers_beyond_2_to_the_30_exit_2_with_a_manifest(tmp_path, capsys
     assert rows[0]["m_hat"] == alone[0]["m_hat"]
 
 
+@pytest.mark.parametrize("command", ["cell", "verify"])
+def test_config_that_breaks_a_growth_bound_exits_2_with_a_manifest(tmp_path, capsys, command):
+    # q = 0.25 puts -c1*q at -0.2, above b_lo = -0.25; before, cell exited 0 with one converged row
+    # and verify exited 1 on a sampled counterexample
+    path, out = example_r8_config(tmp_path, "0,0", "broken")
+    text = Path(path).read_text()
+    for old, new in (("q = 0.05", "q = 0.25"), ("b_range = -0.04 0.05", "b_range = -0.25 0.05")):
+        assert old in text
+        text = text.replace(old, new)
+    Path(path).write_text(text)
+    assert main([command, "--config", path]) == 2
+    assert "breaks its growth bounds: b >= -c1*q fails at b = -0.25 (-c1*q = -0.2)" in capsys.readouterr().err
+    assert json.loads(Path(out, "manifest.json").read_text())["command"] == command
+    assert {p.name for p in out.iterdir()} == {"manifest.json"}
+
+
 def test_cli_verify_records_every_property_in_the_manifest(tmp_path, capsys):
     path, out = write_config(tmp_path)
     assert main(["verify", "--config", path]) == 0
