@@ -49,6 +49,7 @@ from .grids import (
 from .solve import DivergenceError, SolveResult, SolverConfig, solve_many
 from .cell import (
     BoundsReport,
+    Cell,
     CellRecord,
     EstimateError,
     FHomEstimate,
@@ -56,7 +57,7 @@ from .cell import (
     PositivityReport,
     SigmaEstimate,
     bounds_check,
-    cell_problem_r,
+    cell_problems_r,
     eps_scaled_cell,
     ergodic_average,
     f_hom_estimate,

@@ -30,6 +30,7 @@ from .solve import SolverConfig, SolveResult, solve_many
 
 __all__ = [
     "EstimateError",
+    "Cell",
     "CellRecord",
     "SigmaEstimate",
     "MuSample",
@@ -39,7 +40,6 @@ __all__ = [
     "BoundsReport",
     "sigma_pm",
     "sigma_pair",
-    "cell_problem_r",
     "cell_problems_r",
     "eps_scaled_cell",
     "mu_nu",
@@ -53,6 +53,10 @@ __all__ = [
 
 SOLVER_SLACK = 1e-6
 MINUS_VARIANT_Q_MAX = 0.25
+# most nodes on the unit slab's axis (h = eps/8: eps >= 1/256).  The descent's
+# dense axis basis holds the square of its free length: building it raised peak
+# RSS by 17 MB at 1016 free nodes (eps = 1/128) and by 65 MB at 2040 (1/256).
+MAX_SLAB_NODES = 2048
 
 
 class EstimateError(RuntimeError):
@@ -64,20 +68,48 @@ class EstimateError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class CellRecord:
-    """One solved cell problem and its normalized value (an f_hom sample).
+@dataclass(frozen=True)
+class Cell:
+    """One cell problem: the energy on `cube` at scale `epsilon` and mesh h, datum the ramp through its center.
 
-    `x0_index` is the index of `x0` in the center list the cell was expanded
-    from; with nu and r it names the cell in `work_id`.
+    `x0` is the center the cell was expanded from (a unit cell of side r sits
+    at r*x0, an eps-scaled one at x0) and `x0_index` its index in that list.
+    nu = cube.direction, r = side / epsilon; nu, r and x0_index name the cell in `work_id`.
     """
 
-    nu: Direction
-    r: float
-    epsilon: float
-    seed: int
-    x0: tuple[float, ...]
+    env: Environment
+    cube: OrientedCube
     x0_index: int
+    x0: tuple[float, ...]
+    epsilon: float
+    h: float
+
+    def __post_init__(self):
+        if self.cube.side < 4.0 * self.epsilon - 1e-12:
+            raise ValueError("cell problems need r >= 4 (side >= 4 epsilon), so the transition fits inside")
+
+    @property
+    def nu(self) -> Direction:
+        return self.cube.direction
+
+    @property
+    def r(self) -> float:
+        return self.cube.side / self.epsilon
+
+    @property
+    def seed(self) -> int:
+        return self.env.spec.seed
+
+    @property
+    def work_id(self) -> str:
+        return f"nu={self.nu.angle_degrees():g}/r={self.r:g}/x0={self.x0_index}"
+
+
+@dataclass
+class CellRecord:
+    """One solved cell and its normalized value m_hat / side^(n-1) (an f_hom sample)."""
+
+    cell: Cell
     m_hat: float
     normalized: float
     diagnostics: dict = field(default_factory=dict)
@@ -85,10 +117,6 @@ class CellRecord:
     @property
     def converged(self) -> bool:
         return bool(self.diagnostics.get("converged", False))
-
-    @property
-    def work_id(self) -> str:
-        return f"nu={self.nu.angle_degrees():g}/r={self.r:g}/x0={self.x0_index}"
 
 
 @dataclass
@@ -185,9 +213,11 @@ def sigma_pm(
     """Upper bound for sigma+ or sigma-: min over the scale grid of unit-slab solves.
 
     The slab is the unit interval with values frozen to +-1 near its two ends;
-    each admissible scale contributes one solve.
-    Scales the mesh cannot resolve are skipped with a warning.  The minus
-    variant is gated to small q, where the comparison energy stays positive.
+    each admissible scale contributes one solve.  Before any solve, a scale
+    outside (0, 1] or with more than MAX_SLAB_NODES nodes on the slab axis is
+    rejected (ValueError).  Scales the mesh cannot resolve are skipped with a
+    warning.  The minus variant is gated to small q, where the comparison
+    energy stays positive.
     """
     if variant not in ("plus", "minus"):
         raise ValueError("variant must be 'plus' or 'minus'")
@@ -195,10 +225,14 @@ def sigma_pm(
         raise ValueError(f"minus variant requires q <= {MINUS_VARIANT_Q_MAX} (got {q})")
     if h_for is None:
         h_for = lambda eps: eps / 8.0
-    per_eps, stop_reason, fields = {}, {}, {}
     for eps in scales:
         if not 0.0 < eps <= 1.0:
             raise ValueError("scales must lie in (0, 1]")
+        if 1.0 / h_for(eps) > MAX_SLAB_NODES:
+            msg = f"{1.0 / h_for(eps):.6g} nodes on the unit slab axis at h = {h_for(eps):g}"
+            raise ValueError(f"scale {eps:g} puts {msg}, more than MAX_SLAB_NODES = {MAX_SLAB_NODES}")
+    per_eps, stop_reason, fields = {}, {}, {}
+    for eps in scales:
         h = h_for(eps)
         try:
             res = _slab_solve("m_plus" if variant == "plus" else "m_minus", q, eps, h, cfg, well)
@@ -256,55 +290,37 @@ def sigma_pair(
 
 
 def _cell_records(cells, cfg: SolverConfig) -> list[CellRecord]:
-    """Solve profile cells (env, nu, x0_index, x0, cube, epsilon, h) together; one CellRecord each, in order.
+    """Solve the cells together; one CellRecord each, in order.
 
-    The boundary datum is the width-epsilon transition ramp through the cube
-    center.  A record's r is the cube side over epsilon and its normalized value
-    m_hat / side^(n-1).  Cells of one geometry are solved in lockstep batches
-    (solve_many), so a record's `wall_ms` is the wall time of its batch and
-    `batch` the batch size.
+    Cells of one geometry are solved in lockstep batches (solve_many), so a
+    record's `wall_ms` is the wall time of its batch and `batch` the batch size.
     """
     problems, datum = [], {}
-    for env, nu, x0_index, x0, cube, epsilon, h in cells:
-        key = (cube.n, cube.side, epsilon, h)
+    for cell in cells:
+        cube = cell.cube
+        key = (cube.n, cube.side, cell.epsilon, cell.h)
         if key not in datum:  # the same in local coordinates for every cell of one side: shared
-            grid = cube_grid(cube, h, frame_width_for(h, epsilon, "cell"))
-            grid.values[...] = profile_values(grid, epsilon)
+            grid = cube_grid(cube, cell.h, frame_width_for(cell.h, cell.epsilon, "cell"))
+            grid.values[...] = profile_values(grid, cell.epsilon)
             datum[key] = grid
         grid = replace(datum[key], direction=cube.direction, physical_shift=tuple(map(float, cube.center)))
-        problems.append((grid, env, EnergyParams(epsilon, "general")))
-    records = []
-    for (env, nu, x0_index, x0, cube, epsilon, h), res in zip(cells, solve_many(problems, cfg)):
-        records.append(
-            CellRecord(
-                nu=nu,
-                r=cube.side / epsilon,
-                epsilon=epsilon,
-                seed=env.spec.seed,
-                x0=x0,
-                x0_index=x0_index,
-                m_hat=res.value,
-                normalized=res.value / cube.side ** (nu.n - 1),
-                diagnostics={
-                    "iters": res.iters,
-                    "grad_norm": res.final_grad_norm,
-                    "converged": res.converged,
-                    "stop_reason": res.diagnostics["stop_reason"],
-                    "wall_ms": res.diagnostics["wall_ms"],
-                    "batch": res.diagnostics["batch"],
-                    "h": h,
-                },
-            )
+        problems.append((grid, cell.env, EnergyParams(cell.epsilon, "general")))
+    return [
+        CellRecord(
+            cell=cell,
+            m_hat=res.value,
+            normalized=res.value / cell.cube.side ** (cell.nu.n - 1),
+            diagnostics={
+                "iters": res.iters,
+                "grad_norm": res.final_grad_norm,
+                "converged": res.converged,
+                "stop_reason": res.diagnostics["stop_reason"],
+                "wall_ms": res.diagnostics["wall_ms"],
+                "batch": res.diagnostics["batch"],
+            },
         )
-    return records
-
-
-def _unit_cell(env: Environment, nu: Direction, r: float, x0_index: int, x0, h: float) -> tuple:
-    """The _cell_records item of the unit-scale cell of side r centered at r*x0."""
-    if r < 4:
-        raise ValueError("cell problems need r >= 4")
-    x0 = tuple(float(v) for v in np.atleast_1d(x0))
-    return env, nu, x0_index, x0, OrientedCube(tuple(r * v for v in x0), float(r), nu), 1.0, h
+        for cell, res in zip(cells, solve_many(problems, cfg))
+    ]
 
 
 def cell_problems_r(
@@ -316,37 +332,23 @@ def cell_problems_r(
     cfg: SolverConfig = SolverConfig(),
     h: float = 0.25,
 ) -> list[CellRecord]:
-    """cell_problem_r for every direction x r x seed x x0, solved together, records in that order.
+    """The unit-scale cell of every direction x r x seed x x0, solved together, records in that order.
 
-    Seed s samples the environment spec.with_seed(s); x0_list = None is the
-    origin alone.  Cells that share r (hence grid and frozen frame) form one
-    group, whatever their direction, environment or center.
+    The cell of side r at center x0 is the cube of side r centered at r*x0, at
+    epsilon = 1.  Seed s samples the environment spec.with_seed(s); x0_list =
+    None is the origin alone.  Cells that share r (hence grid and frozen frame)
+    form one group, whatever their direction, environment or center.
     """
     envs = {seed: make_environment(spec.with_seed(seed)) for seed in seeds}
+    centers = None if x0_list is None else [tuple(float(v) for v in np.atleast_1d(x0)) for x0 in x0_list]
     cells = [
-        _unit_cell(envs[seed], nu, r, i, x0, h)
+        Cell(envs[seed], OrientedCube(tuple(r * v for v in x0), float(r), nu), i, x0, 1.0, h)
         for nu in nus
         for r in r_list
         for seed in seeds
-        for i, x0 in enumerate(x0_list if x0_list is not None else ((0.0,) * nu.n,))
+        for i, x0 in enumerate(centers if centers is not None else ((0.0,) * nu.n,))
     ]
     return _cell_records(cells, cfg)
-
-
-def cell_problem_r(
-    env: Environment,
-    nu: Direction,
-    r: float,
-    x0,
-    cfg: SolverConfig = SolverConfig(),
-    h: float = 0.25,
-) -> CellRecord:
-    """Unit-scale cell problem on the cube of side r centered at r*x0.
-
-    Boundary datum is the width-1 transition ramp through the center; the
-    normalized value m_hat / r^(n-1) is one sample of the homogenized density.
-    """
-    return _cell_records([_unit_cell(env, nu, r, 0, x0, h)], cfg)[0]
 
 
 def eps_scaled_cell(
@@ -362,16 +364,12 @@ def eps_scaled_cell(
 
     Under the change of variables r = rho/epsilon this is the unit-scale problem
     on matched grids, so normalized = m_hat / rho^(n-1) approximates the same
-    density sample as cell_problem_r(r).
+    density sample as the unit cell of side r.
     """
-    if rho < 4.0 * epsilon - 1e-12:
-        raise ValueError("need rho >= 4*epsilon so the transition fits inside")
     if h is None:
         h = epsilon / 4.0
     x0 = tuple(float(v) for v in np.atleast_1d(x0))
-    (rec,) = _cell_records([(env, nu, 0, x0, OrientedCube(x0, float(rho), nu), epsilon, h)], cfg)
-    rec.diagnostics["rho"] = rho
-    return rec
+    return _cell_records([Cell(env, OrientedCube(x0, float(rho), nu), 0, x0, epsilon, h)], cfg)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -498,7 +496,7 @@ def _converged(records) -> list[CellRecord]:
     """The converged records of `records`, in order; each other one is excluded with a warning."""
     for rec in records:
         if not rec.converged:
-            warnings.warn(f"excluding non-converged solve (seed={rec.seed}, {rec.work_id})")
+            warnings.warn(f"excluding non-converged solve (seed={rec.cell.seed}, {rec.cell.work_id})")
     return [rec for rec in records if rec.converged]
 
 
@@ -512,10 +510,10 @@ def f_hom_reduce(nu: Direction, r_schedule, seeds, records) -> FHomEstimate:
     if not seeds:
         raise ValueError("need at least one seed")
     r_schedule = tuple(sorted(float(r) for r in r_schedule))
-    mine = [rec for rec in records if rec.nu.nu == nu.nu]
+    mine = [rec for rec in records if rec.cell.nu.nu == nu.nu]
     values = {}
     for rec in _converged(mine):
-        values.setdefault((rec.seed, rec.r), []).append(rec.normalized)
+        values.setdefault((rec.cell.seed, rec.cell.r), []).append(rec.normalized)
     per_seed_limit = {}
     x0_spread = {}
     for seed in seeds:

@@ -313,12 +313,13 @@ def write_cell_csv(path: str, records) -> None:
             ]
         )
         for rec in records:
+            cell = rec.cell
             writer.writerow(
                 [
-                    _fmt(rec.nu.angle_degrees()),
-                    _fmt(rec.r),
-                    rec.seed,
-                    rec.x0_index,
+                    _fmt(cell.nu.angle_degrees()),
+                    _fmt(cell.r),
+                    cell.seed,
+                    cell.x0_index,
                     _fmt(rec.m_hat),
                     _fmt(rec.normalized),
                     rec.diagnostics.get("iters", ""),
@@ -384,7 +385,7 @@ def _solve_cells(cfg: ExperimentConfig, manifest: RunManifest | None, command: s
     records = cell_problems_r(cfg.env, cfg.nu_list, cfg.r_list, cfg.seeds, cfg.x0_list, cfg.solver, cfg.h)
     if manifest is not None:
         for rec in records:
-            manifest.add(f"{command}/{rec.work_id}", rec.seed)
+            manifest.add(f"{command}/{rec.cell.work_id}", rec.cell.seed)
     return records
 
 

@@ -17,7 +17,7 @@ from homlab.grids import EnergyModel, EnergyParams, cube_grid
 from homlab.solve import SolverConfig
 from homlab.cell import (
     bounds_check,
-    cell_problem_r,
+    cell_problems_r,
     eps_scaled_cell,
     f_hom_estimate,
     glued_partition_energy,
@@ -182,7 +182,7 @@ def test_criterion_05_isotropy():
 def test_criterion_06_rescaling_identity():
     t0 = time.perf_counter()
     env = make_environment(STRONG_CHECKERBOARD.with_seed(7))
-    rec_r = cell_problem_r(env, E2, 16, (0.0, 0.0), ACC, 0.25)
+    (rec_r,) = cell_problems_r(STRONG_CHECKERBOARD, [E2], [16], [7], [(0.0, 0.0)], ACC, 0.25)
     rec_e = eps_scaled_cell(env, E2, 1.0, 1.0 / 16.0, (0.0, 0.0), ACC, h=0.25 / 16.0)
     rel = abs(rec_r.normalized - rec_e.normalized) / rec_r.normalized
     report(
@@ -250,14 +250,10 @@ def test_criterion_09_bounds():
 def test_criterion_10_ergodic_concentration():
     t0 = time.perf_counter()
     seeds = range(16)
-    v8 = np.array([
-        cell_problem_r(make_environment(STRONG_CHECKERBOARD.with_seed(s)), E2, 8, (0, 0), ACC, 0.25).normalized
-        for s in seeds
-    ])
-    v32 = np.array([
-        cell_problem_r(make_environment(STRONG_CHECKERBOARD.with_seed(s)), E2, 32, (0, 0), ACC, 0.25).normalized
-        for s in seeds
-    ])
+    v8, v32 = (
+        np.array([rec.normalized for rec in cell_problems_r(STRONG_CHECKERBOARD, [E2], [r], seeds, None, ACC, 0.25)])
+        for r in (8, 32)
+    )
     std8, std32 = v8.std(ddof=1), v32.std(ddof=1)
     pinned_limits = np.array([
         f_hom_estimate(PINNED, E2, (8, 16), (s,), ACC, 0.25).estimate for s in range(8)
@@ -276,8 +272,8 @@ def test_criterion_11_x_independence():
     x0s = ((0.0, 0.0), (0.25, 0.0), (0.125, 0.0625))
     worst = 0.0
     for seed in (0, 1, 2):
-        env = make_environment(MILD_CHECKERBOARD.with_seed(seed))
-        vals = np.array([cell_problem_r(env, E2, 32, x0, ACC, 0.25).normalized for x0 in x0s])
+        records = cell_problems_r(MILD_CHECKERBOARD, [E2], [32], [seed], x0s, ACC, 0.25)
+        vals = np.array([rec.normalized for rec in records])
         worst = max(worst, (vals.max() - vals.min()) / vals.mean())
     report(
         11, "x-independence", worst <= 0.03,

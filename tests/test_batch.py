@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from homlab import cell, solve
-from homlab.cell import EstimateError, cell_problem_r, ergodic_average, sigma_pair
+from homlab.cell import EstimateError, cell_problems_r, ergodic_average, sigma_pair
 from homlab.cli import main
 from homlab.core import DoubleWell
 from homlab.environment import EnvironmentSpec, make_environment
@@ -375,11 +375,11 @@ def test_run_cell_with_mixed_r_returns_records_in_submission_order(tmp_path):
         for seed in cfg.seeds
         for i in range(len(cfg.x0_list))
     ]
-    assert [(rec.nu, rec.r, rec.seed, rec.x0_index) for rec in records] == expected
+    assert [(rec.cell.nu, rec.cell.r, rec.cell.seed, rec.cell.x0_index) for rec in records] == expected
     for rec in records[:: len(cfg.x0_list) + 1]:
-        alone = cell_problem_r(
-            make_environment(cfg.env.with_seed(rec.seed)), rec.nu, rec.r, cfg.x0_list[rec.x0_index], cfg.solver, cfg.h
-        )
+        item = rec.cell
+        x0 = cfg.x0_list[item.x0_index]
+        (alone,) = cell_problems_r(cfg.env, [item.nu], [item.r], [item.seed], [x0], cfg.solver, cfg.h)
         assert rec.m_hat == alone.m_hat
         assert rec.diagnostics["iters"] == alone.diagnostics["iters"]
 

@@ -3,14 +3,16 @@ import pytest
 
 from homlab.core import compute_c_eta
 from homlab.environment import EnvironmentSpec, make_environment, shift_environment
-from homlab.geometry import Direction, LatticeCuboid
+from homlab.geometry import Direction, LatticeCuboid, OrientedCube
 from homlab.solve import SolverConfig
+from homlab import cell
 from homlab.cell import (
+    Cell,
     CellRecord,
     EstimateError,
     _fit_limit,
     bounds_check,
-    cell_problem_r,
+    cell_problems_r,
     eps_scaled_cell,
     ergodic_average,
     f_hom_estimate,
@@ -81,14 +83,35 @@ def test_sigma_skips_degenerate_scales(quartic):
         sigma_pm("plus", quartic, 0.05, (1.0,), QUICK)
 
 
+class Solved(Exception):
+    """Raised in place of a slab solve: the scale passed every check before it."""
+
+
+@pytest.mark.parametrize("variant", ["plus", "minus"])
+def test_sigma_rejects_a_scale_beyond_the_slab_bound_before_any_solve(monkeypatch, quartic, variant):
+    def no_solve(*args):
+        raise Solved(args[2])
+
+    monkeypatch.setattr(cell, "_slab_solve", no_solve)
+    assert cell.MAX_SLAB_NODES == 2048
+    # eps = 1/256 puts 2048 nodes on the unit slab axis and is solved; 1/512 puts 4096 there
+    with pytest.raises(Solved):
+        sigma_pm(variant, quartic, 0.05, (1.0 / 256.0,), QUICK)
+    for scales in ((1.0 / 512.0,), (0.0625, 1e-5)):
+        # the finer scale comes last: it is rejected before the first is solved
+        with pytest.raises(ValueError, match=r"more than MAX_SLAB_NODES = 2048"):
+            sigma_pm(variant, quartic, 0.05, scales, QUICK)
+    with pytest.raises(ValueError, match=r"scale 1e-05 puts 800000 nodes on the unit slab axis at h = 1.25e-06"):
+        sigma_pm(variant, quartic, 0.05, (1e-5,), QUICK)
+
+
 # ---------------------------------------------------------------------------
 # cell problems
 # ---------------------------------------------------------------------------
 
 
 def test_cell_record_positive_and_below_ramp_bound(e2, quartic):
-    env = make_environment(checkerboard(3))
-    rec = cell_problem_r(env, e2, 8, (0.0, 0.0), QUICK, 0.25)
+    (rec,) = cell_problems_r(checkerboard(3), [e2], [8], [3], [(0.0, 0.0)], QUICK, 0.25)
     c_eta = compute_c_eta(quartic, 0.05)
     assert rec.normalized >= -1e-6
     assert rec.normalized <= 1.2 * c_eta * 1.02
@@ -96,32 +119,46 @@ def test_cell_record_positive_and_below_ramp_bound(e2, quartic):
 
 
 def test_cell_requires_minimum_scale(e2):
-    env = make_environment(checkerboard())
-    with pytest.raises(ValueError):
-        cell_problem_r(env, e2, 2, (0.0, 0.0), QUICK, 0.25)
+    with pytest.raises(ValueError, match="r >= 4"):
+        cell_problems_r(checkerboard(), [e2], [2], [0], [(0.0, 0.0)], QUICK, 0.25)
 
 
 def test_rescaling_identity_on_matched_grids(e2):
     # the discrete functional satisfies the change of variables exactly; the two
     # solves differ only through the stopping rule, i.e. by solver tolerance
     env = make_environment(checkerboard(7))
-    rec_r = cell_problem_r(env, e2, 8, (0.0, 0.0), QUICK, 0.25)
+    (rec_r,) = cell_problems_r(checkerboard(7), [e2], [8], [7], [(0.0, 0.0)], QUICK, 0.25)
     rec_e = eps_scaled_cell(env, e2, 1.0, 1.0 / 8.0, (0.0, 0.0), QUICK, h=0.25 / 8.0)
     assert rec_e.normalized == pytest.approx(rec_r.normalized, rel=1e-5)
 
 
+def test_unit_and_eps_scaled_cells_in_one_call_get_their_records_alone(e2):
+    # r = 8 at h = 1/4 and rho = 1 at eps = 1/8, h = 1/32: matched 32^2 grids, two batches of one solve_many call
+    env = make_environment(checkerboard(7))
+    x0 = (0.25, -0.5)
+    unit = Cell(env, OrientedCube((2.0, -4.0), 8.0, e2), 0, x0, 1.0, 0.25)
+    scaled = Cell(env, OrientedCube(x0, 1.0, e2), 0, x0, 1.0 / 8.0, 0.25 / 8.0)
+    assert (unit.r, unit.work_id) == (scaled.r, scaled.work_id) == (8.0, "nu=0/r=8/x0=0")
+    together = cell._cell_records([unit, scaled], QUICK)
+    for rec, item in zip(together, (unit, scaled), strict=True):
+        (alone,) = cell._cell_records([item], QUICK)
+        assert rec.cell is item
+        assert rec.m_hat == alone.m_hat and rec.normalized == alone.normalized
+        assert {k: v for k, v in rec.diagnostics.items() if k != "wall_ms"} == {
+            k: v for k, v in alone.diagnostics.items() if k != "wall_ms"
+        }
+    assert together[0].normalized == pytest.approx(together[1].normalized, rel=1e-5)
+
+
 def test_eps_scaled_cell_rejects_tight_boxes(e2):
     env = make_environment(checkerboard())
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="r >= 4"):
         eps_scaled_cell(env, e2, 0.25, 0.125, (0.0, 0.0), QUICK)
 
 
 def test_homogeneous_cell_independent_of_center(e2):
-    env = make_environment(homogeneous())
-    vals = [
-        cell_problem_r(env, e2, 8, x0, QUICK, 0.25).normalized
-        for x0 in ((0.0, 0.0), (0.3, -0.4), (-1.0, 0.25))
-    ]
+    x0s = ((0.0, 0.0), (0.3, -0.4), (-1.0, 0.25))
+    vals = [rec.normalized for rec in cell_problems_r(homogeneous(), [e2], [8], [0], x0s, QUICK, 0.25)]
     assert max(vals) - min(vals) <= 0.01 * abs(np.mean(vals))
 
 
@@ -200,7 +237,7 @@ def test_f_hom_estimate_raises_when_no_solve_converged(e2):
 
 def test_f_hom_estimate_extrapolates_below_raw(e2):
     est = f_hom_estimate(homogeneous(), e2, (8, 16), (0,), QUICK, 0.25)
-    raw_top = [rec.normalized for rec in est.records if rec.r == 16]
+    raw_top = [rec.normalized for rec in est.records if rec.cell.r == 16]
     assert est.estimate < min(raw_top)  # boundary frame inflates raw values
 
 
@@ -223,16 +260,15 @@ def test_fit_limit_weights_at_8_16_32():
 
 def test_f_hom_reduce_takes_a_single_scale_as_is_and_fits_three(e2):
     # hand-built records, no solve: seed 0 converged at r = 32 only, seed 1 at every scale
-    def record(seed, r, x0_index, normalized, converged=True):
-        return CellRecord(
-            nu=e2, r=r, epsilon=1.0, seed=seed, x0=(0.25 * x0_index, 0.0), x0_index=x0_index, m_hat=r * normalized,
-            normalized=normalized, diagnostics={"converged": converged},
-        )
+    def record(seed, r, x0_index, normalized, converged=True, nu=e2):
+        x0 = (0.25 * x0_index, 0.0)
+        cube = OrientedCube(tuple(r * v for v in x0), r, nu)
+        item = Cell(make_environment(homogeneous().with_seed(seed)), cube, x0_index, x0, 1.0, 0.25)
+        return CellRecord(item, m_hat=r * normalized, normalized=normalized, diagnostics={"converged": converged})
 
     records = [record(0, 8.0, 0, 9.0, False), record(0, 32.0, 0, 2.2), record(0, 32.0, 1, 2.4)]
     records += [record(1, r, 0, v) for r, v in ((8.0, 2.6), (16.0, 2.35), (32.0, 2.225))]
-    records.append(record(0, 32.0, 0, 7.0))
-    records[-1].nu = Direction.from_integers(1, 0)  # another direction's record is ignored
+    records.append(record(0, 32.0, 0, 7.0, nu=Direction.from_integers(1, 0)))  # another direction's record is ignored
     with pytest.warns(UserWarning, match="non-converged"):
         est = f_hom_reduce(e2, (8, 16, 32), (0, 1), records)
     assert est.per_seed_limit[0] == float(np.mean([2.2, 2.4]))
@@ -262,7 +298,7 @@ def test_ergodic_average_consistent_with_density_records(e2):
     seeds = (0, 1, 2, 3)
     avg = ergodic_average(spec, e2, 16, seeds, QUICK, 0.25)
     est = f_hom_estimate(spec, e2, (8, 16), seeds, QUICK, 0.25)
-    raw16 = [rec.normalized for rec in est.records if rec.r == 16]
+    raw16 = [rec.normalized for rec in est.records if rec.cell.r == 16]
     assert avg.mean == pytest.approx(np.mean(raw16), abs=2 * max(avg.stderr, 1e-12))
 
 

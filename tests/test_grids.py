@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -460,3 +462,26 @@ def test_value_and_gradient_are_the_separate_calls_bit_for_bit(restricted):
     energy, grad = model.value_and_gradient(u)
     assert np.array_equal(energy, model.energy(u))
     assert np.array_equal(grad, model.gradient(u))
+
+
+@pytest.mark.parametrize("noise", [0.0, 1e-3])
+def test_rounding_bounds_the_error_of_a_slab_energy(noise):
+    # the minus slab of the q that deadlocked the record stop test; h and eps are powers of two, so every
+    # weight is exact, and the energy in exact rational arithmetic is the reference
+    q, eps, h = 1.2000000000000002, 1.0 / 16.0, 1.0 / 128.0
+    grid = slab_grid(1.0, h, frame_width_for(h, eps, "slab"))
+    grid.values[...] = profile_values(grid, eps) + np.random.default_rng(0).uniform(-noise, noise, grid.shape)
+    model = EnergyModel(grid, make_environment(EnvironmentSpec(q=q)), EnergyParams(eps, "m_minus"))
+    energy, (bound,) = model.energy(grid.values), model.rounding(grid.values)
+    u = [Fraction(v) for v in grid.values]
+    u = [u[0]] + u + [u[-1]]  # edge-replicated ghost nodes
+    H, E, B = Fraction(h), Fraction(eps), -Fraction(q)
+    exact = sum(
+        H / E * (u[i] ** 2 - 1) ** 2
+        + H * E * B * ((u[i + 1] - u[i - 1]) / (2 * H)) ** 2
+        + H * E**3 * ((u[i + 1] + u[i - 1] - 2 * u[i]) / H**2) ** 2
+        for i in range(1, len(u) - 1)
+    )
+    # the two dot products within the bound, their final additions within a few epsilons of |energy|
+    assert abs(Fraction(energy) - exact) <= Fraction(bound) + Fraction(4 * np.finfo(float).eps * abs(energy))
+    assert 0.0 < bound <= 1e-11 * abs(energy)

@@ -453,6 +453,62 @@ def test_cli_sigma_writes_summary(tmp_path):
     ]
 
 
+def test_cli_sigma_with_a_scale_beyond_the_slab_bound_exits_2_with_a_manifest(tmp_path, capsys, monkeypatch):
+    # eps = 1e-5 puts 800000 nodes on the slab axis: its dense axis basis asked for 4.66 TiB and died (exit 1)
+    from homlab import cell
+
+    def no_solve(*args):
+        raise AssertionError(f"scale {args[2]} was solved")
+
+    monkeypatch.setattr(cell, "_slab_solve", no_solve)
+    text = Path(__file__).parents[1].joinpath("configs", "sigma.ini").read_text()
+    for old, new in (("epsilon_list = 0.25 0.125 0.0625", "epsilon_list = 0.0625 1e-5"), ("dir = out", "dir = {out}")):
+        assert old in text
+        text = text.replace(old, new)
+    path, out = write_config(tmp_path, text)
+    assert main(["sigma", "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert "scale 1e-05 puts 800000 nodes on the unit slab axis at h = 1.25e-06, more than MAX_SLAB_NODES = 2048" in err
+    assert json.loads(Path(out, "manifest.json").read_text())["command"] == "sigma"
+    assert {p.name for p in Path(out).iterdir()} == {"manifest.json"}
+
+
+EXAMPLE_IDS = [
+    (nu, r, seed) for nu in ("0", "45", "90", "135") for r in ("8", "16", "32") for seed in ("0", "1", "2", "3")
+]
+
+
+@pytest.mark.parametrize(
+    "edits, ids",
+    [
+        ((), [(f"cell/nu={nu}/r={r}/x0=0", (nu, r, seed, "0")) for nu, r, seed in EXAMPLE_IDS]),
+        (
+            (("r_list = 8 16 32", "r_list = 8.5"), ("seeds = 0 1 2 3", "seeds = 0 1"),
+             ("nu_list = 0 45 90 135", "nu_list = -30"), ("x0_list = 0,0", "x0_list = 0,0 0.25,-0.5")),
+            [
+                ("cell/nu=330/r=8.5/x0=0", ("330", "8.5", "0", "0")),
+                ("cell/nu=330/r=8.5/x0=1", ("330", "8.5", "0", "1")),
+                ("cell/nu=330/r=8.5/x0=0", ("330", "8.5", "1", "0")),
+                ("cell/nu=330/r=8.5/x0=1", ("330", "8.5", "1", "1")),
+            ],
+        ),
+    ],
+    ids=["example", "r8.5-two-centers-minus-30"],
+)
+def test_cell_work_ids_and_csv_keys_are_pinned(tmp_path, edits, ids):
+    # a renamed or reformatted work id or key column fails here: the manifest and cell.csv name each cell
+    text = Path(__file__).parents[1].joinpath("configs", "example.ini").read_text()
+    for old, new in edits + (("dir = out", "dir = {out}"),):
+        assert old in text
+        text = text.replace(old, new)
+    path, out = write_config(tmp_path, text)
+    assert main(["cell", "--config", path]) == 0
+    manifest = json.loads(Path(out, "manifest.json").read_text())
+    assert manifest["records"] == [{"work_id": work_id, "seed": int(key[2])} for work_id, key in ids]
+    rows = list(csv.DictReader(Path(out, "cell.csv").open()))
+    assert [(row["nu_deg"], row["r"], row["seed"], row["x0_index"]) for row in rows] == [key for _, key in ids]
+
+
 def test_property_suite_small_config_passes(tmp_path):
     path, _ = write_config(tmp_path)
     cfg = load_config(path)
@@ -493,12 +549,12 @@ def test_cli_import_and_cell_solve_load_no_scipy():
     code = (
         "import sys\n"
         "import homlab.cli\n"
-        "from homlab.cell import cell_problem_r\n"
-        "from homlab.environment import EnvironmentSpec, make_environment\n"
+        "from homlab.cell import cell_problems_r\n"
+        "from homlab.environment import EnvironmentSpec\n"
         "from homlab.geometry import Direction\n"
         "from homlab.solve import SolverConfig\n"
-        "env = make_environment(EnvironmentSpec(kind='checkerboard', b_range=(-0.04, 0.05)))\n"
-        "cell_problem_r(env, Direction.from_integers(0, 1), 8, (0, 0), SolverConfig(), 0.25)\n"
+        "spec = EnvironmentSpec(kind='checkerboard', b_range=(-0.04, 0.05))\n"
+        "cell_problems_r(spec, [Direction.from_integers(0, 1)], [8], [0], [(0, 0)], SolverConfig(), 0.25)\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
         "print(sorted(m for m in sys.modules if m in ('hashlib', '_hashlib')))\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] in ('multiprocessing', 'concurrent')))\n"

@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from homlab.cell import cell_problem_r
+from homlab.cell import _slab_solve, cell_problems_r
 from homlab.environment import EnvironmentSpec, make_environment
 from homlab.geometry import Direction, OrientedCube
 from homlab import solve
@@ -183,18 +183,31 @@ ACC = SolverConfig(max_iters=25000, grad_tol=1e-3 * 0.25**2)
 )
 def test_r16_cell_converges_fast_to_the_seed_commit_value(spec, nu, seed_commit_value):
     # the plain two-point gradient method took 2635 and 1451 iterations on these cells
-    rec = cell_problem_r(make_environment(spec), Direction.from_integers(*nu), 16, (0.0, 0.0), ACC, 0.25)
+    (rec,) = cell_problems_r(spec, [Direction.from_integers(*nu)], [16], [spec.seed], [(0.0, 0.0)], ACC, 0.25)
     assert rec.converged
     assert rec.diagnostics["iters"] <= 500
     # an upper bound: tight above, a better minimizer is welcome below
     assert seed_commit_value * (1 - 1e-4) <= rec.m_hat <= seed_commit_value * (1 + 1e-5)
 
 
+@pytest.mark.parametrize("q, epsilon", [(0.05, 1.0 / 128.0), (1.2000000000000002, 1.0 / 16.0)])
+def test_slab_solves_at_the_rounding_floor_converge(quartic, q, epsilon):
+    # the record test ran both minus slabs to max_iters: 2985 and 2981 of their first 3000 iterates had
+    # max|g| <= grad_tol at 1.0-10.8 and 31-182 machine epsilons above a record that never moved again
+    env = make_environment(EnvironmentSpec(q=q), quartic)
+    for variant in ("m_minus", "m_plus"):
+        res = _slab_solve(variant, q, epsilon, epsilon / 8.0, SolverConfig(max_iters=2000), quartic)
+        assert res.converged and res.iters < 100
+        assert res.final_grad_norm <= res.diagnostics["grad_tol"]
+        # the value is the energy of the returned field, not the record's
+        own = EnergyModel(res.field, env, EnergyParams(epsilon, variant)).energy(res.field.values)
+        assert res.value == pytest.approx(own, rel=1e-14)
+
+
 def test_converged_result_passes_the_stopping_test():
     # the two-point trajectory is not monotone: on this cell it meets the gradient
     # test at a state just above the best energy before the best state meets it
-    env = make_environment(EXAMPLE_CHECKERBOARD.with_seed(15))
-    rec = cell_problem_r(env, Direction.from_integers(1, 0), 8, (0, 0), ACC)
+    (rec,) = cell_problems_r(EXAMPLE_CHECKERBOARD, [Direction.from_integers(1, 0)], [8], [15], [(0, 0)], ACC)
     assert rec.converged
     assert rec.diagnostics["grad_norm"] <= ACC.grad_tol
 
@@ -336,8 +349,7 @@ def _wrapped_cell(degrees, seed, r):
 def test_e1_seed_24_leaves_its_plateau():
     # the mean-coefficient metric took 469 iterations here, most of them on a
     # plateau 2.5e-3 above the minimum while the interface slid along e1
-    env = make_environment(EXAMPLE_CHECKERBOARD.with_seed(24))
-    rec = cell_problem_r(env, Direction.from_angle_degrees(90), 32, (0.0, 0.0), ACC, 0.25)
+    (rec,) = cell_problems_r(EXAMPLE_CHECKERBOARD, [Direction.from_angle_degrees(90)], [32], [24], None, ACC, 0.25)
     assert rec.converged
     assert rec.diagnostics["iters"] <= 250
     assert rec.m_hat <= 188.380500 * (1 + 1e-5)  # the value before the correction, as an upper bound
@@ -353,6 +365,5 @@ def test_wrapped_e2_cells_converge(seed):
 
 def test_45_degree_seed_4_converges():
     # with a floor of 0.01 on the corrected curvature it ran to max_iters
-    env = make_environment(EXAMPLE_CHECKERBOARD.with_seed(4))
-    rec = cell_problem_r(env, Direction.from_angle_degrees(45), 32, (0.0, 0.0), ACC, 0.25)
+    (rec,) = cell_problems_r(EXAMPLE_CHECKERBOARD, [Direction.from_angle_degrees(45)], [32], [4], None, ACC, 0.25)
     assert rec.converged
