@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 property failure, 2 configuration error, 3 numerical
 divergence or no converged solve to estimate from.  Every exit after the
 config file parses writes manifest.json, also when the config then fails
-validation.
+validation, except one: an output directory that cannot be created exits 2
+before any solve, with nothing written.
 """
 
 from __future__ import annotations
@@ -72,6 +73,16 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _make_out_dir(path: str) -> bool:
+    """Create the output directory; False, with the reason on stderr, when it cannot be."""
+    try:
+        os.makedirs(path or ".", exist_ok=True)
+    except OSError as exc:
+        print(f"cannot write outputs to {path}: {exc.strerror or exc}", file=sys.stderr)
+        return False
+    return True
+
+
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     overrides = {"out": args.out, "seed": args.seed, "format": args.format}
@@ -79,9 +90,11 @@ def main(argv=None) -> int:
         cfg = load_config(args.config, overrides)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
-        if exc.config is not None:
+        if exc.config is not None and _make_out_dir(exc.config.out_dir):
             manifest = build_manifest(exc.config, args.command)
             write_json(os.path.join(exc.config.out_dir, "manifest.json"), manifest.to_dict())
+        return EXIT_CONFIG_ERROR
+    if not _make_out_dir(cfg.out_dir):
         return EXIT_CONFIG_ERROR
 
     manifest = build_manifest(cfg, args.command)

@@ -428,35 +428,24 @@ class EnergyParams:
 def _coefficients(fields, envs, epsilon: float) -> tuple:
     """(a, b, c) at every member's nodes, looked up at the physical points x/eps; each (members, *shape).
 
-    Lattice cells are computed once per distinct placement (low corner,
-    direction, shift), and the distinct cells of one environment's placements
-    once per distinct list of placements; each environment is looked up once,
-    at the distinct lattice cells that its members' nodes fall in.  A member
-    gets the values its own lookup gives.
+    Each environment is looked up once, at every node of its members; node
+    coordinates are computed once per distinct low corner.
     """
-    local, cells = {}, {}
-    placements = [(f.lo, f.direction, f.physical_shift) for f in fields]
-    for f, key in zip(fields, placements):
-        if key not in cells:
-            if f.lo not in local:
-                local[f.lo] = f.local_points()
-            points = f.to_physical(local[f.lo])
-            cells[key] = np.floor(points / epsilon).astype(np.int64).reshape(-1, f.n)
-    by_env = {}
+    local, by_env = {}, {}
     for k, env in enumerate(envs):
         by_env.setdefault(env, []).append(k)
-    out = np.empty((3, len(fields), len(cells[placements[0]])))
-    distinct_cells = {}  # per list of placements: (distinct cells, index of each node's cell among them)
+    out = np.empty((3, len(fields), fields[0].values.size))
     for env, members in by_env.items():
-        mine = tuple(placements[k] for k in members)
-        if mine not in distinct_cells:
-            every = np.ascontiguousarray(np.concatenate([cells[p] for p in mine]).T)  # (n, points)
-            low = every.min(axis=1)
-            extent = every.max(axis=1) - low + 1
-            keys, where = np.unique(np.ravel_multi_index(every - low[:, None], extent), return_inverse=True)
-            distinct_cells[mine] = np.stack(np.unravel_index(keys, extent), axis=-1) + low, where
-        distinct, where = distinct_cells[mine]
-        out[:, members] = np.take(env.coefficients_at_points(distinct), where, axis=1).reshape(3, len(members), -1)
+        points = []
+        for k in members:
+            f = fields[k]
+            if f.lo not in local:
+                local[f.lo] = f.local_points()
+            points.append(f.to_physical(local[f.lo]).reshape(-1, f.n))
+        points = np.concatenate(points)
+        points /= epsilon  # in place, and scattered per coefficient below: no second copy of the batch is held
+        for values, into in zip(env.coefficients_at_points(points), out):
+            into[members] = values.reshape(len(members), -1)
     return tuple(v.reshape((len(fields),) + fields[0].shape) for v in out)
 
 

@@ -60,7 +60,7 @@ __all__ = [
 ]
 
 
-# largest |r x0_k| of a cell center: node coordinates resolve h, and _coefficients' cell index fits int64 (n = 2)
+# largest |r x0_k| of a cell center: node coordinates resolve h well within it
 MAX_CENTER = 2.0**30
 
 
@@ -156,6 +156,14 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must not be empty")
             if len(set(entries)) < len(entries):
                 raise ConfigError(f"{name} has a repeated entry")
+        for name in ("nu_list", "r_list", "epsilon_list"):  # as work ids, fhom.json and sigma records print them
+            printed = {}
+            for v in getattr(self, name):
+                value = v.angle_degrees() if name == "nu_list" else v
+                key = f"{value:g}"
+                if key in printed:
+                    raise ConfigError(f"{name} entries {printed[key]!r} and {value!r} both print as {key}")
+                printed[key] = value
         if any(eps <= 0 for eps in self.epsilon_list):
             raise ConfigError("all epsilon values must be positive")
         if any(r < 4 for r in self.r_list):

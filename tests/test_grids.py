@@ -19,6 +19,7 @@ from homlab.grids import (
     profile_values,
     slab_grid,
 )
+from homlab.harness import MAX_CENTER
 
 
 def profile_datum(cube, eps, h, frame_width=None):
@@ -31,6 +32,11 @@ def profile_datum(cube, eps, h, frame_width=None):
 def homogeneous_env(q=0.05, b=None):
     b = q if b is None else b
     return make_environment(EnvironmentSpec(q=q, b_range=(b, b)))
+
+
+CHECKERBOARD = EnvironmentSpec(
+    kind="checkerboard", a_range=(0.8, 1.2), b_range=(-0.04, 0.05), c_range=(0.8, 1.2), q=0.05, c1=0.8, c2=1.2,
+)
 
 
 def test_profile_field_hyperplane_and_plateau(e2):
@@ -117,10 +123,7 @@ def test_profile_energy_bounded_by_ramp_constant(e1, e2, quartic):
 
 def test_gradient_matches_finite_differences(e2):
     rng = np.random.default_rng(7)
-    spec = EnvironmentSpec(
-        kind="checkerboard", a_range=(0.8, 1.2), b_range=(-0.04, 0.05), c_range=(0.8, 1.2),
-        q=0.05, c1=0.8, c2=1.2, seed=1,
-    )
+    spec = CHECKERBOARD.with_seed(1)
     env = make_environment(spec)
     cube = OrientedCube((0.0, 0.0), 2.0, e2)
     g = cube_grid(cube, 0.125, frame_width=0.25)
@@ -211,10 +214,7 @@ def kernel_grid(periodic, frame):
 @pytest.mark.parametrize("periodic, frame", KERNEL_GRIDS)
 def test_kernel_is_symmetric_and_matches_density(periodic, frame, variant):
     rng = np.random.default_rng(17)
-    spec = EnvironmentSpec(
-        kind="checkerboard", a_range=(0.8, 1.2), b_range=(-0.04, 0.05), c_range=(0.8, 1.2),
-        q=0.05, c1=0.8, c2=1.2, seed=2,
-    )
+    spec = CHECKERBOARD.with_seed(2)
     g = kernel_grid(periodic, frame)
     assert g.frozen.any() == (frame > 0 and not all(periodic)) and not g.frozen.all()
     model = EnergyModel(g, make_environment(spec), EnergyParams(1.0, variant))
@@ -238,10 +238,7 @@ def test_kernel_is_symmetric_and_matches_density(periodic, frame, variant):
 
 def test_growth_sandwich_exact_on_random_fields(e2):
     rng = np.random.default_rng(11)
-    spec = EnvironmentSpec(
-        kind="checkerboard", a_range=(0.8, 1.2), b_range=(-0.04, 0.05), c_range=(0.8, 1.2),
-        q=0.05, c1=0.8, c2=1.2, seed=6,
-    )
+    spec = CHECKERBOARD.with_seed(6)
     env = make_environment(spec)
     cube = OrientedCube((0.0, 0.0), 2.0, e2)
     for _ in range(100):
@@ -374,10 +371,6 @@ def test_periodic_axis_wraps_stencil(e2):
 @pytest.mark.parametrize("periodic", [(False, False), (True, False)])
 def test_a_non_finite_member_leaves_its_neighbours_bits_alone(periodic):
     # members' blocks lie end to end in one flat span; the separator rows between them must stop a NaN
-    spec = EnvironmentSpec(
-        kind="checkerboard", a_range=(0.8, 1.2), b_range=(-0.04, 0.05), c_range=(0.8, 1.2),
-        q=0.05, c1=0.8, c2=1.2,
-    )
     rng = np.random.default_rng(23)
     fields, envs = [], []
     for seed, degrees in ((1, 0.0), (2, 30.0), (3, 75.0)):
@@ -385,7 +378,7 @@ def test_a_non_finite_member_leaves_its_neighbours_bits_alone(periodic):
         g = cube_grid(cube, 0.25, frame_width=0.5, periodic_lateral=periodic[0])
         g.values[...] = rng.uniform(-1.5, 1.5, g.shape)
         fields.append(g)
-        envs.append(make_environment(spec.with_seed(seed)))
+        envs.append(make_environment(CHECKERBOARD.with_seed(seed)))
     params = EnergyParams(1.0, "general")
     u = np.stack([g.values for g in fields])
     u[1, 0, :] = u[1, -1, :] = u[1, :, 0] = u[1, :, -1] = np.nan  # the middle member's edges
@@ -397,49 +390,74 @@ def test_a_non_finite_member_leaves_its_neighbours_bits_alone(periodic):
         assert np.array_equal(grad[k], alone_grad)
 
 
-def test_batch_coefficients_equal_each_members_own_lookup():
-    spec = EnvironmentSpec(
-        kind="checkerboard", a_range=(0.8, 1.2), b_range=(-0.04, 0.05), c_range=(0.8, 1.2),
-        q=0.05, c1=0.8, c2=1.2,
-    )
-    shared = make_environment(spec.with_seed(4))
-    cubes = [  # (seed, direction, center): two members share one environment object
+def shared_cubes():
+    """Three directions at three centers in two seeds; two members share one environment object."""
+    shared = make_environment(CHECKERBOARD.with_seed(4))
+    cubes = [
         (shared, 0.0, (0.0, 0.0)),
         (shared, 45.0, (1.3, -0.7)),
-        (make_environment(spec.with_seed(5)), 45.0, (0.0, 0.0)),
-        (make_environment(spec.with_seed(4)), 120.0, (-2.25, 3.5)),
+        (make_environment(CHECKERBOARD.with_seed(5)), 45.0, (0.0, 0.0)),
+        (make_environment(CHECKERBOARD.with_seed(4)), 120.0, (-2.25, 3.5)),
     ]
-    cube_fields = [
-        cube_grid(OrientedCube(center, 4.0, Direction.from_angle_degrees(deg)), 0.125, frame_width=0.5)
-        for _, deg, center in cubes
+    fields = [
+        cube_grid(OrientedCube(center, 4.0, Direction.from_angle_degrees(deg)), 0.125, 0.5) for _, deg, center in cubes
     ]
+    return fields, [env for env, _, _ in cubes], 0.5
+
+
+def mixed_cubes():
+    """Four directions at two centers, each in one environment and in a lattice shift of it."""
+    env = make_environment(CHECKERBOARD.with_seed(8))
+    fields, envs = [], []
+    for member_env in (env, shift_environment(env, (3, -2))):
+        for deg in (0.0, 30.0, 90.0, 135.0):
+            for center in ((0.0, 0.0), (2.5, -1.25)):
+                fields.append(cube_grid(OrientedCube(center, 4.0, Direction.from_angle_degrees(deg)), 0.125, 0.5))
+                envs.append(member_env)
+    return fields, envs, 0.5
+
+
+def cuboids_apart():
+    """Two equal-shape cuboids with different low corners, in one environment."""
     e2 = Direction.from_integers(0, 1)
-    cuboid_fields = [cuboid_grid(LatticeCuboid((base,), e2), 0.25, 1.0) for base in ((0.0, 2.0), (-3.0, -1.0))]
-    assert cuboid_fields[0].lo != cuboid_fields[1].lo and cuboid_fields[0].shape == cuboid_fields[1].shape
-    cuboid_envs = [make_environment(spec.with_seed(6))] * 2
-    for fields, envs, eps in ((cube_fields, [env for env, _, _ in cubes], 0.5), (cuboid_fields, cuboid_envs, 1.0)):
-        model = EnergyModel(fields, envs, EnergyParams(eps, "general"))
-        for k, (f, env) in enumerate(zip(fields, envs)):
-            own = env.coefficients_at_points((f.to_physical(f.local_points()) / eps).reshape(-1, f.n))
-            for batch, alone in zip((model.a, model.b, model.c), own):
-                assert np.array_equal(batch[k].ravel(), alone)
+    fields = [cuboid_grid(LatticeCuboid((base,), e2), 0.25, 1.0) for base in ((0.0, 2.0), (-3.0, -1.0))]
+    assert fields[0].lo != fields[1].lo and fields[0].shape == fields[1].shape
+    return fields, [make_environment(CHECKERBOARD.with_seed(6))] * 2, 1.0
+
+
+def max_center_edge():
+    """Two directions of the cell centered at the largest center a config admits."""
+    center = (MAX_CENTER, -MAX_CENTER)
+    fields = [
+        profile_datum(OrientedCube(center, 8.0, Direction.from_angle_degrees(deg)), 1.0, 0.25) for deg in (0.0, 30.0)
+    ]
+    return fields, [make_environment(CHECKERBOARD.with_seed(3))] * 2, 1.0
+
+
+@pytest.mark.parametrize(
+    "batch", [shared_cubes, mixed_cubes, cuboids_apart, max_center_edge],
+    ids=["shared-cubes", "mixed-cubes", "cuboids-apart", "max-center-edge"],
+)
+def test_batch_coefficients_equal_each_members_own_lookup(batch):
+    fields, envs, eps = batch()
+    model = EnergyModel(fields, envs, EnergyParams(eps, "general"))
+    for k, (f, env) in enumerate(zip(fields, envs)):
+        own = env.coefficients_at_points(f.to_physical(f.local_points()) / eps)
+        for batched, alone in zip((model.a, model.b, model.c), own):
+            assert np.isfinite(batched[k]).all()
+            assert np.array_equal(batched[k], alone)
 
 
 def test_members_that_share_placements_across_environments_get_their_own_lookup():
-    # the cells_r8_2w layout: seeds 1 and 2 hold the same directions and centers, so the lattice
-    # cells of a placement and the distinct cells of a list of placements are computed once;
-    # seed 3 holds as many members at other centers
-    spec = EnvironmentSpec(
-        kind="checkerboard", a_range=(0.8, 1.2), b_range=(-0.04, 0.05), c_range=(0.8, 1.2),
-        q=0.05, c1=0.8, c2=1.2,
-    )
+    # the cells_r8_2w layout: seeds 1 and 2 hold the same directions and centers; seed 3 holds as
+    # many members at other centers
     fields, envs = [], []
     shared, other = ((0.0, 0.0), (2.0, 0.0)), ((0.5, 0.25), (-3.0, 1.0))
     for seed, centers in ((1, shared), (2, shared), (3, other)):
         for deg in (0.0, 45.0, 90.0, 135.0):
             for center in centers:
                 fields.append(profile_datum(OrientedCube(center, 8.0, Direction.from_angle_degrees(deg)), 1.0, 0.25))
-                envs.append(make_environment(spec.with_seed(seed)))
+                envs.append(make_environment(CHECKERBOARD.with_seed(seed)))
     params = EnergyParams(1.0, "general")
     model = EnergyModel(fields, envs, params)
     for k, (f, env) in enumerate(zip(fields, envs)):

@@ -473,6 +473,53 @@ def test_cli_sigma_with_a_scale_beyond_the_slab_bound_exits_2_with_a_manifest(tm
     assert {p.name for p in Path(out).iterdir()} == {"manifest.json"}
 
 
+@pytest.mark.parametrize(
+    "command, config, old, new, message",
+    [
+        ("homogenize", "example.ini", "nu_list = 0 45 90 135", "nu_list = 10 10.0000001",
+         "nu_list entries 10.0 and 10.0000001 both print as 10"),
+        ("cell", "example.ini", "r_list = 8 16 32", "r_list = 8 8.0000001",
+         "r_list entries 8.0 and 8.0000001 both print as 8"),
+        ("sigma", "sigma.ini", "epsilon_list = 0.25 0.125 0.0625", "epsilon_list = 0.125 0.1250000001",
+         "epsilon_list entries 0.125 and 0.1250000001 both print as 0.125"),
+    ],
+    ids=["homogenize-nu", "cell-r", "sigma-eps"],
+)
+def test_entries_that_print_as_one_key_exit_2_with_a_manifest(tmp_path, capsys, command, config, old, new, message):
+    # before, homogenize exited 0 with one fhom.json key for two directions and a work id listed twice,
+    # and sigma listed each of its ids twice
+    text = Path(__file__).parents[1].joinpath("configs", config).read_text()
+    assert old in text
+    for was, now in ((old, new), ("r_list = 8 16 32", "r_list = 8"), ("seeds = 0 1 2 3", "seeds = 0"),
+                     ("dir = out", "dir = {out}")):
+        text = text.replace(was, now)
+    path, out = write_config(tmp_path, text)
+    assert main([command, "--config", path]) == 2
+    assert message in capsys.readouterr().err
+    assert json.loads(Path(out, "manifest.json").read_text())["command"] == command
+    assert {p.name for p in Path(out).iterdir()} == {"manifest.json"}
+
+
+@pytest.mark.parametrize("sub", ["", "sub"], ids=["existing-file", "below-a-file"])
+def test_an_output_directory_that_cannot_be_created_exits_2_before_any_solve(tmp_path, capsys, monkeypatch, sub):
+    # before, cell solved and then died in write_json's makedirs with a traceback (exit 1)
+    from homlab import cell
+
+    def no_solve(*args):
+        raise AssertionError("a cell was solved")
+
+    monkeypatch.setattr(cell, "solve_many", no_solve)
+    path, _ = example_r8_config(tmp_path, "0,0", "unused")
+    blocker = tmp_path / "a_file"
+    blocker.write_text("")
+    out = os.path.join(blocker, sub) if sub else str(blocker)
+    assert main(["cell", "--config", path, "--out", out]) == 2
+    err = capsys.readouterr().err
+    reason = "Not a directory" if sub else "File exists"
+    assert err == f"cannot write outputs to {out}: {reason}\n"
+    assert blocker.read_text() == ""
+
+
 EXAMPLE_IDS = [
     (nu, r, seed) for nu in ("0", "45", "90", "135") for r in ("8", "16", "32") for seed in ("0", "1", "2", "3")
 ]
