@@ -105,51 +105,59 @@ class Cell:
         return f"nu={self.nu.angle_degrees():g}/r={self.r:g}/x0={self.x0_index}"
 
 
-@dataclass
+@dataclass(frozen=True)
 class CellRecord:
-    """One solved cell and its normalized value m_hat / side^(n-1) (an f_hom sample)."""
+    """One solved cell: the `Cell` and the `SolveResult` its solve returned."""
 
     cell: Cell
-    m_hat: float
-    normalized: float
-    diagnostics: dict = field(default_factory=dict)
+    solve: SolveResult
+
+    @property
+    def m_hat(self) -> float:
+        return self.solve.value
+
+    @property
+    def normalized(self) -> float:
+        """m_hat / side^(n-1), an f_hom sample."""
+        return self.solve.value / self.cell.cube.side ** (self.cell.nu.n - 1)
 
     @property
     def converged(self) -> bool:
-        return bool(self.diagnostics.get("converged", False))
+        return self.solve.converged
 
 
 @dataclass
 class SigmaEstimate:
     """Upper bound for one optimal transition constant, minimized over a scale grid.
 
-    `fields` holds the solved slab field and `stop_reason` the solver's stop
-    reason of every scale this variant solved.
+    `solves` holds the SolveResult (slab field, stop reason) of every scale this variant solved.
     """
 
     variant: str
     value: float
     best_epsilon: float
     per_epsilon: dict
-    stop_reason: dict
-    fields: dict = field(default_factory=dict, repr=False)
+    solves: dict = field(repr=False)
 
 
 @dataclass
 class MuSample:
-    """One evaluation of the subadditive slab process."""
+    """One evaluation of the subadditive slab process; `solve` is None for the small-base fallback."""
 
     cuboid: LatticeCuboid
     seed: int
     value: float
-    fallback: bool
     anomaly: bool
-    diagnostics: dict = field(default_factory=dict)
+    solve: SolveResult | None = None
 
 
 @dataclass
 class FHomEstimate:
-    """Per-seed extrapolated limits of normalized cell values plus spread diagnostics."""
+    """Per-seed extrapolated limits of normalized cell values plus spread diagnostics.
+
+    `fit_r` maps every seed to the r values its limit was fitted over: its top
+    three converged scales, [] where none converged (that seed has no limit).
+    """
 
     nu: Direction
     estimate: float
@@ -158,6 +166,7 @@ class FHomEstimate:
     records: list
     x0_spread: dict
     r_schedule: tuple[float, ...]
+    fit_r: dict
 
 
 @dataclass
@@ -231,7 +240,7 @@ def sigma_pm(
         if 1.0 / h_for(eps) > MAX_SLAB_NODES:
             msg = f"{1.0 / h_for(eps):.6g} nodes on the unit slab axis at h = {h_for(eps):g}"
             raise ValueError(f"scale {eps:g} puts {msg}, more than MAX_SLAB_NODES = {MAX_SLAB_NODES}")
-    per_eps, stop_reason, fields = {}, {}, {}
+    per_eps, solves = {}, {}
     for eps in scales:
         h = h_for(eps)
         try:
@@ -244,19 +253,11 @@ def sigma_pm(
             warnings.warn(f"skipping degenerate scale {eps}: frozen frame fills the unit slab")
             continue
         per_eps[eps] = res.value
-        stop_reason[eps] = res.diagnostics["stop_reason"]
-        fields[eps] = res.field
+        solves[eps] = res
     if not per_eps:
         raise ValueError("no resolvable scale in the grid")
     best_eps = min(per_eps, key=per_eps.get)
-    return SigmaEstimate(
-        variant=variant,
-        value=per_eps[best_eps],
-        best_epsilon=best_eps,
-        per_epsilon=per_eps,
-        stop_reason=stop_reason,
-        fields=fields,
-    )
+    return SigmaEstimate(variant, per_eps[best_eps], best_eps, per_eps, solves)
 
 
 def sigma_pair(
@@ -276,8 +277,8 @@ def sigma_pair(
     minus = sigma_pm("minus", well, q, scales, cfg)
     env = make_environment(EnvironmentSpec(q=q), well)
     per_eps = dict(minus.per_epsilon)
-    for eps, plus_field in plus.fields.items():
-        minus_at_plus = EnergyModel(plus_field, env, EnergyParams(eps, "m_minus")).energy(plus_field.values)
+    for eps, res in plus.solves.items():
+        minus_at_plus = EnergyModel(res.field, env, EnergyParams(eps, "m_minus")).energy(res.field.values)
         per_eps[eps] = min(per_eps.get(eps, np.inf), minus_at_plus)
     best_eps = min(per_eps, key=per_eps.get)
     minus = replace(minus, value=per_eps[best_eps], best_epsilon=best_eps, per_epsilon=per_eps)
@@ -292,8 +293,8 @@ def sigma_pair(
 def _cell_records(cells, cfg: SolverConfig) -> list[CellRecord]:
     """Solve the cells together; one CellRecord each, in order.
 
-    Cells of one geometry are solved in lockstep batches (solve_many), so a
-    record's `wall_ms` is the wall time of its batch and `batch` the batch size.
+    Cells of one geometry are solved in lockstep batches (solve_many), so the
+    `wall_ms` of a record's solve is the wall time of its batch and `batch` the batch size.
     """
     problems, datum = [], {}
     for cell in cells:
@@ -305,22 +306,7 @@ def _cell_records(cells, cfg: SolverConfig) -> list[CellRecord]:
             datum[key] = grid
         grid = replace(datum[key], direction=cube.direction, physical_shift=tuple(map(float, cube.center)))
         problems.append((grid, cell.env, EnergyParams(cell.epsilon, "general")))
-    return [
-        CellRecord(
-            cell=cell,
-            m_hat=res.value,
-            normalized=res.value / cell.cube.side ** (cell.nu.n - 1),
-            diagnostics={
-                "iters": res.iters,
-                "grad_norm": res.final_grad_norm,
-                "converged": res.converged,
-                "stop_reason": res.diagnostics["stop_reason"],
-                "wall_ms": res.diagnostics["wall_ms"],
-                "batch": res.diagnostics["batch"],
-            },
-        )
-        for cell, res in zip(cells, solve_many(problems, cfg))
-    ]
+    return [CellRecord(cell, res) for cell, res in zip(cells, solve_many(problems, cfg))]
 
 
 def cell_problems_r(
@@ -402,19 +388,12 @@ def mu_nu(
     if min(cuboid.base_lengths) < 1.0:
         c_eta = compute_c_eta(env.well, spec.q)
         value = spec.c2 * c_eta * cuboid.base_area
-        return MuSample(cuboid, spec.seed, value, fallback=True, anomaly=False)
+        return MuSample(cuboid, spec.seed, value, anomaly=False)
     res = _cuboid_solution(env, cuboid, cfg, h)
     raw = res.value / m ** (n - 1)
     anomaly = raw < -SOLVER_SLACK
     value = max(raw, 0.0) if anomaly else raw
-    return MuSample(
-        cuboid,
-        spec.seed,
-        value,
-        fallback=False,
-        anomaly=anomaly,
-        diagnostics={"iters": res.iters, "converged": res.converged, "wall_ms": res.diagnostics["wall_ms"], "h": h},
-    )
+    return MuSample(cuboid, spec.seed, value, anomaly, res)
 
 
 def glued_partition_energy(
@@ -476,20 +455,18 @@ def glued_partition_energy(
 
 
 def _fit_limit(rs: np.ndarray, values: np.ndarray) -> float:
-    """Least-squares fit of value = limit + A/r on the top three scales; returns the limit.
+    """Least-squares fit of value = limit + A/r over the scales given; returns the limit.
 
-    The intercept in closed form, with x = 1/r over the m scales kept:
+    The intercept in closed form, with x = 1/r over the m scales:
     limit = sum_i (Sxx - Sx x_i) v_i / (m Sxx - Sx^2), weights -0.5, 0.5 and 1
     at r = 8, 16, 32.  A 2-column fit needs no LAPACK routine, whose code
     would otherwise be paged into every process that estimates f_hom.
     """
-    order = np.argsort(rs)[-3:]
-    r, v = rs[order], values[order]
-    if len(r) == 1:
-        return float(v[0])
-    x = 1.0 / r
+    if len(rs) == 1:
+        return float(values[0])
+    x = 1.0 / rs
     sx, sxx = float(np.sum(x)), float(np.sum(x * x))
-    return float(np.sum((sxx - sx * x) * v) / (len(x) * sxx - sx * sx))
+    return float(np.sum((sxx - sx * x) * values) / (len(x) * sxx - sx * sx))
 
 
 def _converged(records) -> list[CellRecord]:
@@ -504,8 +481,9 @@ def f_hom_reduce(nu: Direction, r_schedule, seeds, records) -> FHomEstimate:
     """f_hom for direction nu from the records of its cells, grouped by their own nu, seed and r.
 
     Per seed, the x0-averaged normalized values are extrapolated in 1/r over the
-    top three scales of r_schedule; the estimate is the mean of the per-seed
-    limits.  Records of other directions are ignored.
+    top three scales of r_schedule where a solve converged (`fit_r`); the
+    estimate is the mean of the per-seed limits.  Records of other directions
+    are ignored.
     """
     if not seeds:
         raise ValueError("need at least one seed")
@@ -514,12 +492,12 @@ def f_hom_reduce(nu: Direction, r_schedule, seeds, records) -> FHomEstimate:
     values = {}
     for rec in _converged(mine):
         values.setdefault((rec.cell.seed, rec.cell.r), []).append(rec.normalized)
-    per_seed_limit = {}
-    x0_spread = {}
+    per_seed_limit, x0_spread, fit_r = {}, {}, {}
     for seed in seeds:
         by_r = {r: float(np.mean(values[seed, r])) for r in r_schedule if (seed, r) in values}
+        fit_r[seed] = list(by_r)[-3:]  # r_schedule is ascending
         if by_r:
-            per_seed_limit[seed] = _fit_limit(np.array(list(by_r)), np.array(list(by_r.values())))
+            per_seed_limit[seed] = _fit_limit(np.array(fit_r[seed]), np.array([by_r[r] for r in fit_r[seed]]))
         top_r_values = values.get((seed, r_schedule[-1]), [])
         if len(top_r_values) > 1:
             mean = float(np.mean(top_r_values))
@@ -537,6 +515,7 @@ def f_hom_reduce(nu: Direction, r_schedule, seeds, records) -> FHomEstimate:
         records=mine,
         x0_spread=x0_spread,
         r_schedule=r_schedule,
+        fit_r=fit_r,
     )
 
 

@@ -317,11 +317,11 @@ def write_cell_csv(path: str, records) -> None:
         writer.writerow(
             [
                 "nu_deg", "r", "seed", "x0_index", "m_hat", "normalized", "iters", "grad_norm", "stop_reason", "batch",
-                "wall_ms",
+                "resets", "secant_pairs", "wall_ms",
             ]
         )
         for rec in records:
-            cell = rec.cell
+            cell, res = rec.cell, rec.solve
             writer.writerow(
                 [
                     _fmt(cell.nu.angle_degrees()),
@@ -330,11 +330,13 @@ def write_cell_csv(path: str, records) -> None:
                     cell.x0_index,
                     _fmt(rec.m_hat),
                     _fmt(rec.normalized),
-                    rec.diagnostics.get("iters", ""),
-                    _fmt(rec.diagnostics.get("grad_norm", float("nan"))),
-                    rec.diagnostics.get("stop_reason", ""),
-                    rec.diagnostics.get("batch", ""),
-                    _fmt(round(rec.diagnostics.get("wall_ms", 0.0), 3)),
+                    res.iters,
+                    _fmt(res.final_grad_norm),
+                    res.diagnostics["stop_reason"],
+                    res.diagnostics["batch"],
+                    res.diagnostics["resets"],
+                    res.diagnostics["secant_pairs"],
+                    _fmt(round(res.diagnostics["wall_ms"], 3)),
                 ]
             )
 
@@ -360,7 +362,7 @@ def run_sigma(cfg: ExperimentConfig, manifest: RunManifest | None = None) -> dic
         raise ConfigError(f"sigma needs scales resolvable on the unit slab: {exc}") from exc
     if manifest is not None:
         for est in (minus, plus):
-            for eps in est.fields:
+            for eps in est.solves:
                 manifest.add(f"sigma/{est.variant}/eps={eps:g}", cfg.env.seed)
     payload = {
         "q": cfg.env.q,
@@ -372,8 +374,8 @@ def run_sigma(cfg: ExperimentConfig, manifest: RunManifest | None = None) -> dic
             "plus": {str(k): v for k, v in plus.per_epsilon.items()},
         },
         "stop_reason": {
-            "minus": {str(k): v for k, v in minus.stop_reason.items()},
-            "plus": {str(k): v for k, v in plus.stop_reason.items()},
+            est.variant: {str(k): res.diagnostics["stop_reason"] for k, res in est.solves.items()}
+            for est in (minus, plus)
         },
         "c_eta": compute_c_eta(well, cfg.env.q),
     }
@@ -419,6 +421,7 @@ def run_homogenize(cfg: ExperimentConfig, manifest: RunManifest | None = None) -
             "stderr": est.stderr,
             "per_seed_limit": {str(k): v for k, v in est.per_seed_limit.items()},
             "x0_spread": {str(k): v for k, v in est.x0_spread.items()},
+            "fit_r": {str(k): v for k, v in est.fit_r.items()},
         }
     payload = {"f_hom": table, "r_schedule": list(cfg.r_list)}
     write_json(os.path.join(cfg.out_dir, "fhom.json"), payload)

@@ -663,7 +663,7 @@ def _solve_batch(initials: list, envs, params: EnergyParams, cfg: SolverConfig, 
     else:  # the frame fills the grid: no node moves, and no metric is built
         found = [(values[k][geometry.box], e, 0, 0.0, True, 0) for k, e in enumerate(model.energy(values).tolist())]
         found = [r if math.isfinite(r[1]) else DivergenceError(f"initial energy is not finite ({r[1]})") for r in found]
-        descent = [{}] * len(initials)
+        descent = [{"secant_pairs": 0}] * len(initials)
     wall_ms = 1000.0 * (time.perf_counter() - t0)
     results = []
     for k, result in enumerate(found):

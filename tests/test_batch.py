@@ -381,7 +381,7 @@ def test_run_cell_with_mixed_r_returns_records_in_submission_order(tmp_path):
         x0 = cfg.x0_list[item.x0_index]
         (alone,) = cell_problems_r(cfg.env, [item.nu], [item.r], [item.seed], [x0], cfg.solver, cfg.h)
         assert rec.m_hat == alone.m_hat
-        assert rec.diagnostics["iters"] == alone.diagnostics["iters"]
+        assert rec.solve.iters == alone.solve.iters
 
 
 def test_ergodic_average_excludes_non_converged_solves(e2):
@@ -425,7 +425,7 @@ def test_sigma_pair_evaluates_the_minus_energy_on_the_solved_plus_fields(monkeyp
         per_eps[eps] = min(per_eps[eps], again)
     assert minus.per_epsilon == per_eps
     assert minus.value == min(per_eps.values())
-    assert set(minus.fields) == set(plus.fields) == set(scales)
+    assert set(minus.solves) == set(plus.solves) == set(scales)
 
 
 def test_members_must_share_their_geometry():

@@ -4,7 +4,7 @@ import pytest
 from homlab.core import compute_c_eta
 from homlab.environment import EnvironmentSpec, make_environment, shift_environment
 from homlab.geometry import Direction, LatticeCuboid, OrientedCube
-from homlab.solve import SolverConfig
+from homlab.solve import SolverConfig, SolveResult
 from homlab import cell
 from homlab.cell import (
     Cell,
@@ -144,8 +144,11 @@ def test_unit_and_eps_scaled_cells_in_one_call_get_their_records_alone(e2):
         (alone,) = cell._cell_records([item], QUICK)
         assert rec.cell is item
         assert rec.m_hat == alone.m_hat and rec.normalized == alone.normalized
-        assert {k: v for k, v in rec.diagnostics.items() if k != "wall_ms"} == {
-            k: v for k, v in alone.diagnostics.items() if k != "wall_ms"
+        assert (rec.solve.iters, rec.solve.final_grad_norm, rec.solve.converged) == (
+            alone.solve.iters, alone.solve.final_grad_norm, alone.solve.converged
+        )
+        assert {k: v for k, v in rec.solve.diagnostics.items() if k != "wall_ms"} == {
+            k: v for k, v in alone.solve.diagnostics.items() if k != "wall_ms"
         }
     assert together[0].normalized == pytest.approx(together[1].normalized, rel=1e-5)
 
@@ -172,7 +175,7 @@ def test_mu_fallback_branch_exact(e2, quartic):
     cub = LatticeCuboid(((0.0, 0.5),), e2)
     sample = mu_nu(env, cub, QUICK, 0.25)
     expected = 1.2 * compute_c_eta(quartic, 0.05) * 0.5
-    assert sample.fallback
+    assert sample.solve is None
     assert sample.value == pytest.approx(expected, rel=1e-12)
 
 
@@ -241,14 +244,24 @@ def test_f_hom_estimate_extrapolates_below_raw(e2):
     assert est.estimate < min(raw_top)  # boundary frame inflates raw values
 
 
+def _record(nu, seed, r, normalized, converged=True, x0_index=0):
+    """A hand-built CellRecord, no solve; r a power of two, so `normalized` comes back to the bit."""
+    x0 = (0.25 * x0_index, 0.0)
+    cube = OrientedCube(tuple(r * v for v in x0), r, nu)
+    item = Cell(make_environment(homogeneous().with_seed(seed)), cube, x0_index, x0, 1.0, 0.25)
+    return CellRecord(item, SolveResult(None, r * normalized, 0, 0.0, converged))
+
+
 @pytest.mark.parametrize("rs", [(8, 16), (16, 8), (8, 16, 32), (32, 8, 16), (4, 8, 16, 32, 64), (64, 16, 4, 32, 8)])
-def test_fit_limit_is_the_least_squares_intercept_of_the_top_three_scales(rs):
+def test_fit_limit_is_the_least_squares_intercept_of_the_top_three_scales(e2, rs):
     r = np.array(rs, dtype=float)
     v = 2.1 + 3.7 / r + np.random.default_rng(0).normal(scale=0.05, size=len(r))
     top = np.argsort(r)[-3:]
     design = np.stack([np.ones(len(top)), 1.0 / r[top]], axis=1)
     oracle = np.linalg.lstsq(design, v[top], rcond=None)[0][0]
-    assert _fit_limit(r, v) == pytest.approx(oracle, rel=1e-12)
+    est = f_hom_reduce(e2, rs, (0,), [_record(e2, 0, r_k, v_k) for r_k, v_k in zip(r, v)])
+    assert est.fit_r == {0: sorted(r[top].tolist())}
+    assert est.per_seed_limit[0] == pytest.approx(oracle, rel=1e-12)
 
 
 def test_fit_limit_weights_at_8_16_32():
@@ -259,23 +272,33 @@ def test_fit_limit_weights_at_8_16_32():
 
 
 def test_f_hom_reduce_takes_a_single_scale_as_is_and_fits_three(e2):
-    # hand-built records, no solve: seed 0 converged at r = 32 only, seed 1 at every scale
-    def record(seed, r, x0_index, normalized, converged=True, nu=e2):
-        x0 = (0.25 * x0_index, 0.0)
-        cube = OrientedCube(tuple(r * v for v in x0), r, nu)
-        item = Cell(make_environment(homogeneous().with_seed(seed)), cube, x0_index, x0, 1.0, 0.25)
-        return CellRecord(item, m_hat=r * normalized, normalized=normalized, diagnostics={"converged": converged})
-
-    records = [record(0, 8.0, 0, 9.0, False), record(0, 32.0, 0, 2.2), record(0, 32.0, 1, 2.4)]
-    records += [record(1, r, 0, v) for r, v in ((8.0, 2.6), (16.0, 2.35), (32.0, 2.225))]
-    records.append(record(0, 32.0, 0, 7.0, nu=Direction.from_integers(1, 0)))  # another direction's record is ignored
+    # seed 0 converged at r = 32 only, seed 1 at every scale
+    records = [_record(e2, 0, 8.0, 9.0, False), _record(e2, 0, 32.0, 2.2), _record(e2, 0, 32.0, 2.4, x0_index=1)]
+    records += [_record(e2, 1, r, v) for r, v in ((8.0, 2.6), (16.0, 2.35), (32.0, 2.225))]
+    records.append(_record(Direction.from_integers(1, 0), 0, 32.0, 7.0))  # another direction's record is ignored
     with pytest.warns(UserWarning, match="non-converged"):
         est = f_hom_reduce(e2, (8, 16, 32), (0, 1), records)
     assert est.per_seed_limit[0] == float(np.mean([2.2, 2.4]))
     assert est.per_seed_limit[1] == _fit_limit(np.array([8.0, 16.0, 32.0]), np.array([2.6, 2.35, 2.225]))
     assert est.per_seed_limit[1] == pytest.approx(-0.5 * 2.6 + 0.5 * 2.35 + 2.225, rel=1e-15)
     assert est.estimate == float(np.mean([est.per_seed_limit[0], est.per_seed_limit[1]]))
+    assert est.fit_r == {0: [32.0], 1: [8.0, 16.0, 32.0]}
     assert len(est.records) == 6
+
+
+def test_f_hom_reduce_names_the_scales_each_seed_was_fitted_over(e2):
+    # the max_iters = 40 run on the example medium: seed 0 stops short at r = 32, seed 1 at r = 16 and 32
+    records = [_record(e2, 0, 8.0, 2.9), _record(e2, 0, 16.0, 2.5), _record(e2, 0, 32.0, 9.0, False)]
+    records += [_record(e2, 1, 8.0, 16.5), _record(e2, 1, 16.0, 6.0, False), _record(e2, 1, 32.0, 9.0, False)]
+    with pytest.warns(UserWarning, match="non-converged"):
+        est = f_hom_reduce(e2, (8, 16, 32), (0, 1), records)
+    assert est.fit_r == {0: [8.0, 16.0], 1: [8.0]}
+    assert est.per_seed_limit == {0: _fit_limit(np.array([8.0, 16.0]), np.array([2.9, 2.5])), 1: 16.5}
+    # a seed with no converged solve is named with no scale and has no limit
+    with pytest.warns(UserWarning, match="non-converged"):
+        est = f_hom_reduce(e2, (8, 16, 32), (0, 1, 2), records + [_record(e2, 2, 8.0, 3.0, False)])
+    assert est.fit_r == {0: [8.0, 16.0], 1: [8.0], 2: []}
+    assert set(est.per_seed_limit) == {0, 1}
 
 
 def test_f_hom_limit_insensitive_to_schedule_doubling(e2):

@@ -80,6 +80,9 @@ def test_a_grid_whose_frame_fills_it_is_its_datum_at_iteration_0(periodic):
     problem = (grid, make_environment(EnvironmentSpec()), EnergyParams(1.0, "general"))
     (res,) = solve_many([problem], ACC)
     assert res.converged and res.iters == 0 and res.final_grad_norm == 0.0
+    # the diagnostics a cell.csv row reads, with no descent to report: 0 resets, 0 secant pairs
+    assert (res.diagnostics["stop_reason"], res.diagnostics["batch"]) == ("converged", 1)
+    assert (res.diagnostics["resets"], res.diagnostics["secant_pairs"]) == (0, 0)
     assert res.value == EnergyModel(grid, problem[1], problem[2]).energy(grid.values)
     assert np.array_equal(res.field.values, grid.values)
     grid.values[0] = np.nan  # a datum of no finite energy is a divergence, as a descent from it would be

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from homlab.cli import UPPER_BOUND_NOTE, main
+from homlab.cell import cell_problems_r
 from homlab.harness import ConfigError, build_manifest, load_config, run_cell, run_property_suite
 from homlab.solve import usable_cpus
 
@@ -113,7 +114,7 @@ def test_seed_flag_changes_the_config_hash_but_no_cell_row(tmp_path):
         with open(Path(out, "cell.csv"), newline="") as fh:
             rows.append([row[:-1] for row in csv.reader(fh)])  # every column but wall_ms
         hashes.append(json.loads(Path(out, "manifest.json").read_text())["config_hash"])
-    assert rows[0][0][-1] == "batch" and len(rows[0]) == 9
+    assert rows[0][0][-1] == "secant_pairs" and len(rows[0]) == 9
     assert rows[0] == rows[1]
     assert hashes[0] != hashes[1]
 
@@ -128,8 +129,33 @@ def test_run_cell_emits_deterministic_csv(tmp_path):
     # byte-identical up to the wall-clock column (the only timing field)
     strip = lambda lines: ["," .join(line.split(",")[:-1]) for line in lines]
     assert strip(first) == strip(second)
-    assert first[0] == "nu_deg,r,seed,x0_index,m_hat,normalized,iters,grad_norm,stop_reason,batch,wall_ms"
+    assert first[0] == (
+        "nu_deg,r,seed,x0_index,m_hat,normalized,iters,grad_norm,stop_reason,batch,resets,secant_pairs,wall_ms"
+    )
     assert len(first) == 1 + 2 * 2 * 2  # nu x r x seeds
+
+
+def test_cell_csv_rows_read_the_solve_the_problem_gets_alone(tmp_path):
+    # r = 8 and 16 cells run the two-point rule, an r = 32 cell (a 128^2 grid, one per batch) L-BFGS with 5 pairs
+    text = GOOD_CONFIG.replace("r_list = 4 8", "r_list = 8 16 32").replace("nu_list = 0 p:3,4", "nu_list = 90")
+    path, out = write_config(tmp_path, text)
+    cfg = load_config(path)
+    records = run_cell(cfg)
+    with open(Path(out, "cell.csv"), newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == len(records) == 6
+    for rec, row in zip(records, rows, strict=True):
+        item = rec.cell
+        (alone,) = cell_problems_r(cfg.env, [item.nu], [item.r], [item.seed], [cfg.x0_list[0]], cfg.solver, cfg.h)
+        res = alone.solve
+        assert rec.m_hat == res.value and rec.normalized == res.value / item.r and rec.converged is res.converged
+        assert (row["m_hat"], row["normalized"]) == (f"{rec.m_hat:.12g}", f"{rec.normalized:.12g}")
+        assert (row["iters"], row["grad_norm"]) == (str(res.iters), f"{res.final_grad_norm:.12g}")
+        for key in ("stop_reason", "resets", "secant_pairs"):
+            assert row[key] == str(res.diagnostics[key])
+        # the two seeds of r = 8 and of r = 16 share a batch; alone, each is a batch of one
+        assert (row["batch"], res.diagnostics["batch"]) == ("1" if item.r == 32 else "2", 1)
+        assert row["secant_pairs"] == ("5" if item.r == 32 else "0")
 
 
 def test_cli_cell_and_manifest(tmp_path):

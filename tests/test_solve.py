@@ -185,7 +185,7 @@ def test_r16_cell_converges_fast_to_the_seed_commit_value(spec, nu, seed_commit_
     # the plain two-point gradient method took 2635 and 1451 iterations on these cells
     (rec,) = cell_problems_r(spec, [Direction.from_integers(*nu)], [16], [spec.seed], [(0.0, 0.0)], ACC, 0.25)
     assert rec.converged
-    assert rec.diagnostics["iters"] <= 500
+    assert rec.solve.iters <= 500
     # an upper bound: tight above, a better minimizer is welcome below
     assert seed_commit_value * (1 - 1e-4) <= rec.m_hat <= seed_commit_value * (1 + 1e-5)
 
@@ -209,7 +209,7 @@ def test_converged_result_passes_the_stopping_test():
     # test at a state just above the best energy before the best state meets it
     (rec,) = cell_problems_r(EXAMPLE_CHECKERBOARD, [Direction.from_integers(1, 0)], [8], [15], [(0, 0)], ACC)
     assert rec.converged
-    assert rec.diagnostics["grad_norm"] <= ACC.grad_tol
+    assert rec.solve.final_grad_norm <= ACC.grad_tol
 
 
 @pytest.mark.parametrize("q, metric", [(0.05, "preconditioned"), (50.0, "gradient")])
@@ -351,7 +351,7 @@ def test_e1_seed_24_leaves_its_plateau():
     # plateau 2.5e-3 above the minimum while the interface slid along e1
     (rec,) = cell_problems_r(EXAMPLE_CHECKERBOARD, [Direction.from_angle_degrees(90)], [32], [24], None, ACC, 0.25)
     assert rec.converged
-    assert rec.diagnostics["iters"] <= 250
+    assert rec.solve.iters <= 250
     assert rec.m_hat <= 188.380500 * (1 + 1e-5)  # the value before the correction, as an upper bound
 
 
