@@ -224,9 +224,9 @@ def sigma_pm(
     The slab is the unit interval with values frozen to +-1 near its two ends;
     each admissible scale contributes one solve.  Before any solve, a scale
     outside (0, 1] or with more than MAX_SLAB_NODES nodes on the slab axis is
-    rejected (ValueError).  Scales the mesh cannot resolve are skipped with a
-    warning.  The minus variant is gated to small q, where the comparison
-    energy stays positive.
+    rejected (ResolutionError, as is a grid with no scale left).  Scales the
+    mesh cannot resolve are skipped with a warning.  The minus variant is
+    gated to small q, where the comparison energy stays positive (ValueError).
     """
     if variant not in ("plus", "minus"):
         raise ValueError("variant must be 'plus' or 'minus'")
@@ -236,10 +236,10 @@ def sigma_pm(
         h_for = lambda eps: eps / 8.0
     for eps in scales:
         if not 0.0 < eps <= 1.0:
-            raise ValueError("scales must lie in (0, 1]")
+            raise ResolutionError("scales must lie in (0, 1]")
         if 1.0 / h_for(eps) > MAX_SLAB_NODES:
             msg = f"{1.0 / h_for(eps):.6g} nodes on the unit slab axis at h = {h_for(eps):g}"
-            raise ValueError(f"scale {eps:g} puts {msg}, more than MAX_SLAB_NODES = {MAX_SLAB_NODES}")
+            raise ResolutionError(f"scale {eps:g} puts {msg}, more than MAX_SLAB_NODES = {MAX_SLAB_NODES}")
     per_eps, solves = {}, {}
     for eps in scales:
         h = h_for(eps)
@@ -255,7 +255,7 @@ def sigma_pm(
         per_eps[eps] = res.value
         solves[eps] = res
     if not per_eps:
-        raise ValueError("no resolvable scale in the grid")
+        raise ResolutionError("no resolvable scale in the grid")
     best_eps = min(per_eps, key=per_eps.get)
     return SigmaEstimate(variant, per_eps[best_eps], best_eps, per_eps, solves)
 
@@ -408,8 +408,9 @@ def glued_partition_energy(
     `cut_points` split the (1d) base interval into parts; each part is solved
     on its own cuboid, the minimizers are pasted into the full grid (they agree
     with the boundary ramp on the collars), and the leftover region keeps the
-    ramp, whose integrand vanishes there.  Returns the glued energy and the sum
-    of the part minima; subadditivity predicts glued <= sum to rounding.
+    ramp, whose integrand vanishes there.  Returns the glued energy, the sum
+    of the part minima and the parts' SolveResults; subadditivity predicts
+    glued <= sum to rounding.
     """
     if cuboid.n != 2:
         raise NotImplementedError("partition gluing is implemented for n = 2")
@@ -418,7 +419,6 @@ def glued_partition_energy(
     if any(not a < c < b for c in cuts):
         raise ValueError("cut points must fall inside the base interval")
     edges = [a] + cuts + [b]
-    m = cuboid.m_nu
 
     big = cuboid_grid(cuboid, h, frame_width_for(h, 1.0, "cell"))
     big.values[...] = profile_values(big, 1.0)
@@ -430,7 +430,7 @@ def glued_partition_energy(
         part = LatticeCuboid(((left, right),), cuboid.direction)
         res = _cuboid_solution(env, part, cfg, h)
         total += res.value
-        parts.append((part, res))
+        parts.append(res)
         bounds = part.local_bounds()
         off_lat = (bounds[0][0] - lo_lat) / h
         off_vert = (bounds[1][0] - lo_vert) / h
@@ -443,8 +443,7 @@ def glued_partition_energy(
     return {
         "glued_energy": glued,
         "sum_part_minima": total,
-        "part_values": tuple(res.value for _, res in parts),
-        "edges": tuple(edges),
+        "parts": tuple(parts),
         "slack": glued - total,
     }
 

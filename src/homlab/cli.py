@@ -20,9 +20,9 @@ from .harness import (
     load_config,
     run_cell,
     run_homogenize,
-    run_property_suite,
     run_sigma,
     run_sweep,
+    run_verify,
     write_json,
 )
 from .cell import EstimateError
@@ -112,26 +112,14 @@ def main(argv=None) -> int:
             for angle, entry in sorted(payload["f_hom"].items(), key=lambda kv: float(kv[0])):
                 print(f"nu = {float(angle):7.2f} deg   f_hom = {entry['estimate']:.6g} +- {entry['stderr']:.2g}")
         elif args.command == "verify":
-            results = run_property_suite(cfg)
-            hard_fail = False
+            results = run_verify(cfg, manifest)
             for res in results:
-                manifest.add(f"verify/{res.name}", cfg.env.seed)
-                status = "PASS" if res.passed else "FAIL"
-                if res.informational:
-                    status = "INFO"
-                print(f"[{status}] {res.name}: {res.detail}")
-                hard_fail = hard_fail or (not res.passed and not res.informational)
+                print(f"[{'INFO' if res.informational else 'PASS' if res.passed else 'FAIL'}] {res.name}: {res.detail}")
             print(UPPER_BOUND_NOTE)
-            write_json(
-                os.path.join(cfg.out_dir, "verify.json"),
-                {
-                    "results": [
-                        {"name": r.name, "passed": r.passed, "detail": r.detail, "informational": r.informational}
-                        for r in results
-                    ]
-                },
-            )
-            if hard_fail:
+            raised = [res.error for res in results if res.error is not None]
+            if raised:
+                raise raised[0]  # reported below, as when another command raises it
+            if any(not res.passed and not res.informational for res in results):
                 code = EXIT_PROPERTY_FAILURE
     except DivergenceError as exc:
         print(f"numerical divergence: {exc}", file=sys.stderr)

@@ -27,11 +27,12 @@ from . import BLAS_THREADS, __version__
 from .core import DoubleWell, compute_c_eta
 from .environment import EnvironmentSpec, growth_violations, make_environment, shift_environment
 from .geometry import Direction, LatticeCuboid, OrientedCube
-from .grids import EnergyModel, EnergyParams, cube_grid
-from .solve import SolverConfig, usable_cpus
+from .grids import EnergyModel, EnergyParams, ResolutionError, cube_grid
+from .solve import DivergenceError, SolverConfig, usable_cpus
 from .cell import (
     MINUS_VARIANT_Q_MAX,
     CellRecord,
+    EstimateError,
     bounds_check,
     cell_problems_r,
     eps_scaled_cell,
@@ -54,7 +55,7 @@ __all__ = [
     "run_cell",
     "run_homogenize",
     "run_sweep",
-    "run_property_suite",
+    "run_verify",
     "write_cell_csv",
     "write_json",
 ]
@@ -358,8 +359,10 @@ def run_sigma(cfg: ExperimentConfig, manifest: RunManifest | None = None) -> dic
     well = DoubleWell()
     try:
         minus, plus = sigma_pair(well, cfg.env.q, cfg.epsilon_list, cfg.solver)
-    except ValueError as exc:
+    except ResolutionError as exc:
         raise ConfigError(f"sigma needs scales resolvable on the unit slab: {exc}") from exc
+    except ValueError as exc:  # the minus variant's q bound
+        raise ConfigError(str(exc)) from exc
     if manifest is not None:
         for est in (minus, plus):
             for eps in est.solves:
@@ -450,15 +453,17 @@ def run_sweep(cfg: ExperimentConfig, manifest: RunManifest | None = None) -> dic
 
 @dataclass
 class PropertyResult:
+    """One verify line; `error`, left out of verify.json, is the DivergenceError or EstimateError its check raised."""
+
     name: str
     passed: bool
     detail: str
     informational: bool = False
+    error: Exception | None = field(default=None, repr=False, compare=False)
 
 
-def _prop_gradient(cfg: ExperimentConfig) -> PropertyResult:
+def _prop_gradient(cfg: ExperimentConfig, env, cuboids) -> tuple:
     rng = np.random.default_rng(1)
-    env = make_environment(cfg.env)
     worst = 0.0
     nu = cfg.nu_list[0]
     for _ in range(5):
@@ -473,12 +478,11 @@ def _prop_gradient(cfg: ExperimentConfig) -> PropertyResult:
             fd = (model.energy(g.values + d * v) - model.energy(g.values - d * v)) / (2 * d)
             an = float(np.sum(grad * v))
             worst = max(worst, abs(fd - an) / max(abs(an), 1e-12))
-    return PropertyResult("gradient-consistency", worst < 1e-5, f"max rel err {worst:.3e}")
+    return worst < 1e-5, f"max rel err {worst:.3e}", []
 
 
-def _prop_growth(cfg: ExperimentConfig) -> PropertyResult:
+def _prop_growth(cfg: ExperimentConfig, env, cuboids) -> tuple:
     rng = np.random.default_rng(2)
-    env = make_environment(cfg.env)
     nu = cfg.nu_list[0]
     violations = 0
     worst = 0.0
@@ -493,21 +497,17 @@ def _prop_growth(cfg: ExperimentConfig) -> PropertyResult:
         if e < lo - scale or e > hi + scale:
             violations += 1
             worst = max(worst, lo - e, e - hi)
-    return PropertyResult("growth-sandwich", violations == 0, f"{violations} violations, worst excess {worst:.3e}")
+    return violations == 0, f"{violations} violations, worst excess {worst:.3e}", []
 
 
-def _prop_positivity(cfg: ExperimentConfig) -> PropertyResult:
+def _prop_positivity(cfg: ExperimentConfig, env, cuboids) -> tuple:
     q = cfg.env.q
     report = verify_positivity(q, (1.0, 1.0) if cfg.dimension == 2 else (1.0,), 1.0 / 16.0, 3, cfg.solver)
     starts = f"{sum(report.converged)}/{len(report.converged)} starts converged"
     if q > MINUS_VARIANT_Q_MAX:
-        return PropertyResult(
-            "positivity",
-            True,
-            f"outside regime (q = {q} > {MINUS_VARIANT_Q_MAX}); observed min {report.minimum:.3e}, {starts}",
-            informational=True,
-        )
-    return PropertyResult("positivity", report.passed, f"min {report.minimum:.3e}, {starts}")
+        observed = f"outside regime (q = {q} > {MINUS_VARIANT_Q_MAX}); observed min {report.minimum:.3e}, {starts}"
+        return None, observed, report.converged
+    return report.passed, f"min {report.minimum:.3e}, {starts}", report.converged
 
 
 def _lattice_direction(cfg: ExperimentConfig) -> Direction:
@@ -533,115 +533,122 @@ def _suite_cuboid(cfg: ExperimentConfig, base, within: LatticeCuboid | None = No
     return cub
 
 
-def _outside_regime(cfg: ExperimentConfig, name: str) -> PropertyResult | None:
-    if cfg.env.q > MINUS_VARIANT_Q_MAX:
-        return PropertyResult(
-            name,
-            True,
-            f"skipped: q = {cfg.env.q} outside the sign-controlled regime",
-            informational=True,
-        )
-    return None
+def _suite_cuboids(cfg: ExperimentConfig) -> dict:
+    """The n = 2 checks' lattice cuboids by base; ConfigError unless the mesh fits each and the parts of (0, 3)."""
+    cuboids = {base: _suite_cuboid(cfg, base) for base in ((0.0, 2.0), (0.5, 1.5), (0.0, 3.0))}
+    for part in ((0.0, 1.5), (1.5, 3.0)):
+        _suite_cuboid(cfg, part, within=cuboids[0.0, 3.0])
+    return cuboids
 
 
-def _prop_mu_bounds(cfg: ExperimentConfig) -> PropertyResult:
-    if cfg.dimension != 2:
-        return PropertyResult("mu-bounds", True, "skipped for n=1", informational=True)
-    gated = _outside_regime(cfg, "mu-bounds")
-    if gated:
-        return gated
-    env = make_environment(cfg.env)
+def _prop_mu_bounds(cfg: ExperimentConfig, env, cuboids) -> tuple:
     c_eta = compute_c_eta(DoubleWell(), cfg.env.q)
     ok = True
-    details = []
+    details, converged = [], []
     for base in ((0.0, 2.0), (0.5, 1.5)):
-        cub = _suite_cuboid(cfg, base)
-        sample = mu_nu(env, cub, cfg.solver, cfg.h)
+        cub = cuboids[base]
+        sample = mu_nu(env, cub, cfg.solver, cfg.h)  # every suite base has sides >= 1, so it is solved
         upper = cfg.env.c2 * c_eta * cub.base_area
         good = -1e-6 <= sample.value <= upper + 1e-9 and not sample.anomaly
         ok = ok and good
         details.append(f"{base}: {sample.value:.4g} <= {upper:.4g}")
-    return PropertyResult("mu-bounds", ok, "; ".join(details))
+        converged.append(sample.solve.converged)
+    return ok, "; ".join(details), converged
 
 
-def _prop_subadditivity(cfg: ExperimentConfig) -> PropertyResult:
-    if cfg.dimension != 2:
-        return PropertyResult("subadditivity", True, "skipped for n=1", informational=True)
-    cub = _suite_cuboid(cfg, (0.0, 3.0))
-    for part in ((0.0, 1.5), (1.5, 3.0)):
-        _suite_cuboid(cfg, part, within=cub)
-    env = make_environment(cfg.env)
-    out = glued_partition_energy(env, cub, [1.5], cfg.solver, cfg.h)
-    return PropertyResult(
-        "subadditivity",
-        out["slack"] <= 1e-9,
-        f"glued - sum = {out['slack']:.3e}",
-    )
+def _prop_subadditivity(cfg: ExperimentConfig, env, cuboids) -> tuple:
+    out = glued_partition_energy(env, cuboids[0.0, 3.0], [1.5], cfg.solver, cfg.h)
+    return out["slack"] <= 1e-9, f"glued - sum = {out['slack']:.3e}", [res.converged for res in out["parts"]]
 
 
-def _prop_stationarity(cfg: ExperimentConfig) -> PropertyResult:
-    if cfg.dimension != 2:
-        return PropertyResult("stationarity", True, "skipped for n=1", informational=True)
-    env = make_environment(cfg.env)
-    cub = _suite_cuboid(cfg, (0.0, 2.0))
+def _prop_stationarity(cfg: ExperimentConfig, env, cuboids) -> tuple:
+    cub = cuboids[0.0, 2.0]
     worst = 0.0
+    converged = []
     for z in ((1,), (-2,)):
         shifted_env = shift_environment(env, tuple(int(v) for v in cub.lattice_shift_vector(z)))
         a = mu_nu(shifted_env, cub, cfg.solver, cfg.h)
         b = mu_nu(env, cub.shifted(z), cfg.solver, cfg.h)
         worst = max(worst, abs(a.value - b.value) / max(abs(b.value), 1e-12))
-    return PropertyResult("stationarity", worst <= 1e-9, f"max rel gap {worst:.3e}")
+        converged += [a.solve.converged, b.solve.converged]
+    return worst <= 1e-9, f"max rel gap {worst:.3e}", converged
 
 
-def _prop_bounds(cfg: ExperimentConfig) -> PropertyResult:
-    gated = _outside_regime(cfg, "bounds")
-    if gated:
-        return gated
-    well = DoubleWell()
-    minus, plus = sigma_pair(well, cfg.env.q, (0.25, 0.125), cfg.solver)
-    nu = cfg.nu_list[0]
-    est = f_hom_estimate(cfg.env, nu, cfg.r_list, cfg.seeds[:2], cfg.solver, cfg.h)
+def _prop_bounds(cfg: ExperimentConfig, env, cuboids) -> tuple:
+    minus, plus = sigma_pair(DoubleWell(), cfg.env.q, (0.25, 0.125), cfg.solver)
+    est = f_hom_estimate(cfg.env, cfg.nu_list[0], cfg.r_list, cfg.seeds[:2], cfg.solver, cfg.h)
     report = bounds_check(est.estimate, minus.value, plus.value, cfg.env.c1, cfg.env.c2)
-    return PropertyResult(
-        "bounds",
-        report.passed,
-        f"{report.lower:.4g} <= {report.value:.4g} <= {report.upper:.4g}",
-    )
+    converged = [res.converged for sigma in (minus, plus) for res in sigma.solves.values()]
+    converged += [rec.converged for rec in est.records]
+    return report.passed, f"{report.lower:.4g} <= {report.value:.4g} <= {report.upper:.4g}", converged
 
 
-def _prop_monotonicity(cfg: ExperimentConfig) -> PropertyResult:
-    gated = _outside_regime(cfg, "monotonicity")
-    if gated:
-        return gated
-    env = make_environment(cfg.env)
+def _prop_monotonicity(cfg: ExperimentConfig, env, cuboids) -> tuple:
     nu = cfg.nu_list[0]
     eps = min(cfg.epsilon_list)
     c_eta = compute_c_eta(DoubleWell(), cfg.env.q)
     rhos = [4 * eps, 8 * eps, 16 * eps]
-    seq = []
-    for rho in rhos:
-        rec = eps_scaled_cell(env, nu, rho, eps, (0.0,) * cfg.dimension, cfg.solver, h=eps / 4.0)
-        seq.append(rec.m_hat - cfg.env.c2 * c_eta * rho ** (cfg.dimension - 1))
+    recs = [eps_scaled_cell(env, nu, rho, eps, (0.0,) * cfg.dimension, cfg.solver, h=eps / 4.0) for rho in rhos]
+    seq = [rec.m_hat - cfg.env.c2 * c_eta * rho ** (cfg.dimension - 1) for rec, rho in zip(recs, rhos)]
     ok = all(seq[i + 1] <= seq[i] + 0.02 * abs(seq[i]) + 1e-9 for i in range(len(seq) - 1))
-    return PropertyResult("monotonicity", ok, f"sequence {['%.4g' % s for s in seq]}")
+    return ok, f"sequence {['%.4g' % s for s in seq]}", [rec.converged for rec in recs]
 
 
-def _prop_growth_pointwise(cfg: ExperimentConfig) -> PropertyResult:
+def _prop_growth_pointwise(cfg: ExperimentConfig, env, cuboids) -> tuple:
     broken = growth_violations(cfg.env)
-    return PropertyResult("growth-pointwise", not broken, "; ".join(broken) or "all six coefficient bounds hold")
+    return not broken, "; ".join(broken) or "all six coefficient bounds hold", []
 
 
-def run_property_suite(cfg: ExperimentConfig) -> list[PropertyResult]:
+# name, check, needs.  A check takes (cfg, environment, the n = 2 cuboids by base) and returns
+# (passed, detail, the converged flag of every solve it read); passed None reports an observation
+# outside its regime (informational).  needs: "n=2" skips the property for n = 1, "regime" for q
+# above MINUS_VARIANT_Q_MAX.
+_PROPERTIES = (
+    ("gradient-consistency", _prop_gradient, ()),
+    ("growth-sandwich", _prop_growth, ()),
+    ("growth-pointwise", _prop_growth_pointwise, ()),
+    ("positivity", _prop_positivity, ()),
+    ("mu-bounds", _prop_mu_bounds, ("n=2", "regime")),
+    ("subadditivity", _prop_subadditivity, ("n=2",)),
+    ("stationarity", _prop_stationarity, ("n=2",)),
+    ("bounds", _prop_bounds, ("regime",)),
+    ("monotonicity", _prop_monotonicity, ("regime",)),
+)
+
+
+def _skip(cfg: ExperimentConfig, needs) -> str | None:
+    if "n=2" in needs and cfg.dimension != 2:
+        return "skipped for n=1"
+    if "regime" in needs and cfg.env.q > MINUS_VARIANT_Q_MAX:
+        return f"skipped: q = {cfg.env.q} outside the sign-controlled regime"
+    return None
+
+
+def run_verify(cfg: ExperimentConfig, manifest: RunManifest | None = None) -> list[PropertyResult]:
+    """Every property in table order; with a manifest, one record `verify/<name>` each; writes verify.json.
+
+    The mesh is checked against the unit scale and every suite cuboid before any check runs.  A
+    judged property fails when a solve it read stopped at max_iters.  A check that raises
+    DivergenceError or EstimateError gives a failed row with the error as its detail, and in `error`.
+    """
     _check_unit_scale(cfg)  # the cell-based properties solve at epsilon = 1 on the mesh h
-    checks = [
-        _prop_gradient,
-        _prop_growth,
-        _prop_growth_pointwise,
-        _prop_positivity,
-        _prop_mu_bounds,
-        _prop_subadditivity,
-        _prop_stationarity,
-        _prop_bounds,
-        _prop_monotonicity,
-    ]
-    return [check(cfg) for check in checks]
+    cuboids = _suite_cuboids(cfg) if cfg.dimension == 2 else {}
+    env = make_environment(cfg.env)
+    results = []
+    for name, check, needs in _PROPERTIES:
+        skip = _skip(cfg, needs)
+        try:
+            passed, detail, converged = (None, skip, []) if skip else check(cfg, env, cuboids)
+        except (DivergenceError, EstimateError) as exc:
+            results.append(PropertyResult(name, False, str(exc), error=exc))
+            continue
+        stopped = converged.count(False)
+        if stopped and passed is not None:
+            passed, detail = False, f"{detail}; {stopped} of {len(converged)} solves stopped at max_iters"
+        results.append(PropertyResult(name, passed is None or passed, detail, informational=passed is None))
+    if manifest is not None:
+        for res in results:
+            manifest.add(f"verify/{res.name}", cfg.env.seed)
+    rows = [{k: v for k, v in dataclasses.asdict(res).items() if k != "error"} for res in results]
+    write_json(os.path.join(cfg.out_dir, "verify.json"), {"results": rows})
+    return results

@@ -8,7 +8,7 @@ import pytest
 
 from homlab.cli import UPPER_BOUND_NOTE, main
 from homlab.cell import cell_problems_r
-from homlab.harness import ConfigError, build_manifest, load_config, run_cell, run_property_suite
+from homlab.harness import ConfigError, build_manifest, load_config, run_cell, run_verify
 from homlab.solve import usable_cpus
 
 GOOD_CONFIG = """
@@ -367,8 +367,15 @@ def test_every_command_writes_all_of_its_outputs(tmp_path, command):
     assert {p.name for p in Path(out).iterdir()} == OUTPUTS[command] | {"manifest.json"}
 
 
-def test_cli_verify_on_a_mesh_that_misses_the_suite_cuboids_exits_2(tmp_path, capsys):
-    # h = 0.2 divides every r, but not the side 4.5 of the parts the subadditivity check glues
+def test_cli_verify_on_a_mesh_that_misses_the_suite_cuboids_exits_2(tmp_path, capsys, monkeypatch):
+    # h = 0.2 divides every r, but not the side 4.5 of the parts the subadditivity check glues; the mesh is
+    # checked before any property runs (before, positivity and mu-bounds solved first)
+    from homlab import cell
+
+    def no_solve(*args):
+        raise AssertionError("a property solved before the mesh check")
+
+    monkeypatch.setattr(cell, "solve_many", no_solve)
     path, out = write_config(tmp_path, GOOD_CONFIG.replace("h = 0.25", "h = 0.2"))
     assert main(["verify", "--config", path]) == 2
     assert "h = 0.2 does not divide 4.5" in capsys.readouterr().err
@@ -500,6 +507,27 @@ def test_cli_sigma_with_a_scale_beyond_the_slab_bound_exits_2_with_a_manifest(tm
 
 
 @pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("q = 0.05", "q = 0.5", "minus variant requires q <= 0.25 (got 0.5)"),
+        ("epsilon_list = 0.25 0.125 0.0625", "epsilon_list = 0.25 1.5",
+         "sigma needs scales resolvable on the unit slab: scales must lie in (0, 1]"),
+    ],
+    ids=["q-bound", "scale"],
+)
+def test_cli_sigma_names_what_it_rejects(tmp_path, capsys, old, new, message):
+    # the q bound was reported as a scale the unit slab cannot resolve
+    text = Path(__file__).parents[1].joinpath("configs", "sigma.ini").read_text()
+    for was, now in ((old, new), ("dir = out", "dir = {out}")):
+        assert was in text
+        text = text.replace(was, now)
+    path, out = write_config(tmp_path, text)
+    assert main(["sigma", "--config", path]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert {p.name for p in Path(out).iterdir()} == {"manifest.json"}
+
+
+@pytest.mark.parametrize(
     "command, config, old, new, message",
     [
         ("homogenize", "example.ini", "nu_list = 0 45 90 135", "nu_list = 10 10.0000001",
@@ -583,9 +611,14 @@ def test_cell_work_ids_and_csv_keys_are_pinned(tmp_path, edits, ids):
 
 
 def test_property_suite_small_config_passes(tmp_path):
-    path, _ = write_config(tmp_path)
+    path, out = write_config(tmp_path)
     cfg = load_config(path)
-    results = run_property_suite(cfg)
+    manifest = build_manifest(cfg, "verify")
+    results = run_verify(cfg, manifest)
+    assert manifest.records == [{"work_id": f"verify/{r.name}", "seed": 3} for r in results]
+    rows = json.loads(Path(out, "verify.json").read_text())["results"]
+    assert rows == [{"name": r.name, "passed": r.passed, "detail": r.detail, "informational": r.informational}
+                    for r in results]
     names = {r.name for r in results}
     assert {
         "gradient-consistency",
@@ -606,9 +639,60 @@ def test_property_suite_reports_positivity_outside_regime(tmp_path):
     text = GOOD_CONFIG.replace("q = 0.05", "q = 50.0").replace("b_range = 0.0 0.05", "b_range = 0.0 1.0")
     path, _ = write_config(tmp_path, text)
     cfg = load_config(path)
-    result = next(r for r in run_property_suite(cfg) if r.name == "positivity")
+    result = next(r for r in run_verify(cfg) if r.name == "positivity")
     assert result.informational
     assert "outside regime" in result.detail
+
+
+def test_property_suite_on_the_n1_sigma_config_skips_the_2d_checks(tmp_path):
+    text = Path(__file__).parents[1].joinpath("configs", "sigma.ini").read_text().replace("dir = out", "dir = {out}")
+    path, _ = write_config(tmp_path, text)
+    results = run_verify(load_config(path))
+    skipped = [(r.name, r.passed, r.informational) for r in results if r.detail == "skipped for n=1"]
+    assert skipped == [(name, True, True) for name in ("mu-bounds", "subadditivity", "stationarity")]
+    assert [r.name for r in results if r.passed and not r.informational] == [
+        "gradient-consistency", "growth-sandwich", "growth-pointwise", "positivity", "bounds", "monotonicity",
+    ]
+
+
+def example_verify_config(tmp_path, max_iters):
+    """configs/example.ini with the given max_iters."""
+    text = Path(__file__).parents[1].joinpath("configs", "example.ini").read_text()
+    for old, new in (("max_iters = 25000", f"max_iters = {max_iters}"), ("dir = out", "dir = {out}")):
+        assert old in text
+        text = text.replace(old, new)
+    return write_config(tmp_path, text)
+
+
+def test_cli_verify_fails_a_property_that_read_an_unfinished_solve(tmp_path, capsys):
+    # at max_iters = 40 both r = 32 cells of bounds' six stop early; before, bounds passed on an f_hom
+    # fitted without them (2.375 against 1.913 at 25000) and verify exited 0
+    path, out = example_verify_config(tmp_path, 40)
+    with pytest.warns(UserWarning, match="non-converged"):
+        assert main(["verify", "--config", path]) == 1
+    assert "[FAIL] bounds: 1.563 <= 2.375 <= 2.738; 2 of 10 solves stopped at max_iters" in capsys.readouterr().out
+    rows = {r["name"]: r for r in json.loads(Path(out, "verify.json").read_text())["results"]}
+    assert [name for name, r in rows.items() if not r["passed"]] == ["bounds"]
+    assert len(json.loads(Path(out, "manifest.json").read_text())["records"]) == 9
+
+
+def test_cli_verify_keeps_every_row_when_a_property_raises(tmp_path, capsys):
+    # at max_iters = 5 no cell of bounds converges, so its estimate raises; before, verify printed no line
+    # and wrote no verify.json and a manifest with 0 records
+    path, out = example_verify_config(tmp_path, 5)
+    with pytest.warns(UserWarning, match="non-converged"):
+        assert main(["verify", "--config", path]) == 3
+    captured = capsys.readouterr()
+    message = "no converged cell solve for nu = (0.0, 1.0) over seeds (0, 1)"
+    assert captured.err.endswith(f"no estimate: {message}\n")
+    lines = captured.out.splitlines()
+    assert len(lines) == 10 and lines[-1] == UPPER_BOUND_NOTE
+    assert f"[FAIL] bounds: {message}" in lines
+    mu_bounds = "(0.0, 2.0): 46.96 <= 166; (0.5, 1.5): 36.83 <= 83.01; 2 of 2 solves stopped at max_iters"
+    assert f"[FAIL] mu-bounds: {mu_bounds}" in lines
+    rows = json.loads(Path(out, "verify.json").read_text())["results"]
+    assert len(rows) == 9 and {r["name"]: r["detail"] for r in rows}["bounds"] == message
+    assert len(json.loads(Path(out, "manifest.json").read_text())["records"]) == 9
 
 
 def test_cli_import_and_cell_solve_load_no_scipy():
