@@ -58,7 +58,6 @@ from .cell import (
     SigmaEstimate,
     bounds_check,
     cell_problems_r,
-    eps_scaled_cell,
     ergodic_average,
     f_hom_estimate,
     mu_nu,

@@ -41,7 +41,6 @@ __all__ = [
     "sigma_pm",
     "sigma_pair",
     "cell_problems_r",
-    "eps_scaled_cell",
     "mu_nu",
     "glued_partition_energy",
     "f_hom_estimate",
@@ -72,15 +71,13 @@ class EstimateError(RuntimeError):
 class Cell:
     """One cell problem: the energy on `cube` at scale `epsilon` and mesh h, datum the ramp through its center.
 
-    `x0` is the center the cell was expanded from (a unit cell of side r sits
-    at r*x0, an eps-scaled one at x0) and `x0_index` its index in that list.
+    `x0_index` is the index of the center the cell was expanded from.
     nu = cube.direction, r = side / epsilon; nu, r and x0_index name the cell in `work_id`.
     """
 
     env: Environment
     cube: OrientedCube
     x0_index: int
-    x0: tuple[float, ...]
     epsilon: float
     h: float
 
@@ -273,8 +270,8 @@ def sigma_pair(
     remaining a valid upper bound for sigma-.  The minus estimate keeps the
     fields it solved for.
     """
+    minus = sigma_pm("minus", well, q, scales, cfg)  # first: its q gate rejects before any solve
     plus = sigma_pm("plus", well, q, scales, cfg)
-    minus = sigma_pm("minus", well, q, scales, cfg)
     env = make_environment(EnvironmentSpec(q=q), well)
     per_eps = dict(minus.per_epsilon)
     for eps, res in plus.solves.items():
@@ -317,45 +314,27 @@ def cell_problems_r(
     x0_list=None,
     cfg: SolverConfig = SolverConfig(),
     h: float = 0.25,
+    epsilon: float = 1.0,
 ) -> list[CellRecord]:
-    """The unit-scale cell of every direction x r x seed x x0, solved together, records in that order.
+    """The cell of every direction x r x seed x x0 at scale epsilon, solved together, records in that order.
 
-    The cell of side r at center x0 is the cube of side r centered at r*x0, at
-    epsilon = 1.  Seed s samples the environment spec.with_seed(s); x0_list =
-    None is the origin alone.  Cells that share r (hence grid and frozen frame)
-    form one group, whatever their direction, environment or center.
+    The cell for r at center x0 is the cube of side r*epsilon centered at
+    r*epsilon*x0: the unit cell of side r at r*x0, rescaled by epsilon (at
+    epsilon = 1, the unit cell itself).  Seed s samples the environment
+    spec.with_seed(s); x0_list = None is the origin alone.  Cells that share r
+    (hence grid and frozen frame) form one group, whatever their direction,
+    environment or center.
     """
     envs = {seed: make_environment(spec.with_seed(seed)) for seed in seeds}
     centers = None if x0_list is None else [tuple(float(v) for v in np.atleast_1d(x0)) for x0 in x0_list]
     cells = [
-        Cell(envs[seed], OrientedCube(tuple(r * v for v in x0), float(r), nu), i, x0, 1.0, h)
+        Cell(envs[seed], OrientedCube(tuple(r * epsilon * v for v in x0), float(r) * epsilon, nu), i, epsilon, h)
         for nu in nus
         for r in r_list
         for seed in seeds
         for i, x0 in enumerate(centers if centers is not None else ((0.0,) * nu.n,))
     ]
     return _cell_records(cells, cfg)
-
-
-def eps_scaled_cell(
-    env: Environment,
-    nu: Direction,
-    rho: float,
-    epsilon: float,
-    x0,
-    cfg: SolverConfig = SolverConfig(),
-    h: float | None = None,
-) -> CellRecord:
-    """Scaled cell problem on the cube of side rho centered at x0, at scale epsilon.
-
-    Under the change of variables r = rho/epsilon this is the unit-scale problem
-    on matched grids, so normalized = m_hat / rho^(n-1) approximates the same
-    density sample as the unit cell of side r.
-    """
-    if h is None:
-        h = epsilon / 4.0
-    x0 = tuple(float(v) for v in np.atleast_1d(x0))
-    return _cell_records([Cell(env, OrientedCube(x0, float(rho), nu), 0, x0, epsilon, h)], cfg)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,6 @@ from .cell import (
     EstimateError,
     bounds_check,
     cell_problems_r,
-    eps_scaled_cell,
     f_hom_estimate,
     f_hom_reduce,
     glued_partition_energy,
@@ -587,9 +586,8 @@ def _prop_monotonicity(cfg: ExperimentConfig, env, cuboids) -> tuple:
     nu = cfg.nu_list[0]
     eps = min(cfg.epsilon_list)
     c_eta = compute_c_eta(DoubleWell(), cfg.env.q)
-    rhos = [4 * eps, 8 * eps, 16 * eps]
-    recs = [eps_scaled_cell(env, nu, rho, eps, (0.0,) * cfg.dimension, cfg.solver, h=eps / 4.0) for rho in rhos]
-    seq = [rec.m_hat - cfg.env.c2 * c_eta * rho ** (cfg.dimension - 1) for rec, rho in zip(recs, rhos)]
+    recs = cell_problems_r(cfg.env, [nu], (4.0, 8.0, 16.0), [cfg.env.seed], None, cfg.solver, eps / 4.0, eps)
+    seq = [rec.m_hat - cfg.env.c2 * c_eta * rec.cell.cube.side ** (cfg.dimension - 1) for rec in recs]
     ok = all(seq[i + 1] <= seq[i] + 0.02 * abs(seq[i]) + 1e-9 for i in range(len(seq) - 1))
     return ok, f"sequence {['%.4g' % s for s in seq]}", [rec.converged for rec in recs]
 

@@ -652,7 +652,7 @@ def _solve_batch(initials: list, envs, params: EnergyParams, cfg: SolverConfig, 
         metric, positive = _metric(model, geometry, values)
         # from here on the whole-grid terms are gone: the descent holds the box
         model = model.restrict(values, geometry.box)
-        if geometry.dtype == np.float32 and SECANT_PAIRS > 0:
+        if geometry.dtype == np.float32:
             rule = _Memory(metric, len(initials), geometry.nodes, SECANT_PAIRS)
         else:
             rule = _TwoPoint(metric, [1.0] * len(initials))

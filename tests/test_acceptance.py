@@ -18,7 +18,6 @@ from homlab.solve import SolverConfig
 from homlab.cell import (
     bounds_check,
     cell_problems_r,
-    eps_scaled_cell,
     f_hom_estimate,
     glued_partition_energy,
     mu_nu,
@@ -181,9 +180,8 @@ def test_criterion_05_isotropy():
 
 def test_criterion_06_rescaling_identity():
     t0 = time.perf_counter()
-    env = make_environment(STRONG_CHECKERBOARD.with_seed(7))
     (rec_r,) = cell_problems_r(STRONG_CHECKERBOARD, [E2], [16], [7], [(0.0, 0.0)], ACC, 0.25)
-    rec_e = eps_scaled_cell(env, E2, 1.0, 1.0 / 16.0, (0.0, 0.0), ACC, h=0.25 / 16.0)
+    (rec_e,) = cell_problems_r(STRONG_CHECKERBOARD, [E2], [16], [7], None, ACC, 0.25 / 16.0, 1.0 / 16.0)
     rel = abs(rec_r.normalized - rec_e.normalized) / rec_r.normalized
     report(
         6, "rescaling identity", rel <= 0.01,
@@ -283,14 +281,11 @@ def test_criterion_11_x_independence():
 
 def test_criterion_12_monotonicity():
     t0 = time.perf_counter()
-    env = make_environment(HOMOGENEOUS)
     c_eta = compute_c_eta(WELL, 0.05)
     eps = 0.125
-    seq = []
-    for k in (4, 8, 16, 32):
-        rho = k * eps
-        rec = eps_scaled_cell(env, E2, rho, eps, (0.0, 0.0), ACC, h=eps / 4.0)
-        seq.append(rec.m_hat - 1.0 * c_eta * rho)  # c2 = 1 for the homogeneous density
+    records = cell_problems_r(HOMOGENEOUS, [E2], (4, 8, 16, 32), [HOMOGENEOUS.seed], None, ACC, eps / 4.0, eps)
+    # c2 = 1 for the homogeneous density
+    seq = [rec.m_hat - 1.0 * c_eta * rec.cell.cube.side for rec in records]
     ok = all(b <= a + 0.02 * abs(a) for a, b in zip(seq, seq[1:]))
     report(
         12, "inner-problem monotonicity", ok,

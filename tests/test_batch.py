@@ -126,7 +126,8 @@ def test_r32_cell_with_secant_pairs_converges_in_fewer_iterations_within_the_ref
     (res,) = solve_many([problem], ACC)
     assert res.converged and res.diagnostics["secant_pairs"] == solve.SECANT_PAIRS > 0
     assert np.array_equal(res.field.values[initial.frozen], initial.values[initial.frozen])
-    monkeypatch.setattr(solve, "SECANT_PAIRS", 0)  # the two-point step in the same float32 metric
+    # the two-point step in the same float32 metric
+    monkeypatch.setattr(solve, "_Memory", lambda metric, batch, nodes, pairs: solve._TwoPoint(metric, [1.0] * batch))
     (two_point,) = solve_many([problem], ACC)
     assert two_point.converged and two_point.diagnostics["secant_pairs"] == 0
     assert res.iters < two_point.iters

@@ -13,7 +13,6 @@ from homlab.cell import (
     _fit_limit,
     bounds_check,
     cell_problems_r,
-    eps_scaled_cell,
     ergodic_average,
     f_hom_estimate,
     f_hom_reduce,
@@ -126,18 +125,17 @@ def test_cell_requires_minimum_scale(e2):
 def test_rescaling_identity_on_matched_grids(e2):
     # the discrete functional satisfies the change of variables exactly; the two
     # solves differ only through the stopping rule, i.e. by solver tolerance
-    env = make_environment(checkerboard(7))
     (rec_r,) = cell_problems_r(checkerboard(7), [e2], [8], [7], [(0.0, 0.0)], QUICK, 0.25)
-    rec_e = eps_scaled_cell(env, e2, 1.0, 1.0 / 8.0, (0.0, 0.0), QUICK, h=0.25 / 8.0)
+    (rec_e,) = cell_problems_r(checkerboard(7), [e2], [8], [7], None, QUICK, 0.25 / 8.0, 1.0 / 8.0)
+    assert rec_e.cell.cube.side == 1.0
     assert rec_e.normalized == pytest.approx(rec_r.normalized, rel=1e-5)
 
 
-def test_unit_and_eps_scaled_cells_in_one_call_get_their_records_alone(e2):
+def test_unit_and_rescaled_cells_in_one_call_get_their_records_alone(e2):
     # r = 8 at h = 1/4 and rho = 1 at eps = 1/8, h = 1/32: matched 32^2 grids, two batches of one solve_many call
     env = make_environment(checkerboard(7))
-    x0 = (0.25, -0.5)
-    unit = Cell(env, OrientedCube((2.0, -4.0), 8.0, e2), 0, x0, 1.0, 0.25)
-    scaled = Cell(env, OrientedCube(x0, 1.0, e2), 0, x0, 1.0 / 8.0, 0.25 / 8.0)
+    unit = Cell(env, OrientedCube((2.0, -4.0), 8.0, e2), 0, 1.0, 0.25)
+    scaled = Cell(env, OrientedCube((0.25, -0.5), 1.0, e2), 0, 1.0 / 8.0, 0.25 / 8.0)
     assert (unit.r, unit.work_id) == (scaled.r, scaled.work_id) == (8.0, "nu=0/r=8/x0=0")
     together = cell._cell_records([unit, scaled], QUICK)
     for rec, item in zip(together, (unit, scaled), strict=True):
@@ -153,10 +151,9 @@ def test_unit_and_eps_scaled_cells_in_one_call_get_their_records_alone(e2):
     assert together[0].normalized == pytest.approx(together[1].normalized, rel=1e-5)
 
 
-def test_eps_scaled_cell_rejects_tight_boxes(e2):
-    env = make_environment(checkerboard())
+def test_rescaled_cell_rejects_tight_boxes(e2):
     with pytest.raises(ValueError, match="r >= 4"):
-        eps_scaled_cell(env, e2, 0.25, 0.125, (0.0, 0.0), QUICK)
+        cell_problems_r(checkerboard(), [e2], [2], [0], None, QUICK, 0.125 / 4.0, 0.125)
 
 
 def test_homogeneous_cell_independent_of_center(e2):
@@ -246,9 +243,8 @@ def test_f_hom_estimate_extrapolates_below_raw(e2):
 
 def _record(nu, seed, r, normalized, converged=True, x0_index=0):
     """A hand-built CellRecord, no solve; r a power of two, so `normalized` comes back to the bit."""
-    x0 = (0.25 * x0_index, 0.0)
-    cube = OrientedCube(tuple(r * v for v in x0), r, nu)
-    item = Cell(make_environment(homogeneous().with_seed(seed)), cube, x0_index, x0, 1.0, 0.25)
+    cube = OrientedCube((0.25 * x0_index * r, 0.0), r, nu)
+    item = Cell(make_environment(homogeneous().with_seed(seed)), cube, x0_index, 1.0, 0.25)
     return CellRecord(item, SolveResult(None, r * normalized, 0, 0.0, converged))
 
 

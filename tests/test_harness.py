@@ -9,7 +9,7 @@ import pytest
 from homlab.cli import UPPER_BOUND_NOTE, main
 from homlab.cell import cell_problems_r
 from homlab.harness import ConfigError, build_manifest, load_config, run_cell, run_verify
-from homlab.solve import usable_cpus
+from homlab.solve import solve_many, usable_cpus
 
 GOOD_CONFIG = """
 [experiment]
@@ -515,8 +515,14 @@ def test_cli_sigma_with_a_scale_beyond_the_slab_bound_exits_2_with_a_manifest(tm
     ],
     ids=["q-bound", "scale"],
 )
-def test_cli_sigma_names_what_it_rejects(tmp_path, capsys, old, new, message):
-    # the q bound was reported as a scale the unit slab cannot resolve
+def test_cli_sigma_names_what_it_rejects(tmp_path, capsys, monkeypatch, old, new, message):
+    # the q bound was reported as a scale the unit slab cannot resolve, and only after the plus slabs were solved
+    from homlab import cell
+
+    def no_solve(*args):
+        raise AssertionError(f"scale {args[2]} was solved")
+
+    monkeypatch.setattr(cell, "_slab_solve", no_solve)
     text = Path(__file__).parents[1].joinpath("configs", "sigma.ini").read_text()
     for was, now in ((old, new), ("dir = out", "dir = {out}")):
         assert was in text
@@ -644,10 +650,21 @@ def test_property_suite_reports_positivity_outside_regime(tmp_path):
     assert "outside regime" in result.detail
 
 
-def test_property_suite_on_the_n1_sigma_config_skips_the_2d_checks(tmp_path):
+def test_property_suite_on_the_n1_sigma_config_skips_the_2d_checks(tmp_path, monkeypatch):
+    from homlab import cell
+
+    scales = []  # the epsilon of every problem, one list per solve_many call
+
+    def counting(problems, cfg):
+        scales.append([params.epsilon for _, _, params in problems])
+        return solve_many(problems, cfg)
+
+    monkeypatch.setattr(cell, "solve_many", counting)
     text = Path(__file__).parents[1].joinpath("configs", "sigma.ini").read_text().replace("dir = out", "dir = {out}")
     path, _ = write_config(tmp_path, text)
     results = run_verify(load_config(path))
+    # monotonicity solves its rho = 4, 8 and 16 eps cells at eps = 0.0625 in one call; before, in three
+    assert [call for call in scales if 0.0625 in call] == [[0.0625] * 3]
     skipped = [(r.name, r.passed, r.informational) for r in results if r.detail == "skipped for n=1"]
     assert skipped == [(name, True, True) for name in ("mu-bounds", "subadditivity", "stationarity")]
     assert [r.name for r in results if r.passed and not r.informational] == [
