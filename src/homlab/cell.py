@@ -18,6 +18,7 @@ from .geometry import Direction, LatticeCuboid, OrientedCube
 from .grids import (
     EnergyModel,
     EnergyParams,
+    GridField,
     ResolutionError,
     box_grid,
     cube_grid,
@@ -35,7 +36,6 @@ __all__ = [
     "SigmaEstimate",
     "MuSample",
     "FHomEstimate",
-    "ErgodicAverage",
     "PositivityReport",
     "BoundsReport",
     "sigma_pm",
@@ -45,7 +45,6 @@ __all__ = [
     "glued_partition_energy",
     "f_hom_estimate",
     "f_hom_reduce",
-    "ergodic_average",
     "verify_positivity",
     "bounds_check",
 ]
@@ -141,8 +140,6 @@ class SigmaEstimate:
 class MuSample:
     """One evaluation of the subadditive slab process; `solve` is None for the small-base fallback."""
 
-    cuboid: LatticeCuboid
-    seed: int
     value: float
     anomaly: bool
     solve: SolveResult | None = None
@@ -162,23 +159,13 @@ class FHomEstimate:
     per_seed_limit: dict
     records: list
     x0_spread: dict
-    r_schedule: tuple[float, ...]
     fit_r: dict
-
-
-@dataclass
-class ErgodicAverage:
-    mean: float
-    stderr: float
-    values: tuple[float, ...]
 
 
 @dataclass
 class PositivityReport:
     """Free minima of the minus comparison energy; passed needs every start converged."""
 
-    q: float
-    sides: tuple[float, ...]
     minimum: float
     per_start: tuple[float, ...]
     converged: tuple[bool, ...]
@@ -198,19 +185,17 @@ class BoundsReport:
 # ---------------------------------------------------------------------------
 
 
-def _slab_solve(variant: str, q: float, epsilon: float, h: float, cfg: SolverConfig, well: DoubleWell) -> SolveResult:
+def _slab_datum(epsilon: float, h: float) -> GridField:
     grid = slab_grid(1.0, h, frame_width_for(h, epsilon, "slab"))
     grid.values[...] = profile_values(grid, epsilon)
     # admissible datum is exactly +-1 near the two ends of the unit interval
     signs = np.sign(grid.axis_coords(0))
     grid.values[grid.frozen] = signs[grid.frozen]
-    env = make_environment(EnvironmentSpec(q=q), well)
-    return solve_many([(grid, env, EnergyParams(epsilon, variant))], cfg)[0]
+    return grid
 
 
 def sigma_pm(
     variant: str,
-    well: DoubleWell,
     q: float,
     scales,
     cfg: SolverConfig = SolverConfig(),
@@ -221,9 +206,10 @@ def sigma_pm(
     The slab is the unit interval with values frozen to +-1 near its two ends;
     each admissible scale contributes one solve.  Before any solve, a scale
     outside (0, 1] or with more than MAX_SLAB_NODES nodes on the slab axis is
-    rejected (ResolutionError, as is a grid with no scale left).  Scales the
-    mesh cannot resolve are skipped with a warning.  The minus variant is
-    gated to small q, where the comparison energy stays positive (ValueError).
+    rejected (ResolutionError, as is a grid with no scale left).  Scales whose
+    frozen frame fills the slab are skipped with a warning before their solve,
+    and so are scales the mesh cannot resolve.  The minus variant is gated to
+    small q, where the comparison energy stays positive (ValueError).
     """
     if variant not in ("plus", "minus"):
         raise ValueError("variant must be 'plus' or 'minus'")
@@ -237,17 +223,18 @@ def sigma_pm(
         if 1.0 / h_for(eps) > MAX_SLAB_NODES:
             msg = f"{1.0 / h_for(eps):.6g} nodes on the unit slab axis at h = {h_for(eps):g}"
             raise ResolutionError(f"scale {eps:g} puts {msg}, more than MAX_SLAB_NODES = {MAX_SLAB_NODES}")
+    env, energy = make_environment(EnvironmentSpec(q=q)), "m_plus" if variant == "plus" else "m_minus"
     per_eps, solves = {}, {}
     for eps in scales:
-        h = h_for(eps)
+        grid = _slab_datum(eps, h_for(eps))
+        if grid.frozen.all():
+            # frame covers the whole slab: the datum is the only competitor, and there is nothing to solve
+            warnings.warn(f"skipping degenerate scale {eps}: frozen frame fills the unit slab")
+            continue
         try:
-            res = _slab_solve("m_plus" if variant == "plus" else "m_minus", q, eps, h, cfg, well)
+            (res,) = solve_many([(grid, env, EnergyParams(eps, energy))], cfg)
         except ResolutionError as exc:
             warnings.warn(f"skipping unresolved scale {eps}: {exc}")
-            continue
-        if res.field.frozen.all():
-            # frame covers the whole slab: the datum is the only competitor
-            warnings.warn(f"skipping degenerate scale {eps}: frozen frame fills the unit slab")
             continue
         per_eps[eps] = res.value
         solves[eps] = res
@@ -258,7 +245,6 @@ def sigma_pm(
 
 
 def sigma_pair(
-    well: DoubleWell,
     q: float,
     scales,
     cfg: SolverConfig = SolverConfig(),
@@ -270,9 +256,9 @@ def sigma_pair(
     remaining a valid upper bound for sigma-.  The minus estimate keeps the
     fields it solved for.
     """
-    minus = sigma_pm("minus", well, q, scales, cfg)  # first: its q gate rejects before any solve
-    plus = sigma_pm("plus", well, q, scales, cfg)
-    env = make_environment(EnvironmentSpec(q=q), well)
+    minus = sigma_pm("minus", q, scales, cfg)  # first: its q gate rejects before any solve
+    plus = sigma_pm("plus", q, scales, cfg)
+    env = make_environment(EnvironmentSpec(q=q))
     per_eps = dict(minus.per_epsilon)
     for eps, res in plus.solves.items():
         minus_at_plus = EnergyModel(res.field, env, EnergyParams(eps, "m_minus")).energy(res.field.values)
@@ -342,10 +328,10 @@ def cell_problems_r(
 # ---------------------------------------------------------------------------
 
 
-def _cuboid_solution(env: Environment, cuboid: LatticeCuboid, cfg: SolverConfig, h: float) -> SolveResult:
+def _cuboid_datum(cuboid: LatticeCuboid, h: float) -> GridField:
     grid = cuboid_grid(cuboid, h, frame_width_for(h, 1.0, "cell"))
     grid.values[...] = profile_values(grid, 1.0)
-    return solve_many([(grid, env, EnergyParams(1.0, "general"))], cfg)[0]
+    return grid
 
 
 def mu_nu(
@@ -365,14 +351,13 @@ def mu_nu(
     n = cuboid.n
     spec = env.spec
     if min(cuboid.base_lengths) < 1.0:
-        c_eta = compute_c_eta(env.well, spec.q)
-        value = spec.c2 * c_eta * cuboid.base_area
-        return MuSample(cuboid, spec.seed, value, anomaly=False)
-    res = _cuboid_solution(env, cuboid, cfg, h)
+        c_eta = compute_c_eta(DoubleWell(), spec.q)
+        return MuSample(spec.c2 * c_eta * cuboid.base_area, anomaly=False)
+    (res,) = solve_many([(_cuboid_datum(cuboid, h), env, EnergyParams(1.0, "general"))], cfg)
     raw = res.value / m ** (n - 1)
     anomaly = raw < -SOLVER_SLACK
     value = max(raw, 0.0) if anomaly else raw
-    return MuSample(cuboid, spec.seed, value, anomaly, res)
+    return MuSample(value, anomaly, res)
 
 
 def glued_partition_energy(
@@ -387,9 +372,11 @@ def glued_partition_energy(
     `cut_points` split the (1d) base interval into parts; each part is solved
     on its own cuboid, the minimizers are pasted into the full grid (they agree
     with the boundary ramp on the collars), and the leftover region keeps the
-    ramp, whose integrand vanishes there.  Returns the glued energy, the sum
-    of the part minima and the parts' SolveResults; subadditivity predicts
-    glued <= sum to rounding.
+    ramp, whose integrand vanishes there.  A part whose frozen frame fills its
+    grid is not solved: its datum is its only competitor, so the datum is its
+    minimizer.  Returns the glued energy, the sum of the part minima and the
+    SolveResults of the solved parts; subadditivity predicts glued <= sum to
+    rounding.
     """
     if cuboid.n != 2:
         raise NotImplementedError("partition gluing is implemented for n = 2")
@@ -399,26 +386,34 @@ def glued_partition_energy(
         raise ValueError("cut points must fall inside the base interval")
     edges = [a] + cuts + [b]
 
-    big = cuboid_grid(cuboid, h, frame_width_for(h, 1.0, "cell"))
-    big.values[...] = profile_values(big, 1.0)
+    big = _cuboid_datum(cuboid, h)
     lo_lat, lo_vert = big.lo
 
-    parts = []
-    total = 0.0
-    for left, right in zip(edges[:-1], edges[1:]):
-        part = LatticeCuboid(((left, right),), cuboid.direction)
-        res = _cuboid_solution(env, part, cfg, h)
-        total += res.value
-        parts.append(res)
+    cuboids = [LatticeCuboid(((left, right),), cuboid.direction) for left, right in zip(edges[:-1], edges[1:])]
+    offsets = []  # of each part's grid in the full grid, all checked before any part is solved
+    for part in cuboids:
         bounds = part.local_bounds()
         off_lat = (bounds[0][0] - lo_lat) / h
         off_vert = (bounds[1][0] - lo_vert) / h
         if abs(off_lat - round(off_lat)) > 1e-9 or abs(off_vert - round(off_vert)) > 1e-9:
             raise ValueError("partition is not commensurate with the mesh")
-        i0, j0 = int(round(off_lat)), int(round(off_vert))
-        ni, nj = res.field.shape
-        big.values[i0 : i0 + ni, j0 : j0 + nj] = res.field.values
-    glued = EnergyModel(big, env, EnergyParams(1.0, "general")).energy(big.values)
+        offsets.append((int(round(off_lat)), int(round(off_vert))))
+
+    params = EnergyParams(1.0, "general")
+    parts = []
+    total = 0.0
+    for part, (i0, j0) in zip(cuboids, offsets):
+        grid = _cuboid_datum(part, h)
+        if grid.frozen.all():
+            total += EnergyModel(grid, env, params).energy(grid.values)
+        else:
+            (res,) = solve_many([(grid, env, params)], cfg)
+            total += res.value
+            parts.append(res)
+            grid = res.field
+        ni, nj = grid.shape
+        big.values[i0 : i0 + ni, j0 : j0 + nj] = grid.values
+    glued = EnergyModel(big, env, params).energy(big.values)
     return {
         "glued_energy": glued,
         "sum_part_minima": total,
@@ -492,7 +487,6 @@ def f_hom_reduce(nu: Direction, r_schedule, seeds, records) -> FHomEstimate:
         per_seed_limit=per_seed_limit,
         records=mine,
         x0_spread=x0_spread,
-        r_schedule=r_schedule,
         fit_r=fit_r,
     )
 
@@ -515,33 +509,6 @@ def f_hom_estimate(
     """
     records = cell_problems_r(spec, [nu], r_schedule, seeds, None, cfg, h)
     return f_hom_reduce(nu, r_schedule, seeds, records)
-
-
-def ergodic_average(
-    spec: EnvironmentSpec,
-    nu: Direction,
-    r: float,
-    seeds,
-    cfg: SolverConfig = SolverConfig(),
-    h: float = 0.25,
-) -> ErgodicAverage:
-    """Monte-Carlo mean over seeds of the normalized cell value at one scale.
-
-    Non-converged solves are excluded with a warning; EstimateError is raised
-    when fewer than two converged values remain.
-    """
-    seeds = tuple(seeds)
-    if len(seeds) < 2:
-        raise ValueError("averaging needs at least two seeds")
-    values = [rec.normalized for rec in _converged(cell_problems_r(spec, [nu], [r], seeds, None, cfg, h))]
-    if len(values) < 2:
-        raise EstimateError(f"fewer than two converged cell solves for nu = {nu.nu} at r = {r}")
-    values = np.array(values)
-    return ErgodicAverage(
-        mean=float(values.mean()),
-        stderr=float(values.std(ddof=1) / np.sqrt(len(values))),
-        values=tuple(float(v) for v in values),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -585,8 +552,6 @@ def verify_positivity(
     converged = [res.converged for res in results]
     minimum = float(min(values))
     return PositivityReport(
-        q=q,
-        sides=sides,
         minimum=minimum,
         per_start=tuple(values),
         converged=tuple(converged),

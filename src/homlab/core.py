@@ -92,6 +92,7 @@ class TransitionProfile:
 
 
 DEFAULT_PROFILE = TransitionProfile()
+DEFAULT_WELL = DoubleWell()
 
 
 def compute_c_eta(well: DoubleWell, q: float, step: float = 1e-4) -> float:

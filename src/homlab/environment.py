@@ -2,11 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
-
-from .core import DoubleWell
 
 __all__ = [
     "EnvironmentSpec",
@@ -93,7 +91,6 @@ class Environment:
     """A realization of the coefficient field, plus the lattice shift applied to lookups."""
 
     spec: EnvironmentSpec
-    well: DoubleWell = field(default_factory=DoubleWell)
     offset: tuple[int, ...] = ()
 
     def coefficients_at_cells(self, cells) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -121,8 +118,8 @@ class Environment:
         return self.coefficients_at_cells(np.floor(x).astype(np.int64))
 
 
-def make_environment(spec: EnvironmentSpec, well: DoubleWell | None = None) -> Environment:
-    return Environment(spec, well if well is not None else DoubleWell())
+def make_environment(spec: EnvironmentSpec) -> Environment:
+    return Environment(spec)
 
 
 def shift_environment(env: Environment, z) -> Environment:

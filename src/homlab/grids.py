@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DoubleWell, DEFAULT_PROFILE
+from .core import DEFAULT_PROFILE, DEFAULT_WELL
 from .environment import Environment
 from .geometry import Direction, LatticeCuboid, OrientedCube, rotation_for
 
@@ -479,11 +479,9 @@ class EnergyModel:
         first = fields[0]
         if len(envs) != len(fields):
             raise ValueError("need one environment per field")
-        for f, e in zip(fields[1:], envs[1:]):
+        for f in fields[1:]:
             if (f.shape, f.h, f.periodic) != (first.shape, first.h, first.periodic):
                 raise ValueError("members must share shape, spacing and periodic axes")
-            if e.well != envs[0].well:
-                raise ValueError("members must share the double well")
         if first.h > params.epsilon / 4.0 + 1e-12:
             raise ResolutionError(f"h = {first.h} cannot resolve epsilon = {params.epsilon}; need h <= eps/4")
         self.shape = first.shape
@@ -491,7 +489,7 @@ class EnergyModel:
         self.n = first.n
         self.eps = params.epsilon
         self.periodic = first.periodic
-        self.well: DoubleWell = envs[0].well
+        self.well = DEFAULT_WELL
         self.cell_volume = first.h**first.n
         batch = (len(fields),) + self.shape
         if params.variant == "general":

@@ -355,9 +355,8 @@ def write_json(path: str, payload: dict) -> None:
 
 def run_sigma(cfg: ExperimentConfig, manifest: RunManifest | None = None) -> dict:
     """sigma- and sigma+ over epsilon_list; with a manifest, one record `sigma/<variant>/eps=..` per solved scale."""
-    well = DoubleWell()
     try:
-        minus, plus = sigma_pair(well, cfg.env.q, cfg.epsilon_list, cfg.solver)
+        minus, plus = sigma_pair(cfg.env.q, cfg.epsilon_list, cfg.solver)
     except ResolutionError as exc:
         raise ConfigError(f"sigma needs scales resolvable on the unit slab: {exc}") from exc
     except ValueError as exc:  # the minus variant's q bound
@@ -379,7 +378,7 @@ def run_sigma(cfg: ExperimentConfig, manifest: RunManifest | None = None) -> dic
             est.variant: {str(k): res.diagnostics["stop_reason"] for k, res in est.solves.items()}
             for est in (minus, plus)
         },
-        "c_eta": compute_c_eta(well, cfg.env.q),
+        "c_eta": compute_c_eta(DoubleWell(), cfg.env.q),
     }
     write_json(os.path.join(cfg.out_dir, "sigma.json"), payload)
     return payload
@@ -574,7 +573,7 @@ def _prop_stationarity(cfg: ExperimentConfig, env, cuboids) -> tuple:
 
 
 def _prop_bounds(cfg: ExperimentConfig, env, cuboids) -> tuple:
-    minus, plus = sigma_pair(DoubleWell(), cfg.env.q, (0.25, 0.125), cfg.solver)
+    minus, plus = sigma_pair(cfg.env.q, (0.25, 0.125), cfg.solver)
     est = f_hom_estimate(cfg.env, cfg.nu_list[0], cfg.r_list, cfg.seeds[:2], cfg.solver, cfg.h)
     report = bounds_check(est.estimate, minus.value, plus.value, cfg.env.c1, cfg.env.c2)
     converged = [res.converged for sigma in (minus, plus) for res in sigma.solves.values()]

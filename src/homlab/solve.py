@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import BLAS_THREADS
-from .environment import Environment
 from .grids import U_CAP, EnergyModel, EnergyParams, GridField
 
 __all__ = ["SolverConfig", "SolveResult", "DivergenceError", "solve_many", "usable_cpus"]
@@ -335,8 +334,7 @@ class _Geometry:
     """What the batches of one geometry group share; built once per group.
 
     `box` is the grid's free box (`GridField.free`), the descent's state
-    (`EnergyModel.restrict`), and `nodes` its size; where the frame fills
-    the grid, `nodes` is 0 and nothing else is built.  `bases` and `lam` are
+    (`EnergyModel.restrict`), and `nodes` its size.  `bases` and `lam` are
     the metric's axis bases on the box and the sum of their Laplacian
     eigenvalues, and `interface` (n >= 2) the interface correction's tables.
     The bases are float32 when the box holds at least FLOAT32_METRIC_NODES
@@ -346,8 +344,6 @@ class _Geometry:
     def __init__(self, grid: GridField):
         self.box = grid.free
         self.nodes = math.prod(b.stop - b.start for b in self.box)
-        if not self.nodes:
-            return
         bases, lams = [], []
         for axis, (b, wrap, depth) in enumerate(zip(self.box, grid.periodic, grid.frame)):
             ends = "wrap" if wrap else "fixed-fixed" if depth else "free-free"
@@ -636,9 +632,7 @@ def _solve_batch(initials: list, envs, params: EnergyParams, cfg: SolverConfig, 
     batch size (`batch`) and the batch's wall time (`wall_ms`).  The descent
     runs on the free box (`EnergyModel.restrict`), and a reported value is
     the energy it computed for the returned field: the discrete energy of
-    that field to rounding.  Where the frame fills the grid, each member is
-    its datum, converged at iteration 0 with gradient norm 0: the free box
-    is empty, so no node can move.
+    that field to rounding.
     """
     t0 = time.perf_counter()
     first = initials[0]
@@ -648,22 +642,17 @@ def _solve_batch(initials: list, envs, params: EnergyParams, cfg: SolverConfig, 
     if first.frozen.any() and float(np.max(np.abs(values[:, first.frozen]))) > U_CAP:
         raise ValueError("frozen boundary data exceeds the value cap")
 
-    if geometry.nodes:
-        metric, positive = _metric(model, geometry, values)
-        # from here on the whole-grid terms are gone: the descent holds the box
-        model = model.restrict(values, geometry.box)
-        if geometry.dtype == np.float32:
-            rule = _Memory(metric, len(initials), geometry.nodes, SECANT_PAIRS)
-        else:
-            rule = _TwoPoint(metric, [1.0] * len(initials))
-        # a contiguous copy of the box, which _descend clips in place
-        found = _descend(model, rule, values[(slice(None),) + geometry.box].copy(), cfg, grad_tol)
-        descent = {"metric_dtype": metric.dtype.name, "secant_pairs": rule.pairs}
-        descent = [{"metric": "preconditioned" if p else "gradient", **descent} for p in positive]
-    else:  # the frame fills the grid: no node moves, and no metric is built
-        found = [(values[k][geometry.box], e, 0, 0.0, True, 0) for k, e in enumerate(model.energy(values).tolist())]
-        found = [r if math.isfinite(r[1]) else DivergenceError(f"initial energy is not finite ({r[1]})") for r in found]
-        descent = [{"secant_pairs": 0}] * len(initials)
+    metric, positive = _metric(model, geometry, values)
+    # from here on the whole-grid terms are gone: the descent holds the box
+    model = model.restrict(values, geometry.box)
+    if geometry.dtype == np.float32:
+        rule = _Memory(metric, len(initials), geometry.nodes, SECANT_PAIRS)
+    else:
+        rule = _TwoPoint(metric, [1.0] * len(initials))
+    # a contiguous copy of the box, which _descend clips in place
+    found = _descend(model, rule, values[(slice(None),) + geometry.box].copy(), cfg, grad_tol)
+    descent = {"metric_dtype": metric.dtype.name, "secant_pairs": rule.pairs}
+    descent = [{"metric": "preconditioned" if p else "gradient", **descent} for p in positive]
     wall_ms = 1000.0 * (time.perf_counter() - t0)
     results = []
     for k, result in enumerate(found):
@@ -692,8 +681,8 @@ def _solve_batch(initials: list, envs, params: EnergyParams, cfg: SolverConfig, 
     return results
 
 
-def _geometry_key(initial: GridField, env: Environment, params: EnergyParams) -> tuple:
-    return (initial.shape, initial.frame, initial.periodic, initial.h, params, env.well)
+def _geometry_key(initial: GridField, params: EnergyParams) -> tuple:
+    return (initial.shape, initial.frame, initial.periodic, initial.h, params)
 
 
 def usable_cpus() -> int:
@@ -798,9 +787,11 @@ def solve_many(problems, cfg: SolverConfig = SolverConfig()) -> list:
 
     Each is a monotone descent from `initial` that keeps frozen nodes bit-exactly;
     the value is the discrete energy of the returned field, an upper bound for the infimum.
-    Problems that share shape, frame, periodic axes, spacing, energy
-    parameters and double well form a group.  A group is solved in lockstep
-    batches (`_solve_batch`) of at most MAX_BATCH_NODES nodes (at least one
+    A problem whose frozen frame fills its grid has no node to solve for: it
+    is rejected (ValueError) before any batch of the call is solved.
+    Problems that share shape, frame, periodic axes, spacing and energy
+    parameters form a group.  A group is solved in lockstep batches
+    (`_solve_batch`) of at most MAX_BATCH_NODES nodes (at least one
     member each), which bounds the working memory of a batch; each member gets
     the bits it gets alone.  With two or more batches, up to usable_cpus()
     processes solve whole batches side by side: the caller and forked workers
@@ -809,11 +800,13 @@ def solve_many(problems, cfg: SolverConfig = SolverConfig()) -> list:
     first DivergenceError in that order is raised.
     """
     groups = {}
-    for i, (initial, env, params) in enumerate(problems):
-        groups.setdefault(_geometry_key(initial, env, params), []).append(i)
+    for i, (initial, _, params) in enumerate(problems):
+        groups.setdefault(_geometry_key(initial, params), []).append(i)
     batches, weights = [], []
     for members in groups.values():
         first = problems[members[0]][0]
+        if first.frozen.all():
+            raise ValueError(f"the frozen frame fills a grid of shape {first.shape}: no node is free to solve for")
         geometry = _Geometry(first)
         size = max(1, MAX_BATCH_NODES // first.values.size)
         for start in range(0, len(members), size):

@@ -143,7 +143,7 @@ def test_criterion_03_positivity_regime():
 def test_criterion_04_sigma_plus_oracle():
     t0 = time.perf_counter()
     est = sigma_pm(
-        "plus", WELL, 1.0, (0.25, 0.125, 0.0625),
+        "plus", 1.0, (0.25, 0.125, 0.0625),
         SolverConfig(max_iters=40000), h_for=lambda eps: eps / 16.0,
     )
     reference = line_constant(b=1.0, length=16.0, h=0.01)
@@ -228,7 +228,7 @@ def test_criterion_08_stationarity():
 
 def test_criterion_09_bounds():
     t0 = time.perf_counter()
-    minus, plus = sigma_pair(WELL, 0.05, (0.25, 0.125, 0.0625), SolverConfig(max_iters=40000))
+    minus, plus = sigma_pair(0.05, (0.25, 0.125, 0.0625), SolverConfig(max_iters=40000))
     details = []
     ok = True
     for ang in (0.0, 45.0, 90.0, 135.0):

@@ -8,9 +8,8 @@ import numpy as np
 import pytest
 
 from homlab import cell, solve
-from homlab.cell import EstimateError, cell_problems_r, ergodic_average, sigma_pair
+from homlab.cell import cell_problems_r, sigma_pair
 from homlab.cli import main
-from homlab.core import DoubleWell
 from homlab.environment import EnvironmentSpec, make_environment
 from homlab.geometry import Direction, OrientedCube
 from homlab.grids import U_CAP, EnergyModel, EnergyParams, box_grid, cube_grid, frame_width_for, profile_values
@@ -385,12 +384,6 @@ def test_run_cell_with_mixed_r_returns_records_in_submission_order(tmp_path):
         assert rec.solve.iters == alone.solve.iters
 
 
-def test_ergodic_average_excludes_non_converged_solves(e2):
-    # with one iteration no cell converges; the mean of such values read 17.23, converged cells give about 2.2
-    with pytest.warns(UserWarning, match="non-converged"), pytest.raises(EstimateError):
-        ergodic_average(CHECKERBOARD, e2, 8, (0, 1), SolverConfig(max_iters=1), 0.25)
-
-
 def test_homogenize_and_sweep_record_every_cell_solve_in_the_manifest(tmp_path):
     text = GOOD_CONFIG.replace("nu_list = 0 p:3,4", "nu_list = 90")
     path, out = write_config(tmp_path, text)
@@ -403,7 +396,7 @@ def test_homogenize_and_sweep_record_every_cell_solve_in_the_manifest(tmp_path):
         ]
 
 
-def test_sigma_pair_evaluates_the_minus_energy_on_the_solved_plus_fields(monkeypatch, quartic):
+def test_sigma_pair_evaluates_the_minus_energy_on_the_solved_plus_fields(monkeypatch):
     q, scales, cfg = 0.05, (0.25, 0.125), SolverConfig(max_iters=20000)
     solves = []
 
@@ -412,15 +405,15 @@ def test_sigma_pair_evaluates_the_minus_energy_on_the_solved_plus_fields(monkeyp
         return solve_many(problems, *args, **kwargs)
 
     monkeypatch.setattr(cell, "solve_many", counting)
-    minus, plus = sigma_pair(quartic, q, scales, cfg)
+    minus, plus = sigma_pair(q, scales, cfg)
     assert sorted(solves) == ["m_minus"] * len(scales) + ["m_plus"] * len(scales)
 
     # the re-solve it replaces is deterministic, so the pair is the same to the bit
     monkeypatch.undo()
-    env = make_environment(EnvironmentSpec(q=q), quartic)
-    per_eps = dict(cell.sigma_pm("minus", quartic, q, scales, cfg).per_epsilon)
+    env = make_environment(EnvironmentSpec(q=q))
+    per_eps = dict(cell.sigma_pm("minus", q, scales, cfg).per_epsilon)
     for eps in plus.per_epsilon:
-        res = cell._slab_solve("m_plus", q, eps, eps / 8.0, cfg, quartic)
+        (res,) = solve_many([(cell._slab_datum(eps, eps / 8.0), env, EnergyParams(eps, "m_plus"))], cfg)
         assert res.value == plus.per_epsilon[eps]
         again = EnergyModel(res.field, env, EnergyParams(eps, "m_minus")).energy(res.field.values)
         per_eps[eps] = min(per_eps[eps], again)
@@ -433,6 +426,3 @@ def test_members_must_share_their_geometry():
     (a, env, params), (b, _, _) = MIXED_CELLS[0], profile_cell(1, 0, (0, 0), r=4.0)
     with pytest.raises(ValueError, match="share"):
         EnergyModel([a, b], [env, env], params)
-    with pytest.raises(ValueError, match="share the double well"):
-        other = make_environment(CHECKERBOARD, DoubleWell(c0=2.0))
-        EnergyModel([a, a], [env, other], params)

@@ -4,7 +4,8 @@ import pytest
 from homlab.core import compute_c_eta
 from homlab.environment import EnvironmentSpec, make_environment, shift_environment
 from homlab.geometry import Direction, LatticeCuboid, OrientedCube
-from homlab.solve import SolverConfig, SolveResult
+from homlab.grids import EnergyModel, EnergyParams
+from homlab.solve import SolverConfig, SolveResult, solve_many
 from homlab import cell
 from homlab.cell import (
     Cell,
@@ -13,7 +14,6 @@ from homlab.cell import (
     _fit_limit,
     bounds_check,
     cell_problems_r,
-    ergodic_average,
     f_hom_estimate,
     f_hom_reduce,
     glued_partition_energy,
@@ -42,44 +42,52 @@ def homogeneous(q=0.05):
 # ---------------------------------------------------------------------------
 
 
-def test_sigma_minus_not_above_plus(quartic):
-    minus, plus = sigma_pair(quartic, 0.05, (0.25, 0.125), QUICK)
+def test_sigma_minus_not_above_plus():
+    minus, plus = sigma_pair(0.05, (0.25, 0.125), QUICK)
     assert 0.0 < minus.value <= plus.value
 
 
 def test_sigma_bounded_by_ramp_constant(quartic):
     c_eta = compute_c_eta(quartic, 0.05)
-    minus, plus = sigma_pair(quartic, 0.05, (0.25, 0.125), QUICK)
+    minus, plus = sigma_pair(0.05, (0.25, 0.125), QUICK)
     assert plus.value <= c_eta + 1e-6
     assert minus.value <= c_eta + 1e-6
 
 
-def test_sigma_is_min_over_scale_grid(quartic):
-    est = sigma_pm("plus", quartic, 0.05, (0.5, 0.25, 0.125), QUICK)
+def test_sigma_is_min_over_scale_grid():
+    est = sigma_pm("plus", 0.05, (0.5, 0.25, 0.125), QUICK)
     assert est.value == min(est.per_epsilon.values())
     assert est.per_epsilon[est.best_epsilon] == est.value
 
 
-def test_sigma_minus_gate(quartic):
+def test_sigma_minus_gate():
     with pytest.raises(ValueError):
-        sigma_pm("minus", quartic, 1.0, (0.25,), QUICK)
+        sigma_pm("minus", 1.0, (0.25,), QUICK)
 
 
-def test_sigma_skips_unresolvable_scales(quartic):
+def test_sigma_skips_unresolvable_scales():
     with pytest.warns(UserWarning):
-        est = sigma_pm("plus", quartic, 0.05, (0.125, 0.5), QUICK, h_for=lambda e: 0.125)
+        est = sigma_pm("plus", 0.05, (0.125, 0.5), QUICK, h_for=lambda e: 0.125)
     assert 0.125 not in est.per_epsilon
     assert 0.5 in est.per_epsilon
 
 
-def test_sigma_skips_degenerate_scales(quartic):
-    # at eps = 1 the frozen frame fills the unit slab: no competitor, no value
+def test_sigma_skips_degenerate_scales(monkeypatch):
+    # at eps = 1 the frozen frame fills the unit slab: no competitor, no value, and no solve
+    solved = []
+
+    def spy(problems, cfg):
+        solved.extend(params.epsilon for _, _, params in problems)
+        return solve_many(problems, cfg)
+
+    monkeypatch.setattr(cell, "solve_many", spy)
     with pytest.warns(UserWarning, match="degenerate"):
-        est = sigma_pm("plus", quartic, 0.05, (1.0, 0.25), QUICK)
+        est = sigma_pm("plus", 0.05, (1.0, 0.25), QUICK)
     assert 1.0 not in est.per_epsilon
     assert 0.25 in est.per_epsilon
     with pytest.warns(UserWarning, match="degenerate"), pytest.raises(ValueError):
-        sigma_pm("plus", quartic, 0.05, (1.0,), QUICK)
+        sigma_pm("plus", 0.05, (1.0,), QUICK)
+    assert solved == [0.25]
 
 
 class Solved(Exception):
@@ -87,21 +95,21 @@ class Solved(Exception):
 
 
 @pytest.mark.parametrize("variant", ["plus", "minus"])
-def test_sigma_rejects_a_scale_beyond_the_slab_bound_before_any_solve(monkeypatch, quartic, variant):
-    def no_solve(*args):
-        raise Solved(args[2])
+def test_sigma_rejects_a_scale_beyond_the_slab_bound_before_any_solve(monkeypatch, variant):
+    def no_solve(problems, cfg):
+        raise Solved(problems[0][2].epsilon)
 
-    monkeypatch.setattr(cell, "_slab_solve", no_solve)
+    monkeypatch.setattr(cell, "solve_many", no_solve)
     assert cell.MAX_SLAB_NODES == 2048
     # eps = 1/256 puts 2048 nodes on the unit slab axis and is solved; 1/512 puts 4096 there
     with pytest.raises(Solved):
-        sigma_pm(variant, quartic, 0.05, (1.0 / 256.0,), QUICK)
+        sigma_pm(variant, 0.05, (1.0 / 256.0,), QUICK)
     for scales in ((1.0 / 512.0,), (0.0625, 1e-5)):
         # the finer scale comes last: it is rejected before the first is solved
         with pytest.raises(ValueError, match=r"more than MAX_SLAB_NODES = 2048"):
-            sigma_pm(variant, quartic, 0.05, scales, QUICK)
+            sigma_pm(variant, 0.05, scales, QUICK)
     with pytest.raises(ValueError, match=r"scale 1e-05 puts 800000 nodes on the unit slab axis at h = 1.25e-06"):
-        sigma_pm(variant, quartic, 0.05, (1e-5,), QUICK)
+        sigma_pm(variant, 0.05, (1e-5,), QUICK)
 
 
 # ---------------------------------------------------------------------------
@@ -217,6 +225,40 @@ def test_glued_partition_is_subadditive_witness(e2):
     assert big.value * cub.m_nu <= out["glued_energy"] + 1e-9
 
 
+def test_glued_partition_takes_a_part_whose_frame_fills_it_as_its_datum(e2, monkeypatch):
+    # the part (0, 0.5) is 6 nodes wide, all of them in the 4-node lateral frames: no node of it is free
+    solved = []
+
+    def spy(problems, cfg):
+        solved.extend(grid.shape for grid, _, _ in problems)
+        return solve_many(problems, cfg)
+
+    monkeypatch.setattr(cell, "solve_many", spy)
+    env = make_environment(checkerboard(4))
+    out = glued_partition_energy(env, LatticeCuboid(((0.0, 2.0),), e2), [0.5], QUICK, 0.25)
+    assert solved == [(18, 18)] and len(out["parts"]) == 1
+    datum = cell._cuboid_datum(LatticeCuboid(((0.0, 0.5),), e2), 0.25)
+    assert datum.frozen.all()
+    filled = EnergyModel(datum, env, EnergyParams(1.0, "general")).energy(datum.values)
+    assert out["sum_part_minima"] == filled + out["parts"][0].value
+    assert out["slack"] <= 1e-9
+
+
+def test_glued_partition_checks_every_part_against_the_mesh_before_any_solve(e2, monkeypatch):
+    # at h = 0.25 the cut at 1.25 is off the mesh; the 15 x 15 part (0, 1.25) was solved before the raise
+    calls = []
+
+    def spy(problems, cfg):
+        calls.append(len(problems))
+        return solve_many(problems, cfg)
+
+    monkeypatch.setattr(cell, "solve_many", spy)
+    env = make_environment(checkerboard(4))
+    with pytest.raises(ValueError, match="partition is not commensurate with the mesh"):
+        glued_partition_energy(env, LatticeCuboid(((0.0, 2.0),), e2), [1.25], QUICK, 0.25)
+    assert calls == []
+
+
 # ---------------------------------------------------------------------------
 # density estimation
 # ---------------------------------------------------------------------------
@@ -304,27 +346,30 @@ def test_f_hom_limit_insensitive_to_schedule_doubling(e2):
     assert est_b.estimate == pytest.approx(est_a.estimate, rel=0.03)
 
 
-def test_ergodic_average_homogeneous_equals_each_seed(e2):
-    avg = ergodic_average(homogeneous(), e2, 8, (0, 1), QUICK, 0.25)
-    assert avg.values[0] == avg.values[1] == avg.mean
-    assert avg.stderr == 0.0
+# at one scale the estimate is the Monte-Carlo mean over seeds of the normalized cell value
 
 
-def test_ergodic_average_consistent_with_density_records(e2):
+def test_one_scale_estimate_homogeneous_equals_each_seed(e2):
+    est = f_hom_estimate(homogeneous(), e2, [8], (0, 1), QUICK, 0.25)
+    assert est.per_seed_limit[0] == est.per_seed_limit[1] == est.estimate
+    assert est.stderr == 0.0
+
+
+def test_one_scale_estimate_consistent_with_density_records(e2):
     # same seeds, same scale: the Monte-Carlo mean must match the per-seed cell
-    # records pooled by the density estimator
+    # records pooled by the two-scale estimator
     spec = checkerboard()
     seeds = (0, 1, 2, 3)
-    avg = ergodic_average(spec, e2, 16, seeds, QUICK, 0.25)
+    one = f_hom_estimate(spec, e2, [16], seeds, QUICK, 0.25)
     est = f_hom_estimate(spec, e2, (8, 16), seeds, QUICK, 0.25)
     raw16 = [rec.normalized for rec in est.records if rec.cell.r == 16]
-    assert avg.mean == pytest.approx(np.mean(raw16), abs=2 * max(avg.stderr, 1e-12))
+    assert one.estimate == pytest.approx(np.mean(raw16), abs=2 * max(one.stderr, 1e-12))
 
 
-def test_ergodic_average_stderr_scaling(e2):
+def test_one_scale_estimate_stderr_scaling(e2):
     spec = checkerboard()
-    few = ergodic_average(spec, e2, 8, range(4), QUICK, 0.25)
-    many = ergodic_average(spec, e2, 8, range(8), QUICK, 0.25)
+    few = f_hom_estimate(spec, e2, [8], range(4), QUICK, 0.25)
+    many = f_hom_estimate(spec, e2, [8], range(8), QUICK, 0.25)
     # doubling seeds shrinks the standard error by about sqrt(2)
     assert many.stderr < few.stderr
     assert many.stderr == pytest.approx(few.stderr / np.sqrt(2.0), rel=0.75)

@@ -70,21 +70,24 @@ def test_take_gives_the_rows_of_the_whole_batch(wrapped):
 
 
 @pytest.mark.parametrize("periodic", [(False,), (True, False)], ids=["1d", "2d"])
-def test_a_grid_whose_frame_fills_it_is_its_datum_at_iteration_0(periodic):
+def test_solve_many_rejects_a_grid_whose_frame_fills_it_before_any_solve(monkeypatch, periodic):
     # 12 nodes per axis and a frame 6 deep at each end of the non-periodic ones: the free box is empty
     n = len(periodic)
     grid = box_grid(Direction.from_integers(*range(1, n + 1)), (-1.0,) * n, (3.0,) * n, 0.25, frame_width=1.5,
                     periodic_axes=periodic)
     assert grid.frozen.all()
-    grid.values[...] = np.random.default_rng(8).uniform(-1.0, 1.0, grid.shape)
-    problem = (grid, make_environment(EnvironmentSpec()), EnergyParams(1.0, "general"))
-    (res,) = solve_many([problem], ACC)
-    assert res.converged and res.iters == 0 and res.final_grad_norm == 0.0
-    # the diagnostics a cell.csv row reads, with no descent to report: 0 resets, 0 secant pairs
-    assert (res.diagnostics["stop_reason"], res.diagnostics["batch"]) == ("converged", 1)
-    assert (res.diagnostics["resets"], res.diagnostics["secant_pairs"]) == (0, 0)
-    assert res.value == EnergyModel(grid, problem[1], problem[2]).energy(grid.values)
-    assert np.array_equal(res.field.values, grid.values)
-    grid.values[0] = np.nan  # a datum of no finite energy is a divergence, as a descent from it would be
+    filled = (grid, make_environment(EnvironmentSpec()), EnergyParams(1.0, "general"))
+    batches = []
+    monkeypatch.setattr(solve, "_solve_batch", lambda initials, *rest: batches.append(len(initials)))
+    for problems in ([filled], [cell(3, 45, False), filled]):
+        with pytest.raises(ValueError, match="frozen frame fills a grid"):
+            solve_many(problems, ACC)
+    assert batches == []
+
+
+def test_a_datum_of_no_finite_energy_diverges_at_iteration_0():
+    initial, env, params = cell(3, 45, False)
+    assert not initial.frozen.all()
+    initial.values[0] = np.nan  # a frozen row: the descent starts from a state of no finite energy
     with pytest.raises(DivergenceError, match="initial energy is not finite"):
-        solve_many([problem], ACC)
+        solve_many([(initial, env, params)], ACC)

@@ -490,10 +490,10 @@ def test_cli_sigma_with_a_scale_beyond_the_slab_bound_exits_2_with_a_manifest(tm
     # eps = 1e-5 puts 800000 nodes on the slab axis: its dense axis basis asked for 4.66 TiB and died (exit 1)
     from homlab import cell
 
-    def no_solve(*args):
-        raise AssertionError(f"scale {args[2]} was solved")
+    def no_solve(problems, cfg):
+        raise AssertionError(f"scale {problems[0][2].epsilon} was solved")
 
-    monkeypatch.setattr(cell, "_slab_solve", no_solve)
+    monkeypatch.setattr(cell, "solve_many", no_solve)
     text = Path(__file__).parents[1].joinpath("configs", "sigma.ini").read_text()
     for old, new in (("epsilon_list = 0.25 0.125 0.0625", "epsilon_list = 0.0625 1e-5"), ("dir = out", "dir = {out}")):
         assert old in text
@@ -519,10 +519,10 @@ def test_cli_sigma_names_what_it_rejects(tmp_path, capsys, monkeypatch, old, new
     # the q bound was reported as a scale the unit slab cannot resolve, and only after the plus slabs were solved
     from homlab import cell
 
-    def no_solve(*args):
-        raise AssertionError(f"scale {args[2]} was solved")
+    def no_solve(problems, cfg):
+        raise AssertionError(f"scale {problems[0][2].epsilon} was solved")
 
-    monkeypatch.setattr(cell, "_slab_solve", no_solve)
+    monkeypatch.setattr(cell, "solve_many", no_solve)
     text = Path(__file__).parents[1].joinpath("configs", "sigma.ini").read_text()
     for was, now in ((old, new), ("dir = out", "dir = {out}")):
         assert was in text

@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from homlab.cell import _slab_solve, cell_problems_r
+from homlab.cell import _slab_datum, cell_problems_r
 from homlab.environment import EnvironmentSpec, make_environment
 from homlab.geometry import Direction, OrientedCube
 from homlab import solve
@@ -191,12 +191,13 @@ def test_r16_cell_converges_fast_to_the_seed_commit_value(spec, nu, seed_commit_
 
 
 @pytest.mark.parametrize("q, epsilon", [(0.05, 1.0 / 128.0), (1.2000000000000002, 1.0 / 16.0)])
-def test_slab_solves_at_the_rounding_floor_converge(quartic, q, epsilon):
+def test_slab_solves_at_the_rounding_floor_converge(q, epsilon):
     # the record test ran both minus slabs to max_iters: 2985 and 2981 of their first 3000 iterates had
     # max|g| <= grad_tol at 1.0-10.8 and 31-182 machine epsilons above a record that never moved again
-    env = make_environment(EnvironmentSpec(q=q), quartic)
+    env = make_environment(EnvironmentSpec(q=q))
     for variant in ("m_minus", "m_plus"):
-        res = _slab_solve(variant, q, epsilon, epsilon / 8.0, SolverConfig(max_iters=2000), quartic)
+        problem = (_slab_datum(epsilon, epsilon / 8.0), env, EnergyParams(epsilon, variant))
+        (res,) = solve_many([problem], SolverConfig(max_iters=2000))
         assert res.converged and res.iters < 100
         assert res.final_grad_norm <= res.diagnostics["grad_tol"]
         # the value is the energy of the returned field, not the record's
