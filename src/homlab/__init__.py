@@ -61,6 +61,5 @@ from .cell import (
     f_hom_estimate,
     mu_nu,
     sigma_pair,
-    sigma_pm,
     verify_positivity,
 )

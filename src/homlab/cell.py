@@ -2,7 +2,7 @@
 
 Every solved value here is an upper bound for the corresponding infimum; all
 inequality checks downstream are phrased in the direction that upper bounds
-preserve, with configurable slack for solver tolerance.
+preserve, with a stated slack for solver tolerance.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ __all__ = [
     "FHomEstimate",
     "PositivityReport",
     "BoundsReport",
-    "sigma_pm",
     "sigma_pair",
     "cell_problems_r",
     "mu_nu",
@@ -50,7 +49,7 @@ __all__ = [
 ]
 
 SOLVER_SLACK = 1e-6
-MINUS_VARIANT_Q_MAX = 0.25
+BOUNDS_SLACK = 0.05
 # most nodes on the unit slab's axis (h = eps/8: eps >= 1/256).  The descent's
 # dense axis basis holds the square of its free length: building it raised peak
 # RSS by 17 MB at 1016 free nodes (eps = 1/128) and by 65 MB at 2040 (1/256).
@@ -194,27 +193,25 @@ def _slab_datum(epsilon: float, h: float) -> GridField:
     return grid
 
 
-def sigma_pm(
-    variant: str,
+def sigma_pair(
     q: float,
     scales,
     cfg: SolverConfig = SolverConfig(),
     h_for=None,
-) -> SigmaEstimate:
-    """Upper bound for sigma+ or sigma-: min over the scale grid of unit-slab solves.
+) -> tuple[SigmaEstimate, SigmaEstimate]:
+    """(sigma-_hat, sigma+_hat): upper bounds for both transition constants, each the min over the scale grid.
 
-    The slab is the unit interval with values frozen to +-1 near its two ends;
-    each admissible scale contributes one solve.  Before any solve, a scale
-    outside (0, 1] or with more than MAX_SLAB_NODES nodes on the slab axis is
-    rejected (ResolutionError, as is a grid with no scale left).  Scales whose
-    frozen frame fills the slab are skipped with a warning before their solve,
-    and so are scales the mesh cannot resolve.  The minus variant is gated to
-    small q, where the comparison energy stays positive (ValueError).
+    The slab is the unit interval at mesh h_for(eps) (eps/8 by default), with
+    values frozen to +-1 near its two ends.  Before any solve, a scale outside
+    (0, 1] or with more than MAX_SLAB_NODES nodes on the slab axis is rejected
+    (ResolutionError, as is a grid with no scale left).  Scales whose frozen
+    frame fills the slab are skipped with a warning before their solve, and so
+    are scales the mesh cannot resolve.  Each other scale solves its minus slab
+    and then its plus slab.  The minus energy is also evaluated on the plus
+    minimizer: the minus integrand is dominated pointwise, so this keeps the
+    pair ordered and is still an upper bound for sigma-.  Each estimate keeps
+    the fields it solved for.
     """
-    if variant not in ("plus", "minus"):
-        raise ValueError("variant must be 'plus' or 'minus'")
-    if variant == "minus" and q > MINUS_VARIANT_Q_MAX:
-        raise ValueError(f"minus variant requires q <= {MINUS_VARIANT_Q_MAX} (got {q})")
     if h_for is None:
         h_for = lambda eps: eps / 8.0
     for eps in scales:
@@ -223,8 +220,8 @@ def sigma_pm(
         if 1.0 / h_for(eps) > MAX_SLAB_NODES:
             msg = f"{1.0 / h_for(eps):.6g} nodes on the unit slab axis at h = {h_for(eps):g}"
             raise ResolutionError(f"scale {eps:g} puts {msg}, more than MAX_SLAB_NODES = {MAX_SLAB_NODES}")
-    env, energy = make_environment(EnvironmentSpec(q=q)), "m_plus" if variant == "plus" else "m_minus"
-    per_eps, solves = {}, {}
+    env = make_environment(EnvironmentSpec(q=q))
+    minus, plus = {}, {}  # scale -> SolveResult
     for eps in scales:
         grid = _slab_datum(eps, h_for(eps))
         if grid.frozen.all():
@@ -232,40 +229,24 @@ def sigma_pm(
             warnings.warn(f"skipping degenerate scale {eps}: frozen frame fills the unit slab")
             continue
         try:
-            (res,) = solve_many([(grid, env, EnergyParams(eps, energy))], cfg)
+            (minus[eps],) = solve_many([(grid, env, EnergyParams(eps, "m_minus"))], cfg)
         except ResolutionError as exc:
             warnings.warn(f"skipping unresolved scale {eps}: {exc}")
             continue
-        per_eps[eps] = res.value
-        solves[eps] = res
-    if not per_eps:
+        (plus[eps],) = solve_many([(grid, env, EnergyParams(eps, "m_plus"))], cfg)
+    if not minus:
         raise ResolutionError("no resolvable scale in the grid")
+    minus_per_eps = {}
+    for eps, res in minus.items():
+        slab = plus[eps].field
+        minus_per_eps[eps] = min(res.value, EnergyModel(slab, env, EnergyParams(eps, "m_minus")).energy(slab.values))
+    plus_per_eps = {eps: res.value for eps, res in plus.items()}
+    return _min_over_scales("minus", minus_per_eps, minus), _min_over_scales("plus", plus_per_eps, plus)
+
+
+def _min_over_scales(variant: str, per_eps: dict, solves: dict) -> SigmaEstimate:
     best_eps = min(per_eps, key=per_eps.get)
     return SigmaEstimate(variant, per_eps[best_eps], best_eps, per_eps, solves)
-
-
-def sigma_pair(
-    q: float,
-    scales,
-    cfg: SolverConfig = SolverConfig(),
-) -> tuple[SigmaEstimate, SigmaEstimate]:
-    """(sigma-_hat, sigma+_hat) with the minus bound also fed the plus minimizers.
-
-    Evaluating the minus energy on the plus minimizer of each scale keeps the
-    estimated pair ordered (the minus integrand is dominated pointwise) while
-    remaining a valid upper bound for sigma-.  The minus estimate keeps the
-    fields it solved for.
-    """
-    minus = sigma_pm("minus", q, scales, cfg)  # first: its q gate rejects before any solve
-    plus = sigma_pm("plus", q, scales, cfg)
-    env = make_environment(EnvironmentSpec(q=q))
-    per_eps = dict(minus.per_epsilon)
-    for eps, res in plus.solves.items():
-        minus_at_plus = EnergyModel(res.field, env, EnergyParams(eps, "m_minus")).energy(res.field.values)
-        per_eps[eps] = min(per_eps.get(eps, np.inf), minus_at_plus)
-    best_eps = min(per_eps, key=per_eps.get)
-    minus = replace(minus, value=per_eps[best_eps], best_epsilon=best_eps, per_epsilon=per_eps)
-    return minus, plus
 
 
 # ---------------------------------------------------------------------------
@@ -565,15 +546,14 @@ def bounds_check(
     sigma_plus: float,
     c1: float,
     c2: float,
-    slack: float = 0.05,
 ) -> BoundsReport:
-    """Check c1*sigma- <= f_hom <= c2*sigma+ with relative slack on both sides.
+    """Check c1*sigma- <= f_hom <= c2*sigma+ with relative slack BOUNDS_SLACK on both sides.
 
     Both sigma inputs are solver upper bounds; using the minus bound on the left
     only tightens the test.
     """
-    lower = c1 * sigma_minus * (1.0 - slack)
-    upper = c2 * sigma_plus * (1.0 + slack)
+    lower = c1 * sigma_minus * (1.0 - BOUNDS_SLACK)
+    upper = c2 * sigma_plus * (1.0 + BOUNDS_SLACK)
     return BoundsReport(
         value=f_hom_value,
         lower=lower,

@@ -30,7 +30,6 @@ from .geometry import Direction, LatticeCuboid, OrientedCube
 from .grids import EnergyModel, EnergyParams, ResolutionError, cube_grid
 from .solve import DivergenceError, SolverConfig, usable_cpus
 from .cell import (
-    MINUS_VARIANT_Q_MAX,
     CellRecord,
     EstimateError,
     bounds_check,
@@ -62,6 +61,8 @@ __all__ = [
 
 # largest |r x0_k| of a cell center: node coordinates resolve h well within it
 MAX_CENTER = 2.0**30
+# largest q at which sigma reports sigma- and verify runs its sign-dependent properties
+MINUS_VARIANT_Q_MAX = 0.25
 
 
 class ConfigError(ValueError):
@@ -355,12 +356,12 @@ def write_json(path: str, payload: dict) -> None:
 
 def run_sigma(cfg: ExperimentConfig, manifest: RunManifest | None = None) -> dict:
     """sigma- and sigma+ over epsilon_list; with a manifest, one record `sigma/<variant>/eps=..` per solved scale."""
+    if cfg.env.q > MINUS_VARIANT_Q_MAX:
+        raise ConfigError(f"minus variant requires q <= {MINUS_VARIANT_Q_MAX} (got {cfg.env.q})")
     try:
         minus, plus = sigma_pair(cfg.env.q, cfg.epsilon_list, cfg.solver)
     except ResolutionError as exc:
         raise ConfigError(f"sigma needs scales resolvable on the unit slab: {exc}") from exc
-    except ValueError as exc:  # the minus variant's q bound
-        raise ConfigError(str(exc)) from exc
     if manifest is not None:
         for est in (minus, plus):
             for eps in est.solves:
@@ -472,11 +473,13 @@ def _prop_gradient(cfg: ExperimentConfig, env, cuboids) -> tuple:
         grad = model.gradient(g.values)
         for _ in range(8):
             v = rng.normal(size=g.shape)
-            d = 1e-6
-            fd = (model.energy(g.values + d * v) - model.energy(g.values - d * v)) / (2 * d)
+            # the five-point rule: exact to rounding at any step d, as the energy is a quartic along the line
+            d = 0.25
+            e = [model.energy(g.values + j * d * v) for j in (-2, -1, 1, 2)]
+            fd = (e[0] - 8.0 * e[1] + 8.0 * e[2] - e[3]) / (12.0 * d)
             an = float(np.sum(grad * v))
             worst = max(worst, abs(fd - an) / max(abs(an), 1e-12))
-    return worst < 1e-5, f"max rel err {worst:.3e}", []
+    return worst < 1e-9, f"max rel err {worst:.3e}", []
 
 
 def _prop_growth(cfg: ExperimentConfig, env, cuboids) -> tuple:

@@ -19,7 +19,6 @@ from homlab.cell import (
     glued_partition_energy,
     mu_nu,
     sigma_pair,
-    sigma_pm,
     verify_positivity,
 )
 
@@ -55,21 +54,17 @@ def test_sigma_bounded_by_ramp_constant(quartic):
 
 
 def test_sigma_is_min_over_scale_grid():
-    est = sigma_pm("plus", 0.05, (0.5, 0.25, 0.125), QUICK)
-    assert est.value == min(est.per_epsilon.values())
-    assert est.per_epsilon[est.best_epsilon] == est.value
-
-
-def test_sigma_minus_gate():
-    with pytest.raises(ValueError):
-        sigma_pm("minus", 1.0, (0.25,), QUICK)
+    for est in sigma_pair(0.05, (0.5, 0.25, 0.125), QUICK):
+        assert est.value == min(est.per_epsilon.values())
+        assert est.per_epsilon[est.best_epsilon] == est.value
 
 
 def test_sigma_skips_unresolvable_scales():
     with pytest.warns(UserWarning):
-        est = sigma_pm("plus", 0.05, (0.125, 0.5), QUICK, h_for=lambda e: 0.125)
-    assert 0.125 not in est.per_epsilon
-    assert 0.5 in est.per_epsilon
+        pair = sigma_pair(0.05, (0.125, 0.5), QUICK, h_for=lambda e: 0.125)
+    for est in pair:
+        assert 0.125 not in est.per_epsilon and 0.125 not in est.solves
+        assert 0.5 in est.per_epsilon
 
 
 def test_sigma_skips_degenerate_scales(monkeypatch):
@@ -82,12 +77,32 @@ def test_sigma_skips_degenerate_scales(monkeypatch):
 
     monkeypatch.setattr(cell, "solve_many", spy)
     with pytest.warns(UserWarning, match="degenerate"):
-        est = sigma_pm("plus", 0.05, (1.0, 0.25), QUICK)
-    assert 1.0 not in est.per_epsilon
-    assert 0.25 in est.per_epsilon
+        pair = sigma_pair(0.05, (1.0, 0.25), QUICK)
+    for est in pair:
+        assert 1.0 not in est.per_epsilon
+        assert 0.25 in est.per_epsilon
     with pytest.warns(UserWarning, match="degenerate"), pytest.raises(ValueError):
-        sigma_pm("plus", 0.05, (1.0,), QUICK)
-    assert solved == [0.25]
+        sigma_pair(0.05, (1.0,), QUICK)
+    assert solved == [0.25, 0.25]
+
+
+def test_sigma_pair_builds_each_scale_datum_once_and_solves_one_slab_per_call(monkeypatch):
+    data, calls = [], []
+    slab_datum = cell._slab_datum
+
+    def datum_spy(epsilon, h):
+        data.append(epsilon)
+        return slab_datum(epsilon, h)
+
+    def solve_spy(problems, cfg):
+        calls.append([(params.epsilon, params.variant) for _, _, params in problems])
+        return solve_many(problems, cfg)
+
+    monkeypatch.setattr(cell, "_slab_datum", datum_spy)
+    monkeypatch.setattr(cell, "solve_many", solve_spy)
+    sigma_pair(0.05, (0.25, 0.125), QUICK)
+    assert data == [0.25, 0.125]
+    assert calls == [[(eps, variant)] for eps in (0.25, 0.125) for variant in ("m_minus", "m_plus")]
 
 
 class Solved(Exception):
@@ -96,20 +111,29 @@ class Solved(Exception):
 
 @pytest.mark.parametrize("variant", ["plus", "minus"])
 def test_sigma_rejects_a_scale_beyond_the_slab_bound_before_any_solve(monkeypatch, variant):
+    reached = []
+
     def no_solve(problems, cfg):
-        raise Solved(problems[0][2].epsilon)
+        ((_, _, params),) = problems
+        reached.append(params.variant)
+        if params.variant == f"m_{variant}":
+            raise Solved(params.epsilon)
+        return [object()]  # stands in for the other variant's slab, which comes first or not at all
 
     monkeypatch.setattr(cell, "solve_many", no_solve)
     assert cell.MAX_SLAB_NODES == 2048
-    # eps = 1/256 puts 2048 nodes on the unit slab axis and is solved; 1/512 puts 4096 there
+    # eps = 1/256 puts 2048 nodes on the unit slab axis and this variant's slab is solved; 1/512 puts 4096 there
     with pytest.raises(Solved):
-        sigma_pm(variant, 0.05, (1.0 / 256.0,), QUICK)
+        sigma_pair(0.05, (1.0 / 256.0,), QUICK)
+    assert reached[-1] == f"m_{variant}"
+    reached.clear()
     for scales in ((1.0 / 512.0,), (0.0625, 1e-5)):
         # the finer scale comes last: it is rejected before the first is solved
         with pytest.raises(ValueError, match=r"more than MAX_SLAB_NODES = 2048"):
-            sigma_pm(variant, 0.05, scales, QUICK)
+            sigma_pair(0.05, scales, QUICK)
     with pytest.raises(ValueError, match=r"scale 1e-05 puts 800000 nodes on the unit slab axis at h = 1.25e-06"):
-        sigma_pm(variant, 0.05, (1e-5,), QUICK)
+        sigma_pair(0.05, (1e-5,), QUICK)
+    assert reached == []
 
 
 # ---------------------------------------------------------------------------
