@@ -58,7 +58,6 @@ from .cell import (
     SigmaEstimate,
     bounds_check,
     cell_problems_r,
-    f_hom_estimate,
     mu_nu,
     sigma_pair,
     verify_positivity,

@@ -25,7 +25,6 @@ from .grids import (
     cuboid_grid,
     frame_width_for,
     profile_values,
-    slab_grid,
 )
 from .solve import SolverConfig, SolveResult, solve_many
 
@@ -42,7 +41,6 @@ __all__ = [
     "cell_problems_r",
     "mu_nu",
     "glued_partition_energy",
-    "f_hom_estimate",
     "f_hom_reduce",
     "verify_positivity",
     "bounds_check",
@@ -185,7 +183,7 @@ class BoundsReport:
 
 
 def _slab_datum(epsilon: float, h: float) -> GridField:
-    grid = slab_grid(1.0, h, frame_width_for(h, epsilon, "slab"))
+    grid = cube_grid(OrientedCube((0.0,), 1.0, Direction.from_integers(1)), h, frame_width_for(h, epsilon, "slab"))
     grid.values[...] = profile_values(grid, epsilon)
     # admissible datum is exactly +-1 near the two ends of the unit interval
     signs = np.sign(grid.axis_coords(0))
@@ -470,26 +468,6 @@ def f_hom_reduce(nu: Direction, r_schedule, seeds, records) -> FHomEstimate:
         x0_spread=x0_spread,
         fit_r=fit_r,
     )
-
-
-def f_hom_estimate(
-    spec: EnvironmentSpec,
-    nu: Direction,
-    r_schedule,
-    seeds,
-    cfg: SolverConfig = SolverConfig(),
-    h: float = 0.25,
-) -> FHomEstimate:
-    """Estimate the homogenized density for one normal direction.
-
-    For every (r, seed) the unit-scale cell problem centered at the origin is
-    solved; per-seed limits extrapolate the normalized values in 1/r over the
-    top three scales (boundary-frame heuristic, reported alongside raw records).
-    Non-converged solves are excluded with a warning; if none converged,
-    EstimateError is raised instead of returning a NaN estimate.
-    """
-    records = cell_problems_r(spec, [nu], r_schedule, seeds, None, cfg, h)
-    return f_hom_reduce(nu, r_schedule, seeds, records)
 
 
 # ---------------------------------------------------------------------------

@@ -46,13 +46,8 @@ class DoubleWell:
         s = np.asarray(s, dtype=float)
         return (s * s - 1.0) ** 2
 
-    def derivative(self, s):
-        """d/ds of the potential, 4 s (s^2 - 1)."""
-        s = np.asarray(s, dtype=float)
-        return 4.0 * s * (s * s - 1.0)
-
     def value_and_derivative(self, s):
-        """(W(s), W'(s)) from one evaluation of s^2 - 1, each bit for bit as the separate calls give it."""
+        """(W(s), W'(s)) from one evaluation of s^2 - 1: W' = 4 s (s^2 - 1), W bit for bit as `__call__` gives it."""
         s = np.asarray(s, dtype=float)
         t = s * s
         t -= 1.0

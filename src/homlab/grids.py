@@ -24,7 +24,6 @@ __all__ = [
     "ResolutionError",
     "box_grid",
     "cube_grid",
-    "slab_grid",
     "cuboid_grid",
     "frame_width_for",
     "profile_values",
@@ -171,12 +170,6 @@ def cube_grid(cube: OrientedCube, h: float, frame_width: float, periodic_lateral
         frame_width=frame_width,
         periodic_axes=periodic,
     )
-
-
-def slab_grid(side: float, h: float, frame_width: float, n: int = 1) -> GridField:
-    """Laterally periodic grid on the axis cube with normal e_n, frozen only near the top/bottom faces."""
-    cube = OrientedCube((0.0,) * n, side, Direction.from_integers(*([0] * (n - 1) + [1])))
-    return cube_grid(cube, h, frame_width, periodic_lateral=True)
 
 
 def cuboid_grid(cuboid: LatticeCuboid, h: float, frame_width: float) -> GridField:
@@ -591,11 +584,6 @@ class EnergyModel:
         x, bare = self._batch(u)
         e = self._value(self._stencils.quadratic(x, self._weights)[0], self.well(x))
         return float(e[0]) if bare else e
-
-    def gradient(self, u: np.ndarray) -> np.ndarray:
-        x, bare = self._batch(u)
-        g = self._gradient(self._stencils.quadratic(x, self._weights)[1], self.well.derivative(x))
-        return g[0] if bare else g
 
     def value_and_gradient(self, u: np.ndarray):
         """Energy and gradient from one application of K and one evaluation of u^2 - 1."""

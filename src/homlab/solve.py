@@ -559,7 +559,7 @@ def _descend(model: EnergyModel, rule, u0: np.ndarray, cfg: SolverConfig, grad_t
         stop = [c or f or iters >= cfg.max_iters for c, f in zip(converged, failed)]
         if any(stop):
             if any(s and not (c or f) for s, c, f in zip(stop, converged, failed)):
-                final_gnorm = _row_max_abs(model.gradient(best_u)).tolist()
+                final_gnorm = _row_max_abs(model.value_and_gradient(best_u)[1]).tolist()
             for k in range(len(ids)):
                 if converged[k]:
                     out[ids[k]] = (u[k].copy(), energy[k], iters, gnorm[k], True, resets[k])

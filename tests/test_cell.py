@@ -14,7 +14,6 @@ from homlab.cell import (
     _fit_limit,
     bounds_check,
     cell_problems_r,
-    f_hom_estimate,
     f_hom_reduce,
     glued_partition_energy,
     mu_nu,
@@ -289,7 +288,7 @@ def test_glued_partition_checks_every_part_against_the_mesh_before_any_solve(e2,
 
 
 def test_f_hom_estimate_homogeneous_matches_single_cell(e2):
-    est = f_hom_estimate(homogeneous(), e2, (8, 16), (0, 1), QUICK, 0.25)
+    est = f_hom_reduce(e2, (8, 16), (0, 1), cell_problems_r(homogeneous(), [e2], (8, 16), (0, 1), None, QUICK, 0.25))
     # no randomness: both seeds give the same limit
     limits = list(est.per_seed_limit.values())
     assert limits[0] == pytest.approx(limits[1], rel=1e-12)
@@ -297,12 +296,13 @@ def test_f_hom_estimate_homogeneous_matches_single_cell(e2):
 
 
 def test_f_hom_estimate_raises_when_no_solve_converged(e2):
+    records = cell_problems_r(homogeneous(), [e2], (8, 16), (0,), None, SolverConfig(max_iters=1), 0.25)
     with pytest.raises(EstimateError), pytest.warns(UserWarning, match="non-converged"):
-        f_hom_estimate(homogeneous(), e2, (8, 16), (0,), SolverConfig(max_iters=1), 0.25)
+        f_hom_reduce(e2, (8, 16), (0,), records)
 
 
 def test_f_hom_estimate_extrapolates_below_raw(e2):
-    est = f_hom_estimate(homogeneous(), e2, (8, 16), (0,), QUICK, 0.25)
+    est = f_hom_reduce(e2, (8, 16), (0,), cell_problems_r(homogeneous(), [e2], (8, 16), (0,), None, QUICK, 0.25))
     raw_top = [rec.normalized for rec in est.records if rec.cell.r == 16]
     assert est.estimate < min(raw_top)  # boundary frame inflates raw values
 
@@ -365,8 +365,10 @@ def test_f_hom_reduce_names_the_scales_each_seed_was_fitted_over(e2):
 
 def test_f_hom_limit_insensitive_to_schedule_doubling(e2):
     # r(t) = t versus r(t) = 2t: extrapolated limits agree within 3%
-    est_a = f_hom_estimate(homogeneous(), e2, (8, 16, 32), (0,), QUICK, 0.25)
-    est_b = f_hom_estimate(homogeneous(), e2, (16, 32, 64), (0,), QUICK, 0.25)
+    est_a, est_b = (
+        f_hom_reduce(e2, rs, (0,), cell_problems_r(homogeneous(), [e2], rs, (0,), None, QUICK, 0.25))
+        for rs in ((8, 16, 32), (16, 32, 64))
+    )
     assert est_b.estimate == pytest.approx(est_a.estimate, rel=0.03)
 
 
@@ -374,7 +376,7 @@ def test_f_hom_limit_insensitive_to_schedule_doubling(e2):
 
 
 def test_one_scale_estimate_homogeneous_equals_each_seed(e2):
-    est = f_hom_estimate(homogeneous(), e2, [8], (0, 1), QUICK, 0.25)
+    est = f_hom_reduce(e2, [8], (0, 1), cell_problems_r(homogeneous(), [e2], [8], (0, 1), None, QUICK, 0.25))
     assert est.per_seed_limit[0] == est.per_seed_limit[1] == est.estimate
     assert est.stderr == 0.0
 
@@ -384,16 +386,16 @@ def test_one_scale_estimate_consistent_with_density_records(e2):
     # records pooled by the two-scale estimator
     spec = checkerboard()
     seeds = (0, 1, 2, 3)
-    one = f_hom_estimate(spec, e2, [16], seeds, QUICK, 0.25)
-    est = f_hom_estimate(spec, e2, (8, 16), seeds, QUICK, 0.25)
+    one = f_hom_reduce(e2, [16], seeds, cell_problems_r(spec, [e2], [16], seeds, None, QUICK, 0.25))
+    est = f_hom_reduce(e2, (8, 16), seeds, cell_problems_r(spec, [e2], (8, 16), seeds, None, QUICK, 0.25))
     raw16 = [rec.normalized for rec in est.records if rec.cell.r == 16]
     assert one.estimate == pytest.approx(np.mean(raw16), abs=2 * max(one.stderr, 1e-12))
 
 
 def test_one_scale_estimate_stderr_scaling(e2):
     spec = checkerboard()
-    few = f_hom_estimate(spec, e2, [8], range(4), QUICK, 0.25)
-    many = f_hom_estimate(spec, e2, [8], range(8), QUICK, 0.25)
+    few = f_hom_reduce(e2, [8], range(4), cell_problems_r(spec, [e2], [8], range(4), None, QUICK, 0.25))
+    many = f_hom_reduce(e2, [8], range(8), cell_problems_r(spec, [e2], [8], range(8), None, QUICK, 0.25))
     # doubling seeds shrinks the standard error by about sqrt(2)
     assert many.stderr < few.stderr
     assert many.stderr == pytest.approx(few.stderr / np.sqrt(2.0), rel=0.75)

@@ -17,8 +17,8 @@ from homlab.grids import (
     discrete_hessian,
     frame_width_for,
     profile_values,
-    slab_grid,
 )
+from homlab.cell import _slab_datum
 from homlab.harness import MAX_CENTER
 
 
@@ -129,7 +129,7 @@ def test_gradient_matches_finite_differences(e2):
     g = cube_grid(cube, 0.125, frame_width=0.25)
     g.values[...] = rng.uniform(-1.5, 1.5, g.shape)
     model = EnergyModel(g, env, EnergyParams(1.0, "general"))
-    grad = model.gradient(g.values)
+    grad = model.value_and_gradient(g.values)[1]
     # the model's gradient covers every node, the frozen ones too
     for nodes in (np.argwhere(~g.frozen), np.argwhere(g.frozen)):
         assert len(nodes) >= 30
@@ -157,9 +157,7 @@ def test_value_and_gradient_consistent_with_separate_calls(e2):
     g = cube_grid(cube, 0.25, frame_width=0.5)
     g.values[...] = rng.uniform(-1, 1, g.shape)
     model = EnergyModel(g, env, EnergyParams(1.0, "general"))
-    e, grad = model.value_and_gradient(g.values)
-    assert e == pytest.approx(model.energy(g.values), rel=1e-14)
-    assert grad == pytest.approx(model.gradient(g.values), rel=1e-14)
+    assert model.value_and_gradient(g.values)[0] == pytest.approx(model.energy(g.values), rel=1e-14)
 
 
 def test_plus_minus_gradient_difference_is_gradient_term(e2):
@@ -170,8 +168,8 @@ def test_plus_minus_gradient_difference_is_gradient_term(e2):
     g = cube_grid(cube, 0.25, frame_width=0.25)
     g.values[...] = rng.uniform(-1, 1, g.shape)
     eps = 1.0
-    grad_plus = EnergyModel(g, env, EnergyParams(eps, "m_plus")).gradient(g.values)
-    grad_minus = EnergyModel(g, env, EnergyParams(eps, "m_minus")).gradient(g.values)
+    grad_plus = EnergyModel(g, env, EnergyParams(eps, "m_plus")).value_and_gradient(g.values)[1]
+    grad_minus = EnergyModel(g, env, EnergyParams(eps, "m_minus")).value_and_gradient(g.values)[1]
     # difference must be the derivative of 2 q eps int |grad u|^2
     # reference: dense central-difference matrices (edge-replicated ends, or wrap), D^T from numpy
     def d1_matrix(m, periodic):
@@ -229,7 +227,6 @@ def test_kernel_is_symmetric_and_matches_density(periodic, frame, variant):
     assert model.energy(u) == pytest.approx(g.h**g.n * float(np.sum(model.energy_density(u))), rel=1e-14)
     energy, grad = model.value_and_gradient(u)
     assert energy == model.energy(u)
-    assert np.array_equal(grad, model.gradient(u))
     assert np.all(grad != 0.0)
     # every frozen node and as many others, against central differences
     nodes = np.concatenate([np.argwhere(g.frozen), np.argwhere(~g.frozen)[: max(int(g.frozen.sum()), 8)]])
@@ -295,9 +292,7 @@ def test_grid_spacing_must_divide_sides(e2):
 
 
 def test_boundary_mask_codes(e2):
-    from homlab.grids import slab_grid
-
-    g = slab_grid(1.0, 0.125, frame_width=0.25, n=2)
+    g = cube_grid(OrientedCube((0.0, 0.0), 1.0, e2), 0.125, frame_width=0.25, periodic_lateral=True)
     assert g.periodic == (True, False)  # lateral axis wraps
     assert g.frozen[3, 0] and g.frozen[3, -1]  # bottom and top frame
     assert not g.frozen[0, 4] and not g.frozen[-1, 4]  # lateral wrap edge stays free
@@ -334,7 +329,7 @@ def built_grids():
                 yield cuboid_grid(cub, 0.25, cell_width), sides, cell_width
     for eps in (1.0, 0.5, 0.25, 0.125, 0.0625):  # the sigma slabs, h = eps/8
         width = frame_width_for(eps / 8.0, eps, "slab")
-        yield slab_grid(1.0, eps / 8.0, width), (1.0,), width
+        yield _slab_datum(eps, eps / 8.0), (1.0,), width
     for sides in ((1.0,), (1.0, 1.0)):  # the positivity boxes
         direction = Direction.from_integers(*([0] * (len(sides) - 1) + [1]))
         yield box_grid(direction, (0.0,) * len(sides), sides, 1.0 / 16.0), sides, 0.0
@@ -477,9 +472,7 @@ def test_value_and_gradient_are_the_separate_calls_bit_for_bit(restricted):
     u = np.stack([grid.values, -grid.values])
     if restricted:
         model, u = model.restrict(u, grid.free), u[(slice(None),) + grid.free].copy()
-    energy, grad = model.value_and_gradient(u)
-    assert np.array_equal(energy, model.energy(u))
-    assert np.array_equal(grad, model.gradient(u))
+    assert np.array_equal(model.value_and_gradient(u)[0], model.energy(u))
 
 
 @pytest.mark.parametrize("noise", [0.0, 1e-3])
@@ -487,7 +480,7 @@ def test_rounding_bounds_the_error_of_a_slab_energy(noise):
     # the minus slab of the q that deadlocked the record stop test; h and eps are powers of two, so every
     # weight is exact, and the energy in exact rational arithmetic is the reference
     q, eps, h = 1.2000000000000002, 1.0 / 16.0, 1.0 / 128.0
-    grid = slab_grid(1.0, h, frame_width_for(h, eps, "slab"))
+    grid = _slab_datum(eps, h)
     grid.values[...] = profile_values(grid, eps) + np.random.default_rng(0).uniform(-noise, noise, grid.shape)
     model = EnergyModel(grid, make_environment(EnvironmentSpec(q=q)), EnergyParams(eps, "m_minus"))
     energy, (bound,) = model.energy(grid.values), model.rounding(grid.values)

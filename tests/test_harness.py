@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import json
 import os
+import re
 from pathlib import Path
 
 import pytest
@@ -639,6 +640,35 @@ def test_property_suite_small_config_passes(tmp_path):
     } <= names
     failures = [r for r in results if not r.passed and not r.informational]
     assert failures == []
+
+
+def test_gradient_consistency_sees_a_1e_7_error_in_the_well_derivative(tmp_path, monkeypatch):
+    # on random h = 1/8 fields 2 Ku dominates the gradient, so the random lines read such an error under the
+    # bound (4.3e-11 on configs/example.ini); on a constant field Ku = 0 and the per-node probe reads it whole
+    from homlab import harness
+    from homlab.core import DoubleWell
+    from homlab.environment import make_environment
+
+    cfg = load_config(write_config(tmp_path)[0])
+    env = make_environment(cfg.env)
+    value_and_derivative = DoubleWell.value_and_derivative
+
+    def readings():
+        passed, detail, _ = harness._prop_gradient(cfg, env, {})
+        match = re.fullmatch(r"max rel err (\S+) on random lines, (\S+) per node on constant fields", detail)
+        lines, nodes = match.groups()
+        return passed, float(lines), float(nodes)
+
+    passed, lines, nodes = readings()
+    assert passed and lines < 1e-9 and nodes < 1e-9
+
+    def scaled(self, s):
+        w, dw = value_and_derivative(self, s)
+        return w, dw * (1.0 + 1e-7)
+
+    monkeypatch.setattr(DoubleWell, "value_and_derivative", scaled)
+    passed, lines, nodes = readings()
+    assert not passed and lines < 1e-9 and nodes == pytest.approx(1e-7, rel=0.01)
 
 
 def test_property_suite_reports_positivity_outside_regime(tmp_path):

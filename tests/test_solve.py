@@ -232,7 +232,7 @@ def test_non_positive_member_gets_the_metric_i_over_t0(qs):
     def close(x, y):
         return np.linalg.norm(x - y) <= 1e-12 * np.linalg.norm(y)
 
-    g = model.gradient(u)[box]
+    g = model.value_and_gradient(u)[1][box]
     d, _ = _direction(metric, g, u[box])
     assert close(d[k], t0 * g[k])
     s = np.random.default_rng(6).standard_normal(g.shape)
@@ -272,7 +272,7 @@ def test_interface_metric_is_one_spd_form(case):
     else:
         free = ~problems[0][0].frozen
         u[:, free] += 0.05 * np.random.default_rng(3).standard_normal(int(free.sum()))
-    g = model.gradient(u)[box]
+    g = model.value_and_gradient(u)[1][box]
     d, gd = _direction(metric, g, u[box])
     g_dot_d = np.sum(g * d, axis=(1, 2))
     # d = M^-1 g with M the form norm2 measures in, so d'Md = g'd; gd is that number
