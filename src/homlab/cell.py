@@ -154,7 +154,6 @@ class FHomEstimate:
     estimate: float
     stderr: float
     per_seed_limit: dict
-    records: list
     x0_spread: dict
     fit_r: dict
 
@@ -201,10 +200,10 @@ def sigma_pair(
 
     The slab is the unit interval at mesh h_for(eps) (eps/8 by default), with
     values frozen to +-1 near its two ends.  Before any solve, a scale outside
-    (0, 1] or with more than MAX_SLAB_NODES nodes on the slab axis is rejected
-    (ResolutionError, as is a grid with no scale left).  Scales whose frozen
-    frame fills the slab are skipped with a warning before their solve, and so
-    are scales the mesh cannot resolve.  Each other scale solves its minus slab
+    (0, 1], with more than MAX_SLAB_NODES nodes on the slab axis or with a mesh
+    that does not divide the slab is rejected (ResolutionError, as is a grid
+    with no scale left).  Scales whose frozen frame fills the slab are skipped
+    with a warning before their solve.  Each other scale solves its minus slab
     and then its plus slab.  The minus energy is also evaluated on the plus
     minimizer: the minus integrand is dominated pointwise, so this keeps the
     pair ordered and is still an upper bound for sigma-.  Each estimate keeps
@@ -218,19 +217,15 @@ def sigma_pair(
         if 1.0 / h_for(eps) > MAX_SLAB_NODES:
             msg = f"{1.0 / h_for(eps):.6g} nodes on the unit slab axis at h = {h_for(eps):g}"
             raise ResolutionError(f"scale {eps:g} puts {msg}, more than MAX_SLAB_NODES = {MAX_SLAB_NODES}")
+    data = {eps: _slab_datum(eps, h_for(eps)) for eps in scales}
     env = make_environment(EnvironmentSpec(q=q))
     minus, plus = {}, {}  # scale -> SolveResult
-    for eps in scales:
-        grid = _slab_datum(eps, h_for(eps))
+    for eps, grid in data.items():
         if grid.frozen.all():
             # frame covers the whole slab: the datum is the only competitor, and there is nothing to solve
             warnings.warn(f"skipping degenerate scale {eps}: frozen frame fills the unit slab")
             continue
-        try:
-            (minus[eps],) = solve_many([(grid, env, EnergyParams(eps, "m_minus"))], cfg)
-        except ResolutionError as exc:
-            warnings.warn(f"skipping unresolved scale {eps}: {exc}")
-            continue
+        (minus[eps],) = solve_many([(grid, env, EnergyParams(eps, "m_minus"))], cfg)
         (plus[eps],) = solve_many([(grid, env, EnergyParams(eps, "m_plus"))], cfg)
     if not minus:
         raise ResolutionError("no resolvable scale in the grid")
@@ -440,9 +435,8 @@ def f_hom_reduce(nu: Direction, r_schedule, seeds, records) -> FHomEstimate:
     if not seeds:
         raise ValueError("need at least one seed")
     r_schedule = tuple(sorted(float(r) for r in r_schedule))
-    mine = [rec for rec in records if rec.cell.nu.nu == nu.nu]
     values = {}
-    for rec in _converged(mine):
+    for rec in _converged([rec for rec in records if rec.cell.nu.nu == nu.nu]):
         values.setdefault((rec.cell.seed, rec.cell.r), []).append(rec.normalized)
     per_seed_limit, x0_spread, fit_r = {}, {}, {}
     for seed in seeds:
@@ -464,7 +458,6 @@ def f_hom_reduce(nu: Direction, r_schedule, seeds, records) -> FHomEstimate:
         estimate=estimate,
         stderr=stderr,
         per_seed_limit=per_seed_limit,
-        records=mine,
         x0_spread=x0_spread,
         fit_r=fit_r,
     )
@@ -482,17 +475,16 @@ def verify_positivity(
     n_starts: int = 5,
     cfg: SolverConfig = SolverConfig(),
     seed: int = 0,
-    epsilon: float = 1.0,
 ) -> PositivityReport:
     """Free minimization of the minus comparison energy from random starts.
 
-    At epsilon = 1 this probes int W - q|grad u|^2 + |hess u|^2 >= 0 on boxes
-    with all sides >= 1; smaller epsilon probes the scaled smallness inequality
-    (gradient term controlled by potential plus second-gradient terms).  Small q
-    keeps the infimum nonnegative; large q leaves the validity regime and
-    genuinely negative minima are expected (and reported, not hidden).  A start
-    that stops at max_iters is no minimum, so the check passes only when every
-    start converged.
+    This probes int W - q|grad u|^2 + |hess u|^2 >= 0 on boxes with all sides
+    >= 1.  The scaled smallness inequality needs no probe of its own: on a box
+    B at mesh h, the eps-scaled energy is eps^(n-1) times the unit-scale energy
+    on B/eps at mesh h/eps.  Small q keeps the infimum nonnegative; large q
+    leaves the validity regime and genuinely negative minima are expected (and
+    reported, not hidden).  A start that stops at max_iters is no minimum, so
+    the check passes only when every start converged.
     """
     sides = tuple(float(s) for s in sides)
     if min(sides) < 1.0:
@@ -505,7 +497,7 @@ def verify_positivity(
     for _ in range(max(1, n_starts)):
         grid = box_grid(direction, (0.0,) * n, sides, h)
         grid.values[...] = rng.uniform(-1.5, 1.5, grid.shape)
-        starts.append((grid, env, EnergyParams(epsilon, "m_minus")))
+        starts.append((grid, env, EnergyParams(1.0, "m_minus")))
     results = solve_many(starts, cfg)
     values = [res.value for res in results]
     converged = [res.converged for res in results]

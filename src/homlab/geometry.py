@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -47,7 +46,11 @@ class Direction:
 
     @property
     def rational_flag(self) -> bool:
-        return self.integer_vector is not None
+        """True when nu is an integer vector of integer length, so that its rotation is rational."""
+        if self.integer_vector is None:
+            return False
+        norm_sq = sum(v * v for v in self.integer_vector)
+        return math.isqrt(norm_sq) ** 2 == norm_sq
 
     @staticmethod
     def from_integers(*p: int) -> "Direction":
@@ -89,31 +92,22 @@ def rotation_for(d: Direction) -> np.ndarray:
 
 
 def _integer_data(d: Direction) -> tuple[tuple[int, ...], int]:
-    """(reduced integer vector, integer norm); raises if the norm is irrational."""
-    if d.integer_vector is None:
-        raise LatticeIncompatibleError("direction carries no integer vector")
+    """(integer vector, integer norm); raises unless d is rational (`rational_flag`)."""
+    if not d.rational_flag:
+        raise LatticeIncompatibleError(f"{d.integer_vector or d.nu} is no integer vector of integer length")
     p = d.integer_vector
-    norm_sq = sum(v * v for v in p)
-    m = math.isqrt(norm_sq)
-    if m * m != norm_sq:
-        raise LatticeIncompatibleError(f"|{p}| = sqrt({norm_sq}) is irrational; rotation is not rational")
-    return p, m
-
-
-@lru_cache(maxsize=None)
-def _m_nu_cached(p: tuple[int, ...]) -> int:
-    d = Direction.from_integers(*p)
-    p, m = _integer_data(d)
-    for cand in range(3, 3 * m + 4):
-        if all(cand * v % m == 0 for v in p):
-            return cand
-    raise LatticeIncompatibleError(f"no integer scale found for {p}")  # pragma: no cover
+    return p, math.isqrt(sum(v * v for v in p))
 
 
 def m_nu_for(d: Direction) -> int:
-    """Smallest integer >= 3 such that the scaled rotation matrix is integral."""
-    p, _ = _integer_data(d)
-    return _m_nu_cached(p)
+    """Smallest integer >= 3 such that the scaled rotation matrix is integral.
+
+    k p_i / |p| is an integer for every i exactly when |p| / gcd(p) divides k,
+    so m_nu is the least multiple of |p| / gcd(p) that is >= 3.
+    """
+    p, m = _integer_data(d)
+    step = m // math.gcd(*p)
+    return -(-3 // step) * step
 
 
 def integer_rotation(d: Direction) -> np.ndarray:

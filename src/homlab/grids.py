@@ -36,7 +36,7 @@ U_CAP = 3.0  # solvers clamp node values to [-U_CAP, U_CAP]
 
 
 class ResolutionError(ValueError):
-    """Raised when the mesh cannot resolve the requested transition width."""
+    """Raised when the mesh cannot resolve the requested transition width, or does not divide a box side."""
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +115,7 @@ def _node_counts(sides, h: float) -> tuple[int, ...]:
     for side in sides:
         m = int(round(side / h))
         if m < 1 or abs(m * h - side) > 1e-9:
-            raise ValueError(f"spacing {h} does not divide side {side}")
+            raise ResolutionError(f"spacing {h} does not divide side {side}")
         counts.append(m)
     return tuple(counts)
 

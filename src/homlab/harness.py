@@ -353,18 +353,17 @@ def write_json(path: str, payload: dict) -> None:
 # ---------------------------------------------------------------------------
 
 
-def run_sigma(cfg: ExperimentConfig, manifest: RunManifest | None = None) -> dict:
-    """sigma- and sigma+ over epsilon_list; with a manifest, one record `sigma/<variant>/eps=..` per solved scale."""
+def run_sigma(cfg: ExperimentConfig, manifest: RunManifest) -> dict:
+    """sigma- and sigma+ over epsilon_list; one manifest record `sigma/<variant>/eps=..` per solved scale."""
     if cfg.env.q > MINUS_VARIANT_Q_MAX:
         raise ConfigError(f"minus variant requires q <= {MINUS_VARIANT_Q_MAX} (got {cfg.env.q})")
     try:
         minus, plus = sigma_pair(cfg.env.q, cfg.epsilon_list, cfg.solver)
     except ResolutionError as exc:
         raise ConfigError(f"sigma needs scales resolvable on the unit slab: {exc}") from exc
-    if manifest is not None:
-        for est in (minus, plus):
-            for eps in est.solves:
-                manifest.add(f"sigma/{est.variant}/eps={eps:g}", cfg.env.seed)
+    for est in (minus, plus):
+        for eps in est.solves:
+            manifest.add(f"sigma/{est.variant}/eps={eps:g}", cfg.env.seed)
     payload = {
         "q": cfg.env.q,
         "sigma_minus": minus.value,
@@ -390,28 +389,27 @@ def _check_unit_scale(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"h = {cfg.h} cannot resolve the cell problems' scale epsilon = 1; need h <= 1/4")
 
 
-def _solve_cells(cfg: ExperimentConfig, manifest: RunManifest | None, command: str) -> list[CellRecord]:
-    """Every configured cell, direction x r x seed x x0; with a manifest, one record `<command>/<work id>` each."""
+def _solve_cells(cfg: ExperimentConfig, manifest: RunManifest, command: str) -> list[CellRecord]:
+    """Every configured cell, direction x r x seed x x0; one manifest record `<command>/<work id>` each."""
     _check_unit_scale(cfg)
     records = cell_problems_r(cfg.env, cfg.nu_list, cfg.r_list, cfg.seeds, cfg.x0_list, cfg.solver, cfg.h)
-    if manifest is not None:
-        for rec in records:
-            manifest.add(f"{command}/{rec.cell.work_id}", rec.cell.seed)
+    for rec in records:
+        manifest.add(f"{command}/{rec.cell.work_id}", rec.cell.seed)
     return records
 
 
-def run_cell(cfg: ExperimentConfig, manifest: RunManifest | None = None) -> list[CellRecord]:
+def run_cell(cfg: ExperimentConfig, manifest: RunManifest) -> list[CellRecord]:
     """CellRecord for every direction x r x seed x x0, in that order."""
     records = _solve_cells(cfg, manifest, "cell")
     write_cell_csv(os.path.join(cfg.out_dir, "cell.csv"), records)
     return records
 
 
-def run_homogenize(cfg: ExperimentConfig, manifest: RunManifest | None = None) -> dict:
+def run_homogenize(cfg: ExperimentConfig, manifest: RunManifest) -> dict:
     """f_hom per direction, every cell of every direction solved together.
 
-    With a manifest, each cell solve adds a record `homogenize/nu=../r=../x0=..`
-    before any estimate can fail.
+    Each cell solve adds a manifest record `homogenize/nu=../r=../x0=..` before
+    any estimate can fail.
     """
     records = _solve_cells(cfg, manifest, "homogenize")
     table = {}
@@ -430,7 +428,7 @@ def run_homogenize(cfg: ExperimentConfig, manifest: RunManifest | None = None) -
     return payload
 
 
-def run_sweep(cfg: ExperimentConfig, manifest: RunManifest | None = None) -> dict:
+def run_sweep(cfg: ExperimentConfig, manifest: RunManifest) -> dict:
     """Polar-plot data: direction angle versus estimated density."""
     payload = run_homogenize(cfg, manifest)
     rows = [(float(k), v["estimate"], v["stderr"]) for k, v in payload["f_hom"].items()]
@@ -599,7 +597,7 @@ def _prop_bounds(cfg: ExperimentConfig, env, cuboids) -> tuple:
     est = f_hom_reduce(nu, cfg.r_list, seeds, records)
     report = bounds_check(est.estimate, minus.value, plus.value, cfg.env.c1, cfg.env.c2)
     converged = [res.converged for sigma in (minus, plus) for res in sigma.solves.values()]
-    converged += [rec.converged for rec in est.records]
+    converged += [rec.converged for rec in records]
     return report.passed, f"{report.lower:.4g} <= {report.value:.4g} <= {report.upper:.4g}", converged
 
 
@@ -643,8 +641,8 @@ def _skip(cfg: ExperimentConfig, needs) -> str | None:
     return None
 
 
-def run_verify(cfg: ExperimentConfig, manifest: RunManifest | None = None) -> list[PropertyResult]:
-    """Every property in table order; with a manifest, one record `verify/<name>` each; writes verify.json.
+def run_verify(cfg: ExperimentConfig, manifest: RunManifest) -> list[PropertyResult]:
+    """Every property in table order, one manifest record `verify/<name>` each; writes verify.json.
 
     The mesh is checked against the unit scale and every suite cuboid before any check runs.  A
     judged property fails when a solve it read stopped at max_iters.  A check that raises
@@ -665,9 +663,8 @@ def run_verify(cfg: ExperimentConfig, manifest: RunManifest | None = None) -> li
         if stopped and passed is not None:
             passed, detail = False, f"{detail}; {stopped} of {len(converged)} solves stopped at max_iters"
         results.append(PropertyResult(name, passed is None or passed, detail, informational=passed is None))
-    if manifest is not None:
-        for res in results:
-            manifest.add(f"verify/{res.name}", cfg.env.seed)
+    for res in results:
+        manifest.add(f"verify/{res.name}", cfg.env.seed)
     rows = [{k: v for k, v in dataclasses.asdict(res).items() if k != "error"} for res in results]
     write_json(os.path.join(cfg.out_dir, "verify.json"), {"results": rows})
     return results

@@ -13,7 +13,7 @@ from homlab.cli import main
 from homlab.environment import EnvironmentSpec, make_environment
 from homlab.geometry import Direction, OrientedCube
 from homlab.grids import U_CAP, EnergyModel, EnergyParams, box_grid, cube_grid, frame_width_for, profile_values
-from homlab.harness import load_config, run_cell
+from homlab.harness import build_manifest, load_config, run_cell
 from homlab.solve import DivergenceError, SolverConfig, solve_many
 
 from test_harness import GOOD_CONFIG, write_config
@@ -367,7 +367,7 @@ def test_run_cell_with_mixed_r_returns_records_in_submission_order(tmp_path):
     text = GOOD_CONFIG.replace("r_list = 4 8", "r_list = 8 4").replace("x0_list = 0,0", "x0_list = 0,0 0.25,0")
     path, _ = write_config(tmp_path, text)
     cfg = load_config(path)
-    records = run_cell(cfg)
+    records = run_cell(cfg, build_manifest(cfg, "cell"))
     expected = [
         (nu, r, seed, i)
         for nu in cfg.nu_list

@@ -66,6 +66,27 @@ def test_m_nu_brute_force_minimality():
     assert found == m_nu_for(d)
 
 
+def test_m_nu_closed_form_matches_the_brute_force_search_on_every_lattice_direction():
+    # the least m >= 3 with m R_nu integral, searched over m, for every p with |p_i| <= 30 of integer length
+    found = 0
+    for p in [(a,) for a in (-3, -1, 1, 2)] + [(a, b) for a in range(-30, 31) for b in range(-30, 31) if a or b]:
+        d = Direction.from_integers(*p)
+        if not d.rational_flag:
+            continue
+        rot = rotation_for(d)
+        m = next(m for m in range(3, 200) if np.allclose(m * rot, np.round(m * rot), atol=1e-9))
+        assert m_nu_for(d) == m, p
+        found += 1
+    assert found == 4 + 224
+
+
+def test_rational_flag_needs_an_integer_vector_of_integer_length():
+    assert Direction.from_integers(3, 4).rational_flag and Direction.from_integers(0, 2).rational_flag
+    assert not Direction.from_integers(1, 1).rational_flag  # |(1, 1)| = sqrt(2)
+    assert not Direction.from_angle_degrees(30.0).rational_flag  # no integer vector
+    assert Direction.from_integers(-1).rational_flag
+
+
 def test_m_nu_rejects_irrational():
     with pytest.raises(LatticeIncompatibleError):
         m_nu_for(Direction.from_integers(1, 1))

@@ -150,16 +150,6 @@ def fd_worst(model, u, grad, nodes):
     return worst
 
 
-def test_value_and_gradient_consistent_with_separate_calls(e2):
-    rng = np.random.default_rng(3)
-    env = homogeneous_env()
-    cube = OrientedCube((0.0, 0.0), 2.0, e2)
-    g = cube_grid(cube, 0.25, frame_width=0.5)
-    g.values[...] = rng.uniform(-1, 1, g.shape)
-    model = EnergyModel(g, env, EnergyParams(1.0, "general"))
-    assert model.value_and_gradient(g.values)[0] == pytest.approx(model.energy(g.values), rel=1e-14)
-
-
 def test_plus_minus_gradient_difference_is_gradient_term(e2):
     rng = np.random.default_rng(5)
     q = 0.3

@@ -123,9 +123,9 @@ def test_seed_flag_changes_the_config_hash_but_no_cell_row(tmp_path):
 def test_run_cell_emits_deterministic_csv(tmp_path):
     path, out = write_config(tmp_path)
     cfg = load_config(path)
-    run_cell(cfg)
+    run_cell(cfg, build_manifest(cfg, "cell"))
     first = Path(out, "cell.csv").read_text().splitlines()
-    run_cell(cfg)
+    run_cell(cfg, build_manifest(cfg, "cell"))
     second = Path(out, "cell.csv").read_text().splitlines()
     # byte-identical up to the wall-clock column (the only timing field)
     strip = lambda lines: ["," .join(line.split(",")[:-1]) for line in lines]
@@ -141,7 +141,7 @@ def test_cell_csv_rows_read_the_solve_the_problem_gets_alone(tmp_path):
     text = GOOD_CONFIG.replace("r_list = 4 8", "r_list = 8 16 32").replace("nu_list = 0 p:3,4", "nu_list = 90")
     path, out = write_config(tmp_path, text)
     cfg = load_config(path)
-    records = run_cell(cfg)
+    records = run_cell(cfg, build_manifest(cfg, "cell"))
     with open(Path(out, "cell.csv"), newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == len(records) == 6
@@ -185,10 +185,10 @@ def test_thread_count_does_not_change_results(tmp_path):
     path, out = write_config(tmp_path)
     strip = lambda text: ["," .join(line.split(",")[:-1]) for line in text.splitlines()]
     cfg = load_config(path, {"threads": 1})
-    run_cell(cfg)
+    run_cell(cfg, build_manifest(cfg, "cell"))
     serial = strip(Path(out, "cell.csv").read_text())
     cfg = load_config(path, {"threads": 4})
-    run_cell(cfg)
+    run_cell(cfg, build_manifest(cfg, "cell"))
     pooled = strip(Path(out, "cell.csv").read_text())
     assert serial == pooled
 
@@ -442,6 +442,23 @@ def test_config_that_breaks_a_growth_bound_exits_2_with_a_manifest(tmp_path, cap
     assert {p.name for p in out.iterdir()} == {"manifest.json"}
 
 
+def test_cli_verify_with_an_integer_direction_of_irrational_length_runs_the_lattice_checks_along_e2(tmp_path):
+    # p:1,1 is an integer vector of length sqrt(2): no lattice cuboid has it as normal.  Before, verify picked
+    # it as the lattice direction and died building the suite cuboids (a traceback, exit 1, no manifest)
+    from homlab import harness
+
+    text = Path(__file__).parents[1].joinpath("configs", "example.ini").read_text()
+    for old, new in (("nu_list = 0 45 90 135", "nu_list = p:1,1 0"), ("seeds = 0 1 2 3", "seeds = 0 1"),
+                     ("dir = out", "dir = {out}")):
+        assert old in text
+        text = text.replace(old, new)
+    path, out = write_config(tmp_path, text)
+    assert harness._lattice_direction(load_config(path)).integer_vector == (0, 1)
+    assert main(["verify", "--config", path]) == 0
+    assert len(json.loads(Path(out, "verify.json").read_text())["results"]) == 9
+    assert len(json.loads(Path(out, "manifest.json").read_text())["records"]) == 9
+
+
 def test_cli_verify_records_every_property_in_the_manifest(tmp_path, capsys):
     path, out = write_config(tmp_path)
     assert main(["verify", "--config", path]) == 0
@@ -513,8 +530,14 @@ def test_cli_sigma_with_a_scale_beyond_the_slab_bound_exits_2_with_a_manifest(tm
         ("q = 0.05", "q = 0.5", "minus variant requires q <= 0.25 (got 0.5)"),
         ("epsilon_list = 0.25 0.125 0.0625", "epsilon_list = 0.25 1.5",
          "sigma needs scales resolvable on the unit slab: scales must lie in (0, 1]"),
+        # h = eps/8 does not divide the unit slab at 0.3 or 0.75: before, the 0.125 slab was solved and then
+        # the mesh raised a bare ValueError (a traceback, exit 1 and no manifest)
+        ("epsilon_list = 0.25 0.125 0.0625", "epsilon_list = 0.125 0.3",
+         "sigma needs scales resolvable on the unit slab: spacing 0.0375 does not divide side 1.0"),
+        ("epsilon_list = 0.25 0.125 0.0625", "epsilon_list = 0.125 0.75",
+         "sigma needs scales resolvable on the unit slab: spacing 0.09375 does not divide side 1.0"),
     ],
-    ids=["q-bound", "scale"],
+    ids=["q-bound", "scale", "mesh-0.3", "mesh-0.75"],
 )
 def test_cli_sigma_names_what_it_rejects(tmp_path, capsys, monkeypatch, old, new, message):
     # the q bound was reported as a scale the unit slab cannot resolve, and only after the plus slabs were solved
@@ -675,7 +698,7 @@ def test_property_suite_reports_positivity_outside_regime(tmp_path):
     text = GOOD_CONFIG.replace("q = 0.05", "q = 50.0").replace("b_range = 0.0 0.05", "b_range = 0.0 1.0")
     path, _ = write_config(tmp_path, text)
     cfg = load_config(path)
-    result = next(r for r in run_verify(cfg) if r.name == "positivity")
+    result = next(r for r in run_verify(cfg, build_manifest(cfg, "verify")) if r.name == "positivity")
     assert result.informational
     assert "outside regime" in result.detail
 
@@ -692,7 +715,8 @@ def test_property_suite_on_the_n1_sigma_config_skips_the_2d_checks(tmp_path, mon
     monkeypatch.setattr(cell, "solve_many", counting)
     text = Path(__file__).parents[1].joinpath("configs", "sigma.ini").read_text().replace("dir = out", "dir = {out}")
     path, _ = write_config(tmp_path, text)
-    results = run_verify(load_config(path))
+    cfg = load_config(path)
+    results = run_verify(cfg, build_manifest(cfg, "verify"))
     # monotonicity solves its rho = 4, 8 and 16 eps cells at eps = 0.0625 in one call; before, in three
     assert [call for call in scales if 0.0625 in call] == [[0.0625] * 3]
     skipped = [(r.name, r.passed, r.informational) for r in results if r.detail == "skipped for n=1"]
