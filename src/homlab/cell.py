@@ -12,7 +12,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import DoubleWell, compute_c_eta
 from .environment import Environment, EnvironmentSpec, make_environment
 from .geometry import Direction, LatticeCuboid, OrientedCube
 from .grids import (
@@ -65,29 +64,26 @@ class EstimateError(RuntimeError):
 
 @dataclass(frozen=True)
 class Cell:
-    """One cell problem: the energy on `cube` at scale `epsilon` and mesh h, datum the ramp through its center.
+    """One frozen problem: the `variant` energy on `domain` (an OrientedCube or a LatticeCuboid) at epsilon, h.
 
-    `x0_index` is the index of the center the cell was expanded from.
-    nu = cube.direction, r = side / epsilon; nu, r and x0_index name the cell in `work_id`.
+    The datum is `_datum`'s.  `x0_index` is the index of the center a cube was expanded from.
+    On a cube, nu = direction and r = side / epsilon; nu, r and x0_index name the cell in `work_id`.
     """
 
     env: Environment
-    cube: OrientedCube
+    domain: OrientedCube | LatticeCuboid
     x0_index: int
     epsilon: float
     h: float
-
-    def __post_init__(self):
-        if self.cube.side < 4.0 * self.epsilon - 1e-12:
-            raise ValueError("cell problems need r >= 4 (side >= 4 epsilon), so the transition fits inside")
+    variant: str = "general"
 
     @property
     def nu(self) -> Direction:
-        return self.cube.direction
+        return self.domain.direction
 
     @property
     def r(self) -> float:
-        return self.cube.side / self.epsilon
+        return self.domain.side / self.epsilon
 
     @property
     def seed(self) -> int:
@@ -111,8 +107,8 @@ class CellRecord:
 
     @property
     def normalized(self) -> float:
-        """m_hat / side^(n-1), an f_hom sample."""
-        return self.solve.value / self.cell.cube.side ** (self.cell.nu.n - 1)
+        """m_hat / side^(n-1), an f_hom sample (cubes)."""
+        return self.solve.value / self.cell.domain.side ** (self.cell.nu.n - 1)
 
     @property
     def converged(self) -> bool:
@@ -135,11 +131,11 @@ class SigmaEstimate:
 
 @dataclass
 class MuSample:
-    """One evaluation of the subadditive slab process; `solve` is None for the small-base fallback."""
+    """One evaluation of the subadditive slab process and the SolveResult of its cuboid."""
 
     value: float
     anomaly: bool
-    solve: SolveResult | None = None
+    solve: SolveResult
 
 
 @dataclass
@@ -181,15 +177,6 @@ class BoundsReport:
 # ---------------------------------------------------------------------------
 
 
-def _slab_datum(epsilon: float, h: float) -> GridField:
-    grid = cube_grid(OrientedCube((0.0,), 1.0, Direction.from_integers(1)), h, frame_width_for(h, epsilon, "slab"))
-    grid.values[...] = profile_values(grid, epsilon)
-    # admissible datum is exactly +-1 near the two ends of the unit interval
-    signs = np.sign(grid.axis_coords(0))
-    grid.values[grid.frozen] = signs[grid.frozen]
-    return grid
-
-
 def sigma_pair(
     q: float,
     scales,
@@ -203,11 +190,11 @@ def sigma_pair(
     (0, 1], with more than MAX_SLAB_NODES nodes on the slab axis or with a mesh
     that does not divide the slab is rejected (ResolutionError, as is a grid
     with no scale left).  Scales whose frozen frame fills the slab are skipped
-    with a warning before their solve.  Each other scale solves its minus slab
-    and then its plus slab.  The minus energy is also evaluated on the plus
-    minimizer: the minus integrand is dominated pointwise, so this keeps the
-    pair ordered and is still an upper bound for sigma-.  Each estimate keeps
-    the fields it solved for.
+    with a warning before the solve.  Every other scale's minus and plus slabs
+    are solved in one call, minus then plus per scale.  The minus energy is
+    also evaluated on the plus minimizer: the minus integrand is dominated
+    pointwise, so this keeps the pair ordered and is still an upper bound for
+    sigma-.  Each estimate keeps the fields it solved for.
     """
     if h_for is None:
         h_for = lambda eps: eps / 8.0
@@ -217,18 +204,22 @@ def sigma_pair(
         if 1.0 / h_for(eps) > MAX_SLAB_NODES:
             msg = f"{1.0 / h_for(eps):.6g} nodes on the unit slab axis at h = {h_for(eps):g}"
             raise ResolutionError(f"scale {eps:g} puts {msg}, more than MAX_SLAB_NODES = {MAX_SLAB_NODES}")
-    data = {eps: _slab_datum(eps, h_for(eps)) for eps in scales}
     env = make_environment(EnvironmentSpec(q=q))
-    minus, plus = {}, {}  # scale -> SolveResult
+    unit = OrientedCube((0.0,), 1.0, Direction.from_integers(1))
+    slabs = {eps: [Cell(env, unit, 0, eps, h_for(eps), variant) for variant in ("m_minus", "m_plus")] for eps in scales}
+    built = {}
+    data = {eps: _datum(minus, built) for eps, (minus, _) in slabs.items()}  # every scale's, before the solve
+    cells = []
     for eps, grid in data.items():
         if grid.frozen.all():
             # frame covers the whole slab: the datum is the only competitor, and there is nothing to solve
             warnings.warn(f"skipping degenerate scale {eps}: frozen frame fills the unit slab")
             continue
-        (minus[eps],) = solve_many([(grid, env, EnergyParams(eps, "m_minus"))], cfg)
-        (plus[eps],) = solve_many([(grid, env, EnergyParams(eps, "m_plus"))], cfg)
-    if not minus:
+        cells += slabs[eps]
+    if not cells:
         raise ResolutionError("no resolvable scale in the grid")
+    records = _cell_records(cells, cfg, built)
+    minus, plus = ({rec.cell.epsilon: rec.solve for rec in records[k::2]} for k in (0, 1))  # scale -> SolveResult
     minus_per_eps = {}
     for eps, res in minus.items():
         slab = plus[eps].field
@@ -247,22 +238,38 @@ def _min_over_scales(variant: str, per_eps: dict, solves: dict) -> SigmaEstimate
 # ---------------------------------------------------------------------------
 
 
-def _cell_records(cells, cfg: SolverConfig) -> list[CellRecord]:
-    """Solve the cells together; one CellRecord each, in order.
+def _datum(cell: Cell, built: dict) -> GridField:
+    """The frozen datum of `cell`: its domain's grid with the ramp eta(t_n/epsilon) as values.
 
-    Cells of one geometry are solved in lockstep batches (solve_many), so the
-    `wall_ms` of a record's solve is the wall time of its batch and `batch` the batch size.
+    The frame is max(2h, epsilon) deep; on sigma's slabs (the m_minus and
+    m_plus variants) it is max(2h, epsilon/2) deep and exactly +-1, the
+    admissible datum there.  `built` keeps every datum made: a cube's is the
+    same in local coordinates for every cube of one side, so cubes share one
+    per (n, side, epsilon, h) and each is placed by its direction and center.
     """
-    problems, datum = [], {}
-    for cell in cells:
-        cube = cell.cube
-        key = (cube.n, cube.side, cell.epsilon, cell.h)
-        if key not in datum:  # the same in local coordinates for every cell of one side: shared
-            grid = cube_grid(cube, cell.h, frame_width_for(cell.h, cell.epsilon, "cell"))
-            grid.values[...] = profile_values(grid, cell.epsilon)
-            datum[key] = grid
-        grid = replace(datum[key], direction=cube.direction, physical_shift=tuple(map(float, cube.center)))
-        problems.append((grid, cell.env, EnergyParams(cell.epsilon, "general")))
+    dom, slab = cell.domain, cell.variant != "general"
+    cube = isinstance(dom, OrientedCube)
+    key = ((dom.n, dom.side) if cube else dom, cell.epsilon, cell.h, slab)
+    if key not in built:
+        width = frame_width_for(cell.h, cell.epsilon, "slab" if slab else "cell")
+        grid = cube_grid(dom, cell.h, width) if cube else cuboid_grid(dom, cell.h, width)
+        grid.values[...] = profile_values(grid, cell.epsilon)
+        if slab:  # the ramp is odd and nonzero off t_n = 0: its sign is the +-1 datum
+            grid.values[grid.frozen] = np.sign(grid.values[grid.frozen])
+        built[key] = grid
+    if not cube:
+        return built[key]
+    return replace(built[key], direction=dom.direction, physical_shift=tuple(map(float, dom.center)))
+
+
+def _cell_records(cells, cfg: SolverConfig, built: dict | None = None) -> list[CellRecord]:
+    """Solve the cells in one solve_many call, reusing the data in `built`; one CellRecord each, in order.
+
+    Cells of one geometry are solved in lockstep batches, so the `wall_ms` of a
+    record's solve is the wall time of its batch and `batch` the batch size.
+    """
+    built = {} if built is None else built
+    problems = [(_datum(cell, built), cell.env, EnergyParams(cell.epsilon, cell.variant)) for cell in cells]
     return [CellRecord(cell, res) for cell, res in zip(cells, solve_many(problems, cfg))]
 
 
@@ -278,13 +285,14 @@ def cell_problems_r(
 ) -> list[CellRecord]:
     """The cell of every direction x r x seed x x0 at scale epsilon, solved together, records in that order.
 
-    The cell for r at center x0 is the cube of side r*epsilon centered at
-    r*epsilon*x0: the unit cell of side r at r*x0, rescaled by epsilon (at
-    epsilon = 1, the unit cell itself).  Seed s samples the environment
-    spec.with_seed(s); x0_list = None is the origin alone.  Cells that share r
-    (hence grid and frozen frame) form one group, whatever their direction,
-    environment or center.
+    The cell for r >= 4 (ValueError otherwise) at center x0 is the cube of side
+    r*epsilon centered at r*epsilon*x0: the unit cell of side r at r*x0, rescaled
+    by epsilon.  Seed s samples the environment spec.with_seed(s); x0_list = None
+    is the origin alone.  Cells that share r (hence grid and frozen frame) form
+    one group, whatever their direction, environment or center.
     """
+    if any(float(r) < 4.0 for r in r_list):
+        raise ValueError("cell problems need r >= 4 (side >= 4 epsilon), so the transition fits inside")
     envs = {seed: make_environment(spec.with_seed(seed)) for seed in seeds}
     centers = None if x0_list is None else [tuple(float(v) for v in np.atleast_1d(x0)) for x0 in x0_list]
     cells = [
@@ -302,36 +310,22 @@ def cell_problems_r(
 # ---------------------------------------------------------------------------
 
 
-def _cuboid_datum(cuboid: LatticeCuboid, h: float) -> GridField:
-    grid = cuboid_grid(cuboid, h, frame_width_for(h, 1.0, "cell"))
-    grid.values[...] = profile_values(grid, 1.0)
-    return grid
+def mu_nu(pairs, cfg: SolverConfig = SolverConfig(), h: float = 0.25) -> list[MuSample]:
+    """Value of the subadditive slab process on each (environment, base cuboid) pair, solved in one call.
 
-
-def mu_nu(
-    env: Environment,
-    cuboid: LatticeCuboid,
-    cfg: SolverConfig = SolverConfig(),
-    h: float = 0.25,
-) -> MuSample:
-    """Value of the subadditive slab process on one base cuboid.
-
-    Bases with every side of length >= 1 are solved (value m_hat / M^(n-1));
-    smaller bases take the deterministic fallback c2 * C_eta * area, matching
-    the branch where the solved value is not sign-controlled.  A solved value
-    below -SOLVER_SLACK is clamped to zero and flagged as an anomaly.
+    A value is m_hat / M^(n-1).  Every base side must be >= 1 (ValueError
+    before any solve otherwise), so that the solved value is sign-controlled.
+    A solved value below -SOLVER_SLACK is clamped to zero and flagged as an anomaly.
     """
-    m = cuboid.m_nu
-    n = cuboid.n
-    spec = env.spec
-    if min(cuboid.base_lengths) < 1.0:
-        c_eta = compute_c_eta(DoubleWell(), spec.q)
-        return MuSample(spec.c2 * c_eta * cuboid.base_area, anomaly=False)
-    (res,) = solve_many([(_cuboid_datum(cuboid, h), env, EnergyParams(1.0, "general"))], cfg)
-    raw = res.value / m ** (n - 1)
-    anomaly = raw < -SOLVER_SLACK
-    value = max(raw, 0.0) if anomaly else raw
-    return MuSample(value, anomaly, res)
+    pairs = list(pairs)
+    if any(min(cuboid.base_lengths) < 1.0 for _, cuboid in pairs):
+        raise ValueError("the slab process is solved on bases with every side >= 1")
+    samples = []
+    for rec in _cell_records([Cell(env, cuboid, 0, 1.0, h) for env, cuboid in pairs], cfg):
+        raw = rec.m_hat / rec.cell.domain.m_nu ** (rec.cell.domain.n - 1)
+        anomaly = raw < -SOLVER_SLACK
+        samples.append(MuSample(max(raw, 0.0) if anomaly else raw, anomaly, rec.solve))
+    return samples
 
 
 def glued_partition_energy(
@@ -343,14 +337,14 @@ def glued_partition_energy(
 ) -> dict:
     """Paste sub-cuboid minimizers into the full slab and evaluate its energy.
 
-    `cut_points` split the (1d) base interval into parts; each part is solved
-    on its own cuboid, the minimizers are pasted into the full grid (they agree
-    with the boundary ramp on the collars), and the leftover region keeps the
-    ramp, whose integrand vanishes there.  A part whose frozen frame fills its
-    grid is not solved: its datum is its only competitor, so the datum is its
-    minimizer.  Returns the glued energy, the sum of the part minima and the
-    SolveResults of the solved parts; subadditivity predicts glued <= sum to
-    rounding.
+    `cut_points` split the (1d) base interval into parts; the parts are solved
+    on their own cuboids in one call, the minimizers are pasted into the full
+    grid (they agree with the boundary ramp on the collars), and the leftover
+    region keeps the ramp, whose integrand vanishes there.  A part whose frozen
+    frame fills its grid is not solved: its datum is its only competitor, so
+    the datum is its minimizer.  Returns the glued energy, the sum of the part
+    minima and the SolveResults of the solved parts; subadditivity predicts
+    glued <= sum to rounding.
     """
     if cuboid.n != 2:
         raise NotImplementedError("partition gluing is implemented for n = 2")
@@ -360,30 +354,31 @@ def glued_partition_energy(
         raise ValueError("cut points must fall inside the base interval")
     edges = [a] + cuts + [b]
 
-    big = _cuboid_datum(cuboid, h)
+    big = _datum(Cell(env, cuboid, 0, 1.0, h), {})
     lo_lat, lo_vert = big.lo
 
-    cuboids = [LatticeCuboid(((left, right),), cuboid.direction) for left, right in zip(edges[:-1], edges[1:])]
+    parts = [Cell(env, LatticeCuboid((edge,), cuboid.direction), 0, 1.0, h) for edge in zip(edges[:-1], edges[1:])]
     offsets = []  # of each part's grid in the full grid, all checked before any part is solved
-    for part in cuboids:
-        bounds = part.local_bounds()
+    for part in parts:
+        bounds = part.domain.local_bounds()
         off_lat = (bounds[0][0] - lo_lat) / h
         off_vert = (bounds[1][0] - lo_vert) / h
         if abs(off_lat - round(off_lat)) > 1e-9 or abs(off_vert - round(off_vert)) > 1e-9:
             raise ValueError("partition is not commensurate with the mesh")
         offsets.append((int(round(off_lat)), int(round(off_vert))))
 
+    built = {}
+    data = [_datum(part, built) for part in parts]
+    solves = [rec.solve for rec in _cell_records([p for p, g in zip(parts, data) if not g.frozen.all()], cfg, built)]
+    found = iter(solves)
     params = EnergyParams(1.0, "general")
-    parts = []
     total = 0.0
-    for part, (i0, j0) in zip(cuboids, offsets):
-        grid = _cuboid_datum(part, h)
+    for grid, (i0, j0) in zip(data, offsets):
         if grid.frozen.all():
             total += EnergyModel(grid, env, params).energy(grid.values)
         else:
-            (res,) = solve_many([(grid, env, params)], cfg)
+            res = next(found)
             total += res.value
-            parts.append(res)
             grid = res.field
         ni, nj = grid.shape
         big.values[i0 : i0 + ni, j0 : j0 + nj] = grid.values
@@ -391,7 +386,7 @@ def glued_partition_energy(
     return {
         "glued_energy": glued,
         "sum_part_minima": total,
-        "parts": tuple(parts),
+        "parts": tuple(solves),
         "slack": glued - total,
     }
 

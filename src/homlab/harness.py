@@ -559,17 +559,14 @@ def _suite_cuboids(cfg: ExperimentConfig) -> dict:
 
 def _prop_mu_bounds(cfg: ExperimentConfig, env, cuboids) -> tuple:
     c_eta = compute_c_eta(DoubleWell(), cfg.env.q)
-    ok = True
-    details, converged = [], []
-    for base in ((0.0, 2.0), (0.5, 1.5)):
-        cub = cuboids[base]
-        sample = mu_nu(env, cub, cfg.solver, cfg.h)  # every suite base has sides >= 1, so it is solved
-        upper = cfg.env.c2 * c_eta * cub.base_area
-        good = sample.value <= upper + 1e-9 and not sample.anomaly
-        ok = ok and good
+    bases = ((0.0, 2.0), (0.5, 1.5))
+    samples = mu_nu([(env, cuboids[base]) for base in bases], cfg.solver, cfg.h)
+    ok, details = True, []
+    for base, sample in zip(bases, samples):
+        upper = cfg.env.c2 * c_eta * cuboids[base].base_area
+        ok = ok and sample.value <= upper + 1e-9 and not sample.anomaly
         details.append(f"{base}: {sample.value:.4g} <= {upper:.4g}")
-        converged.append(sample.solve.converged)
-    return ok, "; ".join(details), converged
+    return ok, "; ".join(details), [sample.solve.converged for sample in samples]
 
 
 def _prop_subadditivity(cfg: ExperimentConfig, env, cuboids) -> tuple:
@@ -579,15 +576,13 @@ def _prop_subadditivity(cfg: ExperimentConfig, env, cuboids) -> tuple:
 
 def _prop_stationarity(cfg: ExperimentConfig, env, cuboids) -> tuple:
     cub = cuboids[0.0, 2.0]
-    worst = 0.0
-    converged = []
+    pairs = []  # per lattice shift z: the cuboid in the environment shifted by z, then the cuboid shifted by z
     for z in ((1,), (-2,)):
         shifted_env = shift_environment(env, tuple(int(v) for v in cub.lattice_shift_vector(z)))
-        a = mu_nu(shifted_env, cub, cfg.solver, cfg.h)
-        b = mu_nu(env, cub.shifted(z), cfg.solver, cfg.h)
-        worst = max(worst, abs(a.value - b.value) / max(abs(b.value), 1e-12))
-        converged += [a.solve.converged, b.solve.converged]
-    return worst <= 1e-9, f"max rel gap {worst:.3e}", converged
+        pairs += [(shifted_env, cub), (env, cub.shifted(z))]
+    samples = mu_nu(pairs, cfg.solver, cfg.h)
+    worst = max(abs(a.value - b.value) / max(abs(b.value), 1e-12) for a, b in zip(samples[0::2], samples[1::2]))
+    return worst <= 1e-9, f"max rel gap {worst:.3e}", [sample.solve.converged for sample in samples]
 
 
 def _prop_bounds(cfg: ExperimentConfig, env, cuboids) -> tuple:
@@ -602,11 +597,19 @@ def _prop_bounds(cfg: ExperimentConfig, env, cuboids) -> tuple:
 
 
 def _prop_monotonicity(cfg: ExperimentConfig, env, cuboids) -> tuple:
+    """m_hat - c2 C_eta side^(n-1) nonincreasing over rho = 4, 8, 16 eps-scaled cells, to a 2% slack.
+
+    m_hat grows like f_hom side^(n-1), and C_eta, the line energy of the fixed
+    ramp, is 69.18 at q = 0.05: the sequence can rise only where f_hom exceeds
+    c2 C_eta (about 83 on configs/example.ini, whose f_hom is about 2), so a
+    wrong energy rarely breaches it.  Whether to strengthen the row or delete
+    it is open (ROADMAP.md: every verify property must be able to fail).
+    """
     nu = cfg.nu_list[0]
     eps = min(cfg.epsilon_list)
     c_eta = compute_c_eta(DoubleWell(), cfg.env.q)
     recs = cell_problems_r(cfg.env, [nu], (4.0, 8.0, 16.0), [cfg.env.seed], None, cfg.solver, eps / 4.0, eps)
-    seq = [rec.m_hat - cfg.env.c2 * c_eta * rec.cell.cube.side ** (cfg.dimension - 1) for rec in recs]
+    seq = [rec.m_hat - cfg.env.c2 * c_eta * rec.cell.domain.side ** (cfg.dimension - 1) for rec in recs]
     ok = all(seq[i + 1] <= seq[i] + 0.02 * abs(seq[i]) + 1e-9 for i in range(len(seq) - 1))
     return ok, f"sequence {['%.4g' % s for s in seq]}", [rec.converged for rec in recs]
 

@@ -16,6 +16,7 @@ from homlab.grids import U_CAP, EnergyModel, EnergyParams, box_grid, cube_grid, 
 from homlab.harness import build_manifest, load_config, run_cell
 from homlab.solve import DivergenceError, SolverConfig, solve_many
 
+from test_grids import slab_datum
 from test_harness import GOOD_CONFIG, write_config
 
 CHECKERBOARD = EnvironmentSpec(  # configs/example.ini
@@ -413,7 +414,7 @@ def test_sigma_pair_evaluates_the_minus_energy_on_the_solved_plus_fields(monkeyp
     env = make_environment(EnvironmentSpec(q=q))
     per_eps = {}
     for eps in plus.per_epsilon:
-        datum = cell._slab_datum(eps, eps / 8.0)
+        datum = slab_datum(eps, eps / 8.0)
         (own,) = solve_many([(datum, env, EnergyParams(eps, "m_minus"))], cfg)
         (res,) = solve_many([(datum, env, EnergyParams(eps, "m_plus"))], cfg)
         assert res.value == plus.per_epsilon[eps]

@@ -83,23 +83,23 @@ def test_sigma_skips_degenerate_scales(monkeypatch):
     assert solved == [0.25, 0.25]
 
 
-def test_sigma_pair_builds_each_scale_datum_once_and_solves_one_slab_per_call(monkeypatch):
-    data, calls = [], []
-    slab_datum = cell._slab_datum
+def test_sigma_pair_builds_each_scale_datum_once_and_solves_every_slab_in_one_call(monkeypatch):
+    meshes, calls = [], []  # the mesh of every grid built, and the problems of every solve_many call
+    cube_grid = cell.cube_grid
 
-    def datum_spy(epsilon, h):
-        data.append(epsilon)
-        return slab_datum(epsilon, h)
+    def grid_spy(cube, h, frame_width):
+        meshes.append(h)
+        return cube_grid(cube, h, frame_width)
 
     def solve_spy(problems, cfg):
         calls.append([(params.epsilon, params.variant) for _, _, params in problems])
         return solve_many(problems, cfg)
 
-    monkeypatch.setattr(cell, "_slab_datum", datum_spy)
+    monkeypatch.setattr(cell, "cube_grid", grid_spy)
     monkeypatch.setattr(cell, "solve_many", solve_spy)
     sigma_pair(0.05, (0.25, 0.125), QUICK)
-    assert data == [0.25, 0.125]
-    assert calls == [[(eps, variant)] for eps in (0.25, 0.125) for variant in ("m_minus", "m_plus")]
+    assert meshes == [0.25 / 8.0, 0.125 / 8.0]
+    assert calls == [[(eps, variant) for eps in (0.25, 0.125) for variant in ("m_minus", "m_plus")]]
 
 
 class Solved(Exception):
@@ -111,18 +111,15 @@ def test_sigma_rejects_a_scale_beyond_the_slab_bound_before_any_solve(monkeypatc
     reached = []
 
     def no_solve(problems, cfg):
-        ((_, _, params),) = problems
-        reached.append(params.variant)
-        if params.variant == f"m_{variant}":
-            raise Solved(params.epsilon)
-        return [object()]  # stands in for the other variant's slab, which comes first or not at all
+        reached.extend((params.epsilon, params.variant) for _, _, params in problems)
+        raise Solved()
 
     monkeypatch.setattr(cell, "solve_many", no_solve)
     assert cell.MAX_SLAB_NODES == 2048
     # eps = 1/256 puts 2048 nodes on the unit slab axis and this variant's slab is solved; 1/512 puts 4096 there
     with pytest.raises(Solved):
         sigma_pair(0.05, (1.0 / 256.0,), QUICK)
-    assert reached[-1] == f"m_{variant}"
+    assert (1.0 / 256.0, f"m_{variant}") in reached
     reached.clear()
     for scales in ((1.0 / 512.0,), (0.0625, 1e-5)):
         # the finer scale comes last: it is rejected before the first is solved
@@ -156,7 +153,7 @@ def test_rescaling_identity_on_matched_grids(e2):
     # solves differ only through the stopping rule, i.e. by solver tolerance
     (rec_r,) = cell_problems_r(checkerboard(7), [e2], [8], [7], [(0.0, 0.0)], QUICK, 0.25)
     (rec_e,) = cell_problems_r(checkerboard(7), [e2], [8], [7], None, QUICK, 0.25 / 8.0, 1.0 / 8.0)
-    assert rec_e.cell.cube.side == 1.0
+    assert rec_e.cell.domain.side == 1.0
     assert rec_e.normalized == pytest.approx(rec_r.normalized, rel=1e-5)
 
 
@@ -196,21 +193,27 @@ def test_homogeneous_cell_independent_of_center(e2):
 # ---------------------------------------------------------------------------
 
 
-def test_mu_fallback_branch_exact(e2, quartic):
+def test_mu_nu_rejects_a_base_side_below_one_before_any_solve(e2, monkeypatch):
+    # a base side below 1 leaves the solved value without sign control; no command builds one
+    calls = []
+
+    def spy(problems, cfg):
+        calls.append(len(problems))
+        return solve_many(problems, cfg)
+
+    monkeypatch.setattr(cell, "solve_many", spy)
     env = make_environment(checkerboard(1))
-    cub = LatticeCuboid(((0.0, 0.5),), e2)
-    sample = mu_nu(env, cub, QUICK, 0.25)
-    expected = 1.2 * compute_c_eta(quartic, 0.05) * 0.5
-    assert sample.solve is None
-    assert sample.value == pytest.approx(expected, rel=1e-12)
+    pairs = [(env, LatticeCuboid(((0.0, 2.0),), e2)), (env, LatticeCuboid(((0.0, 0.5),), e2))]
+    with pytest.raises(ValueError, match="every side >= 1"):
+        mu_nu(pairs, QUICK, 0.25)
+    assert calls == []
 
 
 def test_mu_bounds(e2, quartic):
     env = make_environment(checkerboard(2))
     c_eta = compute_c_eta(quartic, 0.05)
-    for base in ((0.0, 1.0), (0.0, 2.0), (-1.0, 1.5)):
-        cub = LatticeCuboid((base,), e2)
-        sample = mu_nu(env, cub, QUICK, 0.25)
+    cubs = [LatticeCuboid((base,), e2) for base in ((0.0, 1.0), (0.0, 2.0), (-1.0, 1.5))]
+    for cub, sample in zip(cubs, mu_nu([(env, cub) for cub in cubs], QUICK, 0.25), strict=True):
         assert not sample.anomaly
         assert -1e-6 <= sample.value <= 1.2 * c_eta * cub.base_area
 
@@ -220,8 +223,7 @@ def test_mu_stationarity_under_lattice_shifts(e2):
     cub = LatticeCuboid(((0.0, 2.0),), e2)
     for z in ((1,), (-3,)):
         shifted_env = shift_environment(env, tuple(int(v) for v in cub.lattice_shift_vector(z)))
-        a = mu_nu(shifted_env, cub, QUICK, 0.25)
-        b = mu_nu(env, cub.shifted(z), QUICK, 0.25)
+        a, b = mu_nu([(shifted_env, cub), (env, cub.shifted(z))], QUICK, 0.25)
         assert a.value == b.value
 
 
@@ -231,8 +233,7 @@ def test_mu_stationarity_rational_tilted_direction():
     cub = LatticeCuboid(((0.0, 1.0),), d)
     z = (2,)
     shifted_env = shift_environment(env, tuple(int(v) for v in cub.lattice_shift_vector(z)))
-    a = mu_nu(shifted_env, cub, QUICK, 0.25)
-    b = mu_nu(env, cub.shifted(z), QUICK, 0.25)
+    a, b = mu_nu([(shifted_env, cub), (env, cub.shifted(z))], QUICK, 0.25)
     assert a.value == pytest.approx(b.value, rel=1e-9)
 
 
@@ -242,7 +243,7 @@ def test_glued_partition_is_subadditive_witness(e2):
     out = glued_partition_energy(env, cub, [1.0, 2.5], QUICK, 0.25)
     assert out["glued_energy"] <= out["sum_part_minima"] + 1e-9
     # and the big minimum is below the glued competitor's energy
-    big = mu_nu(env, cub, QUICK, 0.25)
+    (big,) = mu_nu([(env, cub)], QUICK, 0.25)
     assert big.value * cub.m_nu <= out["glued_energy"] + 1e-9
 
 
@@ -258,7 +259,7 @@ def test_glued_partition_takes_a_part_whose_frame_fills_it_as_its_datum(e2, monk
     env = make_environment(checkerboard(4))
     out = glued_partition_energy(env, LatticeCuboid(((0.0, 2.0),), e2), [0.5], QUICK, 0.25)
     assert solved == [(18, 18)] and len(out["parts"]) == 1
-    datum = cell._cuboid_datum(LatticeCuboid(((0.0, 0.5),), e2), 0.25)
+    datum = cell._datum(Cell(env, LatticeCuboid(((0.0, 0.5),), e2), 0, 1.0, 0.25), {})
     assert datum.frozen.all()
     filled = EnergyModel(datum, env, EnergyParams(1.0, "general")).energy(datum.values)
     assert out["sum_part_minima"] == filled + out["parts"][0].value

@@ -18,8 +18,14 @@ from homlab.grids import (
     frame_width_for,
     profile_values,
 )
-from homlab.cell import _slab_datum
+from homlab.cell import Cell, _datum
 from homlab.harness import MAX_CENTER
+
+
+def slab_datum(eps, h):
+    """The datum of sigma's unit slab at scale eps and mesh h, as `sigma_pair` builds it for both variants."""
+    unit = OrientedCube((0.0,), 1.0, Direction.from_integers(1))
+    return _datum(Cell(make_environment(EnvironmentSpec()), unit, 0, eps, h, "m_minus"), {})
 
 
 def profile_datum(cube, eps, h, frame_width=None):
@@ -319,7 +325,7 @@ def built_grids():
                 yield cuboid_grid(cub, 0.25, cell_width), sides, cell_width
     for eps in (1.0, 0.5, 0.25, 0.125, 0.0625):  # the sigma slabs, h = eps/8
         width = frame_width_for(eps / 8.0, eps, "slab")
-        yield _slab_datum(eps, eps / 8.0), (1.0,), width
+        yield slab_datum(eps, eps / 8.0), (1.0,), width
     for sides in ((1.0,), (1.0, 1.0)):  # the positivity boxes
         direction = Direction.from_integers(*([0] * (len(sides) - 1) + [1]))
         yield box_grid(direction, (0.0,) * len(sides), sides, 1.0 / 16.0), sides, 0.0
@@ -470,7 +476,7 @@ def test_rounding_bounds_the_error_of_a_slab_energy(noise):
     # the minus slab of the q that deadlocked the record stop test; h and eps are powers of two, so every
     # weight is exact, and the energy in exact rational arithmetic is the reference
     q, eps, h = 1.2000000000000002, 1.0 / 16.0, 1.0 / 128.0
-    grid = _slab_datum(eps, h)
+    grid = slab_datum(eps, h)
     grid.values[...] = profile_values(grid, eps) + np.random.default_rng(0).uniform(-noise, noise, grid.shape)
     model = EnergyModel(grid, make_environment(EnvironmentSpec(q=q)), EnergyParams(eps, "m_minus"))
     energy, (bound,) = model.energy(grid.values), model.rounding(grid.values)

@@ -490,6 +490,41 @@ def test_cli_config_error_exit_code(tmp_path):
     assert main(["cell", "--config", "/nonexistent.ini"]) == 2
 
 
+def test_verify_and_sigma_solve_each_job_in_one_solve_many_call(tmp_path, monkeypatch):
+    # verify: positivity 3, mu-bounds 2, subadditivity 2, stationarity 4, bounds 4 slabs + 6 cells and
+    # monotonicity 3; before, 15 calls, 12 of them of one problem.  sigma: its 6 slabs; before, 6 calls of one
+    from homlab import cell
+
+    calls = []
+
+    def spy(problems, cfg):
+        calls.append(len(problems))
+        return solve_many(problems, cfg)
+
+    monkeypatch.setattr(cell, "solve_many", spy)
+    path, out = example_verify_config(tmp_path, 25000)
+    assert main(["verify", "--config", path]) == 0
+    assert calls == [3, 2, 2, 4, 4, 6, 3]
+    calls.clear()
+    sigma_ini = str(Path(__file__).parents[1].joinpath("configs", "sigma.ini"))
+    assert main(["sigma", "--config", sigma_ini, "--out", out]) == 0
+    assert calls == [6]
+
+
+def test_verify_fails_stationarity_when_the_environment_shifts_one_lattice_cell_too_far(tmp_path, capsys, monkeypatch):
+    # each shifted-environment solve is compared with its shifted-cuboid solve: a batched call that paired
+    # a solve with itself would read 0 under this mutant, as it does on the right shift
+    from homlab import harness
+
+    shift_environment = harness.shift_environment
+    monkeypatch.setattr(harness, "shift_environment", lambda env, v: shift_environment(env, (v[0] + 1,) + v[1:]))
+    path, out = example_verify_config(tmp_path, 25000)
+    assert main(["verify", "--config", path]) == 1
+    assert "[FAIL] stationarity: max rel gap 3.609e-02" in capsys.readouterr().out.splitlines()
+    rows = json.loads(Path(out, "verify.json").read_text())["results"]
+    assert [r["name"] for r in rows if not r["passed"]] == ["stationarity"]
+
+
 def test_cli_sigma_writes_summary(tmp_path):
     text = GOOD_CONFIG.replace("epsilon_list = 1.0", "epsilon_list = 0.25").replace("h = 0.25", "h = 0.0625")
     path, out = write_config(tmp_path, text)

@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from homlab.cell import _slab_datum, cell_problems_r
+from homlab.cell import cell_problems_r
 from homlab.environment import EnvironmentSpec, make_environment
 from homlab.geometry import Direction, OrientedCube
 from homlab import solve
@@ -14,7 +14,7 @@ from homlab.solve import DivergenceError, SolverConfig, _axis_basis, _transform,
 
 from _oracles import line_constant
 from test_batch import MIXED_CELLS, random_starts
-from test_grids import profile_datum
+from test_grids import profile_datum, slab_datum
 
 
 def env_mplus(q=1.0):
@@ -196,7 +196,7 @@ def test_slab_solves_at_the_rounding_floor_converge(q, epsilon):
     # max|g| <= grad_tol at 1.0-10.8 and 31-182 machine epsilons above a record that never moved again
     env = make_environment(EnvironmentSpec(q=q))
     for variant in ("m_minus", "m_plus"):
-        problem = (_slab_datum(epsilon, epsilon / 8.0), env, EnergyParams(epsilon, variant))
+        problem = (slab_datum(epsilon, epsilon / 8.0), env, EnergyParams(epsilon, variant))
         (res,) = solve_many([problem], SolverConfig(max_iters=2000))
         assert res.converged and res.iters < 100
         assert res.final_grad_norm <= res.diagnostics["grad_tol"]
